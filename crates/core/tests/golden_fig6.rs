@@ -1,11 +1,11 @@
 //! Golden-waveform regression for the fig. 6 transistor tier.
 //!
-//! Pins one plaintext's supply-current trace (PG-MCML, key 0xb,
-//! plaintext 0x3) against samples captured from the reference solver
-//! path. Solver-level changes — assembly reordering, factorisation
-//! strategy, step-size handling — may shift samples only within the
-//! tolerances below; anything larger is a physics change, not an
-//! optimisation.
+//! Pins two plaintexts' supply-current traces (PG-MCML, key 0xb with
+//! plaintext 0x3, and key 0x3 with plaintext 0xf) against samples
+//! captured from the reference solver path. Solver-level changes —
+//! assembly reordering, factorisation strategy, step-size handling — may
+//! shift samples only within the tolerances below; anything larger is a
+//! physics change, not an optimisation.
 
 use mcml_cells::{CellParams, LogicStyle};
 use mcml_spice::TranOptions;
@@ -38,21 +38,55 @@ const GOLDEN_SAMPLES: [f64; 10] = [
 const REL_TOL: f64 = 1e-4;
 const ABS_TOL: f64 = 1e-9;
 
-#[test]
-fn fig6_pg_mcml_trace_matches_golden() {
-    let trace = fig6_supply_trace(&CellParams::default(), 0xb, LogicStyle::PgMcml, 0x3)
+/// Check one fig. 6 PG-MCML trace against its pinned samples.
+fn assert_trace_matches(key: u8, plaintext: u8, golden: &[f64]) {
+    let trace = fig6_supply_trace(&CellParams::default(), key, LogicStyle::PgMcml, plaintext)
         .expect("transistor-tier trace");
     assert_eq!(trace.len(), 60, "capture window sampling");
     let picked: Vec<f64> = trace.iter().copied().step_by(GOLDEN_STRIDE).collect();
-    assert_eq!(picked.len(), GOLDEN_SAMPLES.len());
-    for (i, (got, want)) in picked.iter().zip(GOLDEN_SAMPLES).enumerate() {
+    assert_eq!(picked.len(), golden.len());
+    for (i, (got, want)) in picked.iter().zip(golden).enumerate() {
         let tol = ABS_TOL + REL_TOL * want.abs();
         assert!(
             (got - want).abs() <= tol,
-            "sample {}: got {got:e}, golden {want:e} (tol {tol:e})",
+            "key {key:#x} plaintext {plaintext:#x} sample {}: got {got:e}, golden {want:e} \
+             (tol {tol:e})",
             i * GOLDEN_STRIDE
         );
     }
+}
+
+/// The benchmark's golden samples for one input (`perfbench/golden.json`
+/// holds the same every-6th-sample pins for every key/plaintext pair).
+fn benchmark_golden(entry: &str) -> Vec<f64> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/golden.json");
+    let text = std::fs::read_to_string(path).expect("read perfbench/golden.json");
+    let tag = format!("\"{entry}\": [");
+    let start = text
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no golden `{entry}`"))
+        + tag.len();
+    let end = start + text[start..].find(']').expect("closing bracket");
+    text[start..end]
+        .split(',')
+        .map(|v| v.trim().parse().expect("golden sample"))
+        .collect()
+}
+
+#[test]
+fn fig6_pg_mcml_trace_matches_golden() {
+    assert_trace_matches(0xb, 0x3, &GOLDEN_SAMPLES);
+}
+
+/// The registered netlist's DC operating point leaves the slave latches
+/// at their metastable balance point, so the LU rounding of `dc_op`
+/// picks which basin the transient starts from (SOLVER.md §2). Factoring
+/// the DC in the transient's minimum-degree column order moves this
+/// pair outside its tolerance, while key 0xb, plaintext 0x3 above still
+/// passes.
+#[test]
+fn fig6_pg_mcml_dc_basin_sensitive_trace_matches_golden() {
+    assert_trace_matches(0x3, 0xf, &benchmark_golden("fig6_scalar/k3/p15"));
 }
 
 /// The fig. 6 tier runs with grid-aligned adaptive stepping

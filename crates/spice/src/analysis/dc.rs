@@ -121,7 +121,10 @@ pub(crate) fn branch_map(ckt: &Circuit) -> Vec<Option<usize>> {
 pub fn dc_op(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint> {
     ckt.validate()?;
     mcml_obs::incr(mcml_obs::Counter::DcSolves);
-    let mut engine = Engine::new(ckt);
+    // Natural column order, bit for bit the factors of the original
+    // sparse LU: on bistable netlists the rounding picks the basin
+    // (SOLVER.md §2).
+    let mut engine = Engine::new_natural_order(ckt);
     let nr = opts.nr();
     let t = opts.time;
 

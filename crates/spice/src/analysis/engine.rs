@@ -6,6 +6,11 @@
 //! allocation-free: re-assembly refreshes a flat values buffer, the
 //! sparse backend reuses its symbolic factorisation numerically, and
 //! solves land in preallocated vectors.
+//!
+//! Sparse factorisations eliminate columns in the plan's minimum-degree
+//! order ([`StampPlan::fill_order`]), except in the engine `dc_op` builds
+//! with [`Engine::new_natural_order`]: see SOLVER.md §2 for why the DC
+//! operating point keeps the raw MNA order.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -174,6 +179,9 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// Sparse factors; `Some` once factored, reused numerically while the
     /// fixed pivot order stays healthy.
     lu: Option<SparseLu>,
+    /// Eliminate columns in raw MNA order instead of the plan's
+    /// fill-reducing order (`dc_op` only).
+    natural_order: bool,
     /// Per-MOS cached linearizations for the quiescent-device bypass,
     /// parallel to the plan's MOS indices. Persists across Newton
     /// iterations *and* time steps — idle devices stay bypassed for the
@@ -201,6 +209,16 @@ impl<C: Borrow<Circuit>> Engine<C> {
         Self::with_shared_plan(ckt, plan)
     }
 
+    /// An engine whose sparse factorisations keep the raw MNA column
+    /// order — the DC operating point's, whose basin on bistable
+    /// netlists follows the LU rounding (SOLVER.md §2).
+    pub fn new_natural_order(ckt: C) -> Self {
+        Self {
+            natural_order: true,
+            ..Self::new(ckt)
+        }
+    }
+
     /// Build an engine around an existing stamp plan — the ensemble path,
     /// where every lane shares one plan built from lane 0's circuit. The
     /// caller guarantees `plan` was built for a circuit with identical
@@ -222,6 +240,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             rhs: vec![0.0; n_unk],
             dense: DenseWorkspace::new(),
             lu: None,
+            natural_order: false,
             mos_state: vec![MosBypassState::default(); n_mos],
             reuse_unchanged_jacobian: false,
             last_factored: None,
@@ -457,20 +476,25 @@ impl<C: Borrow<Circuit>> Engine<C> {
             // partially updated, and they must never match a later
             // reuse check.
             self.last_factored = None;
+            let pattern = &self.plan.pattern;
             match &mut self.lu {
                 Some(lu) => {
                     // Numeric-only refactorisation on the cached symbolic
                     // structure; a degraded pivot falls back to a fresh
-                    // symbolic factorisation (new pivot order).
+                    // pivot search in the same column order.
                     tally.numeric_refactor += 1;
-                    if lu.refactor(&self.plan.pattern, &self.vals).is_ok() {
+                    if lu.refactor(pattern, &self.vals).is_ok() {
                         tally.symbolic_reuse += 1;
                     } else {
-                        self.lu = Some(SparseLu::factor_csc(&self.plan.pattern, &self.vals)?);
+                        lu.repivot(pattern, &self.vals)?;
                     }
                 }
+                None if self.natural_order => {
+                    self.lu = Some(SparseLu::factor_csc(pattern, &self.vals)?);
+                }
                 None => {
-                    self.lu = Some(SparseLu::factor_csc(&self.plan.pattern, &self.vals)?);
+                    let order = self.plan.fill_order();
+                    self.lu = Some(SparseLu::factor_ordered(pattern, &self.vals, order)?);
                 }
             }
             self.last_factored = Some(key);
@@ -735,5 +759,61 @@ impl<C: Borrow<Circuit>> Engine<C> {
         }
 
         ((a_ref, f_ref), (a_plan, self.f.clone()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::SourceWave;
+
+    /// A driven RC ladder, forced onto the sparse backend.
+    fn ladder() -> Circuit {
+        let mut c = Circuit::new();
+        let nodes: Vec<NodeId> = (0..10).map(|i| c.node(&format!("n{i}"))).collect();
+        c.vsource("V", nodes[0], Circuit::GND, SourceWave::dc(1.0));
+        for (i, w) in nodes.windows(2).enumerate() {
+            c.resistor(&format!("R{i}"), w[0], w[1], 1e3);
+        }
+        for (i, &node) in nodes.iter().enumerate() {
+            c.capacitor(&format!("C{i}"), node, Circuit::GND, 1e-15);
+        }
+        c
+    }
+
+    fn solve_once(engine: &mut Engine<&Circuit>) {
+        let nr = NrOptions {
+            solver: SolverKind::Sparse,
+            ..NrOptions::default()
+        };
+        let ckt = engine.ckt;
+        let mut x = vec![0.0; engine.n_unk];
+        let caps = init_cap_states(ckt, &x);
+        let ctx = CompanionCtx {
+            h: 1e-12,
+            trapezoidal: false,
+            caps: &caps,
+        };
+        engine
+            .solve_nr(&mut x, 0.0, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
+            .expect("ladder converges");
+    }
+
+    #[test]
+    fn transient_engine_factors_in_plan_order_dc_engine_in_natural_order() {
+        let ckt = ladder();
+        let mut tran = Engine::new(&ckt);
+        solve_once(&mut tran);
+        let order = tran.plan.fill_order();
+        assert_eq!(tran.lu.as_ref().expect("factored").col_order(), &order[..]);
+        assert!(
+            order.iter().copied().ne(0..tran.n_unk),
+            "ladder is reordered"
+        );
+
+        let mut dc = Engine::new_natural_order(&ckt);
+        solve_once(&mut dc);
+        let natural = dc.lu.as_ref().expect("factored").col_order();
+        assert!(natural.iter().copied().eq(0..dc.n_unk));
     }
 }

@@ -52,10 +52,23 @@
 //! hard-off escape hatch; see `MCML_SPICE_BYPASS`).
 //!
 //! [`Mosfet::eval`]: mcml_device::Mosfet::eval
+//!
+//! # Fill-reducing column order
+//!
+//! The plan also owns the sparse LU's column order
+//! ([`StampPlan::fill_order`]): the minimum-degree order of the
+//! pattern's A+Aᵀ graph. It is a function of the pattern alone, so it is
+//! computed on first use and then shared by every factorisation on the
+//! plan — ensemble lanes hold the plan through one `Arc`, and a
+//! degraded-pivot re-factorisation reuses the order it already has.
+//! Dense-sized systems and the natural-order DC engine never ask for it.
+
+use std::sync::{Arc, OnceLock};
 
 use crate::analysis::engine::{companion_terms, CompanionCtx};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
+use crate::matrix::order::min_degree_order;
 use crate::matrix::CscPattern;
 
 /// Sentinel slot for a stamp suppressed by a grounded terminal.
@@ -153,6 +166,9 @@ pub(crate) struct StampPlan {
     /// Number of MOS elements — the size of the bypass-state buffer the
     /// engine must provide.
     pub n_mos: usize,
+    /// Minimum-degree column order of `pattern`, computed on first use
+    /// (see the module docs).
+    fill_order: OnceLock<Arc<[usize]>>,
 }
 
 #[inline]
@@ -364,7 +380,17 @@ impl StampPlan {
             elems,
             linear_stamps,
             n_mos,
+            fill_order: OnceLock::new(),
         }
+    }
+
+    /// The sparse LU's fill-reducing column order for this plan's
+    /// pattern, computed once and shared from then on.
+    pub fn fill_order(&self) -> Arc<[usize]> {
+        Arc::clone(
+            self.fill_order
+                .get_or_init(|| min_degree_order(&self.pattern).into()),
+        )
     }
 
     /// Refresh `vals` (Jacobian values, parallel to the pattern) and `f`
@@ -510,5 +536,40 @@ impl StampPlan {
             }
         }
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::SourceWave;
+
+    #[test]
+    fn fill_order_is_a_shared_permutation() {
+        // A driven RC ladder: node unknowns plus one zero-diagonal
+        // voltage-source branch row.
+        let mut c = Circuit::new();
+        let nodes: Vec<NodeId> = (0..12).map(|i| c.node(&format!("n{i}"))).collect();
+        c.vsource("V", nodes[0], Circuit::GND, SourceWave::dc(1.0));
+        for (i, w) in nodes.windows(2).enumerate() {
+            c.resistor(&format!("R{i}"), w[0], w[1], 1e3);
+        }
+        for (i, &node) in nodes.iter().enumerate() {
+            c.capacitor(&format!("C{i}"), node, Circuit::GND, 1e-15);
+        }
+        let n_node_unk = c.node_count() - 1;
+        let n_unk = n_node_unk + c.branch_count();
+        let plan = StampPlan::build(&c, n_node_unk, n_unk);
+        let order = plan.fill_order();
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert!(
+            sorted.into_iter().eq(0..n_unk),
+            "not a permutation: {order:?}"
+        );
+        assert!(
+            Arc::ptr_eq(&order, &plan.fill_order()),
+            "computed once, then shared"
+        );
     }
 }

@@ -12,9 +12,12 @@
 //! Depending on size (or an explicit [`SolverKind`] choice) systems are
 //! solved by dense partial-pivoting LU ([`dense::DenseWorkspace`]) or by a
 //! left-looking Gilbert–Peierls sparse LU ([`sparse::SparseLu`]) with a
-//! symbolic/numeric split for allocation-free refactorisation.
+//! symbolic/numeric split for allocation-free refactorisation and, for
+//! transient analysis, the minimum-degree column order of
+//! [`order::min_degree_order`].
 
 pub mod dense;
+pub mod order;
 pub mod sparse;
 
 use crate::error::SpiceError;

@@ -1,23 +1,37 @@
-//! Left-looking Gilbert–Peierls sparse LU with partial pivoting and a
-//! symbolic/numeric split.
+//! Left-looking Gilbert–Peierls sparse LU with partial pivoting, a
+//! fill-reducing column order and a symbolic/numeric split.
 //!
 //! Large transistor-level netlists (e.g. the reduced-AES security testbench
-//! of Fig. 6) produce MNA systems with thousands of unknowns but only a
-//! handful of entries per row; this module factorises them in time
-//! proportional to the flop count of the factors, following the classic
-//! Gilbert–Peierls algorithm (symbolic depth-first reachability per column,
-//! then a sparse triangular solve).
+//! of Fig. 6) produce MNA systems with hundreds to thousands of unknowns
+//! but only a handful of entries per row; this module factorises them in
+//! time proportional to the flop count of the factors, following the
+//! classic Gilbert–Peierls algorithm (symbolic depth-first reachability per
+//! column, then a sparse triangular solve).
+//!
+//! That flop count depends on the order in which columns are eliminated.
+//! [`SparseLu::factor_ordered`] eliminates column `col_order[k]` at step
+//! `k`; the transient engine passes the minimum-degree order of
+//! [`super::order::min_degree_order`], computed once per stamp plan
+//! (`analysis::plan::StampPlan::fill_order`) and shared by every ensemble
+//! lane. On the 262-unknown fig. 6 lane matrix (2,084 non-zeros) it cuts
+//! the factors from 16,644 to 3,589 entries and makes one numeric
+//! refactor ~16× cheaper (SOLVER.md §3). [`SparseLu::factor_csc`] keeps
+//! the raw MNA (identity) order, bit for bit the factors this module
+//! produced before the order existed — the DC operating point relies on
+//! that (SOLVER.md §2).
 //!
 //! The expensive part of every factorisation — the per-column DFS that
-//! discovers the fill-in pattern, plus the pivot-order search — depends
-//! only on the sparsity pattern, which the Newton loop keeps fixed. A
-//! first [`SparseLu::factor_csc`] therefore records the elimination
-//! order, fill pattern and row permutation; subsequent
-//! [`SparseLu::refactor`] calls on the same [`CscPattern`] replay the
-//! recorded structure and recompute numbers only, and
-//! [`SparseLu::solve_into`] back-substitutes without allocating. A
-//! refactorisation whose fixed pivot degrades numerically (threshold
-//! pivot test) fails over to a fresh full factorisation at the caller.
+//! discovers the fill-in pattern, plus the pivot search — depends only on
+//! the sparsity pattern, which the Newton loop keeps fixed. A first
+//! factorisation therefore records the column order, the per-step reach
+//! sets and the row permutation; subsequent [`SparseLu::refactor`] calls
+//! on the same [`CscPattern`] replay the recorded structure and recompute
+//! numbers only, and [`SparseLu::solve_into`] back-substitutes without
+//! allocating. A refactorisation whose fixed pivot degrades numerically
+//! (threshold pivot test) fails over to [`SparseLu::repivot`]: a fresh
+//! pivot search in the same column order.
+
+use std::sync::Arc;
 
 use super::{CscPattern, SystemMatrix};
 use crate::error::SpiceError;
@@ -32,20 +46,24 @@ const REFACTOR_PIVOT_TAU: f64 = 1e-3;
 
 const UNPIVOTED: usize = usize::MAX;
 
-/// LU factors with row permutation. `l_cols[k]` holds the strictly-lower
-/// entries of L's column `k` as `(original_row, value)`; `u_cols[k]` holds
-/// the strictly-upper entries of U's column `k` as
-/// `(pivot_position, value)`; `u_diag[k]` is the pivot.
+/// LU factors of `P·A·Q` with row permutation `P` (partial pivoting) and
+/// column order `Q`. Step `k` eliminates column `col_order[k]` of A.
+/// `l_cols[k]` holds the strictly-lower entries of L's column `k` as
+/// `(original_row, value)`; `u_cols[k]` holds the strictly-upper entries
+/// of U's column `k` as `(pivot_position, value)`; `u_diag[k]` is the
+/// pivot.
 ///
-/// The struct also carries the reusable symbolic state: the per-column
-/// elimination order discovered by the DFS and the row permutation, which
-/// [`SparseLu::refactor`] replays for numeric-only refactorisation.
-/// Cloning copies both the symbolic structure and the current numbers —
-/// the ensemble transient hands lane 0's factors to sibling lanes so
-/// their first factorisation is a numeric-only replay.
+/// The struct also carries the reusable symbolic state: the column
+/// order, the per-step reach sets discovered by the DFS and the row
+/// permutation, which [`SparseLu::refactor`] replays for numeric-only
+/// refactorisation. Cloning copies both the symbolic structure and the
+/// current numbers — the ensemble transient hands lane 0's factors to
+/// sibling lanes so their first factorisation is a numeric-only replay.
 #[derive(Clone)]
 pub struct SparseLu {
     n: usize,
+    /// `col_order[k]` = column of A eliminated at step `k`.
+    col_order: Arc<[usize]>,
     l_cols: Vec<Vec<(usize, f64)>>,
     u_cols: Vec<Vec<(usize, f64)>>,
     u_diag: Vec<f64>,
@@ -53,16 +71,20 @@ pub struct SparseLu {
     pinv: Vec<usize>,
     /// `perm_row[pivot position] = original_row` (inverse of `pinv`).
     perm_row: Vec<usize>,
-    /// Per-column elimination order (reach set in topological order), as
-    /// discovered by the symbolic DFS of the initial factorisation.
-    order: Vec<Vec<usize>>,
+    /// `row_target[original_row] = col_order[pinv[original_row]]`: the
+    /// unknown whose slot carries that row's value during the solve.
+    row_target: Vec<usize>,
+    /// Per-step reach set (rows touched by step `k`) in elimination
+    /// order, as discovered by the symbolic DFS of the first
+    /// factorisation.
+    reach: Vec<Vec<usize>>,
     /// Dense workspace reused by refactor (cleared between columns).
     work: Vec<f64>,
 }
 
 impl SparseLu {
-    /// Factor the consolidated matrix (convenience wrapper that builds a
-    /// column-compressed copy first).
+    /// Factor the consolidated matrix in natural column order
+    /// (convenience wrapper that builds a column-compressed copy first).
     ///
     /// # Errors
     ///
@@ -74,34 +96,65 @@ impl SparseLu {
     }
 
     /// Full symbolic + numeric factorisation of `pattern` with the given
-    /// values.
+    /// values, eliminating columns in natural (identity) order.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::SingularMatrix`] if a column has no usable
     /// pivot.
     pub fn factor_csc(pattern: &CscPattern, vals: &[f64]) -> Result<Self, SpiceError> {
+        Self::factor_ordered(pattern, vals, (0..pattern.dim()).collect())
+    }
+
+    /// Full symbolic + numeric factorisation of `pattern` with the given
+    /// values, eliminating column `col_order[k]` at step `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::SingularMatrix`] if a column has no usable
+    /// pivot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col_order` is not a permutation of `0..pattern.dim()`.
+    pub fn factor_ordered(
+        pattern: &CscPattern,
+        vals: &[f64],
+        col_order: Arc<[usize]>,
+    ) -> Result<Self, SpiceError> {
         let n = pattern.dim();
+        let mut seen = vec![false; n];
+        assert!(
+            col_order.len() == n
+                && col_order
+                    .iter()
+                    .all(|&c| c < n && !std::mem::replace(&mut seen[c], true)),
+            "column order is not a permutation of 0..{n}"
+        );
 
         let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
         let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
         let mut u_diag = vec![0.0f64; n];
         let mut pinv = vec![UNPIVOTED; n];
-        let mut orders: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut reaches: Vec<Vec<usize>> = Vec::with_capacity(n);
 
         // Dense workspace for the current column and DFS bookkeeping.
         let mut x = vec![0.0f64; n];
-        let mut mark = vec![usize::MAX; n]; // column stamp for visited rows
+        let mut mark = vec![usize::MAX; n]; // step stamp for visited rows
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
 
-        // The left-looking factorisation is written over column index k;
+        // The left-looking factorisation is written over step index k;
         // an iterator over `u_diag` would hide the algorithm's shape.
         #[allow(clippy::needless_range_loop)]
         for k in 0..n {
-            // --- symbolic: rows reachable from the pattern of A[:,k]
-            // through already-pivoted columns of L, in topological order.
-            let mut order: Vec<usize> = Vec::new();
-            for (r, _) in pattern.col(k, vals) {
+            let col = col_order[k];
+            // --- symbolic: rows reachable from the pattern of A[:,col]
+            // through already-pivoted columns of L. A DFS edge runs from
+            // a pivoted row to each row its L column updates, so the
+            // reversed post-order lists every row before all the rows it
+            // updates — the order the numeric elimination must follow.
+            let mut reach: Vec<usize> = Vec::new();
+            for (r, _) in pattern.col(col, vals) {
                 if mark[r] == k {
                     continue;
                 }
@@ -109,14 +162,14 @@ impl SparseLu {
                 stack.push((r, 0));
                 mark[r] = k;
                 while let Some(&(node, cursor)) = stack.last() {
-                    let col = pinv[node];
-                    if col == UNPIVOTED {
+                    let step = pinv[node];
+                    if step == UNPIVOTED {
                         // Unpivoted row: leaf.
-                        order.push(node);
+                        reach.push(node);
                         stack.pop();
                         continue;
                     }
-                    let children = &l_cols[col];
+                    let children = &l_cols[step];
                     if cursor < children.len() {
                         stack.last_mut().expect("non-empty").1 += 1;
                         let child = children[cursor].0;
@@ -125,31 +178,25 @@ impl SparseLu {
                             stack.push((child, 0));
                         }
                     } else {
-                        order.push(node);
+                        reach.push(node);
                         stack.pop();
                     }
                 }
             }
-            // `order` is now a topological order with dependencies first...
-            // actually DFS post-order gives dependents *after* their
-            // dependencies only if edges point dependency->dependent; here
-            // edges go from a row to the rows its elimination updates, so
-            // post-order must be *reversed* to process updates in
-            // elimination order.
-            order.reverse();
+            reach.reverse();
 
-            // --- numeric: scatter A[:,k], then eliminate in topo order.
-            for (r, v) in pattern.col(k, vals) {
+            // --- numeric: scatter A[:,col], then eliminate in reach order.
+            for (r, v) in pattern.col(col, vals) {
                 x[r] = v;
             }
-            for &r in &order {
-                let col = pinv[r];
-                if col == UNPIVOTED {
+            for &r in &reach {
+                let step = pinv[r];
+                if step == UNPIVOTED {
                     continue;
                 }
                 let xv = x[r];
                 if xv != 0.0 {
-                    for &(rr, lv) in &l_cols[col] {
+                    for &(rr, lv) in &l_cols[step] {
                         x[rr] -= lv * xv;
                     }
                 }
@@ -158,7 +205,7 @@ impl SparseLu {
             // --- pivot: largest magnitude among unpivoted rows.
             let mut ipiv = UNPIVOTED;
             let mut best = 0.0f64;
-            for &r in &order {
+            for &r in &reach {
                 if pinv[r] == UNPIVOTED {
                     let mag = x[r].abs();
                     if mag > best {
@@ -168,7 +215,7 @@ impl SparseLu {
                 }
             }
             if ipiv == UNPIVOTED || best < PIVOT_EPS {
-                return Err(SpiceError::SingularMatrix { index: k });
+                return Err(SpiceError::SingularMatrix { index: col });
             }
 
             // --- store factors and clear the workspace. Every reachable
@@ -179,7 +226,7 @@ impl SparseLu {
             u_diag[k] = pivot_val;
             let mut ucol = Vec::new();
             let mut lcol = Vec::new();
-            for &r in &order {
+            for &r in &reach {
                 let v = x[r];
                 x[r] = 0.0;
                 if r == ipiv {
@@ -194,36 +241,53 @@ impl SparseLu {
             pinv[ipiv] = k;
             l_cols.push(lcol);
             u_cols.push(ucol);
-            orders.push(order);
+            reaches.push(reach);
         }
 
         let mut perm_row = vec![0usize; n];
         for (orig, &pos) in pinv.iter().enumerate() {
             perm_row[pos] = orig;
         }
+        let row_target = pinv.iter().map(|&pos| col_order[pos]).collect();
         Ok(SparseLu {
             n,
+            col_order,
             l_cols,
             u_cols,
             u_diag,
             pinv,
             perm_row,
-            order: orders,
+            row_target,
+            reach: reaches,
             work: x,
         })
     }
 
+    /// Fresh symbolic + numeric factorisation (new pivot search) in the
+    /// column order these factors already use — the fallback when
+    /// [`SparseLu::refactor`] rejects a degraded pivot. The order is
+    /// shared, never recomputed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::SingularMatrix`] if a column has no usable
+    /// pivot; the factors are then left as they were.
+    pub fn repivot(&mut self, pattern: &CscPattern, vals: &[f64]) -> Result<(), SpiceError> {
+        *self = Self::factor_ordered(pattern, vals, Arc::clone(&self.col_order))?;
+        Ok(())
+    }
+
     /// Numeric-only refactorisation: recompute L/U values for new matrix
     /// values on the *same* sparsity pattern, replaying the recorded
-    /// elimination order and row permutation. No allocation, no DFS, no
-    /// pivot search.
+    /// column order, reach sets and row permutation. No allocation, no
+    /// DFS, no pivot search.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::SingularMatrix`] when a fixed pivot fails the
     /// threshold test (degraded below `REFACTOR_PIVOT_TAU` of its
     /// column's largest candidate, or below `PIVOT_EPS` absolutely) —
-    /// the caller should fall back to [`SparseLu::factor_csc`].
+    /// the caller should fall back to [`SparseLu::repivot`].
     ///
     /// # Panics
     ///
@@ -233,20 +297,22 @@ impl SparseLu {
         assert_eq!(pattern.dim(), self.n, "pattern dimension mismatch");
         let x = &mut self.work;
         for k in 0..self.n {
-            // Scatter A[:,k] and eliminate in the recorded order; columns
-            // 0..k of L already hold their refactored values (left-looking).
-            for (r, v) in pattern.col(k, vals) {
+            // Scatter A[:,col] and eliminate in the recorded order; steps
+            // 0..k of L already hold their refactored values
+            // (left-looking).
+            let col = self.col_order[k];
+            for (r, v) in pattern.col(col, vals) {
                 x[r] = v;
             }
-            for &r in &self.order[k] {
-                let col = self.pinv[r];
-                // Rows pivoted in an *earlier* column trigger updates; the
-                // rest belong to this column's L part. After the initial
+            for &r in &self.reach[k] {
+                let step = self.pinv[r];
+                // Rows pivoted in an *earlier* step trigger updates; the
+                // rest belong to this step's L part. After the initial
                 // factorisation `pinv` is total, so "earlier" is `< k`.
-                if col < k {
+                if step < k {
                     let xv = x[r];
                     if xv != 0.0 {
-                        for &(rr, lv) in &self.l_cols[col] {
+                        for &(rr, lv) in &self.l_cols[step] {
                             x[rr] -= lv * xv;
                         }
                     }
@@ -263,11 +329,11 @@ impl SparseLu {
             if pivot_val.abs() < PIVOT_EPS || pivot_val.abs() < REFACTOR_PIVOT_TAU * cand_max {
                 // Clear the workspace before bailing so a later call
                 // starts clean.
-                for &r in &self.order[k] {
+                for &r in &self.reach[k] {
                     x[r] = 0.0;
                 }
                 x[ipiv] = 0.0;
-                return Err(SpiceError::SingularMatrix { index: k });
+                return Err(SpiceError::SingularMatrix { index: col });
             }
 
             self.u_diag[k] = pivot_val;
@@ -277,7 +343,7 @@ impl SparseLu {
             for entry in &mut self.l_cols[k] {
                 entry.1 = x[entry.0] / pivot_val;
             }
-            for &r in &self.order[k] {
+            for &r in &self.reach[k] {
                 x[r] = 0.0;
             }
             x[ipiv] = 0.0;
@@ -302,30 +368,42 @@ impl SparseLu {
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         assert_eq!(x.len(), self.n, "solution length mismatch");
-        // Apply the row permutation: x[k] = b[row_of_pivot_k].
-        for (k, xk) in x.iter_mut().enumerate() {
-            *xk = b[self.perm_row[k]];
+        // Step k's working value lives in x[col_order[k]] throughout, so
+        // back substitution leaves each unknown in its own slot and no
+        // un-permuting pass (or scratch buffer) is needed. Apply the row
+        // permutation on the way in.
+        let q = &self.col_order;
+        for (&target, &bv) in self.row_target.iter().zip(b) {
+            x[target] = bv;
         }
 
         // Forward substitution with unit-diagonal L.
         for k in 0..self.n {
-            let xk = x[k];
+            let xk = x[q[k]];
             if xk != 0.0 {
                 for &(orig_row, v) in &self.l_cols[k] {
-                    x[self.pinv[orig_row]] -= v * xk;
+                    x[self.row_target[orig_row]] -= v * xk;
                 }
             }
         }
         // Back substitution with U.
         for k in (0..self.n).rev() {
-            x[k] /= self.u_diag[k];
-            let xk = x[k];
+            let c = q[k];
+            x[c] /= self.u_diag[k];
+            let xk = x[c];
             if xk != 0.0 {
                 for &(pos, v) in &self.u_cols[k] {
-                    x[pos] -= v * xk;
+                    x[q[pos]] -= v * xk;
                 }
             }
         }
+    }
+
+    /// The column elimination order: step `k` eliminated column
+    /// `col_order()[k]`.
+    #[must_use]
+    pub fn col_order(&self) -> &[usize] {
+        &self.col_order
     }
 
     /// Structural non-zero count of the factors (fill-in included).
@@ -400,6 +478,14 @@ mod tests {
         for (a, d) in xs.iter().zip(xd.iter()) {
             assert!((a - d).abs() < 1e-8, "sparse {a} vs dense {d}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn non_permutation_order_rejected() {
+        let m = mat(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        let (pattern, vals) = CscPattern::from_system(&m);
+        let _ = SparseLu::factor_ordered(&pattern, &vals, Arc::from([0, 0]));
     }
 
     #[test]
@@ -500,6 +586,99 @@ mod tests {
                 assert!((axr - br).abs() < 1e-8, "row {r}: {axr} vs {br}");
             }
         }
+    }
+
+    /// MNA-shaped system: `nodes` node unknowns (conductance diagonal
+    /// plus symmetric random couplings) and `branches` voltage-source
+    /// rows, each with its ±1 incidence pair and a zero diagonal.
+    fn mna_system(nodes: usize, branches: usize, seed: u64) -> (CscPattern, Vec<f64>) {
+        let mut state = seed;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let mut entries = Vec::new();
+        for i in 0..nodes {
+            entries.push((i, i, 1e-3 * (2.0 + rnd())));
+            for _ in 0..2 {
+                let j = ((rnd().abs() * nodes as f64) as usize).min(nodes - 1);
+                let g = 1e-4 * (1.0 + rnd());
+                entries.extend([(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)]);
+            }
+        }
+        for b in 0..branches {
+            let (node, row) = (b * nodes / branches, nodes + b);
+            entries.extend([(node, row, 1.0), (row, node, 1.0)]);
+        }
+        CscPattern::from_system(&mat(nodes + branches, &entries))
+    }
+
+    /// FNV-1a over the pivot permutation, every factor entry and one
+    /// solve, bit for bit.
+    fn fingerprint(lu: &SparseLu, b: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |w: u64| h = (h ^ w).wrapping_mul(0x0100_0000_01b3);
+        for &p in &lu.pinv {
+            eat(p as u64);
+        }
+        for &d in &lu.u_diag {
+            eat(d.to_bits());
+        }
+        for col in lu.l_cols.iter().chain(&lu.u_cols) {
+            for &(i, v) in col {
+                eat(i as u64);
+                eat(v.to_bits());
+            }
+        }
+        for v in lu.solve(b) {
+            eat(v.to_bits());
+        }
+        h
+    }
+
+    const FACTOR_FINGERPRINT: u64 = 0xb862_4e5b_9774_11b9;
+    const REFACTOR_FINGERPRINT: u64 = 0x03be_6ac0_7f4c_40dd;
+
+    /// Natural order is the DC operating point's contract (SOLVER.md
+    /// §2): `factor_csc` and `refactor` must reproduce, bit for bit, the
+    /// factors and solves of the implementation that predates column
+    /// orders. The fingerprints were recorded from that implementation.
+    #[test]
+    fn natural_order_reproduces_original_factors_bitwise() {
+        let (pattern, vals) = mna_system(48, 12, 0x1dea);
+        let n = pattern.dim();
+        let vals2: Vec<f64> = vals
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * (1.0 + 0.1 * (i as f64).sin()))
+            .collect();
+        let b: Vec<f64> = (0..n).map(|i| (0.7 * i as f64).cos()).collect();
+        let mut lu = SparseLu::factor_csc(&pattern, &vals).unwrap();
+        assert!(lu.col_order().iter().copied().eq(0..n));
+        assert_eq!(fingerprint(&lu, &b), FACTOR_FINGERPRINT);
+        lu.refactor(&pattern, &vals2).unwrap();
+        assert_eq!(fingerprint(&lu, &b), REFACTOR_FINGERPRINT);
+    }
+
+    #[test]
+    fn ordered_factor_solves_like_natural_with_less_fill() {
+        let (pattern, vals) = mna_system(120, 30, 0xfeed);
+        let n = pattern.dim();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let natural = SparseLu::factor_csc(&pattern, &vals).unwrap();
+        let order: Arc<[usize]> = crate::matrix::order::min_degree_order(&pattern).into();
+        let ordered = SparseLu::factor_ordered(&pattern, &vals, order).unwrap();
+        let (xn, xo) = (natural.solve(&b), ordered.solve(&b));
+        let scale = xn.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (a, c) in xn.iter().zip(&xo) {
+            assert!((a - c).abs() <= 1e-9 * scale, "natural {a} vs ordered {c}");
+        }
+        assert!(
+            ordered.factor_nnz() < natural.factor_nnz(),
+            "fill {} vs natural {}",
+            ordered.factor_nnz(),
+            natural.factor_nnz()
+        );
     }
 
     #[test]

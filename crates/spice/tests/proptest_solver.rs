@@ -1,8 +1,12 @@
 //! Property-based tests of the linear solvers and waveform utilities.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use mcml_spice::matrix::{SolverKind, SystemMatrix};
+use mcml_spice::matrix::order::min_degree_order;
+use mcml_spice::matrix::sparse::SparseLu;
+use mcml_spice::matrix::{CscPattern, SolverKind, SystemMatrix};
 use mcml_spice::{Circuit, SourceWave, TranOptions, Waveform};
 
 /// A strictly diagonally dominant random system (guaranteed solvable).
@@ -16,6 +20,168 @@ fn dominant_system(n: usize) -> impl Strategy<Value = (Vec<(usize, usize, f64)>,
         }
         (es, b)
     })
+}
+
+/// Node unknowns of the MNA-shaped systems below.
+const MNA_NODES: usize = 24;
+/// Conductance draws per MNA pattern: one factorisation plus at least
+/// ten refactorisations.
+const MNA_DRAWS: usize = 11;
+
+/// Structure of an MNA Jacobian: `MNA_NODES` node unknowns, each with a
+/// leak to ground, coupled by conductance `edges`; one voltage-source
+/// branch row per distinct node in `sources` (the ±1 incidence pair and
+/// a zero diagonal — the structure that forces off-diagonal pivots); and
+/// last, an isolated pair of nodes coupled by unit transconductances
+/// whose diagonal can be made to degrade a fixed pivot.
+#[derive(Debug, Clone)]
+struct Mna {
+    edges: Vec<(usize, usize)>,
+    sources: Vec<usize>,
+}
+
+impl Mna {
+    fn dim(&self) -> usize {
+        MNA_NODES + self.sources.len() + 2
+    }
+
+    /// Stamp sites, in the order [`Mna::values`] fills them.
+    fn sites(&self) -> Vec<(usize, usize)> {
+        let mut s: Vec<(usize, usize)> = (0..MNA_NODES).map(|i| (i, i)).collect();
+        for &(a, b) in &self.edges {
+            s.extend([(a, a), (b, b), (a, b), (b, a)]);
+        }
+        for (k, &node) in self.sources.iter().enumerate() {
+            let row = MNA_NODES + k;
+            s.extend([(node, row), (row, node)]);
+        }
+        let (u, w) = (self.dim() - 2, self.dim() - 1);
+        s.extend([(u, u), (w, w), (u, w), (w, u)]);
+        s
+    }
+
+    /// Site values for one conductance draw `g`; `pair_diag` is the
+    /// isolated pair's self-conductance (healthy ≫ 1, degraded ≪ 1e-3).
+    fn values(&self, g: &[f64], pair_diag: f64) -> Vec<f64> {
+        let mut v = g[..MNA_NODES].to_vec();
+        for (e, _) in self.edges.iter().enumerate() {
+            let ge = g[MNA_NODES + e];
+            v.extend([ge, ge, -ge, -ge]);
+        }
+        v.extend(self.sources.iter().flat_map(|_| [1.0, 1.0]));
+        v.extend([pair_diag, pair_diag, 1.0, 1.0]);
+        v
+    }
+
+    /// The pattern plus `vals` (from [`Mna::values`]) in its slot order.
+    fn to_csc(&self, vals: &[f64]) -> (CscPattern, Vec<f64>) {
+        let sites = self.sites();
+        let (pattern, slots) = CscPattern::from_sites(self.dim(), &sites);
+        let mut csc = vec![0.0; pattern.nnz()];
+        for (&slot, v) in slots.iter().zip(vals) {
+            csc[slot] += v;
+        }
+        (pattern, csc)
+    }
+
+    fn dense_solve(&self, vals: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut m = SystemMatrix::new(self.dim());
+        for (&(r, c), &v) in self.sites().iter().zip(vals) {
+            m.add(r, c, v);
+        }
+        m.solve(b, SolverKind::Dense)
+            .expect("MNA system is regular")
+    }
+}
+
+fn mna() -> impl Strategy<Value = Mna> {
+    (
+        collection::vec((0..MNA_NODES, 0..MNA_NODES), MNA_NODES..3 * MNA_NODES),
+        collection::vec(0..MNA_NODES, 1..8),
+    )
+        .prop_map(|(edges, mut sources)| {
+            sources.sort_unstable();
+            sources.dedup();
+            Mna {
+                edges: edges.into_iter().filter(|(a, b)| a != b).collect(),
+                sources,
+            }
+        })
+}
+
+/// `MNA_DRAWS` conductance draws spanning three decades (leaks, then
+/// edges), long enough for any [`mna`] structure.
+fn conductance_draws() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    collection::vec(collection::vec(1e-5f64..1e-2, 4 * MNA_NODES), MNA_DRAWS)
+}
+
+/// Raw right-hand side, long enough for the largest [`mna`] system.
+fn mna_rhs() -> impl Strategy<Value = Vec<f64>> {
+    collection::vec(-1.0f64..1.0, MNA_NODES + 9)
+}
+
+/// Node currents of up to a mA and source voltages of up to a volt.
+fn rhs_for(mna: &Mna, raw: &[f64]) -> Vec<f64> {
+    (0..mna.dim())
+        .map(|i| if i < MNA_NODES { 1e-3 * raw[i] } else { raw[i] })
+        .collect()
+}
+
+fn assert_close(got: &[f64], want: &[f64], what: &str) -> Result<(), String> {
+    let scale = want.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert!((g - w).abs() <= 1e-9 * scale, "{what}: x[{i}] = {g} vs {w}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The minimum-degree-ordered factor solves MNA systems exactly as
+    /// the dense partial-pivoting LU does.
+    #[test]
+    fn mna_ordered_factor_equals_dense(mna in mna(), g in conductance_draws(), raw in mna_rhs()) {
+        let vals = mna.values(&g[0], 4.0);
+        let b = rhs_for(&mna, &raw);
+        let (pattern, csc) = mna.to_csc(&vals);
+        let order: Arc<[usize]> = min_degree_order(&pattern).into();
+        let lu = SparseLu::factor_ordered(&pattern, &csc, order).expect("regular");
+        assert_close(&lu.solve(&b), &mna.dense_solve(&vals, &b), "ordered vs dense")?;
+    }
+
+    /// Numeric-only refactorisation on one ordered pattern agrees with a
+    /// fresh ordered factorisation for every later conductance draw.
+    #[test]
+    fn mna_refactor_equals_fresh_factor(mna in mna(), g in conductance_draws(), raw in mna_rhs()) {
+        let b = rhs_for(&mna, &raw);
+        let (pattern, csc) = mna.to_csc(&mna.values(&g[0], 4.0));
+        let order: Arc<[usize]> = min_degree_order(&pattern).into();
+        let mut lu = SparseLu::factor_ordered(&pattern, &csc, Arc::clone(&order)).expect("regular");
+        for draw in &g[1..] {
+            let (_, csc) = mna.to_csc(&mna.values(draw, 4.0));
+            lu.refactor(&pattern, &csc).map_err(|e| format!("refactor: {e}"))?;
+            let fresh = SparseLu::factor_ordered(&pattern, &csc, Arc::clone(&order)).expect("regular");
+            assert_close(&lu.solve(&b), &fresh.solve(&b), "refactor vs fresh")?;
+        }
+    }
+
+    /// A degraded fixed pivot makes `refactor` fail; the fallback
+    /// `repivot` then searches new pivots in the very same column order
+    /// (the shared order, not a recomputed one) and solves correctly.
+    #[test]
+    fn mna_repivot_keeps_the_column_order(mna in mna(), g in conductance_draws(), raw in mna_rhs()) {
+        let b = rhs_for(&mna, &raw);
+        let (pattern, csc) = mna.to_csc(&mna.values(&g[0], 4.0));
+        let order: Arc<[usize]> = min_degree_order(&pattern).into();
+        let mut lu = SparseLu::factor_ordered(&pattern, &csc, Arc::clone(&order)).expect("regular");
+        let degraded = mna.values(&g[1], 1e-9);
+        let (_, csc) = mna.to_csc(&degraded);
+        prop_assert!(lu.refactor(&pattern, &csc).is_err(), "degraded pivot accepted");
+        lu.repivot(&pattern, &csc).map_err(|e| format!("repivot: {e}"))?;
+        prop_assert!(std::ptr::eq(lu.col_order(), &order[..]), "order recomputed or copied");
+        assert_close(&lu.solve(&b), &mna.dense_solve(&degraded, &b), "repivot vs dense")?;
+    }
 }
 
 proptest! {
