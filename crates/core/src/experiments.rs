@@ -597,12 +597,12 @@ const FIG6_BYPASS_VTOL: f64 = 10e-6;
 /// LTE-controlled adaptive stepping. The aligned flavour leaps
 /// multi-cell steps through the electrically quiet windows but falls
 /// back to bitwise fixed-step behaviour across the clock edge, which is
-/// what keeps the golden supply-trace samples inside their 1e-4 pin —
-/// the free-stepping flavour discretises the stiff edge differently and
-/// drifts by the fixed reference's own local truncation error there.
+/// what keeps the golden supply-trace samples inside their 1e-4 pin — a
+/// free-running step size would discretise the stiff edge differently
+/// and drift by the fixed reference's own local truncation error there.
 /// The quiescent-MOS bypass is enabled on top (SPICE3's `bypass`): idle
 /// devices reuse their cached linearization instead of re-running the
-/// model, with `MCML_SPICE_BYPASS=off` as the hard-off escape hatch.
+/// model.
 #[must_use]
 pub fn fig6_tran_options() -> TranOptions {
     let mut opts = TranOptions::new(FIG6_T_STOP, 10e-12)
@@ -883,10 +883,8 @@ pub fn fig6_transistor_ensemble(
         _ => (params.v_low(), params.tech.vdd),
     };
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options()
-        .ensemble(lanes.max(1))
-        .with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(tran_opts.ensemble_lanes).collect();
+    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes.max(1)).collect();
     let el_ref = &el;
     let opts_ref = &tran_opts;
     let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
@@ -961,8 +959,8 @@ pub fn fig6_base_waveforms(
         });
         return rows.into_iter().collect();
     }
-    let tran_opts = fig6_tran_options().ensemble(lanes).with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(tran_opts.ensemble_lanes).collect();
+    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes).collect();
     let el_ref = &el;
     let block_rows =
         mcml_exec::parallel_map_items(par, &blocks, |block| -> Result<Vec<Vec<f64>>> {

@@ -117,9 +117,7 @@ fn fig6_bypass_drift_vs_exact_below_pin_tolerance() {
         fig6_supply_trace_with(&params, 0xb, LogicStyle::PgMcml, 0x3, &fig6_tran_options())
             .expect("bypass-on trace");
     let skipped = mcml_obs::total(Counter::MosBypassed) - bypassed_before;
-    if std::env::var("MCML_SPICE_BYPASS").is_err() {
-        assert!(skipped > 0, "bypass enabled but no evaluations skipped");
-    }
+    assert!(skipped > 0, "bypass enabled but no evaluations skipped");
     assert_eq!(exact.len(), bypassing.len());
     let mut worst = 0.0f64;
     for (e, b) in exact.iter().zip(&bypassing) {

@@ -76,16 +76,14 @@ fn aes_tran_partitions_and_stays_in_acquisition_band() {
     let part = aes_trace(&params, 0x3, true);
     let blocks = mcml_obs::total(Counter::PartitionBlocks) - blocks_before;
     let skips = mcml_obs::total(Counter::BlockSkips) - skips_before;
-    if std::env::var("MCML_SPICE_PARTITION").is_err() {
-        assert!(
-            blocks > 1,
-            "aes_tran must decompose into blocks, got {blocks}"
-        );
-        assert!(
-            skips > 0,
-            "event-driven scheduling must skip settled blocks"
-        );
-    }
+    assert!(
+        blocks > 1,
+        "aes_tran must decompose into blocks, got {blocks}"
+    );
+    assert!(
+        skips > 0,
+        "event-driven scheduling must skip settled blocks"
+    );
     assert_eq!(mono.len(), part.len());
     for (j, (m, p)) in mono.iter().zip(&part).enumerate() {
         let tol = ABS_TOL + REL_TOL * m.abs();

@@ -27,8 +27,8 @@ pub enum Counter {
     /// Adaptive transient steps rejected by the LTE controller
     /// (`mcml-spice`).
     LteRejects,
-    /// Steps accepted by the adaptive LTE controller — a subset of
-    /// `TranSteps` taken on the variable grid (`mcml-spice`).
+    /// Macro steps of the grid-aligned LTE controller, one per lane —
+    /// each a single grid cell or a multi-cell leap (`mcml-spice`).
     AdaptiveSteps,
     /// Adaptive step-size growths in quiet regions (`mcml-spice`).
     HGrowths,
@@ -44,10 +44,11 @@ pub enum Counter {
     /// Ensemble transient lanes launched — each lane is one input vector
     /// marched lockstep over the shared stamp plan (`mcml-spice`).
     EnsembleLanes,
-    /// Per-lane LU refactorisations actually performed inside an
-    /// ensemble transient; the gap to `MatrixSolves` is the lanes that
-    /// reused factors because their Jacobian values were provably
-    /// unchanged (`mcml-spice`).
+    /// Sparse LU factorisations actually performed inside transient
+    /// solves, in every engine (scalar, ensemble lane, partition block);
+    /// the gap to `MatrixSolves` is the solves that reused factors —
+    /// provably unchanged Jacobian values, or a chord step
+    /// (`mcml-spice`).
     LaneRefactors,
     /// Linear-system factor/solve calls (`mcml-spice`).
     MatrixSolves,

@@ -1,11 +1,10 @@
 //! Deduplicated process-level warnings.
 //!
-//! Configuration knobs (`MCML_SPICE_BYPASS`, `MCML_SPICE_PARTITION`, …)
-//! are parsed once per process; a typo in one would otherwise be silently
-//! treated as a default. [`warn_once`] gives those parse sites a single
-//! place to complain: the first call for a topic prints one line to
-//! stderr and records it, repeats are no-ops, and tests can inspect what
-//! fired via [`warnings`].
+//! Configuration knobs are parsed once per process; a typo in one would
+//! otherwise be silently treated as a default. [`warn_once`] gives such
+//! parse sites a single place to complain: the first call for a topic
+//! prints one line to stderr and records it, repeats are no-ops, and
+//! tests can inspect what fired via [`warnings`].
 //!
 //! Warnings are diagnostics, not measurements: they fire even when the
 //! observability [`Mode`](crate::Mode) is `Off`, and [`reset`](crate::reset)

@@ -100,7 +100,7 @@ struct NrTally {
 }
 
 impl NrTally {
-    fn flush(&self, count_lane_refactors: bool) {
+    fn flush(&self) {
         use mcml_obs::{add, Counter};
         add(Counter::NrIterations, self.iters);
         add(Counter::MatrixSolves, self.iters);
@@ -109,9 +109,7 @@ impl NrTally {
         add(Counter::LinearStampsSkipped, self.stamps_skipped);
         add(Counter::MosEvals, self.mos_evals);
         add(Counter::MosBypassed, self.mos_bypassed);
-        if count_lane_refactors {
-            add(Counter::LaneRefactors, self.lane_refactors);
-        }
+        add(Counter::LaneRefactors, self.lane_refactors);
     }
 }
 
@@ -119,11 +117,11 @@ impl NrTally {
 /// MOS linearizations: the companion conductances (step size and
 /// integration method) and the gmin ground leak. Source waveforms only
 /// reach the residual, never the matrix, so they are deliberately
-/// absent. Used by the ensemble engine's reuse check: when an assembly
-/// evaluated zero MOS devices (every device served from its bypass
-/// cache) and this key matches the one recorded at the last
-/// factorisation, the stamped values are bit-identical to the factored
-/// ones and the refactorisation can be skipped outright.
+/// absent. Used by the exact reuse check: when an assembly evaluated
+/// zero MOS devices (every device served from its bypass cache) and this
+/// key matches the one recorded at the last factorisation, the stamped
+/// values are bit-identical to the factored ones and the
+/// refactorisation can be skipped outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JacKey {
     /// `h.to_bits()` of the companion context, `u64::MAX` for DC.
@@ -150,15 +148,20 @@ impl JacKey {
     /// gmin changes, or crossing the DC/transient boundary, change the
     /// matrix structure semantics and always demand a refactor.
     fn chord_compatible(self, other: Self) -> bool {
-        self.trapezoidal == other.trapezoidal
-            && self.gmin_bits == other.gmin_bits
-            && self.h_bits != u64::MAX
-            && other.h_bits != u64::MAX
+        self.is_transient() && other.is_transient() && self.same_method(other)
+    }
+
+    fn is_transient(self) -> bool {
+        self.h_bits != u64::MAX
+    }
+
+    fn same_method(self, other: Self) -> bool {
+        self.trapezoidal == other.trapezoidal && self.gmin_bits == other.gmin_bits
     }
 }
 
-/// Generic over how the circuit is held: the scalar and ensemble paths
-/// borrow (`Engine<&Circuit>`), while the partitioned solver's per-block
+/// Generic over how the circuit is held: monolithic lanes borrow
+/// (`Engine<&Circuit>`), while the partitioned solver's per-block
 /// engines *own* their sub-circuits (`Engine<Circuit>`) so the boundary
 /// replica-source values can be rewritten between solves without
 /// fighting the borrow of a long-lived engine.
@@ -187,14 +190,11 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// iterations *and* time steps — idle devices stay bypassed for the
     /// whole quiet window.
     mos_state: Vec<MosBypassState>,
-    /// When set (ensemble lanes only — the scalar path never enables
-    /// it), a Newton iteration whose assembly evaluated zero MOS devices
-    /// and whose [`JacKey`] matches `last_factored` reuses the existing
-    /// sparse factors without a refactorisation: the stamped values are
-    /// provably bit-identical to the ones already factored.
-    reuse_unchanged_jacobian: bool,
     /// The [`JacKey`] the current sparse factors were computed under;
-    /// `None` when no factors exist or they came from a foreign lane.
+    /// `None` when no factors exist or they came from a foreign lane. A
+    /// Newton iteration whose assembly evaluated zero MOS devices under
+    /// this key reuses the factors without a refactorisation: the
+    /// stamped values are provably bit-identical to the ones factored.
     last_factored: Option<JacKey>,
 }
 
@@ -219,7 +219,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
         }
     }
 
-    /// Build an engine around an existing stamp plan — the ensemble path,
+    /// Build an engine around an existing stamp plan — the ensemble,
     /// where every lane shares one plan built from lane 0's circuit. The
     /// caller guarantees `plan` was built for a circuit with identical
     /// topology (same elements in the same order, same node/branch
@@ -242,7 +242,6 @@ impl<C: Borrow<Circuit>> Engine<C> {
             lu: None,
             natural_order: false,
             mos_state: vec![MosBypassState::default(); n_mos],
-            reuse_unchanged_jacobian: false,
             last_factored: None,
         }
     }
@@ -262,14 +261,6 @@ impl<C: Borrow<Circuit>> Engine<C> {
     pub fn adopt_factors_from(&mut self, donor: &Engine<impl Borrow<Circuit>>) {
         self.lu = donor.lu.clone();
         self.last_factored = None;
-    }
-
-    /// Enable the unchanged-Jacobian reuse check (ensemble lanes only;
-    /// see the field docs). Off by default — the scalar path is the
-    /// reference the golden and perf baselines pin, so it stays exactly
-    /// as it was.
-    pub fn set_reuse_unchanged_jacobian(&mut self, on: bool) {
-        self.reuse_unchanged_jacobian = on;
     }
 
     #[inline]
@@ -437,10 +428,10 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// Factor (or numerically refactor) and solve `J·dx = −f` for the
     /// current `vals`/`f`, leaving the update in `self.dx`.
     ///
-    /// `reusable` is the ensemble fast path: the caller proved the
-    /// stamped values are bit-identical to the currently factored ones,
-    /// so the triangular solve runs against the existing factors without
-    /// a refactorisation.
+    /// `reusable` means the caller accepts the current factors for these
+    /// values — bit-identical ones (exact reuse) or a lagged Jacobian
+    /// (chord) — so the triangular solve runs without a
+    /// refactorisation.
     fn solve_linear(
         &mut self,
         solver: SolverKind,
@@ -469,7 +460,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             tally.symbolic_reuse += 1;
         } else {
             let _t = mcml_obs::span(mcml_obs::Stage::LuFactor);
-            if self.reuse_unchanged_jacobian {
+            if key.is_transient() {
                 tally.lane_refactors += 1;
             }
             // Invalidate first: a failed refactor can leave the factors
@@ -563,14 +554,13 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 evals = mos.evals;
             }
             tally.stamps_skipped += self.plan.linear_stamps;
-            // Ensemble fast path: an assembly with zero MOS evaluations
-            // under the same (h, method, gmin) as the last factorisation
+            // Exact reuse: an assembly with zero MOS evaluations under
+            // the same (h, method, gmin) as the last factorisation
             // reproduced the factored values bit for bit (bypassed
             // devices stamp their cached conductances; everything else in
             // the matrix is constant given the key), so the factors can
             // be reused without refactoring.
-            let exact =
-                self.reuse_unchanged_jacobian && evals == 0 && self.last_factored == Some(key);
+            let exact = evals == 0 && self.last_factored == Some(key);
             // Demand-driven (modified-Newton) reuse: solve against the
             // stale numeric factors while they were computed under the
             // same key — across iterations and across steps — and let
@@ -584,7 +574,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 && self.last_factored.is_some_and(|k| k.chord_compatible(key));
             let reusable = exact || stale;
             if let Err(e) = self.solve_linear(opts.solver, key, reusable, &mut tally) {
-                tally.flush(self.reuse_unchanged_jacobian);
+                tally.flush();
                 return Err(e);
             }
             if !stale {
@@ -606,7 +596,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 *xi += damp * di;
             }
             if !x.iter().all(|v| v.is_finite()) {
-                tally.flush(self.reuse_unchanged_jacobian);
+                tally.flush();
                 return Err(SpiceError::NoConvergence {
                     analysis,
                     time: t,
@@ -624,7 +614,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                     // solve). Polish with one full-Newton iteration so
                     // the accepted point satisfies the tolerances with
                     // a *fresh* Jacobian direction — the same
-                    // acceptance the scalar path applies — instead of
+                    // acceptance full Newton applies — instead of
                     // wherever in the tolerance ball the chord happened
                     // to stop. Keeps the lagged-Jacobian wobble out of
                     // the LTE controller and the recorded waveforms. A
@@ -637,7 +627,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                     prev_dv = Some(max_dv);
                     continue;
                 }
-                tally.flush(self.reuse_unchanged_jacobian);
+                tally.flush();
                 return Ok(());
             }
 
@@ -655,7 +645,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             }
             prev_dv = Some(max_dv);
         }
-        tally.flush(self.reuse_unchanged_jacobian);
+        tally.flush();
         Err(SpiceError::NoConvergence {
             analysis,
             time: t,

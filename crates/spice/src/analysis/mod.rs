@@ -5,7 +5,7 @@ pub mod dc;
 pub mod dcsweep;
 pub(crate) mod engine;
 pub mod ensemble;
-pub(crate) mod envknob;
+pub(crate) mod march;
 pub(crate) mod partition;
 pub(crate) mod plan;
 pub mod tran;

@@ -44,6 +44,10 @@
 //!
 //! # Event-driven scheduling and the skip rule
 //!
+//! The blocks of one circuit form a *partitioned lane*: the same
+//! try/commit solver the transient march drives for a monolithic
+//! circuit, so grid, subdivision and recording are the march's.
+//!
 //! Per committed sub-step, a block is re-solved only when it is not yet
 //! settled (its last solve still moved some node voltage by more than
 //! `vtol`) or some boundary input moved by more than the skip tolerance
@@ -59,14 +63,14 @@
 
 use std::collections::HashMap;
 
-use crate::analysis::dc::{branch_map, OpPoint};
+use crate::analysis::dc::branch_map;
 use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine,
+    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions,
 };
-use crate::analysis::tran::{retag_tran, update_caps, Integrator, TranOptions, TranResult};
+use crate::analysis::march::{update_caps, Lane};
+use crate::analysis::tran::{Integrator, TranOptions};
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::element::Element;
-use crate::error::SpiceError;
 use crate::source::SourceWave;
 use crate::Result;
 
@@ -620,245 +624,224 @@ struct RailCap {
     state: CapState,
 }
 
-/// Hard-off escape hatch mirroring `MCML_SPICE_BYPASS`: setting
-/// `MCML_SPICE_PARTITION=off` (or `0`, or `none`, in any case) forces
-/// every transient back to the monolithic solve regardless of the
-/// analysis options. Unrecognised values warn once and leave
-/// partitioning enabled.
-pub(crate) fn partition_allowed() -> bool {
-    static ALLOWED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ALLOWED.get_or_init(|| !super::envknob::hard_off("MCML_SPICE_PARTITION"))
+/// A partitioned lane: the block scheduler behind the march's
+/// try/commit interface. A trial stages the candidate global state,
+/// sweeps the blocks upstream first and either skips or solves each one;
+/// nothing committed changes until [`Lane::commit`].
+pub(crate) struct PartLane<'a> {
+    ckt: &'a Circuit,
+    structure: &'a PartitionStructure,
+    nr: NrOptions,
+    trapezoidal: bool,
+    /// Boundary movement below which a settled block is skipped: the
+    /// bypass tolerance when enabled, else `vtol`.
+    skip_tol: f64,
+    runtimes: Vec<BlockRuntime>,
+    rail_caps: Vec<RailCap>,
+    /// Replica count per pin, for the gmin accounting correction.
+    n_replicas: Vec<u64>,
+    /// Committed global state (branch currents stay at the operating
+    /// point's; [`Lane::record`] reconstructs them).
+    x: Vec<f64>,
+    /// Candidate global state of the in-flight trial.
+    x_stage: Vec<f64>,
+    block_solves: u64,
+    block_skips: u64,
 }
 
-/// March a partitioned fixed-grid transient from the given operating
-/// point. The caller (scalar [`super::tran::transient`] or the ensemble
-/// engine) has already opened its span and counted the analysis; this
-/// routine owns the partition counters.
-pub(crate) fn march_partitioned(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    structure: &PartitionStructure,
-    op0: OpPoint,
-) -> Result<TranResult> {
-    debug_assert!(opts.lte.is_none(), "partitioned march is fixed-grid only");
-    let nr = opts.nr();
-    let trapezoidal = opts.integrator == Integrator::Trapezoidal;
-    let skip_tol = if nr.bypass_tol > 0.0 {
-        nr.bypass_tol
-    } else {
-        nr.vtol
-    };
-    let n_node_unk = ckt.node_count() - 1;
-    let mut x: Vec<f64> = op0.state().to_vec();
-
-    // Build per-block runtimes and rail-element state under the
-    // partition span.
-    let mut runtimes: Vec<BlockRuntime> = Vec::with_capacity(structure.n_blocks());
-    let mut rail_caps: Vec<RailCap> = Vec::new();
-    {
+impl<'a> PartLane<'a> {
+    /// Build the per-block runtimes and rail-element state from the
+    /// operating point `x0`, under the partition span.
+    pub(crate) fn new(
+        ckt: &'a Circuit,
+        structure: &'a PartitionStructure,
+        x0: &[f64],
+        opts: &TranOptions,
+    ) -> Self {
         let _span = mcml_obs::span(mcml_obs::Stage::Partition);
-        for blk in &structure.blocks {
-            let mut rt = BlockRuntime::build(ckt, blk);
-            let inputs: Vec<f64> = blk
-                .boundaries
-                .iter()
-                .map(|&(_, src)| match src {
-                    Boundary::Pin(pi) => structure.pin_value(ckt, pi, 0.0),
-                    Boundary::Upstream(gu) => x[gu],
-                })
-                .collect();
-            rt.seed(&x, &inputs);
-            runtimes.push(rt);
-        }
-        for &id in &structure.rail_elems {
-            if let Element::Capacitor { a, b, farads } = ckt.element(id) {
-                rail_caps.push(RailCap {
+        let nr = opts.nr();
+        let runtimes: Vec<BlockRuntime> = structure
+            .blocks
+            .iter()
+            .map(|blk| {
+                let mut rt = BlockRuntime::build(ckt, blk);
+                let inputs: Vec<f64> = blk
+                    .boundaries
+                    .iter()
+                    .map(|&(_, src)| match src {
+                        Boundary::Pin(pi) => structure.pin_value(ckt, pi, 0.0),
+                        Boundary::Upstream(gu) => x0[gu],
+                    })
+                    .collect();
+                rt.seed(x0, &inputs);
+                rt
+            })
+            .collect();
+        let rail_caps = structure
+            .rail_elems
+            .iter()
+            .filter_map(|&id| match ckt.element(id) {
+                Element::Capacitor { a, b, farads } => Some(RailCap {
                     a: *a,
                     b: *b,
                     state: CapState {
                         c: *farads,
-                        prev_v: v_node(&x, *a) - v_node(&x, *b),
+                        prev_v: v_node(x0, *a) - v_node(x0, *b),
                         prev_i: 0.0,
                     },
+                }),
+                _ => None,
+            })
+            .collect();
+        let mut n_replicas = vec![0u64; structure.pins.len()];
+        for rt in &runtimes {
+            for &(_, pi) in &rt.rail_taps {
+                n_replicas[pi] += 1;
+            }
+        }
+        mcml_obs::add(
+            mcml_obs::Counter::PartitionBlocks,
+            structure.n_blocks() as u64,
+        );
+        PartLane {
+            ckt,
+            structure,
+            nr,
+            trapezoidal: opts.integrator == Integrator::Trapezoidal,
+            skip_tol: if nr.bypass_tol > 0.0 {
+                nr.bypass_tol
+            } else {
+                nr.vtol
+            },
+            runtimes,
+            rail_caps,
+            n_replicas,
+            x: x0.to_vec(),
+            x_stage: x0.to_vec(),
+            block_solves: 0,
+            block_skips: 0,
+        }
+    }
+}
+
+impl Lane for PartLane<'_> {
+    fn try_step(&mut self, t: f64, h: f64) -> Result<()> {
+        let PartLane {
+            ckt,
+            structure,
+            nr,
+            trapezoidal,
+            skip_tol,
+            runtimes,
+            x,
+            x_stage,
+            ..
+        } = self;
+        x_stage.copy_from_slice(x);
+        for (pi, pin) in structure.pins.iter().enumerate() {
+            x_stage[pin.node - 1] = structure.pin_value(ckt, pi, t);
+        }
+        for (rt, blk) in runtimes.iter_mut().zip(&structure.blocks) {
+            rt.try_inputs.clear();
+            for &(_, src) in &blk.boundaries {
+                rt.try_inputs.push(match src {
+                    Boundary::Pin(pi) => structure.pin_value(ckt, pi, t),
+                    Boundary::Upstream(gu) => x_stage[gu],
                 });
             }
+            let unchanged = rt
+                .try_inputs
+                .iter()
+                .zip(&rt.last_inputs)
+                .all(|(a, b)| (a - b).abs() <= *skip_tol);
+            if rt.settled && !blk.always_active && unchanged {
+                rt.pending = Pending::Skip;
+                continue;
+            }
+            for (r, &v) in rt.replicas.iter().zip(&rt.try_inputs) {
+                if let Element::Vsource { wave, .. } = rt.engine.ckt_mut().element_mut(r.elem) {
+                    *wave = SourceWave::Dc(v);
+                }
+            }
+            rt.x_try.clone_from(&rt.x);
+            let ctx = CompanionCtx {
+                h,
+                trapezoidal: *trapezoidal,
+                caps: &rt.caps,
+            };
+            rt.engine
+                .solve_nr(&mut rt.x_try, t, Some(&ctx), ckt.gmin, 1.0, nr, "tran")?;
+            let nn = rt.engine.n_node_unk;
+            let settled = rt.x_try[..nn]
+                .iter()
+                .zip(&rt.x[..nn])
+                .all(|(a, b)| (a - b).abs() <= nr.vtol);
+            for &(li, gi) in &rt.copy_out {
+                x_stage[gi] = rt.x_try[li];
+            }
+            rt.pending = Pending::Solved(settled);
         }
-    }
-    mcml_obs::add(
-        mcml_obs::Counter::PartitionBlocks,
-        structure.n_blocks() as u64,
-    );
-    let mut block_solves = 0u64;
-    let mut block_skips = 0u64;
-    let flush = |solves: u64, skips: u64| {
-        mcml_obs::add(mcml_obs::Counter::BlockSolves, solves);
-        mcml_obs::add(mcml_obs::Counter::BlockSkips, skips);
-    };
-
-    // Replica counts per pin, for the gmin accounting correction.
-    let mut n_replicas = vec![0u64; structure.pins.len()];
-    for rt in &runtimes {
-        for &(_, pi) in &rt.rail_taps {
-            n_replicas[pi] += 1;
-        }
+        Ok(())
     }
 
-    // Step grid identical to the monolithic fixed path.
-    let stride = opts.record_stride.max(1);
-    let ratio = opts.t_stop / opts.dt;
-    let n_steps = if (ratio - ratio.round()).abs() < 1e-6 * ratio.max(1.0) {
-        (ratio.round() as usize).max(1)
-    } else {
-        ratio.ceil() as usize
-    };
-    let mut times = Vec::with_capacity(n_steps / stride + 2);
-    let mut states = Vec::with_capacity(n_steps / stride + 2);
-    times.push(0.0);
-    states.push(x.clone());
+    fn trial(&self) -> &[f64] {
+        &self.x_stage
+    }
 
-    let mut x_stage = x.clone();
-    let mut accepted = 0usize;
-    let mut t = 0.0f64;
-
-    for step in 1..=n_steps {
-        let t_target = if step == n_steps {
-            opts.t_stop
-        } else {
-            opts.dt * step as f64
-        };
-        while t < t_target - opts.dt * 1e-9 {
-            let mut h = t_target - t;
-            let mut level = 0u32;
-            loop {
-                // Stage the candidate global state at t + h.
-                x_stage.copy_from_slice(&x);
-                for (pi, pin) in structure.pins.iter().enumerate() {
-                    x_stage[pin.node - 1] = structure.pin_value(ckt, pi, t + h);
+    fn commit(&mut self, h: f64) {
+        let trapezoidal = self.trapezoidal;
+        for rt in &mut self.runtimes {
+            match rt.pending {
+                Pending::Skip => {
+                    self.block_skips += 1;
+                    // Companion states still advance — exact under
+                    // frozen node voltages.
+                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x, h, trapezoidal);
                 }
-                let mut failed: Option<SpiceError> = None;
-                for (rt, blk) in runtimes.iter_mut().zip(&structure.blocks) {
-                    rt.try_inputs.clear();
-                    for &(_, src) in &blk.boundaries {
-                        rt.try_inputs.push(match src {
-                            Boundary::Pin(pi) => structure.pin_value(ckt, pi, t + h),
-                            Boundary::Upstream(gu) => x_stage[gu],
-                        });
-                    }
-                    let unchanged = rt
-                        .try_inputs
-                        .iter()
-                        .zip(&rt.last_inputs)
-                        .all(|(a, b)| (a - b).abs() <= skip_tol);
-                    if rt.settled && !blk.always_active && unchanged {
-                        rt.pending = Pending::Skip;
-                        continue;
-                    }
-                    for (r, &v) in rt.replicas.iter().zip(&rt.try_inputs) {
-                        if let Element::Vsource { wave, .. } =
-                            rt.engine.ckt_mut().element_mut(r.elem)
-                        {
-                            *wave = SourceWave::Dc(v);
-                        }
-                    }
-                    rt.x_try.clone_from(&rt.x);
-                    let BlockRuntime {
-                        engine,
-                        x_try,
-                        caps,
-                        ..
-                    } = rt;
-                    let ctx = CompanionCtx {
-                        h,
-                        trapezoidal,
-                        caps,
-                    };
-                    match engine.solve_nr(x_try, t + h, Some(&ctx), ckt.gmin, 1.0, &nr, "tran") {
-                        Ok(()) => {
-                            let nn = rt.engine.n_node_unk;
-                            let settled = rt.x_try[..nn]
-                                .iter()
-                                .zip(&rt.x[..nn])
-                                .all(|(a, b)| (a - b).abs() <= nr.vtol);
-                            for &(li, gi) in &rt.copy_out {
-                                x_stage[gi] = rt.x_try[li];
-                            }
-                            rt.pending = Pending::Solved(settled);
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
+                Pending::Solved(settled) => {
+                    self.block_solves += 1;
+                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x_try, h, trapezoidal);
+                    rt.x.clone_from(&rt.x_try);
+                    rt.settled = settled;
+                    std::mem::swap(&mut rt.last_inputs, &mut rt.try_inputs);
                 }
-                if let Some(e) = failed {
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    level += 1;
-                    if level > opts.max_subdiv {
-                        flush(block_solves, block_skips);
-                        return Err(retag_tran(e, t + h));
-                    }
-                    h /= 2.0;
-                    continue;
-                }
-                // Commit the sub-step; nothing before this point touched
-                // committed state, so a failed attempt retries cleanly.
-                mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                accepted += 1;
-                for rt in &mut runtimes {
-                    match rt.pending {
-                        Pending::Skip => {
-                            block_skips += 1;
-                            // Companion states still advance — exact
-                            // under frozen node voltages.
-                            update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x, h, trapezoidal);
-                        }
-                        Pending::Solved(settled) => {
-                            block_solves += 1;
-                            update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x_try, h, trapezoidal);
-                            rt.x.clone_from(&rt.x_try);
-                            rt.settled = settled;
-                            std::mem::swap(&mut rt.last_inputs, &mut rt.try_inputs);
-                        }
-                    }
-                }
-                for rc in &mut rail_caps {
-                    let v_now = v_node(&x_stage, rc.a) - v_node(&x_stage, rc.b);
-                    let (geq, hist) = companion_terms(&rc.state, h, trapezoidal);
-                    rc.state.prev_i = geq * v_now + hist;
-                    rc.state.prev_v = v_now;
-                }
-                x.copy_from_slice(&x_stage);
-                t += h;
-                break;
             }
         }
-        t = t_target;
-        if step % stride == 0 || step == n_steps {
-            let mut rec = x.clone();
-            reconstruct_branch_currents(
-                ckt,
-                structure,
-                &runtimes,
-                &rail_caps,
-                &n_replicas,
-                t_target,
-                &mut rec,
-            );
-            times.push(t_target);
-            states.push(rec);
+        for rc in &mut self.rail_caps {
+            let v_now = v_node(&self.x_stage, rc.a) - v_node(&self.x_stage, rc.b);
+            let (geq, hist) = companion_terms(&rc.state, h, trapezoidal);
+            rc.state.prev_i = geq * v_now + hist;
+            rc.state.prev_v = v_now;
         }
+        self.x.copy_from_slice(&self.x_stage);
     }
-    flush(block_solves, block_skips);
 
-    Ok(TranResult::from_parts(
-        times,
-        states,
-        n_node_unk,
-        branch_map(ckt),
-        op0,
-        t,
-        accepted,
-    ))
+    fn state(&self) -> &[f64] {
+        &self.x
+    }
+
+    fn record(&self, t: f64) -> Vec<f64> {
+        let mut rec = self.x.clone();
+        reconstruct_branch_currents(
+            self.ckt,
+            self.structure,
+            &self.runtimes,
+            &self.rail_caps,
+            &self.n_replicas,
+            t,
+            &mut rec,
+        );
+        rec
+    }
+}
+
+impl Drop for PartLane<'_> {
+    /// The per-lane block tallies reach `mcml-obs` once, however the
+    /// march ends.
+    fn drop(&mut self) {
+        mcml_obs::add(mcml_obs::Counter::BlockSolves, self.block_solves);
+        mcml_obs::add(mcml_obs::Counter::BlockSkips, self.block_skips);
+    }
 }
 
 /// Fill the global voltage-source branch currents of a recorded state by

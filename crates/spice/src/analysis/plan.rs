@@ -48,8 +48,7 @@
 //! ~1e-13 A, far below the Newton `itol`. Voltages are compared against
 //! the *cached eval point*, not the previous iteration, so slow drift
 //! can never accumulate past the tolerance without triggering a real
-//! evaluation. A tolerance of `0.0` disables the bypass entirely (the
-//! hard-off escape hatch; see `MCML_SPICE_BYPASS`).
+//! evaluation. A tolerance of `0.0` disables the bypass entirely.
 //!
 //! [`Mosfet::eval`]: mcml_device::Mosfet::eval
 //!

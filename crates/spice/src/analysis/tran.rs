@@ -1,26 +1,24 @@
 //! Transient analysis with backward-Euler / trapezoidal companion models.
 //!
-//! Two stepping policies share the same recorded-grid interface:
+//! This module holds the options and the result; the time loop itself is
+//! the shared lane march in `analysis::march`, which [`transient`] runs
+//! over one lane and [`crate::ensemble_transient`] over many. Two
+//! stepping policies share the caller's uniform `dt` grid:
 //!
-//! * **Fixed-step** (the default): march the caller's uniform `dt` grid,
-//!   subdividing a step only when Newton fails. This is the reference
-//!   path used by the property tests.
-//! * **Adaptive** (opt-in via [`TranOptions::adaptive`]): control the
-//!   internal step size with a local-truncation-error (LTE) estimate
-//!   from the capacitor companion history — grow `h` up to `h_max` in
-//!   quiet regions, shrink it down to `h_min` at edges, land exactly on
-//!   every source breakpoint, and keep the Newton-failure subdivision as
-//!   the inner fallback. Results are emitted on the caller's uniform
-//!   grid via linear dense output, so downstream consumers see the same
-//!   interface either way.
+//! * **Fixed-step** (the default): march one grid cell at a time,
+//!   subdividing a cell only when Newton fails. This is the reference
+//!   path the goldens pin.
+//! * **Grid-aligned adaptive** (opt-in via
+//!   [`TranOptions::adaptive_grid_aligned`]): leap several whole cells
+//!   at once through quiet regions, judged by a local-truncation-error
+//!   (LTE) estimate from the capacitor history, and fall back to the
+//!   fixed-step cell wherever the estimate objects. Grid points inside a
+//!   leap are filled by linear interpolation, so downstream consumers
+//!   see the same interface either way.
 
-use crate::analysis::dc::{branch_map, DcOptions, OpPoint};
-use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CompanionCtx, Engine, NrOptions,
-};
+use crate::analysis::dc::OpPoint;
+use crate::analysis::engine::NrOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
-use crate::element::Element;
-use crate::error::SpiceError;
 use crate::matrix::SolverKind;
 use crate::waveform::Waveform;
 use crate::Result;
@@ -37,28 +35,19 @@ pub enum Integrator {
     Trapezoidal,
 }
 
-/// LTE controller settings for adaptive transient stepping.
+/// LTE controller settings for grid-aligned adaptive stepping.
 ///
-/// Built by [`TranOptions::adaptive`]; the estimate, accept/reject
-/// policy, and dense output are documented on [`transient`].
+/// Built by [`TranOptions::adaptive_grid_aligned`]; the estimate and
+/// the leap policy are documented on [`transient`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOptions {
     /// Relative LTE tolerance against the capacitor voltage magnitude.
     pub reltol: f64,
     /// Absolute LTE floor (V), so tolerances stay finite near 0 V.
     pub abstol: f64,
-    /// Smallest internal step (s); a step at `h_min` is always accepted.
-    /// Ignored in grid-aligned mode, where the floor is the grid's `dt`.
-    pub h_min: f64,
-    /// Largest internal step (s), the quiet-region ceiling.
+    /// Largest leap (s), the quiet-region ceiling; rounded down to whole
+    /// grid cells.
     pub h_max: f64,
-    /// Keep every internal step a whole multiple of `dt` so that where
-    /// the LTE controller falls back to single-cell steps the trajectory
-    /// is *bitwise* the fixed-step one. Quiet regions leap several grid
-    /// cells at once; edges degrade gracefully to the reference path.
-    /// Trades the free mode's sub-`dt` edge resolution for drift-free
-    /// equivalence against fixed-step golden baselines.
-    pub align_to_grid: bool,
 }
 
 /// Options for [`Circuit::transient`].
@@ -67,9 +56,9 @@ pub struct TranOptions {
     /// End time (s).
     pub t_stop: f64,
     /// Base time step (s); also the spacing of the recorded output grid.
-    /// Fixed-step marches it directly (subdividing locally when Newton
-    /// fails); the adaptive path uses it as the post-breakpoint restart
-    /// step and interpolates back onto this grid.
+    /// Fixed-step marches it one cell at a time (subdividing locally
+    /// when Newton fails); the adaptive controller leaps whole multiples
+    /// of it.
     pub dt: f64,
     /// Integration method.
     pub integrator: Integrator,
@@ -88,28 +77,18 @@ pub struct TranOptions {
     pub solver: SolverKind,
     /// Maximum binary step subdivisions on non-convergence.
     pub max_subdiv: u32,
-    /// LTE-controlled adaptive stepping; `None` (the default) keeps the
-    /// fixed-step reference behaviour.
+    /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
+    /// the fixed-step reference behaviour.
     pub lte: Option<AdaptiveOptions>,
     /// Quiescent-MOS bypass tolerance (V): when every terminal voltage of
     /// a MOSFET is within this distance of the point it was last
     /// evaluated at, the cached linearization is reused instead of
     /// calling the device model (SPICE3's `bypass` option). `0.0` (the
-    /// default) disables the bypass; `MCML_SPICE_BYPASS=off` in the
-    /// environment is a hard-off escape hatch that wins over any
-    /// programmatic setting. The current is extrapolated with the exact
-    /// cached derivatives, so the waveform perturbation is second order
-    /// in the tolerance (see `spice.mos_bypassed` in
+    /// default) disables the bypass. The current is extrapolated with
+    /// the exact cached derivatives, so the waveform perturbation is
+    /// second order in the tolerance (see `spice.mos_bypassed` in
     /// `docs/OBSERVABILITY.md`).
     pub bypass_vtol: f64,
-    /// Preferred lane count per ensemble block for batched trace
-    /// acquisition (see [`TranOptions::ensemble`] and
-    /// [`crate::ensemble_transient`]). The ensemble engine itself takes
-    /// one circuit per lane and derives the actual lane count from the
-    /// slice it is given; this field is the scheduling hint upstream
-    /// acquisition loops use to chunk a trace campaign into blocks.
-    /// `1` (the default) means scalar trace-per-task acquisition.
-    pub ensemble_lanes: usize,
     /// Demand-driven refactorisation (modified Newton): keep solving
     /// Newton updates against the last numeric LU factors — across
     /// iterations *and* time steps, even when the adaptive controller
@@ -170,7 +149,6 @@ impl TranOptions {
             max_subdiv: 8,
             lte: None,
             bypass_vtol: 0.0,
-            ensemble_lanes: 1,
             jacobian_reuse: false,
             partition: false,
         }
@@ -218,61 +196,14 @@ impl TranOptions {
         self
     }
 
-    /// Enable LTE-controlled adaptive stepping (see [`transient`]).
-    ///
-    /// `reltol` bounds the per-step LTE relative to the capacitor
-    /// voltage magnitude; `h_min`/`h_max` bound the internal step. The
-    /// absolute tolerance floor defaults to 1 µV
+    /// Enable grid-aligned adaptive stepping (see [`transient`]): every
+    /// internal step is a whole number of `dt` grid cells, at most
+    /// `h_max` long, and `reltol` bounds each step's LTE relative to the
+    /// capacitor voltage magnitude. Wherever the controller drops back
+    /// to single-cell steps the solution is exactly the fixed-step
+    /// reference. The absolute tolerance floor defaults to 1 µV
     /// ([`AdaptiveOptions::abstol`] can be adjusted on the stored
     /// options afterwards).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{Circuit, SourceWave, TranOptions};
-    ///
-    /// let mut c = Circuit::new();
-    /// let vin = c.node("in");
-    /// let out = c.node("out");
-    /// c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, 1.0, 1e-9));
-    /// c.resistor("R", vin, out, 1.0e3);
-    /// c.capacitor("C", out, Circuit::GND, 1.0e-12);
-    ///
-    /// // Free-running step size between 0.1 ps and 0.5 ns, LTE-bounded.
-    /// let opts = TranOptions::new(8e-9, 5e-12).adaptive(1e-4, 1e-13, 500e-12);
-    /// let res = c.transient(&opts).unwrap();
-    /// // Output still lands on the caller's uniform dt grid.
-    /// assert_eq!(*res.times().last().unwrap(), 8e-9);
-    /// assert!((res.voltage(out).last_value() - 1.0).abs() < 0.01);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `reltol > 0` and `0 < h_min <= h_max`.
-    #[must_use]
-    pub fn adaptive(mut self, reltol: f64, h_min: f64, h_max: f64) -> Self {
-        assert!(reltol > 0.0, "need reltol > 0");
-        assert!(
-            h_min > 0.0 && h_min <= h_max,
-            "need 0 < h_min <= h_max for adaptive stepping"
-        );
-        self.lte = Some(AdaptiveOptions {
-            reltol,
-            abstol: 1e-6,
-            h_min,
-            h_max,
-            align_to_grid: false,
-        });
-        self
-    }
-
-    /// Enable grid-aligned adaptive stepping: like
-    /// [`TranOptions::adaptive`] but every internal step is a
-    /// whole number of `dt` grid cells, so wherever the LTE controller
-    /// drops back to single-cell steps the solution is exactly the
-    /// fixed-step reference. Use this when results are pinned against a
-    /// fixed-step golden trace; use the free mode when sub-`dt` edge
-    /// resolution matters.
     ///
     /// # Examples
     ///
@@ -309,9 +240,7 @@ impl TranOptions {
         self.lte = Some(AdaptiveOptions {
             reltol,
             abstol: 1e-6,
-            h_min: self.dt,
             h_max,
-            align_to_grid: true,
         });
         self
     }
@@ -328,8 +257,6 @@ impl TranOptions {
     /// // perturbation is second order in the tolerance.
     /// let opts = TranOptions::new(3.6e-9, 10e-12).with_bypass(10e-6);
     /// assert_eq!(opts.bypass_vtol, 10e-6);
-    /// // `MCML_SPICE_BYPASS=off` in the environment is a hard override
-    /// // that disables the bypass regardless of this setting.
     /// ```
     ///
     /// # Panics
@@ -342,49 +269,6 @@ impl TranOptions {
             "need a finite bypass tolerance >= 0"
         );
         self.bypass_vtol = tol;
-        self
-    }
-
-    /// Builder-style ensemble lane-block width for batched trace
-    /// acquisition. [`crate::ensemble_transient`] itself infers the lane
-    /// count from the circuits it is handed; this hint tells upstream
-    /// acquisition schedulers how many input vectors to pack per
-    /// ensemble block. `1` keeps scalar trace-per-task acquisition.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{ensemble_transient, Circuit, SourceWave, TranOptions};
-    ///
-    /// let lane = |level: f64| {
-    ///     let mut c = Circuit::new();
-    ///     let vin = c.node("in");
-    ///     let out = c.node("out");
-    ///     c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, level, 1e-9));
-    ///     c.resistor("R", vin, out, 1.0e3);
-    ///     c.capacitor("C", out, Circuit::GND, 1.0e-12);
-    ///     (c, out)
-    /// };
-    /// // Four lanes: identical topology, different source amplitudes.
-    /// let lanes: Vec<_> = (1..=4).map(|k| lane(f64::from(k))).collect();
-    /// let ckts: Vec<Circuit> = lanes.iter().map(|(c, _)| c.clone()).collect();
-    ///
-    /// let opts = TranOptions::new(8e-9, 10e-12).ensemble(4);
-    /// assert_eq!(opts.ensemble_lanes, 4);
-    /// let results = ensemble_transient(&ckts, &opts).unwrap();
-    /// for (k, ((_, out), res)) in lanes.iter().zip(&results).enumerate() {
-    ///     let v = res.voltage(*out).last_value();
-    ///     assert!((v - (k + 1) as f64).abs() < 0.05, "lane {k}: {v}");
-    /// }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is zero.
-    #[must_use]
-    pub fn ensemble(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "need at least one ensemble lane");
-        self.ensemble_lanes = lanes;
         self
     }
 
@@ -437,12 +321,10 @@ impl TranOptions {
     /// whose boundary inputs have not moved beyond the bypass tolerance
     /// replays its cached solution instead of re-solving.
     ///
-    /// Partitioning applies to fixed-grid transients of circuits that
-    /// actually split into two or more blocks; everything else (LTE
-    /// adaptive runs, single-component circuits, voltage-source loops)
-    /// silently takes the monolithic reference path, bit for bit.
-    /// `MCML_SPICE_PARTITION=off` in the environment is a hard-off
-    /// escape hatch that wins over this setting.
+    /// Partitioning applies to circuits that actually split into two or
+    /// more blocks; everything else (single-component circuits,
+    /// voltage-source loops) silently takes the monolithic reference
+    /// path, bit for bit.
     ///
     /// # Examples
     ///
@@ -483,74 +365,29 @@ impl TranOptions {
             itol: self.itol,
             vstep_limit: self.vstep_limit,
             solver: self.solver,
-            bypass_tol: if bypass_allowed() {
-                self.bypass_vtol
-            } else {
-                0.0
-            },
+            bypass_tol: self.bypass_vtol,
             reuse_jacobian: self.jacobian_reuse,
         }
     }
 }
 
-/// Hard-off escape hatch for the quiescent-MOS bypass: setting
-/// `MCML_SPICE_BYPASS=off` (or `0`, or `none`, in any case) in the
-/// environment forces every transient back to unconditional device
-/// evaluation, regardless of what the analysis options request. Read
-/// once per process; unrecognised values warn once and leave the bypass
-/// enabled.
-fn bypass_allowed() -> bool {
-    static ALLOWED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ALLOWED.get_or_init(|| !super::envknob::hard_off("MCML_SPICE_BYPASS"))
-}
-
 /// Recorded transient simulation results.
 #[derive(Debug, Clone)]
 pub struct TranResult {
-    times: Vec<f64>,
-    states: Vec<Vec<f64>>,
-    n_node_unk: usize,
-    branch_of_elem: Vec<Option<usize>>,
-    op0: OpPoint,
-    t_end: f64,
-    steps_taken: usize,
+    pub(crate) times: Vec<f64>,
+    pub(crate) states: Vec<Vec<f64>>,
+    pub(crate) n_node_unk: usize,
+    pub(crate) branch_of_elem: Vec<Option<usize>>,
+    pub(crate) op0: OpPoint,
+    pub(crate) t_end: f64,
+    pub(crate) steps_taken: usize,
 }
 
 impl TranResult {
-    /// Assemble a result from the marching loop's pieces — shared by the
-    /// scalar [`transient`] and the ensemble engine.
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        states: Vec<Vec<f64>>,
-        n_node_unk: usize,
-        branch_of_elem: Vec<Option<usize>>,
-        op0: OpPoint,
-        t_end: f64,
-        steps_taken: usize,
-    ) -> Self {
-        Self {
-            times,
-            states,
-            n_node_unk,
-            branch_of_elem,
-            op0,
-            t_end,
-            steps_taken,
-        }
-    }
-
     /// Recorded time points (s).
     #[must_use]
     pub fn times(&self) -> &[f64] {
         &self.times
-    }
-
-    /// Raw recorded unknown vectors, one per time point — node voltages
-    /// first, then branch currents. The ensemble regression tests use
-    /// this to assert bit-identity against the scalar path.
-    #[cfg(test)]
-    pub(crate) fn states_raw(&self) -> &[Vec<f64>] {
-        &self.states
     }
 
     /// Number of recorded points.
@@ -579,11 +416,11 @@ impl TranResult {
         self.t_end
     }
 
-    /// Accepted internal solver steps the march took (excluding rejected
-    /// LTE trials and Newton-failure retries). On the fixed path this is
-    /// at least the grid step count; with adaptive stepping it is the
-    /// variable-grid size — the quantity the LTE controller shrinks on
-    /// quiet traces.
+    /// Accepted solves the march took: every committed grid cell, part
+    /// of a subdivided cell, or multi-cell leap (rejected LTE trials and
+    /// Newton-failure retries excluded). On the fixed path this is at
+    /// least the grid step count; adaptive leaps bring it below — the
+    /// quantity the LTE controller shrinks on quiet traces.
     #[must_use]
     pub fn steps_taken(&self) -> usize {
         self.steps_taken
@@ -627,686 +464,35 @@ impl TranResult {
     }
 }
 
-/// Relative snap window for landing on breakpoints and `t_stop`.
-pub(crate) const T_SNAP: f64 = 1e-12;
-
 /// Run a transient analysis.
 ///
 /// The initial condition is the DC operating point with sources evaluated
-/// at `t = 0`. When a time step fails to converge it is halved, up to
-/// `max_subdiv` times.
+/// at `t = 0`. The march steps the caller's `dt` grid; when a step fails
+/// to converge it is halved, up to `max_subdiv` times.
 ///
-/// With [`TranOptions::adaptive`] set, the march runs on an internal
-/// variable grid instead: after each converged step the per-capacitor
-/// LTE is estimated from divided differences of the companion history —
+/// With [`TranOptions::adaptive_grid_aligned`] set, a macro step may leap
+/// several grid cells: after each converged step the per-capacitor LTE
+/// is estimated from divided differences of the capacitor history —
 /// `h²·|f[t_{n-1},t_n,t_{n+1}]|` for backward Euler (order 1),
-/// `h³/2·|f[t_{n-2},…,t_{n+1}]|` for trapezoidal (order 2) — and the
-/// step is rejected when the worst ratio against
-/// `reltol·|v| + abstol` exceeds 1 (unless already at `h_min`). The
-/// next step grows or shrinks by the standard `0.9·r^{-1/(p+1)}`
-/// controller, clamped to `[h_min, h_max]` and at most doubling.
-/// Steps land exactly on every source breakpoint (pulse corners, PWL
-/// knots, sine onsets), where the divided-difference history is reset.
-/// Recorded output is the same uniform `dt` grid as the fixed path,
-/// filled by linear dense output between internal points.
+/// `h³/2·|f[t_{n-2},…,t_{n+1}]|` for trapezoidal (order 2) — and a leap
+/// is rejected and halved when the worst ratio against
+/// `reltol·|v| + abstol` exceeds 1. The leap doubles (up to `h_max`)
+/// while the ratio is small and drops to one cell when it exceeds 1. A
+/// leap never jumps past the first grid point at-or-after a source
+/// breakpoint (pulse corners, PWL knots, sine onsets), where the history
+/// is reset. Grid points the march lands on record the solved state;
+/// points inside a leap are linearly interpolated.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::NoConvergence`] when a step fails at the smallest
-/// subdivision, or the DC errors for the initial point.
+/// Returns [`SpiceError::NoConvergence`](crate::SpiceError::NoConvergence)
+/// when a step fails at the smallest subdivision, or the DC errors for
+/// the initial point.
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     let _span = mcml_obs::span(mcml_obs::Stage::Transient);
     mcml_obs::incr(mcml_obs::Counter::Transients);
-    let dc_opts = DcOptions {
-        solver: opts.solver,
-        ..DcOptions::default()
-    };
-    let op0 = ckt.dc_op_with(&dc_opts)?;
-    // Partitioned path: opt-in, fixed-grid only, and only when the
-    // circuit actually splits — everything else falls through to the
-    // monolithic reference march below, bit for bit.
-    if opts.partition && opts.lte.is_none() && crate::analysis::partition::partition_allowed() {
-        if let Some(structure) = crate::analysis::partition::PartitionStructure::build(ckt, true) {
-            return crate::analysis::partition::march_partitioned(ckt, opts, &structure, op0);
-        }
-    }
-    let mut engine = Engine::new(ckt);
-    let nr = opts.nr();
-    let trapezoidal = opts.integrator == Integrator::Trapezoidal;
-
-    let mut x = op0.state().to_vec();
-    let mut caps = init_cap_states(ckt, &x);
-    let stride = opts.record_stride.max(1);
-
-    // Step count covering [0, t_stop] exactly: when t_stop is not an
-    // integer multiple of dt, a naive `round` either drops the tail of
-    // the window or overshoots past t_stop; instead take `ceil` and clamp
-    // the final grid point to t_stop (the last step is simply shorter).
-    let ratio = opts.t_stop / opts.dt;
-    let n_steps = if (ratio - ratio.round()).abs() < 1e-6 * ratio.max(1.0) {
-        (ratio.round() as usize).max(1)
-    } else {
-        ratio.ceil() as usize
-    };
-    let mut times = Vec::with_capacity(n_steps / stride + 2);
-    let mut states = Vec::with_capacity(n_steps / stride + 2);
-    times.push(0.0);
-    states.push(x.clone());
-
-    let mut x_try = vec![0.0; x.len()];
-    let t_end;
-    let steps_taken;
-
-    if let Some(lte) = opts.lte {
-        let (int_times, int_states) = if lte.align_to_grid {
-            march_aligned(
-                ckt,
-                opts,
-                lte,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-                n_steps,
-            )?
-        } else {
-            march_adaptive(
-                ckt,
-                opts,
-                lte,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-            )?
-        };
-        t_end = *int_times.last().expect("adaptive march records t_stop");
-        steps_taken = int_times.len() - 1;
-        dense_output(
-            opts,
-            n_steps,
-            stride,
-            &int_times,
-            &int_states,
-            &mut times,
-            &mut states,
-        );
-    } else {
-        let mut t = 0.0;
-        let mut accepted = 0usize;
-        for step in 1..=n_steps {
-            let t_target = if step == n_steps {
-                opts.t_stop
-            } else {
-                opts.dt * step as f64
-            };
-            accepted += step_cell(
-                ckt,
-                opts,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-                &mut t,
-                t_target,
-            )?;
-            if step % stride == 0 || step == n_steps {
-                times.push(t_target);
-                states.push(x.clone());
-            }
-        }
-        t_end = t;
-        steps_taken = accepted;
-    }
-
-    Ok(TranResult {
-        times,
-        states,
-        n_node_unk: engine.n_node_unk,
-        branch_of_elem: branch_map(ckt),
-        op0,
-        t_end,
-        steps_taken,
-    })
-}
-
-/// March from `*t` to `t_target`, subdividing on Newton failure — the
-/// fixed path's reference cell step, also used by the grid-aligned
-/// adaptive mode whenever its controller is down to single-cell steps
-/// (which keeps the two trajectories identical there). Snaps `*t` to
-/// the exact target on exit and returns the number of accepted
-/// sub-steps.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
-pub(crate) fn step_cell(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
-    nr: &NrOptions,
-    trapezoidal: bool,
-    x: &mut Vec<f64>,
-    x_try: &mut Vec<f64>,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-    t: &mut f64,
-    t_target: f64,
-) -> Result<usize> {
-    let mut accepted = 0usize;
-    while *t < t_target - opts.dt * 1e-9 {
-        let mut h = t_target - *t;
-        let mut level = 0u32;
-        loop {
-            let ctx = CompanionCtx {
-                h,
-                trapezoidal,
-                caps,
-            };
-            x_try.clone_from(x);
-            match engine.solve_nr(x_try, *t + h, Some(&ctx), ckt.gmin, 1.0, nr, "tran") {
-                Ok(()) => {
-                    // Accept: update companion states.
-                    mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    update_caps(ckt, caps, x_try, h, trapezoidal);
-                    std::mem::swap(x, x_try);
-                    *t += h;
-                    accepted += 1;
-                    break;
-                }
-                Err(e) => {
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    level += 1;
-                    if level > opts.max_subdiv {
-                        return Err(retag_tran(e, *t + h));
-                    }
-                    h /= 2.0;
-                }
-            }
-        }
-    }
-    // Snap to the exact grid time: repeated `t += h` rounding (and the
-    // subdivision loop's exit threshold) would otherwise leave the
-    // internal clock drifting below the recorded time.
-    *t = t_target;
-    Ok(accepted)
-}
-
-/// Re-tag a Newton failure with the transient analysis name and time.
-pub(crate) fn retag_tran(e: SpiceError, time: f64) -> SpiceError {
-    match e {
-        SpiceError::NoConvergence { iterations, .. } => SpiceError::NoConvergence {
-            analysis: "tran",
-            time,
-            iterations,
-        },
-        other => other,
-    }
-}
-
-/// Up to three past `(t, capacitor voltages)` samples for the LTE
-/// divided differences; the newest entry is at index `len - 1`.
-pub(crate) struct CapHistory {
-    t: [f64; 3],
-    v: [Vec<f64>; 3],
-    len: usize,
-}
-
-impl CapHistory {
-    pub(crate) fn new(n_caps: usize) -> Self {
-        Self {
-            t: [0.0; 3],
-            v: [vec![0.0; n_caps], vec![0.0; n_caps], vec![0.0; n_caps]],
-            len: 0,
-        }
-    }
-
-    /// Drop all history (called after crossing a source breakpoint,
-    /// where the waveform slope is discontinuous and divided differences
-    /// across the corner would be meaningless).
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    pub(crate) fn push(&mut self, t: f64, pairs: &[(NodeId, NodeId)], x: &[f64]) {
-        if self.len == 3 {
-            self.t.rotate_left(1);
-            self.v.rotate_left(1);
-            self.len = 2;
-        }
-        self.t[self.len] = t;
-        let slot = &mut self.v[self.len];
-        for (k, &(a, b)) in pairs.iter().enumerate() {
-            slot[k] = v_node(x, a) - v_node(x, b);
-        }
-        self.len += 1;
-    }
-}
-
-/// Worst per-capacitor `LTE / (reltol·|v| + abstol)` ratio for a
-/// candidate step to `(t_new, x_new)`, or `None` when the history is
-/// still too short to form the divided difference (such steps are
-/// accepted without growing `h`).
-pub(crate) fn lte_ratio(
-    hist: &CapHistory,
-    pairs: &[(NodeId, NodeId)],
-    x_new: &[f64],
-    t_new: f64,
-    h: f64,
-    trapezoidal: bool,
-    lte: AdaptiveOptions,
-) -> Option<f64> {
-    if pairs.is_empty() {
-        // No dynamic state: the solution is quasi-static between source
-        // breakpoints, so any step size is exact.
-        return Some(0.0);
-    }
-    let need = if trapezoidal { 3 } else { 2 };
-    if hist.len < need {
-        return None;
-    }
-    let n = hist.len;
-    let (t1, t2) = (hist.t[n - 2], hist.t[n - 1]);
-    let mut r_max = 0.0f64;
-    for (k, &(a, b)) in pairs.iter().enumerate() {
-        let v_new = v_node(x_new, a) - v_node(x_new, b);
-        let (v1, v2) = (hist.v[n - 2][k], hist.v[n - 1][k]);
-        let dd1a = (v2 - v1) / (t2 - t1);
-        let dd1b = (v_new - v2) / (t_new - t2);
-        let dd2 = (dd1b - dd1a) / (t_new - t1);
-        let err = if trapezoidal {
-            // Order 2: LTE ≈ h³/12·|v‴|, with v‴ ≈ 6·f[t_{n-2},…,t_{n+1}].
-            let (t0, v0) = (hist.t[n - 3], hist.v[n - 3][k]);
-            let dd1z = (v1 - v0) / (t1 - t0);
-            let dd2a = (dd1a - dd1z) / (t2 - t0);
-            let dd3 = (dd2 - dd2a) / (t_new - t0);
-            0.5 * h * h * h * dd3.abs()
-        } else {
-            // Order 1: LTE ≈ h²/2·|v″|, with v″ ≈ 2·f[t_{n-1},t_n,t_{n+1}].
-            h * h * dd2.abs()
-        };
-        let tol = lte.reltol * v_new.abs().max(v2.abs()) + lte.abstol;
-        r_max = r_max.max(err / tol);
-    }
-    Some(r_max)
-}
-
-/// March the LTE-controlled variable grid from 0 to `t_stop`, returning
-/// the internal `(times, states)` including both endpoints.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
-fn march_adaptive(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    lte: AdaptiveOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
-    nr: &NrOptions,
-    trapezoidal: bool,
-    x: &mut Vec<f64>,
-    x_try: &mut Vec<f64>,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    // Merged source breakpoints and the curvature step ceiling.
-    let mut bps: Vec<f64> = Vec::new();
-    let mut hint = f64::INFINITY;
-    for (_, _, e) in ckt.elements() {
-        let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-            continue;
-        };
-        wave.breakpoints(opts.t_stop, &mut bps);
-        if let Some(h) = wave.max_step_hint() {
-            hint = hint.min(h);
-        }
-    }
-    bps.sort_by(f64::total_cmp);
-    bps.dedup_by(|a, b| (*a - *b).abs() <= T_SNAP * b.abs());
-
-    let pairs: Vec<(NodeId, NodeId)> = ckt
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist = CapHistory::new(pairs.len());
-    hist.push(0.0, &pairs, x);
-
-    // Restart step at t=0 and after each breakpoint. While the divided-
-    // difference history is too short the LTE cannot be evaluated and
-    // steps are accepted blindly, so restarts begin well below the
-    // caller's dt; the controller doubles back up within a few accepted
-    // steps once the history refills.
-    let h_base = opts.dt.clamp(lte.h_min, lte.h_max);
-    let h_restart = (h_base / 64.0).max(lte.h_min);
-    let p_ord = if trapezoidal { 3.0 } else { 2.0 }; // p + 1
-    let mut h_next = h_restart;
-    let mut bp_idx = 0usize;
-    let eps_t = opts.t_stop * T_SNAP;
-
-    let mut int_times = vec![0.0];
-    let mut int_states = vec![x.clone()];
-    let mut t = 0.0;
-    while opts.t_stop - t > eps_t {
-        while bp_idx < bps.len() && bps[bp_idx] <= t + eps_t {
-            bp_idx += 1;
-        }
-        let next_bp = bps.get(bp_idx).copied();
-        let h_hi = (opts.t_stop - t).min(lte.h_max).min(hint);
-        if h_hi <= 0.0 {
-            break;
-        }
-        let mut h_try = h_next.min(h_hi).max(lte.h_min.min(h_hi));
-        let mut lands_bp = false;
-        if let Some(bp) = next_bp {
-            if bp - t <= h_try + eps_t {
-                h_try = bp - t;
-                lands_bp = true;
-            }
-        }
-        let mut level = 0u32;
-        loop {
-            let ctx = CompanionCtx {
-                h: h_try,
-                trapezoidal,
-                caps,
-            };
-            x_try.clone_from(x);
-            match engine.solve_nr(x_try, t + h_try, Some(&ctx), ckt.gmin, 1.0, nr, "tran") {
-                Ok(()) => {
-                    let r = lte_ratio(&hist, &pairs, x_try, t + h_try, h_try, trapezoidal, lte);
-                    if let Some(r) = r {
-                        if r > 1.0 && h_try > lte.h_min * (1.0 + 1e-9) {
-                            mcml_obs::incr(mcml_obs::Counter::LteRejects);
-                            let f = (0.9 * r.powf(-1.0 / p_ord)).clamp(0.1, 0.5);
-                            h_try = (h_try * f).max(lte.h_min);
-                            lands_bp = false;
-                            continue;
-                        }
-                    }
-                    mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    mcml_obs::incr(mcml_obs::Counter::AdaptiveSteps);
-                    update_caps(ckt, caps, x_try, h_try, trapezoidal);
-                    std::mem::swap(x, x_try);
-                    t += h_try;
-                    if lands_bp {
-                        // Land bitwise-exactly on the corner.
-                        t = next_bp.expect("lands_bp implies a breakpoint");
-                    }
-                    if opts.t_stop - t <= eps_t {
-                        t = opts.t_stop;
-                    }
-                    // Step-size controller for the next step.
-                    let f = match r {
-                        Some(r) if r > 0.0 => (0.9 * r.powf(-1.0 / p_ord)).min(2.0),
-                        Some(_) => 2.0,
-                        None => 1.0,
-                    };
-                    let h_new = (h_try * f).clamp(lte.h_min, lte.h_max);
-                    if h_new > h_try {
-                        mcml_obs::incr(mcml_obs::Counter::HGrowths);
-                    }
-                    h_next = h_new;
-                    if lands_bp {
-                        hist.clear();
-                        h_next = h_restart;
-                    }
-                    hist.push(t, &pairs, x);
-                    int_times.push(t);
-                    int_states.push(x.clone());
-                    break;
-                }
-                Err(e) => {
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    level += 1;
-                    if level > opts.max_subdiv {
-                        return Err(retag_tran(e, t + h_try));
-                    }
-                    h_try /= 2.0;
-                    lands_bp = false;
-                }
-            }
-        }
-    }
-    Ok((int_times, int_states))
-}
-
-/// March the grid-aligned LTE-controlled variant: every internal step
-/// covers a whole number `k` of `dt` grid cells, so a `k = 1` step is
-/// *exactly* the fixed path's reference step (same target time, same
-/// Newton-failure subdivision). The controller leaps `k ≤ h_max/dt`
-/// cells through quiet regions and collapses to `k = 1` at edges,
-/// which bounds the drift against a fixed-step golden trace by the LTE
-/// tolerance in the quiet regions and by zero elsewhere. A macro step
-/// never jumps past the first grid point at-or-after a source
-/// breakpoint, so a discontinuity can't fall unseen inside a leap.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
-fn march_aligned(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    lte: AdaptiveOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
-    nr: &NrOptions,
-    trapezoidal: bool,
-    x: &mut Vec<f64>,
-    x_try: &mut Vec<f64>,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-    n_steps: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    // Merged source breakpoints and the curvature step ceiling.
-    let mut bps: Vec<f64> = Vec::new();
-    let mut hint = f64::INFINITY;
-    for (_, _, e) in ckt.elements() {
-        let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-            continue;
-        };
-        wave.breakpoints(opts.t_stop, &mut bps);
-        if let Some(h) = wave.max_step_hint() {
-            hint = hint.min(h);
-        }
-    }
-    bps.sort_by(f64::total_cmp);
-    // Barrier = first grid index at-or-after each breakpoint. The ceil is
-    // rounding-tolerant so a breakpoint sitting exactly on the grid does
-    // not spill into the next cell through FP noise.
-    let mut barriers: Vec<usize> = bps
-        .iter()
-        .map(|&bp| {
-            let q = bp / opts.dt;
-            let idx = if (q - q.round()).abs() < 1e-9 * q.max(1.0) {
-                q.round()
-            } else {
-                q.ceil()
-            };
-            (idx as usize).clamp(1, n_steps)
-        })
-        .collect();
-    barriers.dedup();
-
-    let pairs: Vec<(NodeId, NodeId)> = ckt
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist = CapHistory::new(pairs.len());
-    hist.push(0.0, &pairs, x);
-
-    let k_hint = if hint.is_finite() {
-        ((hint / opts.dt).floor() as usize).max(1)
-    } else {
-        usize::MAX
-    };
-    let k_max = ((lte.h_max / opts.dt).floor() as usize).max(1).min(k_hint);
-    let p_ord = if trapezoidal { 3.0 } else { 2.0 }; // p + 1
-    let grid_t = |i: usize| {
-        if i == n_steps {
-            opts.t_stop
-        } else {
-            opts.dt * i as f64
-        }
-    };
-
-    let mut int_times = vec![0.0];
-    let mut int_states = vec![x.clone()];
-    let mut t = 0.0;
-    let mut pos = 0usize;
-    let mut k_next = 1usize;
-    let mut bar_idx = 0usize;
-    while pos < n_steps {
-        while bar_idx < barriers.len() && barriers[bar_idx] <= pos {
-            bar_idx += 1;
-        }
-        let mut k = k_next.min(k_max).min(n_steps - pos).max(1);
-        if let Some(&bar) = barriers.get(bar_idx) {
-            k = k.min(bar - pos);
-        }
-        let r_used: Option<f64>;
-        loop {
-            let t_target = grid_t(pos + k);
-            if k == 1 {
-                // The fixed path's reference step, bitwise.
-                step_cell(
-                    ckt,
-                    opts,
-                    engine,
-                    nr,
-                    trapezoidal,
-                    x,
-                    x_try,
-                    caps,
-                    &mut t,
-                    t_target,
-                )?;
-                r_used = lte_ratio(&hist, &pairs, x, t, opts.dt, trapezoidal, lte);
-                break;
-            }
-            let h = t_target - t;
-            let ctx = CompanionCtx {
-                h,
-                trapezoidal,
-                caps,
-            };
-            x_try.clone_from(x);
-            match engine.solve_nr(x_try, t_target, Some(&ctx), ckt.gmin, 1.0, nr, "tran") {
-                Ok(()) => {
-                    let r = lte_ratio(&hist, &pairs, x_try, t_target, h, trapezoidal, lte);
-                    if let Some(rv) = r {
-                        if rv > 1.0 {
-                            mcml_obs::incr(mcml_obs::Counter::LteRejects);
-                            k /= 2;
-                            continue;
-                        }
-                    }
-                    mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    update_caps(ckt, caps, x_try, h, trapezoidal);
-                    std::mem::swap(x, x_try);
-                    t = t_target;
-                    r_used = r;
-                    break;
-                }
-                Err(_) => {
-                    // Shrink to a finer grid target; once k hits 1 the
-                    // cell march owns any further subdivision (and the
-                    // terminal error).
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    k /= 2;
-                }
-            }
-        }
-        mcml_obs::incr(mcml_obs::Counter::AdaptiveSteps);
-        let landed_barrier = barriers.get(bar_idx) == Some(&(pos + k));
-        pos += k;
-        if landed_barrier {
-            // Slope discontinuity behind us: divided differences across
-            // the corner are meaningless, so restart the controller.
-            hist.clear();
-            k_next = 1;
-        } else {
-            let grown = match r_used {
-                Some(r) => {
-                    let f = if r > 0.0 {
-                        0.9 * r.powf(-1.0 / p_ord)
-                    } else {
-                        f64::INFINITY
-                    };
-                    if f >= 2.0 {
-                        (k * 2).min(k_max)
-                    } else if r > 1.0 {
-                        1
-                    } else {
-                        k
-                    }
-                }
-                None => k,
-            };
-            if grown > k {
-                mcml_obs::incr(mcml_obs::Counter::HGrowths);
-            }
-            k_next = grown;
-        }
-        hist.push(t, &pairs, x);
-        int_times.push(t);
-        int_states.push(x.clone());
-    }
-    Ok((int_times, int_states))
-}
-
-/// Interpolate the internal variable grid onto the caller's uniform
-/// recording grid (same linear rule as [`Waveform::sample`]), appending
-/// to `times`/`states` which already hold the t = 0 point.
-pub(crate) fn dense_output(
-    opts: &TranOptions,
-    n_steps: usize,
-    stride: usize,
-    int_times: &[f64],
-    int_states: &[Vec<f64>],
-    times: &mut Vec<f64>,
-    states: &mut Vec<Vec<f64>>,
-) {
-    let mut cursor = 0usize;
-    for step in 1..=n_steps {
-        if step % stride != 0 && step != n_steps {
-            continue;
-        }
-        let t_g = if step == n_steps {
-            opts.t_stop
-        } else {
-            opts.dt * step as f64
-        };
-        while cursor + 1 < int_times.len() - 1 && int_times[cursor + 1] < t_g {
-            cursor += 1;
-        }
-        let (ta, tb) = (int_times[cursor], int_times[cursor + 1]);
-        let u = if tb > ta {
-            ((t_g - ta) / (tb - ta)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let (sa, sb) = (&int_states[cursor], &int_states[cursor + 1]);
-        let interp: Vec<f64> = sa.iter().zip(sb).map(|(a, b)| a + (b - a) * u).collect();
-        times.push(t_g);
-        states.push(interp);
-    }
-}
-
-pub(crate) fn update_caps(
-    ckt: &Circuit,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-    x: &[f64],
-    h: f64,
-    trapezoidal: bool,
-) {
-    for (idx, (_, e)) in ckt.elements().map(|(id, n, e)| (id.index(), (n, e))) {
-        if let (Element::Capacitor { a, b, .. }, Some(state)) = (e, caps[idx].as_mut()) {
-            let v_new = v_node(x, *a) - v_node(x, *b);
-            let (geq, hist) = companion_terms(state, h, trapezoidal);
-            let i_new = geq * v_new + hist;
-            state.prev_v = v_new;
-            state.prev_i = i_new;
-        }
-    }
+    let mut lanes = crate::analysis::march::run(std::slice::from_ref(ckt), opts)?;
+    Ok(lanes.pop().expect("one lane in, one result out"))
 }
 
 impl Circuit {
@@ -1484,82 +670,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_fixed_on_rc_step() {
-        let (c, out, v) = rc_circuit();
-        let fixed = c.transient(&TranOptions::new(8e-9, 5e-12)).unwrap();
-        let adap = c
-            .transient(&TranOptions::new(8e-9, 5e-12).adaptive(1e-4, 1e-13, 500e-12))
-            .unwrap();
-        // Identical recorded grid.
-        assert_eq!(fixed.times(), adap.times());
-        let (wf, wa) = (fixed.voltage(out), adap.voltage(out));
-        let worst = wf
-            .iter()
-            .zip(wa.iter())
-            .map(|((_, a), (_, b))| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(worst < 2e-3, "worst voltage deviation {worst}");
-        // Supply current stays interface-compatible too.
-        let (ifx, iad) = (
-            fixed.supply_current(v).unwrap(),
-            adap.supply_current(v).unwrap(),
-        );
-        assert!((ifx.max() - iad.max()).abs() < 0.05 * ifx.max());
-    }
-
-    #[test]
-    fn adaptive_takes_fewer_steps_on_quiet_trace() {
-        // Step at 1 ns, then 49 ns of settled tail: the controller must
-        // open the step up after the edge instead of marching dt.
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, 1.0, 1e-9));
-        c.resistor("R", vin, out, 1.0e3);
-        c.capacitor("C", out, Circuit::GND, 1.0e-12);
-        let opts = TranOptions::new(50e-9, 10e-12);
-        let fixed = c.transient(&opts).unwrap();
-        let adap = c.transient(&opts.adaptive(1e-3, 1e-13, 2e-9)).unwrap();
-        // Same recorded grid, far fewer NR-bearing internal steps.
-        assert_eq!(adap.len(), fixed.len());
-        assert_eq!(*adap.times().last().unwrap(), 50e-9);
-        assert!(
-            adap.steps_taken() * 5 < fixed.steps_taken(),
-            "adaptive {} vs fixed {} internal steps",
-            adap.steps_taken(),
-            fixed.steps_taken()
-        );
-        // And the settled value still agrees.
-        let (vf, va) = (
-            fixed.voltage(out).last_value(),
-            adap.voltage(out).last_value(),
-        );
-        assert!((vf - va).abs() < 1e-3, "settled {vf} vs {va}");
-    }
-
-    #[test]
-    fn adaptive_lands_on_breakpoints_and_matches_tail() {
-        let (c, out, _) = rc_circuit();
-        let fixed = c.transient(&TranOptions::new(8e-9, 5e-12)).unwrap();
-        let adap = c
-            .transient(&TranOptions::new(8e-9, 5e-12).adaptive(1e-4, 1e-13, 1e-9))
-            .unwrap();
-        // Settled values agree within the accumulated LTE budget.
-        let (vf, va) = (
-            fixed.voltage(out).last_value(),
-            adap.voltage(out).last_value(),
-        );
-        assert!((vf - va).abs() < 1e-3, "settled {vf} vs {va}");
-    }
-
-    #[test]
     fn adaptive_trapezoidal_is_supported() {
         let (c, out, _) = rc_circuit();
         let adap = c
             .transient(
                 &TranOptions::new(8e-9, 5e-12)
                     .with_integrator(Integrator::Trapezoidal)
-                    .adaptive(1e-4, 1e-13, 500e-12),
+                    .adaptive_grid_aligned(1e-4, 500e-12),
             )
             .unwrap();
         let w = adap.voltage(out);
@@ -1568,8 +685,10 @@ mod tests {
 
     #[test]
     fn adaptive_resistive_only_circuit_is_exact() {
-        // No capacitors: LTE is zero, h opens to h_max, yet PWL knots are
-        // hit exactly so the divider output is exact at every grid point.
+        // No capacitors: LTE is zero and the leap opens to h_max, yet
+        // leaps end on the PWL knots, so the divider output — solved at
+        // the leap ends, interpolated inside — is exact at every grid
+        // point.
         let mut c = Circuit::new();
         let vin = c.node("in");
         let mid = c.node("mid");
@@ -1582,8 +701,12 @@ mod tests {
         c.resistor("R1", vin, mid, 1e3);
         c.resistor("R2", mid, Circuit::GND, 1e3);
         let res = c
-            .transient(&TranOptions::new(3e-9, 50e-12).adaptive(1e-4, 1e-13, 1e-9))
+            .transient(&TranOptions::new(3e-9, 50e-12).adaptive_grid_aligned(1e-4, 1e-9))
             .unwrap();
+        assert!(
+            res.steps_taken() * 2 < res.len(),
+            "leaps the linear segments"
+        );
         let w = res.voltage(mid);
         for (t, v) in w.iter() {
             let src = if t <= 1e-9 {
@@ -1595,12 +718,6 @@ mod tests {
             };
             assert!((v - src / 2.0).abs() < 1e-9, "t={t} v={v}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "need 0 < h_min <= h_max")]
-    fn adaptive_rejects_inverted_step_bounds() {
-        let _ = TranOptions::new(1e-9, 1e-12).adaptive(1e-4, 1e-9, 1e-12);
     }
 
     #[test]

@@ -330,3 +330,37 @@ fn ensemble_lanes_match_scalar_partitioned() {
         }
     }
 }
+
+/// Partitioned lanes run through the same march as monolithic ones, so
+/// grid-aligned adaptive leaps apply to them too: the partitioned run
+/// really partitions, leaps the quiet tail, and tracks the monolithic
+/// run with the same controller.
+#[test]
+fn aligned_adaptive_partitions_like_monolithic() {
+    let _g = lock();
+    let (c, vdd_src, outs) = island_farm(2, 2, 1.0e-6, 8e-15, 0.6e-9, 0.4e-9);
+    let base = TranOptions::new(4e-9, 5e-12).adaptive_grid_aligned(1e-4, 200e-12);
+    let mono = c.transient(&base).unwrap();
+    let blocks_before = mcml_obs::total(mcml_obs::Counter::PartitionBlocks);
+    let part = c.transient(&base.with_partitioning()).unwrap();
+    let blocks = mcml_obs::total(mcml_obs::Counter::PartitionBlocks) - blocks_before;
+    assert_eq!(blocks, 4, "one block per stage");
+    assert_eq!(mono.times(), part.times());
+    assert_eq!(mono.steps_taken(), part.steps_taken(), "same leaps");
+    assert!(
+        part.steps_taken() * 4 < part.len(),
+        "quiet regions must be leapt: {} solves for {} grid points",
+        part.steps_taken(),
+        part.len()
+    );
+    // The same ceilings as the fixed-grid equivalence property above.
+    for &out in &outs {
+        let dev = max_dev(&mono.voltage(out), &part.voltage(out));
+        assert!(dev <= 10e-6, "output deviates by {dev}");
+    }
+    let dev = max_dev(
+        &mono.supply_current(vdd_src).unwrap(),
+        &part.supply_current(vdd_src).unwrap(),
+    );
+    assert!(dev <= 2e-6, "supply current deviates by {dev} A");
+}
