@@ -193,9 +193,29 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// The [`JacKey`] the current sparse factors were computed under;
     /// `None` when no factors exist or they came from a foreign lane. A
     /// Newton iteration whose assembly evaluated zero MOS devices under
-    /// this key reuses the factors without a refactorisation: the
-    /// stamped values are provably bit-identical to the ones factored.
+    /// this key, with none evaluated since the factorisation either,
+    /// reuses the factors without a refactorisation: the stamped values
+    /// are provably bit-identical to the ones factored.
     last_factored: Option<JacKey>,
+    /// Set when an assembly evaluated MOS devices and no factorisation
+    /// followed (a chord iteration): the bypass caches then hold
+    /// linearizations the factors never saw. Cleared by a
+    /// factorisation.
+    evaluated_since_factor: bool,
+    /// Test-only record of what the exact path saw.
+    #[cfg(test)]
+    audit: ExactAudit,
+}
+
+/// The values the current factors were computed from, and how often an
+/// exact reuse stamped anything else (which would make it a chord step
+/// in disguise).
+#[cfg(test)]
+#[derive(Default)]
+struct ExactAudit {
+    factored: Vec<f64>,
+    reuses: usize,
+    mismatches: usize,
 }
 
 impl<C: Borrow<Circuit>> Engine<C> {
@@ -243,6 +263,9 @@ impl<C: Borrow<Circuit>> Engine<C> {
             natural_order: false,
             mos_state: vec![MosBypassState::default(); n_mos],
             last_factored: None,
+            evaluated_since_factor: false,
+            #[cfg(test)]
+            audit: ExactAudit::default(),
         }
     }
 
@@ -489,6 +512,9 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 }
             }
             self.last_factored = Some(key);
+            self.evaluated_since_factor = false;
+            #[cfg(test)]
+            self.audit.factored.clone_from(&self.vals);
         }
         let lu = self.lu.as_ref().expect("factored above");
         for (r, fv) in self.rhs.iter_mut().zip(&self.f) {
@@ -555,12 +581,23 @@ impl<C: Borrow<Circuit>> Engine<C> {
             }
             tally.stamps_skipped += self.plan.linear_stamps;
             // Exact reuse: an assembly with zero MOS evaluations under
-            // the same (h, method, gmin) as the last factorisation
-            // reproduced the factored values bit for bit (bypassed
-            // devices stamp their cached conductances; everything else in
-            // the matrix is constant given the key), so the factors can
-            // be reused without refactoring.
-            let exact = evals == 0 && self.last_factored == Some(key);
+            // the same (h, method, gmin) as the last factorisation, with
+            // no device evaluated since that factorisation, reproduced
+            // the factored values bit for bit (bypassed devices stamp
+            // their cached conductances; everything else in the matrix
+            // is constant given the key), so the factors can be reused
+            // without refactoring.
+            let exact =
+                evals == 0 && !self.evaluated_since_factor && self.last_factored == Some(key);
+            self.evaluated_since_factor |= evals > 0;
+            #[cfg(test)]
+            if exact {
+                self.audit.reuses += 1;
+                let same = self.vals.iter().map(|v| v.to_bits());
+                if !same.eq(self.audit.factored.iter().map(|v| v.to_bits())) {
+                    self.audit.mismatches += 1;
+                }
+            }
             // Demand-driven (modified-Newton) reuse: solve against the
             // stale numeric factors while they were computed under the
             // same key — across iterations and across steps — and let
@@ -787,6 +824,75 @@ mod tests {
         engine
             .solve_nr(&mut x, 0.0, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
             .expect("ladder converges");
+    }
+
+    /// Two inverters in a chain, each with a load capacitor, driven by a
+    /// PWL pulse, on the sparse backend.
+    fn inverter_chain() -> Circuit {
+        use mcml_device::{MosParams, Mosfet};
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("in");
+        c.vsource("VDD", vdd, Circuit::GND, SourceWave::dc(1.2));
+        let pulse = vec![(0.0, 0.0), (0.3e-9, 0.0), (0.32e-9, 1.2), (1.3e-9, 1.2)];
+        c.vsource("VIN", vin, Circuit::GND, SourceWave::Pwl(pulse));
+        let mut prev = vin;
+        for k in 0..2 {
+            let out = c.node(&format!("o{k}"));
+            let pmos = Mosfet::pmos(MosParams::pmos_lvt_90(), 2.0e-6, 0.1e-6);
+            let nmos = Mosfet::nmos(MosParams::nmos_lvt_90(), 1.0e-6, 0.1e-6);
+            c.mosfet(&format!("MP{k}"), out, prev, vdd, vdd, pmos);
+            c.mosfet(
+                &format!("MN{k}"),
+                out,
+                prev,
+                Circuit::GND,
+                Circuit::GND,
+                nmos,
+            );
+            c.capacitor(&format!("C{k}"), out, Circuit::GND, 10e-15);
+            prev = out;
+        }
+        c
+    }
+
+    /// Exact reuse skips a refactorisation only when the stamped values
+    /// are the factored ones bit for bit. Under chord + bypass, a chord
+    /// iteration that evaluated devices refreshes their bypass caches
+    /// without refactoring, so a later all-bypassed assembly under the
+    /// same key stamps values the factors never saw; that must not
+    /// count as exact.
+    #[test]
+    fn exact_reuse_sees_factored_values_under_chord_and_bypass() {
+        let ckt = inverter_chain();
+        let nr = NrOptions {
+            solver: SolverKind::Sparse,
+            bypass_tol: 10e-6,
+            reuse_jacobian: true,
+            ..NrOptions::default()
+        };
+        let mut engine = Engine::new(&ckt);
+        let mut x = ckt.dc_op().expect("dc op").state().to_vec();
+        let mut caps = init_cap_states(&ckt, &x);
+        let h = 10e-12;
+        for step in 1..=200 {
+            let ctx = CompanionCtx {
+                h,
+                trapezoidal: false,
+                caps: &caps,
+            };
+            let t = h * f64::from(step);
+            engine
+                .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
+                .expect("step converges");
+            crate::analysis::march::update_caps(&ckt, &mut caps, &x, h, false);
+        }
+        assert!(engine.audit.reuses > 0, "the exact path never ran");
+        assert_eq!(
+            engine.audit.mismatches, 0,
+            "{} of {} exact reuses stamped values the factors never saw",
+            engine.audit.mismatches, engine.audit.reuses
+        );
     }
 
     #[test]
