@@ -1,28 +1,43 @@
 //! `MCML_OBS=off` must be a true no-op: the counter and span hot paths
 //! may not allocate. A counting global allocator wraps `System`; the
 //! test exercises the hot paths with the counter frozen and asserts the
-//! allocation count never moves. Lives in its own test binary so the
-//! global allocator doesn't slow the rest of the suite.
+//! allocation count never moves. The count is per thread, so the test
+//! harness's other threads (its main loop, output capture, a sibling
+//! test waiting on the lock) cannot move it. Lives in its own test
+//! binary so the global allocator doesn't slow the rest of the suite.
 
 use mcml_obs::{Counter, Mode, Stage};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// drop-free, so reading it from inside the allocator never
+    /// allocates or touches a destroyed slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; only adds a relaxed count.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: delegates verbatim to `System`; only bumps a thread-local count.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,14 +60,14 @@ fn off_hot_path_does_not_allocate() {
     mcml_obs::add(Counter::NrIterations, 1);
     drop(mcml_obs::span(Stage::Cpa));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100_000 {
         mcml_obs::incr(Counter::NrIterations);
         mcml_obs::add(Counter::MatrixSolves, 4);
         let guard = mcml_obs::span(Stage::Characterize);
         drop(guard);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(before, after, "MCML_OBS=off hot path allocated");
     assert_eq!(mcml_obs::total(Counter::NrIterations), 0);
 }
@@ -68,12 +83,12 @@ fn on_hot_path_does_not_allocate_either() {
     mcml_obs::add(Counter::NrIterations, 1);
     drop(mcml_obs::span(Stage::Cpa));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100_000 {
         mcml_obs::incr(Counter::NrIterations);
         let guard = mcml_obs::span(Stage::Characterize);
         drop(guard);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(before, after, "counting hot path allocated");
 }
