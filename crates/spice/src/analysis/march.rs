@@ -59,7 +59,6 @@ pub(crate) trait Lane {
 
 /// A monolithic lane: one engine over the whole circuit.
 pub(crate) struct MonoLane<'c> {
-    ckt: &'c Circuit,
     engine: Engine<&'c Circuit>,
     nr: NrOptions,
     trapezoidal: bool,
@@ -72,7 +71,6 @@ impl<'c> MonoLane<'c> {
     fn new(engine: Engine<&'c Circuit>, x0: &[f64], opts: &TranOptions) -> Self {
         let ckt = engine.ckt;
         Self {
-            ckt,
             engine,
             nr: opts.nr(),
             trapezoidal: opts.integrator == Integrator::Trapezoidal,
@@ -91,7 +89,7 @@ impl Lane for MonoLane<'_> {
             trapezoidal: self.trapezoidal,
             caps: &self.caps,
         };
-        let gmin = self.ckt.gmin;
+        let gmin = self.engine.ckt.gmin;
         self.engine
             .solve_nr(&mut self.x_try, t, Some(&ctx), gmin, 1.0, &self.nr, "tran")
     }
@@ -101,7 +99,8 @@ impl Lane for MonoLane<'_> {
     }
 
     fn commit(&mut self, h: f64) {
-        update_caps(self.ckt, &mut self.caps, &self.x_try, h, self.trapezoidal);
+        let ckt = self.engine.ckt;
+        update_caps(ckt, &mut self.caps, &self.x_try, h, self.trapezoidal);
         std::mem::swap(&mut self.x, &mut self.x_try);
     }
 
@@ -205,6 +204,8 @@ fn grid_steps(opts: &TranOptions) -> usize {
     }
 }
 
+/// March `lanes` (one per circuit in `ckts`, starting from `ops`)
+/// across the grid and record their results.
 fn march<L: Lane>(
     ckts: &[Circuit],
     ops: Vec<OpPoint>,
@@ -312,17 +313,19 @@ fn march<L: Lane>(
                 steps[l] += 1;
                 let from = (!inside.is_empty()).then(|| lane.record(t));
                 lane.commit(h);
-                if let Some(a) = from {
-                    let b = lane.record(t_next);
+                if from.is_none() && !landed {
+                    continue;
+                }
+                let to = lane.record(t_next);
+                if let Some(from) = &from {
                     for &tg in &inside {
-                        let u = ((tg - t) / (t_next - t)).clamp(0.0, 1.0);
-                        states[l].push(a.iter().zip(&b).map(|(a, b)| a + (b - a) * u).collect());
+                        let u = (tg - t) / (t_next - t);
+                        let lerp = from.iter().zip(&to).map(|(a, b)| a + (b - a) * u);
+                        states[l].push(lerp.collect());
                     }
-                    if landed {
-                        states[l].push(b);
-                    }
-                } else if landed {
-                    states[l].push(lane.record(t_next));
+                }
+                if landed {
+                    states[l].push(to);
                 }
             }
             times.extend(inside);
@@ -337,7 +340,6 @@ fn march<L: Lane>(
             c.advance(pos, k, t, &ratios, &lanes);
         }
     }
-    drop(lanes);
 
     Ok(ckts
         .iter()

@@ -185,12 +185,7 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
     ]
 }
 
-/// Committed fingerprints, `circuit/policy`. The chord entries of the
-/// two MOS circuits moved twice since first pinned. Scalar runs began to
-/// march as a one-lane ensemble, with its exact reuse of unchanged
-/// Jacobians. Then exact reuse stopped trusting an assembly after a
-/// chord iteration had refreshed the bypass caches without a
-/// refactorisation.
+/// Committed fingerprints, `circuit/policy`.
 const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/be", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/trap", 0xe97b_915c_4f2d_ddc4),
