@@ -135,8 +135,9 @@ fn same_topology(a: &Circuit, b: &Circuit) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::NoConvergence`] when any lane fails a step at
-/// the smallest subdivision, or the lane's DC operating point fails.
+/// Returns [`SpiceError::NoConvergence`](crate::SpiceError::NoConvergence)
+/// when any lane fails a step at the smallest subdivision, or the lane's
+/// DC operating point fails.
 ///
 /// # Panics
 ///
