@@ -156,9 +156,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Tier 1c: the multi-cell partitioned transient and its monolithic
-    // twin — the combinational reduced-AES S-box on a fixed 10 ps grid
-    // (the partitioned scheduler is fixed-grid only), parasitics off so
-    // the design decomposes into per-stage solve blocks. The two tiers
+    // twin — the combinational reduced-AES S-box on a fixed 10 ps grid,
+    // parasitics off so the design decomposes into per-stage solve
+    // blocks. The two tiers
     // run the identical workload with only the partition flag flipped;
     // their wall ratio is the block scheduler's headline speedup and the
     // `block_solves`/`block_skips` counters are the deterministic

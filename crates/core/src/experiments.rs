@@ -735,10 +735,8 @@ pub fn fig6_supply_trace_with(
 const AES_TRAN_BYPASS_VTOL: f64 = 10e-6;
 
 /// The transient options of the `aes_tran` multi-cell partition tier:
-/// the fig. 6 acquisition window on a plain 10 ps **fixed** grid (the
-/// partitioned scheduler is fixed-grid only — grid-aligned LTE stepping
-/// would silently fall back to the monolithic path) plus the
-/// quiescent-MOS bypass. `partition` toggles the block scheduler; off
+/// the fig. 6 acquisition window on a plain 10 ps **fixed** grid plus
+/// the quiescent-MOS bypass. `partition` toggles the block scheduler; off
 /// gives the monolithic baseline the perf gate compares against.
 #[must_use]
 pub fn aes_tran_options(partition: bool) -> TranOptions {

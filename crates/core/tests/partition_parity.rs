@@ -4,11 +4,10 @@
 //! `golden_fig6.rs`:
 //!
 //! 1. The fig. 6 tier is **bitwise** unaffected by `with_partitioning()`
-//!    — its options are grid-aligned adaptive (the partitioned scheduler
-//!    is fixed-grid only) and its default parameters attach gate-overlap
-//!    parasitics (which bridge every stage into one block), so both
-//!    dispatch guards independently fall back to the monolithic march.
-//!    The committed golden supply pins therefore did not move.
+//!    — its default parameters attach gate-overlap parasitics, which
+//!    bridge every stage into one block, so the single-block guard falls
+//!    back to the monolithic lane. The committed golden supply pins
+//!    therefore did not move.
 //! 2. The `aes_tran` tier (fixed grid, parasitics off) genuinely
 //!    partitions — multiple blocks, nonzero skips — and its supply
 //!    trace stays inside the acquisition-resolution band of the
