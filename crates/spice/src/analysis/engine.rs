@@ -148,15 +148,14 @@ impl JacKey {
     /// gmin changes, or crossing the DC/transient boundary, change the
     /// matrix structure semantics and always demand a refactor.
     fn chord_compatible(self, other: Self) -> bool {
-        self.is_transient() && other.is_transient() && self.same_method(other)
+        self.trapezoidal == other.trapezoidal
+            && self.gmin_bits == other.gmin_bits
+            && self.is_transient()
+            && other.is_transient()
     }
 
     fn is_transient(self) -> bool {
         self.h_bits != u64::MAX
-    }
-
-    fn same_method(self, other: Self) -> bool {
-        self.trapezoidal == other.trapezoidal && self.gmin_bits == other.gmin_bits
     }
 }
 
@@ -239,7 +238,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
         }
     }
 
-    /// Build an engine around an existing stamp plan — the ensemble,
+    /// Build an engine around an existing stamp plan — the ensemble path,
     /// where every lane shares one plan built from lane 0's circuit. The
     /// caller guarantees `plan` was built for a circuit with identical
     /// topology (same elements in the same order, same node/branch
