@@ -154,10 +154,10 @@ impl SourceWave {
     ///
     /// Breakpoints are the instants where the waveform's slope changes
     /// (pulse edge corners, PWL knots, a sine's start-of-oscillation).
-    /// The adaptive transient stepper lands a step exactly on each one so
-    /// an edge can never fall unseen inside a long quiet-region step.
-    /// Times are appended unsorted and may duplicate across sources; the
-    /// caller sorts and dedups the merged list.
+    /// The adaptive transient stepper never leaps past the first grid
+    /// point at or after each one, so an edge can never fall unseen
+    /// inside a long quiet-region leap. Times are appended unsorted and
+    /// may duplicate across sources; the caller sorts the merged list.
     pub fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {
         let mut push = |t: f64| {
             if t > 0.0 && t <= t_stop {
@@ -205,7 +205,7 @@ impl SourceWave {
     /// captured exactly by their [`breakpoints`](Self::breakpoints)).
     ///
     /// Only the sinusoid constrains the step between breakpoints: a
-    /// sixteenth of a period keeps a linear-interpolation dense output
+    /// sixteenth of a period keeps the linear interpolation inside a leap
     /// within a fraction of a percent of the true curve.
     #[must_use]
     pub fn max_step_hint(&self) -> Option<f64> {
