@@ -8,16 +8,16 @@
 //! * **PG-MCML** widths come from the library's layout templates, i.e. the
 //!   widths published for the paper's own cells (Tables 1 and 2 quantise
 //!   exactly to a 1.4896 µm² unit — 5 units for the buffer, 24 for the
-//!   full adder, …). Delays and powers are *simulated* in this
-//!   reproduction; areas are layout data, exactly as a shipped `.lib`
-//!   would carry them.
+//!   full adder, …), recorded in the [`CATALOG`](crate::kind::CATALOG).
+//!   Delays and powers are *simulated* in this reproduction; areas are
+//!   layout data, exactly as a shipped `.lib` would carry them.
 //! * **MCML** (no sleep transistor): the sleep device shares the current
 //!   source's diffusion, and removing it shrinks every cell by the same
 //!   one-column fraction — the uniform ≈5.6 % of Table 1.
 //! * **CMOS** areas are computed from the structural transistor count of
-//!   the [`crate::cmos`] generators at one layout pitch per device.
+//!   the [`crate::cmos`] generators (a catalog column, checked against the
+//!   generator in tests) at one layout pitch per device.
 
-use crate::cmos::cmos_transistor_count;
 use crate::kind::{CellKind, DriveStrength};
 use crate::style::LogicStyle;
 
@@ -40,29 +40,6 @@ pub const SLEEP_COLUMN_FRACTION: f64 = 1.0 / 19.0;
 /// wider devices over shared diffusion, so it is well below 4×.
 pub const X4_AREA_FACTOR: f64 = 1.8;
 
-/// PG-MCML cell width in layout quanta (X1 drive).
-#[must_use]
-pub fn pg_width_units(kind: CellKind) -> f64 {
-    match kind {
-        CellKind::Buffer => 5.0,
-        CellKind::Diff2Single => 6.0,
-        CellKind::And2 => 6.0,
-        CellKind::And3 => 9.0,
-        CellKind::And4 => 12.0,
-        CellKind::Mux2 => 6.0,
-        CellKind::Mux4 => 14.0,
-        CellKind::Maj32 => 12.0,
-        CellKind::Xor2 => 6.0,
-        CellKind::Xor3 => 12.0,
-        CellKind::Xor4 => 14.0,
-        CellKind::DLatch => 6.0,
-        CellKind::Dff => 12.0,
-        CellKind::Dffr => 18.0,
-        CellKind::Edff => 16.0,
-        CellKind::FullAdder => 24.0,
-    }
-}
-
 /// Silicon area of a cell (µm²).
 ///
 /// ```
@@ -79,14 +56,14 @@ pub fn cell_area_um2(kind: CellKind, style: LogicStyle, drive: DriveStrength) ->
         DriveStrength::X1 => 1.0,
         DriveStrength::X4 => X4_AREA_FACTOR,
     };
+    let spec = kind.spec();
+    let pg_width = f64::from(spec.pg_width_units);
     match style {
-        LogicStyle::PgMcml => pg_width_units(kind) * PG_WIDTH_UNIT_UM2 * drive_factor,
+        LogicStyle::PgMcml => pg_width * PG_WIDTH_UNIT_UM2 * drive_factor,
         LogicStyle::Mcml => {
-            pg_width_units(kind) * PG_WIDTH_UNIT_UM2 * (1.0 - SLEEP_COLUMN_FRACTION) * drive_factor
+            pg_width * PG_WIDTH_UNIT_UM2 * (1.0 - SLEEP_COLUMN_FRACTION) * drive_factor
         }
-        LogicStyle::Cmos => {
-            cmos_transistor_count(kind) as f64 * CMOS_UM2_PER_TRANSISTOR * drive_factor
-        }
+        LogicStyle::Cmos => spec.cmos_transistors as f64 * CMOS_UM2_PER_TRANSISTOR * drive_factor,
     }
 }
 

@@ -399,30 +399,6 @@ pub fn build_cmos_cell(kind: CellKind, params: &CellParams) -> CellNetlist {
     b.finish(kind)
 }
 
-/// Transistor count of the CMOS implementation of `kind` — the basis of
-/// the CMOS area model. Kept as a table (and cross-checked against the
-/// generator in tests) so the area model needs no netlist construction.
-#[must_use]
-pub fn cmos_transistor_count(kind: CellKind) -> usize {
-    match kind {
-        CellKind::Buffer | CellKind::Diff2Single => 4,
-        CellKind::And2 => 6,
-        CellKind::And3 => 8,
-        CellKind::And4 => 10,
-        CellKind::Xor2 => 12,
-        CellKind::Xor3 => 24,
-        CellKind::Xor4 => 36,
-        CellKind::Mux2 => 12,
-        CellKind::Mux4 => 36,
-        CellKind::Maj32 => 14,
-        CellKind::DLatch => 12,
-        CellKind::Dff => 26,
-        CellKind::Dffr => 34,
-        CellKind::Edff => 38,
-        CellKind::FullAdder => 38,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,8 +475,8 @@ mod tests {
             let cell = build_cmos_cell(kind, &params);
             assert_eq!(
                 cell.transistor_count(),
-                cmos_transistor_count(kind),
-                "{kind}"
+                kind.spec().cmos_transistors,
+                "{kind}: generator vs CATALOG"
             );
         }
     }

@@ -1,4 +1,5 @@
-//! The 16 cells of the PG-MCML library (paper Table 2) and their logic
+//! The 16 cells of the PG-MCML library (paper Table 2): their static
+//! facts, declared once as the [`CATALOG`] table, and their logic
 //! semantics.
 
 use serde::{Deserialize, Serialize};
@@ -81,99 +82,132 @@ pub enum CellKind {
     FullAdder,
 }
 
+/// Static facts of one library cell: a row of [`CATALOG`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellSpec {
+    /// The cell the row describes.
+    pub kind: CellKind,
+    /// Name as printed in the paper's Table 2.
+    pub table_name: &'static str,
+    /// Library cell-name stem; the drive suffix completes it (Table 1's
+    /// `BUFX1`, `DLX1`, …).
+    pub stem: &'static str,
+    /// Input ports in evaluation order (conventions on [`CellKind`]).
+    pub inputs: &'static [&'static str],
+    /// Output ports.
+    pub outputs: &'static [&'static str],
+    /// Current-mode stages (= tail current sources) of the MCML and
+    /// PG-MCML implementations.
+    pub mcml_stages: usize,
+    /// PG-MCML layout width at X1 drive, in
+    /// [`PG_WIDTH_UNIT_UM2`](crate::area::PG_WIDTH_UNIT_UM2) quanta:
+    /// the published cell areas (Tables 1 and 2) quantise exactly to it.
+    pub pg_width_units: u32,
+    /// Transistors in the static CMOS implementation ([`crate::cmos`]),
+    /// the basis of the CMOS area model.
+    pub cmos_transistors: usize,
+    /// Whether the commercial CMOS library has a counterpart, so the
+    /// paper's Table 2 gives a PG-MCML/CMOS area ratio.
+    pub cmos_counterpart: bool,
+}
+
+#[allow(clippy::too_many_arguments)]
+const fn row(
+    kind: CellKind,
+    table_name: &'static str,
+    stem: &'static str,
+    inputs: &'static [&'static str],
+    outputs: &'static [&'static str],
+    mcml_stages: usize,
+    pg_width_units: u32,
+    cmos_transistors: usize,
+    cmos_counterpart: bool,
+) -> CellSpec {
+    CellSpec {
+        kind,
+        table_name,
+        stem,
+        inputs,
+        outputs,
+        mcml_stages,
+        pg_width_units,
+        cmos_transistors,
+        cmos_counterpart,
+    }
+}
+
+/// The library: one row per cell, in the paper's Table 2 order.
+#[rustfmt::skip]
+pub const CATALOG: [CellSpec; 16] = {
+    use CellKind::*;
+    [
+        //  kind         Table 2        stem     inputs                                 outputs      stages width cmos  ratio
+        row(Buffer,      "Buffer",      "BUF",   &["a"],                                &["q"],        1,     5,    4, true),
+        row(Diff2Single, "Diff2Single", "D2S",   &["a"],                                &["q"],        1,     6,    4, false),
+        row(And2,        "AND2",        "AND2",  &["a", "b"],                           &["q"],        1,     6,    6, true),
+        row(And3,        "AND3",        "AND3",  &["a", "b", "c"],                      &["q"],        2,     9,    8, true),
+        row(And4,        "AND4",        "AND4",  &["a", "b", "c", "d"],                 &["q"],        3,    12,   10, true),
+        row(Mux2,        "MUX2",        "MUX2",  &["d0", "d1", "s"],                    &["q"],        1,     6,   12, true),
+        row(Mux4,        "MUX4",        "MUX4",  &["d0", "d1", "d2", "d3", "s0", "s1"], &["q"],        3,    14,   36, true),
+        row(Maj32,       "MAJ32",       "MAJ32", &["a", "b", "c"],                      &["q"],        3,    12,   14, false),
+        row(Xor2,        "XOR2",        "XOR2",  &["a", "b"],                           &["q"],        1,     6,   12, true),
+        row(Xor3,        "XOR3",        "XOR3",  &["a", "b", "c"],                      &["q"],        2,    12,   24, true),
+        row(Xor4,        "XOR4",        "XOR4",  &["a", "b", "c", "d"],                 &["q"],        3,    14,   36, true),
+        row(DLatch,      "D-Latch",     "DL",    &["d", "clk"],                         &["q"],        1,     6,   12, true),
+        row(Dff,         "DFF",         "DFF",   &["d", "clk"],                         &["q"],        2,    12,   26, true),
+        row(Dffr,        "DFFR",        "DFFR",  &["d", "clk", "rst"],                  &["q"],        3,    18,   34, true),
+        row(Edff,        "EDFF",        "EDFF",  &["d", "clk", "en"],                   &["q"],        3,    16,   38, false),
+        row(FullAdder,   "FA",          "FA",    &["a", "b", "ci"],                     &["s", "co"],  5,    24,   38, true),
+    ]
+};
+
 impl CellKind {
     /// All 16 cells, in the paper's Table 2 order.
-    pub const ALL: [CellKind; 16] = [
-        CellKind::Buffer,
-        CellKind::Diff2Single,
-        CellKind::And2,
-        CellKind::And3,
-        CellKind::And4,
-        CellKind::Mux2,
-        CellKind::Mux4,
-        CellKind::Maj32,
-        CellKind::Xor2,
-        CellKind::Xor3,
-        CellKind::Xor4,
-        CellKind::DLatch,
-        CellKind::Dff,
-        CellKind::Dffr,
-        CellKind::Edff,
-        CellKind::FullAdder,
-    ];
+    pub const ALL: [CellKind; 16] = {
+        let mut all = [CellKind::Buffer; 16];
+        let mut i = 0;
+        while i < CATALOG.len() {
+            // `spec` indexes the catalog by discriminant.
+            assert!(
+                CATALOG[i].kind as usize == i,
+                "CATALOG follows the CellKind order"
+            );
+            all[i] = CATALOG[i].kind;
+            i += 1;
+        }
+        all
+    };
+
+    /// The cell's row of [`CATALOG`].
+    #[must_use]
+    pub fn spec(self) -> &'static CellSpec {
+        let catalog: &'static [CellSpec; 16] = &CATALOG;
+        &catalog[self as usize]
+    }
 
     /// Human-readable name as printed in the paper's Table 2.
     #[must_use]
     pub fn table_name(self) -> &'static str {
-        match self {
-            CellKind::Buffer => "Buffer",
-            CellKind::Diff2Single => "Diff2Single",
-            CellKind::And2 => "AND2",
-            CellKind::And3 => "AND3",
-            CellKind::And4 => "AND4",
-            CellKind::Mux2 => "MUX2",
-            CellKind::Mux4 => "MUX4",
-            CellKind::Maj32 => "MAJ32",
-            CellKind::Xor2 => "XOR2",
-            CellKind::Xor3 => "XOR3",
-            CellKind::Xor4 => "XOR4",
-            CellKind::DLatch => "D-Latch",
-            CellKind::Dff => "DFF",
-            CellKind::Dffr => "DFFR",
-            CellKind::Edff => "EDFF",
-            CellKind::FullAdder => "FA",
-        }
+        self.spec().table_name
     }
 
     /// Library cell name with drive suffix, as in the paper's Table 1
     /// (`BUFX1`, `MUX4X1`, `AND4X1`, `DLX1`, …).
     #[must_use]
     pub fn lib_name(self, drive: DriveStrength) -> String {
-        let stem = match self {
-            CellKind::Buffer => "BUF",
-            CellKind::Diff2Single => "D2S",
-            CellKind::And2 => "AND2",
-            CellKind::And3 => "AND3",
-            CellKind::And4 => "AND4",
-            CellKind::Mux2 => "MUX2",
-            CellKind::Mux4 => "MUX4",
-            CellKind::Maj32 => "MAJ32",
-            CellKind::Xor2 => "XOR2",
-            CellKind::Xor3 => "XOR3",
-            CellKind::Xor4 => "XOR4",
-            CellKind::DLatch => "DL",
-            CellKind::Dff => "DFF",
-            CellKind::Dffr => "DFFR",
-            CellKind::Edff => "EDFF",
-            CellKind::FullAdder => "FA",
-        };
-        format!("{stem}{}", drive.suffix())
+        format!("{}{}", self.spec().stem, drive.suffix())
     }
 
     /// Input port names, in evaluation order.
     #[must_use]
     pub fn input_names(self) -> &'static [&'static str] {
-        match self {
-            CellKind::Buffer | CellKind::Diff2Single => &["a"],
-            CellKind::And2 | CellKind::Xor2 => &["a", "b"],
-            CellKind::And3 | CellKind::Xor3 | CellKind::Maj32 => &["a", "b", "c"],
-            CellKind::And4 | CellKind::Xor4 => &["a", "b", "c", "d"],
-            CellKind::Mux2 => &["d0", "d1", "s"],
-            CellKind::Mux4 => &["d0", "d1", "d2", "d3", "s0", "s1"],
-            CellKind::DLatch | CellKind::Dff => &["d", "clk"],
-            CellKind::Dffr => &["d", "clk", "rst"],
-            CellKind::Edff => &["d", "clk", "en"],
-            CellKind::FullAdder => &["a", "b", "ci"],
-        }
+        self.spec().inputs
     }
 
     /// Output port names.
     #[must_use]
     pub fn output_names(self) -> &'static [&'static str] {
-        match self {
-            CellKind::FullAdder => &["s", "co"],
-            _ => &["q"],
-        }
+        self.spec().outputs
     }
 
     /// Number of current-mode stages (= tail current sources) in the
@@ -185,34 +219,19 @@ impl CellKind {
     /// transistor-level generator's stage count in the cell tests.
     #[must_use]
     pub fn mcml_stage_count(self) -> usize {
-        match self {
-            CellKind::Buffer
-            | CellKind::Diff2Single
-            | CellKind::And2
-            | CellKind::Xor2
-            | CellKind::Mux2
-            | CellKind::DLatch => 1,
-            CellKind::And3 | CellKind::Xor3 | CellKind::Dff => 2,
-            CellKind::And4
-            | CellKind::Xor4
-            | CellKind::Mux4
-            | CellKind::Maj32
-            | CellKind::Dffr
-            | CellKind::Edff => 3,
-            CellKind::FullAdder => 5,
-        }
+        self.spec().mcml_stages
     }
 
-    /// Whether the cell holds state (latch or flip-flop).
+    /// Whether the cell holds state (latch or flip-flop): the cells with
+    /// a `clk` input.
     #[must_use]
     pub fn is_sequential(self) -> bool {
-        matches!(
-            self,
-            CellKind::DLatch | CellKind::Dff | CellKind::Dffr | CellKind::Edff
-        )
+        self.input_names().contains(&"clk")
     }
 
-    /// Number of data inputs (excluding clock for sequential cells).
+    /// Number of inputs, `clk`, `rst` and `en` included (a `Dff` has 2):
+    /// the arity of [`CellKind::eval_comb`], [`CellKind::next_state`] and
+    /// a gate's input list.
     #[must_use]
     pub fn input_count(self) -> usize {
         self.input_names().len()
@@ -405,6 +424,66 @@ mod tests {
             "disabled flop holds"
         );
         assert_eq!(CellKind::And2.next_state(false, &[true, true]), None);
+    }
+
+    #[test]
+    fn catalog_matches_generators() {
+        use crate::{build_cell, CellParams, LogicStyle};
+        let params = CellParams::default();
+        let supply_bias_sleep = ["vdd", "vn", "vp", "sleep", "sleep_b"];
+        for kind in CellKind::ALL {
+            let pins = kind.input_names().iter().map(|&p| (p, false));
+            let pins = pins.chain(kind.output_names().iter().map(|&p| (p, true)));
+            for style in LogicStyle::ALL {
+                let cell = build_cell(kind, style, &params);
+                let mut ports = Vec::new();
+                for (pin, is_output) in pins.clone() {
+                    // The converter's output leaves the differential
+                    // domain: one full-swing wire.
+                    let diff =
+                        style.is_differential() && !(is_output && kind == CellKind::Diff2Single);
+                    if diff {
+                        ports.extend([format!("{pin}_p"), format!("{pin}_n")]);
+                    } else {
+                        ports.push(pin.to_owned());
+                    }
+                }
+                for port in &ports {
+                    assert!(cell.ports.contains_key(port), "{kind} {style}: no {port}");
+                }
+                for port in cell.ports.keys() {
+                    assert!(
+                        ports.contains(port) || supply_bias_sleep.contains(&port.as_str()),
+                        "{kind} {style}: {port} is not in the catalog"
+                    );
+                }
+            }
+        }
+
+        // `to_liberty` names cells by `lib_name`, Table 2 by `table_name`.
+        for column in [|s: &CellSpec| s.table_name, |s: &CellSpec| s.stem] {
+            let mut names: Vec<&str> = CATALOG.iter().map(column).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), CATALOG.len(), "duplicate name in {names:?}");
+        }
+
+        let sequential: Vec<CellKind> = CellKind::ALL
+            .into_iter()
+            .filter(|k| k.input_names().contains(&"clk"))
+            .collect();
+        assert_eq!(
+            sequential,
+            [
+                CellKind::DLatch,
+                CellKind::Dff,
+                CellKind::Dffr,
+                CellKind::Edff
+            ]
+        );
+        for kind in CellKind::ALL {
+            assert_eq!(kind.is_sequential(), sequential.contains(&kind), "{kind}");
+        }
     }
 
     #[test]

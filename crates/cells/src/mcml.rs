@@ -764,8 +764,8 @@ mod tests {
             let cell = build_mcml_cell(kind, &params, None);
             assert_eq!(
                 cell.stats.stages,
-                kind.mcml_stage_count(),
-                "{kind}: generator stages vs CellKind::mcml_stage_count"
+                kind.spec().mcml_stages,
+                "{kind}: generator stages vs CATALOG"
             );
         }
     }

@@ -102,10 +102,10 @@ pub fn table2(flow: &mut DesignFlow) -> Result<Vec<Table2Row>> {
     let mut rows = Vec::new();
     for kind in CellKind::ALL {
         let t = flow.timing(kind, LogicStyle::PgMcml)?;
-        let ratio = match kind {
-            CellKind::Diff2Single | CellKind::Maj32 | CellKind::Edff => None,
-            _ => Some(mcml_to_cmos_ratio(kind)),
-        };
+        let ratio = kind
+            .spec()
+            .cmos_counterpart
+            .then(|| mcml_to_cmos_ratio(kind));
         rows.push(Table2Row {
             cell: kind.table_name().to_owned(),
             area_um2: t.area_um2,

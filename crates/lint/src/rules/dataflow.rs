@@ -38,15 +38,20 @@ fn netlist_dataflow<'c>(ctx: &'c LintContext<'_>) -> Option<(&'c Netlist, &'c Da
     ctx.dataflow().map(|r| (*nl, r))
 }
 
-/// Control (clock/enable/reset) input pin indices of a sequential cell.
+/// Control (clock/enable/reset) inputs of a sequential cell, as
+/// `(pin index, name)`: every catalog input except the data pin `d`.
 /// Data pins are excluded: secret *data* through a register is the
 /// normal datapath, secret *timing* is a side channel on its own.
-fn control_pins(kind: CellKind) -> &'static [usize] {
-    match kind {
-        CellKind::DLatch | CellKind::Dff => &[1],
-        CellKind::Dffr | CellKind::Edff => &[1, 2],
-        _ => &[],
-    }
+fn control_pins(kind: CellKind) -> impl Iterator<Item = (usize, &'static str)> {
+    let pins = if kind.is_sequential() {
+        kind.input_names()
+    } else {
+        &[]
+    };
+    pins.iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, name)| name != "d")
 }
 
 /// `dataflow-secret-cmos`: a secret-tainted net implemented in plain
@@ -114,7 +119,7 @@ impl Rule for SecretControl {
             let GateKind::Lib(kind) = g.kind else {
                 continue;
             };
-            for &pin in control_pins(kind) {
+            for (pin, pin_name) in control_pins(kind) {
                 let Some(c) = g.inputs.get(pin) else {
                     continue;
                 };
@@ -126,7 +131,7 @@ impl Rule for SecretControl {
                             "secret-tainted net {} drives the `{}` pin of a {kind}; \
                              when this register fires is key-dependent",
                             nl.net_name(c.net),
-                            kind.input_names()[pin],
+                            pin_name,
                         ),
                         location: Location::Gate(g.name.clone()),
                     });
