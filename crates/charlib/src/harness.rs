@@ -431,17 +431,6 @@ impl BuiltTestbench {
         }
     }
 
-    /// Threshold at which a logical signal is considered switching:
-    /// 0 V for differential pairs, mid-rail for CMOS.
-    #[must_use]
-    pub fn switch_level(&self) -> f64 {
-        if self.style.is_differential() {
-            0.0
-        } else {
-            0.5 * (self.v_lo + self.v_hi)
-        }
-    }
-
     /// Switch threshold of a specific named pin: the differential zero
     /// when the pin is a rail pair, mid-rail for single-ended pins (e.g.
     /// the `Diff2Single` converter's full-swing output).

@@ -133,7 +133,7 @@ pub struct SimTrace {
     pub transitions: Vec<Transition>,
     /// Number of nets in the simulated netlist.
     pub net_count: usize,
-    /// Net names (for VCD export).
+    /// Net names, indexed like [`Transition::net`].
     pub net_names: Vec<String>,
     /// Final values at `t_stop`.
     pub final_values: Vec<Logic>,

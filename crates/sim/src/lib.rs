@@ -3,12 +3,12 @@
 //! The logic-simulation slice of the paper's flow: `ModelSim` runs the post-
 //! P&R netlist with SDF back-annotation to produce the switching activity
 //! (VCD), which then drives a fast transistor-level current estimation
-//! (Nanosim). This crate mirrors both tiers:
+//! (Nanosim). This crate mirrors both tiers, handing the activity over
+//! in memory as a [`SimTrace`] instead of a VCD file:
 //!
 //! * [`event`] — a 3-valued event-driven simulator over
 //!   [`mcml_netlist::Netlist`] with per-gate delays back-annotated from a
 //!   characterised [`mcml_char::TimingLibrary`] (the SDF role);
-//! * [`vcd`] — a VCD writer/parser for the recorded activity;
 //! * [`power`] — per-style supply-current templates composed over the
 //!   activity trace: CMOS draws data-dependent charge pulses per toggle,
 //!   MCML draws its constant `Iss` with small toggle ripple, PG-MCML
@@ -50,7 +50,6 @@
 
 pub mod event;
 pub mod power;
-pub mod vcd;
 
 pub use event::{EventSim, Logic, SimTrace, Stimulus};
 pub use power::{circuit_current, CurrentModel};

@@ -6,45 +6,17 @@ use crate::element::Element;
 use crate::matrix::SolverKind;
 use crate::Result;
 
-/// Options for [`Circuit::dc_op`].
-#[derive(Debug, Clone, Copy)]
+/// Options for [`Circuit::dc_op`]. The Newton tolerances and budget
+/// are fixed for every analysis; sources are evaluated at `t = 0`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DcOptions {
-    /// Newton iteration budget per continuation step.
-    pub max_iter: usize,
-    /// Node-voltage convergence tolerance (V).
-    pub vtol: f64,
-    /// KCL residual tolerance (A).
-    pub itol: f64,
-    /// Largest node-voltage update per Newton step (V).
-    pub vstep_limit: f64,
     /// Linear-solver selection.
     pub solver: SolverKind,
-    /// Source evaluation time (usually 0; the transient analysis passes
-    /// its start time).
-    pub time: f64,
-}
-
-impl Default for DcOptions {
-    fn default() -> Self {
-        let nr = NrOptions::default();
-        Self {
-            max_iter: nr.max_iter,
-            vtol: nr.vtol,
-            itol: nr.itol,
-            vstep_limit: nr.vstep_limit,
-            solver: SolverKind::Auto,
-            time: 0.0,
-        }
-    }
 }
 
 impl DcOptions {
     fn nr(&self) -> NrOptions {
         NrOptions {
-            max_iter: self.max_iter,
-            vtol: self.vtol,
-            itol: self.itol,
-            vstep_limit: self.vstep_limit,
             solver: self.solver,
             // DC continuation sweeps voltages deliberately; the
             // quiescent-device bypass and the demand-driven refactor
@@ -126,7 +98,8 @@ pub fn dc_op(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint> {
     // (SOLVER.md §2).
     let mut engine = Engine::new_natural_order(ckt);
     let nr = opts.nr();
-    let t = opts.time;
+    // Sources at the transient's start time.
+    let t = 0.0;
 
     let n_node_unk = engine.n_node_unk;
     let finish = |x: Vec<f64>| OpPoint {
@@ -252,36 +225,64 @@ mod tests {
         assert!(vd > 0.2 && vd < 1.0, "diode drop {vd}");
     }
 
+    /// Static CMOS inverter with its input held at `vin`; returns the
+    /// circuit and the output node.
+    fn cmos_inverter(vin: f64) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let input = c.node("in");
+        let out = c.node("out");
+        c.vsource("VDD", vdd, Circuit::GND, SourceWave::dc(1.2));
+        c.vsource("VIN", input, Circuit::GND, SourceWave::dc(vin));
+        let n = Mosfet::nmos(MosParams::nmos_lvt_90(), 1.0e-6, 0.1e-6);
+        let p = Mosfet::pmos(MosParams::pmos_lvt_90(), 2.0e-6, 0.1e-6);
+        c.mosfet("MN", out, input, Circuit::GND, Circuit::GND, n);
+        c.mosfet("MP", out, input, vdd, vdd, p);
+        (c, out)
+    }
+
     #[test]
     fn cmos_inverter_transfer_points() {
         // Static CMOS inverter: output inverts the rail.
-        let build = |vin_val: f64| {
-            let mut c = Circuit::new();
-            let vdd = c.node("vdd");
-            let vin = c.node("in");
-            let out = c.node("out");
-            c.vsource("VDD", vdd, Circuit::GND, SourceWave::dc(1.2));
-            c.vsource("VIN", vin, Circuit::GND, SourceWave::dc(vin_val));
-            let n = Mosfet::nmos(MosParams::nmos_lvt_90(), 1.0e-6, 0.1e-6);
-            let p = Mosfet::pmos(MosParams::pmos_lvt_90(), 2.0e-6, 0.1e-6);
-            c.mosfet("MN", out, vin, Circuit::GND, Circuit::GND, n);
-            c.mosfet("MP", out, vin, vdd, vdd, p);
-            (c, out)
-        };
-        let (c_low, out) = build(0.0);
+        let (c_low, out) = cmos_inverter(0.0);
         let op = c_low.dc_op().unwrap();
         assert!(
             op.voltage(out) > 1.1,
             "low in -> high out: {}",
             op.voltage(out)
         );
-        let (c_high, out) = build(1.2);
+        let (c_high, out) = cmos_inverter(1.2);
         let op = c_high.dc_op().unwrap();
         assert!(
             op.voltage(out) < 0.1,
             "high in -> low out: {}",
             op.voltage(out)
         );
+    }
+
+    #[test]
+    fn inverter_vtc_has_gain_above_one() {
+        // The voltage transfer curve, one operating point per input
+        // level across the rail, must swing rail to rail, fall
+        // monotonically and reach |gain| > 1.5 at the switching
+        // threshold.
+        let vin: Vec<f64> = (0..49).map(|k| 1.2 * f64::from(k) / 48.0).collect();
+        let vout: Vec<f64> = vin
+            .iter()
+            .map(|&v| {
+                let (c, out) = cmos_inverter(v);
+                c.dc_op().unwrap().voltage(out)
+            })
+            .collect();
+        assert!(vout[0] > 1.1, "output high at Vin=0");
+        assert!(vout[48] < 0.1, "output low at Vin=Vdd");
+        let gain = vin
+            .windows(2)
+            .zip(vout.windows(2))
+            .map(|(x, y)| ((y[1] - y[0]) / (x[1] - x[0])).abs())
+            .fold(0.0f64, f64::max);
+        assert!(gain > 1.5, "regenerative gain {gain}");
+        assert!(vout.windows(2).all(|p| p[1] <= p[0] + 1e-6), "monotone");
     }
 
     #[test]

@@ -49,13 +49,24 @@ pub(crate) struct CompanionCtx<'c> {
     pub caps: &'c [Option<CapState>],
 }
 
-/// Newton–Raphson tuning knobs shared by DC and transient.
+/// Newton iteration budget per solve (per DC continuation rung, per
+/// transient step attempt).
+pub(crate) const MAX_ITER: usize = 150;
+/// Node-voltage convergence tolerance (V): the largest accepted update.
+pub(crate) const VTOL: f64 = 1e-6;
+/// KCL residual tolerance (A): the largest accepted node residual.
+pub(crate) const ITOL: f64 = 1e-9;
+/// Largest node-voltage Newton update (V); larger updates are damped to
+/// it.
+pub(crate) const VSTEP_LIMIT: f64 = 0.4;
+/// Binary step subdivisions a transient grid cell may take when Newton
+/// fails, before the march reports the failure.
+pub(crate) const MAX_SUBDIV: u32 = 8;
+
+/// Newton–Raphson settings that differ between analyses; the
+/// tolerances and budgets above are shared constants.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NrOptions {
-    pub max_iter: usize,
-    pub vtol: f64,
-    pub itol: f64,
-    pub vstep_limit: f64,
     pub solver: SolverKind,
     /// Quiescent-MOS bypass tolerance (V); `0.0` disables the bypass.
     /// See the `plan` module docs for the reuse rule and error bound.
@@ -75,10 +86,6 @@ pub(crate) struct NrOptions {
 impl Default for NrOptions {
     fn default() -> Self {
         Self {
-            max_iter: 150,
-            vtol: 1e-6,
-            itol: 1e-9,
-            vstep_limit: 0.4,
             solver: SolverKind::Auto,
             bypass_tol: 0.0,
             reuse_jacobian: false,
@@ -557,7 +564,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
         // judged by is always assembled fresh); a dirty one must be
         // polished with a full-Newton iteration first.
         let mut clean = true;
-        for iter in 0..opts.max_iter {
+        for iter in 0..MAX_ITER {
             tally.iters += 1;
             let evals;
             {
@@ -623,8 +630,8 @@ impl<C: Borrow<Circuit>> Engine<C> {
             let max_dv = self.dx[..self.n_node_unk]
                 .iter()
                 .fold(0.0f64, |m, v| m.max(v.abs()));
-            let damp = if max_dv > opts.vstep_limit {
-                opts.vstep_limit / max_dv
+            let damp = if max_dv > VSTEP_LIMIT {
+                VSTEP_LIMIT / max_dv
             } else {
                 1.0
             };
@@ -643,7 +650,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             let max_f = self.f[..self.n_node_unk]
                 .iter()
                 .fold(0.0f64, |m, v| m.max(v.abs()));
-            if damp == 1.0 && max_dv < opts.vtol && max_f < opts.itol {
+            if damp == 1.0 && max_dv < VTOL && max_f < ITOL {
                 if stale && !clean {
                     // Converged along a lagged direction after a rough
                     // ride (damping or a monitor trip earlier in this
@@ -685,7 +692,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
         Err(SpiceError::NoConvergence {
             analysis,
             time: t,
-            iterations: opts.max_iter,
+            iterations: MAX_ITER,
         })
     }
 }
@@ -868,7 +875,6 @@ mod tests {
             solver: SolverKind::Sparse,
             bypass_tol: 10e-6,
             reuse_jacobian: true,
-            ..NrOptions::default()
         };
         let mut engine = Engine::new(&ckt);
         let mut x = ckt.dc_op().expect("dc op").state().to_vec();

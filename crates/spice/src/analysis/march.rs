@@ -18,7 +18,7 @@
 //!   of [`lte_ratio`], and every lane shares it: any lane's reject or
 //!   Newton failure halves `k` for the whole ensemble;
 //! * **the Newton-failure subdivision**: a one-cell step ([`cell`])
-//!   halves `h` on failure, up to `max_subdiv` times, per lane;
+//!   halves `h` on failure, up to [`MAX_SUBDIV`] times, per lane;
 //! * **recording**: a grid point the march landed on records the solved
 //!   state; only points inside a multi-cell leap are interpolated.
 
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crate::analysis::dc::{branch_map, DcOptions, OpPoint};
 use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions,
+    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, MAX_SUBDIV,
 };
 use crate::analysis::partition::{PartLane, PartitionStructure};
 use crate::analysis::tran::{AdaptiveOptions, Integrator, TranOptions, TranResult};
@@ -158,7 +158,6 @@ pub(crate) fn run(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<TranResult
     // the op may not.
     let dc_opts = DcOptions {
         solver: opts.solver,
-        ..DcOptions::default()
     };
     let ops = ckts
         .iter()
@@ -174,7 +173,7 @@ pub(crate) fn run(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<TranResult
                 .zip(&ops)
                 .map(|(ckt, op)| PartLane::new(ckt, &structure, op.state(), opts))
                 .collect();
-            return march(ckts, ops, lanes, opts);
+            return march(ckts, &ops, lanes, opts);
         }
     }
     let lane0 = Engine::new(&ckts[0]);
@@ -188,7 +187,7 @@ pub(crate) fn run(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<TranResult
         .zip(&ops)
         .map(|(engine, op)| MonoLane::new(engine, op.state(), opts))
         .collect();
-    march(ckts, ops, lanes, opts)
+    march(ckts, &ops, lanes, opts)
 }
 
 /// Grid cells covering `[0, t_stop]`. When `t_stop` is not a whole
@@ -208,13 +207,12 @@ fn grid_steps(opts: &TranOptions) -> usize {
 /// across the grid and record their results.
 fn march<L: Lane>(
     ckts: &[Circuit],
-    ops: Vec<OpPoint>,
+    ops: &[OpPoint],
     mut lanes: Vec<L>,
     opts: &TranOptions,
 ) -> Result<Vec<TranResult>> {
     let n_lanes = lanes.len();
     let n_steps = grid_steps(opts);
-    let stride = opts.record_stride.max(1);
     let grid_t = |i: usize| {
         if i == n_steps {
             opts.t_stop
@@ -222,17 +220,16 @@ fn march<L: Lane>(
             opts.dt * i as f64
         }
     };
-    let recorded = |i: usize| i.is_multiple_of(stride) || i == n_steps;
 
     let mut ctl = opts
         .lte
         .map(|lte| Controller::new(ckts, opts, lte, n_steps, &lanes));
-    let mut times = Vec::with_capacity(n_steps / stride + 2);
+    let mut times = Vec::with_capacity(n_steps + 1);
     times.push(0.0);
     let mut states: Vec<Vec<Vec<f64>>> = ops
         .iter()
         .map(|op| {
-            let mut rec = Vec::with_capacity(n_steps / stride + 2);
+            let mut rec = Vec::with_capacity(n_steps + 1);
             rec.push(op.state().to_vec());
             rec
         })
@@ -262,11 +259,9 @@ fn march<L: Lane>(
                         ratios[l] = c.ratio(l, lanes[l].state(), t_next, opts.dt);
                     }
                 }
-                if recorded(pos + 1) {
-                    times.push(t_next);
-                    for (rec, lane) in states.iter_mut().zip(&lanes) {
-                        rec.push(lane.record(t_next));
-                    }
+                times.push(t_next);
+                for (rec, lane) in states.iter_mut().zip(&lanes) {
+                    rec.push(lane.record(t_next));
                 }
                 break;
             }
@@ -303,35 +298,22 @@ fn march<L: Lane>(
                 k /= 2;
                 continue;
             }
-            let inside: Vec<f64> = (pos + 1..pos + k)
-                .filter(|&i| recorded(i))
-                .map(grid_t)
-                .collect();
-            let landed = recorded(pos + k);
+            let inside: Vec<f64> = (pos + 1..pos + k).map(grid_t).collect();
             for (l, lane) in lanes.iter_mut().enumerate() {
                 mcml_obs::incr(mcml_obs::Counter::TranSteps);
                 steps[l] += 1;
-                let from = (!inside.is_empty()).then(|| lane.record(t));
+                let from = lane.record(t);
                 lane.commit(h);
-                if from.is_none() && !landed {
-                    continue;
-                }
                 let to = lane.record(t_next);
-                if let Some(from) = &from {
-                    for &tg in &inside {
-                        let u = (tg - t) / (t_next - t);
-                        let lerp = from.iter().zip(&to).map(|(a, b)| a + (b - a) * u);
-                        states[l].push(lerp.collect());
-                    }
+                for &tg in &inside {
+                    let u = (tg - t) / (t_next - t);
+                    let lerp = from.iter().zip(&to).map(|(a, b)| a + (b - a) * u);
+                    states[l].push(lerp.collect());
                 }
-                if landed {
-                    states[l].push(to);
-                }
+                states[l].push(to);
             }
             times.extend(inside);
-            if landed {
-                times.push(t_next);
-            }
+            times.push(t_next);
             break;
         }
         t = grid_t(pos + k);
@@ -343,15 +325,13 @@ fn march<L: Lane>(
 
     Ok(ckts
         .iter()
-        .zip(ops)
         .zip(states)
         .zip(steps)
-        .map(|(((ckt, op0), states), steps_taken)| TranResult {
+        .map(|((ckt, states), steps_taken)| TranResult {
             times: times.clone(),
             states,
             n_node_unk: ckt.node_count() - 1,
             branch_of_elem: branch_map(ckt),
-            op0,
             t_end: t,
             steps_taken,
         })
@@ -359,7 +339,7 @@ fn march<L: Lane>(
 }
 
 /// March one lane across one grid cell from `t` to `t_next`, halving
-/// the step on Newton failure up to `max_subdiv` times. Returns the
+/// the step on Newton failure up to [`MAX_SUBDIV`] times. Returns the
 /// number of accepted solves.
 fn cell<L: Lane>(lane: &mut L, opts: &TranOptions, mut t: f64, t_next: f64) -> Result<usize> {
     let mut accepted = 0usize;
@@ -378,7 +358,7 @@ fn cell<L: Lane>(lane: &mut L, opts: &TranOptions, mut t: f64, t_next: f64) -> R
                 Err(e) => {
                     mcml_obs::incr(mcml_obs::Counter::TranRetries);
                     level += 1;
-                    if level > opts.max_subdiv {
+                    if level > MAX_SUBDIV {
                         return Err(retag_tran(e, t + h));
                     }
                     h /= 2.0;

@@ -2,7 +2,6 @@
 //! ensemble transient.
 
 pub mod dc;
-pub mod dcsweep;
 pub(crate) mod engine;
 pub mod ensemble;
 pub(crate) mod march;

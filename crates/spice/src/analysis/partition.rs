@@ -65,7 +65,7 @@ use std::collections::HashMap;
 
 use crate::analysis::dc::branch_map;
 use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions,
+    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, VTOL,
 };
 use crate::analysis::march::{update_caps, Lane};
 use crate::analysis::tran::{Integrator, TranOptions};
@@ -711,7 +711,7 @@ impl<'a> PartLane<'a> {
             skip_tol: if nr.bypass_tol > 0.0 {
                 nr.bypass_tol
             } else {
-                nr.vtol
+                VTOL
             },
             runtimes,
             rail_caps,
@@ -775,7 +775,7 @@ impl Lane for PartLane<'_> {
             let settled = rt.x_try[..nn]
                 .iter()
                 .zip(&rt.x[..nn])
-                .all(|(a, b)| (a - b).abs() <= nr.vtol);
+                .all(|(a, b)| (a - b).abs() <= VTOL);
             for &(li, gi) in &rt.copy_out {
                 x_stage[gi] = rt.x_try[li];
             }

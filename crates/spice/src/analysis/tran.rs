@@ -16,7 +16,6 @@
 //!   leap are filled by linear interpolation, so downstream consumers
 //!   see the same interface either way.
 
-use crate::analysis::dc::OpPoint;
 use crate::analysis::engine::NrOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::matrix::SolverKind;
@@ -62,21 +61,8 @@ pub struct TranOptions {
     pub dt: f64,
     /// Integration method.
     pub integrator: Integrator,
-    /// Record every `record_stride`-th grid step (values < 1 are treated
-    /// as 1 = record all).
-    pub record_stride: usize,
-    /// Newton iteration budget per step.
-    pub max_iter: usize,
-    /// Node-voltage convergence tolerance (V).
-    pub vtol: f64,
-    /// KCL residual tolerance (A).
-    pub itol: f64,
-    /// Largest node-voltage Newton update (V).
-    pub vstep_limit: f64,
     /// Linear-solver selection.
     pub solver: SolverKind,
-    /// Maximum binary step subdivisions on non-convergence.
-    pub max_subdiv: u32,
     /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
     /// the fixed-step reference behaviour.
     pub lte: Option<AdaptiveOptions>,
@@ -135,18 +121,11 @@ impl TranOptions {
     #[must_use]
     pub fn new(t_stop: f64, dt: f64) -> Self {
         assert!(dt > 0.0 && t_stop >= dt, "need 0 < dt <= t_stop");
-        let nr = NrOptions::default();
         Self {
             t_stop,
             dt,
             integrator: Integrator::default(),
-            record_stride: 1,
-            max_iter: nr.max_iter,
-            vtol: nr.vtol,
-            itol: nr.itol,
-            vstep_limit: nr.vstep_limit,
             solver: SolverKind::Auto,
-            max_subdiv: 8,
             lte: None,
             bypass_vtol: 0.0,
             jacobian_reuse: false,
@@ -169,30 +148,6 @@ impl TranOptions {
     #[must_use]
     pub fn with_integrator(mut self, integrator: Integrator) -> Self {
         self.integrator = integrator;
-        self
-    }
-
-    /// Builder-style record stride; values below 1 are clamped to 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{Circuit, SourceWave, TranOptions};
-    ///
-    /// let mut c = Circuit::new();
-    /// let vin = c.node("in");
-    /// c.vsource("V", vin, Circuit::GND, SourceWave::dc(1.0));
-    /// c.resistor("R", vin, Circuit::GND, 1.0e3);
-    ///
-    /// // 1000 grid steps, recording every 10th: 101 points (incl. t=0).
-    /// let opts = TranOptions::new(10e-9, 10e-12).with_record_stride(10);
-    /// let res = c.transient(&opts).unwrap();
-    /// assert_eq!(res.times().len(), 101);
-    /// assert_eq!(TranOptions::new(1e-9, 1e-12).with_record_stride(0).record_stride, 1);
-    /// ```
-    #[must_use]
-    pub fn with_record_stride(mut self, stride: usize) -> Self {
-        self.record_stride = stride.max(1);
         self
     }
 
@@ -360,10 +315,6 @@ impl TranOptions {
 
     pub(crate) fn nr(&self) -> NrOptions {
         NrOptions {
-            max_iter: self.max_iter,
-            vtol: self.vtol,
-            itol: self.itol,
-            vstep_limit: self.vstep_limit,
             solver: self.solver,
             bypass_tol: self.bypass_vtol,
             reuse_jacobian: self.jacobian_reuse,
@@ -378,7 +329,6 @@ pub struct TranResult {
     pub(crate) states: Vec<Vec<f64>>,
     pub(crate) n_node_unk: usize,
     pub(crate) branch_of_elem: Vec<Option<usize>>,
-    pub(crate) op0: OpPoint,
     pub(crate) t_end: f64,
     pub(crate) steps_taken: usize,
 }
@@ -400,12 +350,6 @@ impl TranResult {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
-    }
-
-    /// Initial operating point (t = 0).
-    #[must_use]
-    pub fn initial_op(&self) -> &OpPoint {
-        &self.op0
     }
 
     /// The integrator's internal time when the march finished. Exactly
@@ -468,7 +412,7 @@ impl TranResult {
 ///
 /// The initial condition is the DC operating point with sources evaluated
 /// at `t = 0`. The march steps the caller's `dt` grid; when a step fails
-/// to converge it is halved, up to `max_subdiv` times.
+/// to converge it is halved, up to 8 times.
 ///
 /// With [`TranOptions::adaptive_grid_aligned`] set, a macro step may leap
 /// several grid cells: after each converged step the per-capacitor LTE
@@ -620,34 +564,6 @@ mod tests {
         let w = res.voltage(vin);
         assert!((w.max() - 1.0).abs() < 0.01);
         assert!((w.min() + 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn record_stride_thins_output() {
-        let (c, _, _) = rc_circuit();
-        let opts = TranOptions::new(4e-9, 10e-12).with_record_stride(4);
-        let res = c.transient(&opts).unwrap();
-        let full = c.transient(&TranOptions::new(4e-9, 10e-12)).unwrap();
-        assert!(res.len() < full.len());
-        assert!(!res.is_empty());
-    }
-
-    #[test]
-    fn record_stride_zero_records_everything() {
-        // Regression: record_stride = 0 used to hit a divide-by-zero
-        // panic at `step % record_stride`; it is now clamped to 1.
-        let (c, _, _) = rc_circuit();
-        let mut opts = TranOptions::new(2e-9, 10e-12);
-        opts.record_stride = 0;
-        let res = c.transient(&opts).unwrap();
-        let full = c.transient(&TranOptions::new(2e-9, 10e-12)).unwrap();
-        assert_eq!(res.len(), full.len(), "stride 0 behaves like stride 1");
-        assert_eq!(
-            TranOptions::new(1e-9, 1e-12)
-                .with_record_stride(0)
-                .record_stride,
-            1
-        );
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod source;
 pub mod waveform;
 
 pub use analysis::dc::{DcOptions, OpPoint};
-pub use analysis::dcsweep::{dc_sweep, DcSweepResult};
 pub use analysis::ensemble::ensemble_transient;
 pub use analysis::partition::{partition_report, PartitionReport};
 pub use analysis::tran::{AdaptiveOptions, Integrator, TranOptions, TranResult};

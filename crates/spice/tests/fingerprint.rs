@@ -9,10 +9,10 @@
 //! names.
 //!
 //! Covered: backward Euler and trapezoidal, quiescent-MOS bypass on and
-//! off, record stride 3, chord (demand-driven refactorisation) with the
-//! bypass, the dense solver, partitioning at one and two lanes, and a
-//! 3-lane ensemble — on an RC ladder, a MOS inverter and a two-island
-//! inverter chain (the one circuit that actually partitions).
+//! off, chord (demand-driven refactorisation) with the bypass, the dense
+//! solver, partitioning at one and two lanes, and a 3-lane ensemble — on
+//! an RC ladder, a MOS inverter and a two-island inverter chain (the one
+//! circuit that actually partitions).
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::matrix::SolverKind;
@@ -168,7 +168,6 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
         ("be", base, 1),
         ("trap", base.with_integrator(Integrator::Trapezoidal), 1),
         ("bypass", bypass, 1),
-        ("stride3", base.with_record_stride(3), 1),
         ("chord", bypass.with_jacobian_reuse(), 1),
         (
             "dense",
@@ -190,7 +189,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/be", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/trap", 0xe97b_915c_4f2d_ddc4),
     ("rc_ladder/bypass", 0xfe0f_525d_09aa_5498),
-    ("rc_ladder/stride3", 0x50c4_d0ea_ca22_74ac),
     ("rc_ladder/chord", 0x8ac0_b588_3471_7e07),
     ("rc_ladder/dense", 0xa4c3_8b59_08d7_2f11),
     ("rc_ladder/partition", 0xfe0f_525d_09aa_5498),
@@ -200,7 +198,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
     ("mos_inverter/trap", 0x6571_b698_906d_2aa3),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
-    ("mos_inverter/stride3", 0x27d7_de9a_6c44_d21c),
     ("mos_inverter/chord", 0xb3ea_7777_69e7_29ac),
     ("mos_inverter/dense", 0xb507_0e19_4089_d584),
     ("mos_inverter/partition", 0xa99a_1128_3093_bf25),
@@ -210,7 +207,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("two_islands/be", 0xb101_a52a_0d62_ea8a),
     ("two_islands/trap", 0x07c3_4fcf_c57b_ffd4),
     ("two_islands/bypass", 0x6dd4_63f7_9ef2_97b2),
-    ("two_islands/stride3", 0xe594_6437_d84a_2c61),
     ("two_islands/chord", 0xc4a0_1a72_bade_4b8b),
     ("two_islands/dense", 0x2f36_bc08_6120_7fb1),
     ("two_islands/partition", 0xf5be_2eab_a2c0_25e6),
