@@ -117,10 +117,18 @@ impl TranOptions {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < dt <= t_stop`.
+    /// Panics unless `0 < dt <= t_stop` and the grid has a countable
+    /// number of cells: `t_stop / dt` must be finite and fit in a
+    /// `usize` (so `t_stop = f64::INFINITY` or `1e300` with a
+    /// picosecond step is rejected instead of marching forever).
     #[must_use]
     pub fn new(t_stop: f64, dt: f64) -> Self {
         assert!(dt > 0.0 && t_stop >= dt, "need 0 < dt <= t_stop");
+        let cells = t_stop / dt;
+        assert!(
+            cells.is_finite() && cells < usize::MAX as f64,
+            "need a finite t_stop / dt that fits in usize, got {cells:e}"
+        );
         Self {
             t_stop,
             dt,
@@ -743,5 +751,17 @@ mod tests {
     #[should_panic(expected = "need 0 < dt <= t_stop")]
     fn bad_options_panic() {
         let _ = TranOptions::new(1e-9, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need a finite t_stop / dt that fits in usize")]
+    fn infinite_stop_time_panics() {
+        let _ = TranOptions::new(f64::INFINITY, 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "need a finite t_stop / dt that fits in usize")]
+    fn uncountable_grid_panics() {
+        let _ = TranOptions::new(1e300, 1e-12);
     }
 }
