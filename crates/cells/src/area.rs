@@ -8,7 +8,8 @@
 //! * **PG-MCML** widths come from the library's layout templates, i.e. the
 //!   widths published for the paper's own cells (Tables 1 and 2 quantise
 //!   exactly to a 1.4896 µm² unit — 5 units for the buffer, 24 for the
-//!   full adder, …), recorded in the [`CATALOG`](crate::kind::CATALOG).
+//!   full adder, …), recorded in the cell catalog
+//!   ([`CellSpec::pg_width_units`](crate::kind::CellSpec::pg_width_units)).
 //!   Delays and powers are *simulated* in this reproduction; areas are
 //!   layout data, exactly as a shipped `.lib` would carry them.
 //! * **MCML** (no sleep transistor): the sleep device shares the current

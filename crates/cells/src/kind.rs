@@ -1,6 +1,6 @@
 //! The 16 cells of the PG-MCML library (paper Table 2): their static
-//! facts, declared once as the [`CATALOG`] table, and their logic
-//! semantics.
+//! facts, declared once as the `CATALOG` table behind
+//! [`CellKind::spec`], and their logic semantics.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +82,8 @@ pub enum CellKind {
     FullAdder,
 }
 
-/// Static facts of one library cell: a row of [`CATALOG`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Static facts of one library cell: its row of the catalog.
+#[derive(Debug, Clone, Copy)]
 pub struct CellSpec {
     /// The cell the row describes.
     pub kind: CellKind,
@@ -138,7 +138,7 @@ const fn row(
 
 /// The library: one row per cell, in the paper's Table 2 order.
 #[rustfmt::skip]
-pub const CATALOG: [CellSpec; 16] = {
+const CATALOG: [CellSpec; 16] = {
     use CellKind::*;
     [
         //  kind         Table 2        stem     inputs                                 outputs      stages width cmos  ratio
@@ -178,7 +178,7 @@ impl CellKind {
         all
     };
 
-    /// The cell's row of [`CATALOG`].
+    /// The cell's row of the catalog.
     #[must_use]
     pub fn spec(self) -> &'static CellSpec {
         let catalog: &'static [CellSpec; 16] = &CATALOG;

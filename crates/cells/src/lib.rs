@@ -8,7 +8,8 @@
 //!
 //! * [`kind::CellKind`] — the 16 cells of the paper's Table 2 (buffer,
 //!   AND2–4, XOR2–4, MUX2/4, MAJ32, D-latch, DFF, DFFR, EDFF, full adder,
-//!   differential-to-single-ended converter);
+//!   differential-to-single-ended converter), each with one row of static
+//!   facts ([`kind::CellSpec`]: name, ports, stages, width, CMOS size);
 //! * [`style::LogicStyle`] — `Cmos`, `Mcml`, `PgMcml`, and
 //!   [`style::SleepTopology`] — the four power-gating variants of the
 //!   paper's Fig. 2 (the library uses topology (d));

@@ -50,8 +50,8 @@
 //!
 //! Per committed sub-step, a block is re-solved only when it is not yet
 //! settled (its last solve still moved some node voltage by more than
-//! `vtol`) or some boundary input moved by more than the skip tolerance
-//! (the bypass tolerance when enabled, else `vtol`) since the last
+//! `VTOL`) or some boundary input moved by more than the skip tolerance
+//! (the bypass tolerance when enabled, else `VTOL`) since the last
 //! solve; otherwise its cached solution is replayed and only its
 //! companion states advance (exact under frozen voltages). The identity
 //! `block_solves + block_skips == blocks × committed sub-steps` holds
@@ -634,7 +634,7 @@ pub(crate) struct PartLane<'a> {
     nr: NrOptions,
     trapezoidal: bool,
     /// Boundary movement below which a settled block is skipped: the
-    /// bypass tolerance when enabled, else `vtol`.
+    /// bypass tolerance when enabled, else `VTOL`.
     skip_tol: f64,
     runtimes: Vec<BlockRuntime>,
     rail_caps: Vec<RailCap>,

@@ -45,7 +45,7 @@
 //! extrapolation uses the exact first derivatives, the approximation
 //! error is second order in the tolerance (curvature · Δv²/2), not first
 //! order — a 10 µV tolerance on a mS-grade device perturbs currents by
-//! ~1e-13 A, far below the Newton `itol`. Voltages are compared against
+//! ~1e-13 A, far below the Newton `ITOL`. Voltages are compared against
 //! the *cached eval point*, not the previous iteration, so slow drift
 //! can never accumulate past the tolerance without triggering a real
 //! evaluation. A tolerance of `0.0` disables the bypass entirely.

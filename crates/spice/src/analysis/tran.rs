@@ -83,7 +83,7 @@ pub struct TranOptions {
     /// contraction rate degrades (the update fails to halve, or damping
     /// engages). The residual is assembled fresh every iteration, so
     /// the convergence test is unchanged: an accepted solution
-    /// satisfies exactly the same `vtol`/`itol` bounds as full Newton,
+    /// satisfies exactly the same `VTOL`/`ITOL` bounds as full Newton,
     /// it is just reached along a chord direction. `false` (the
     /// default) refactors every iteration, which is the reference
     /// behaviour all fixed-step goldens pin.
@@ -241,7 +241,7 @@ impl TranOptions {
     /// changes — and a refactorisation happens only when the
     /// iteration's contraction monitor demands one (the largest update
     /// stops halving, or damping engages). Converged solutions satisfy the
-    /// same `vtol`/`itol` tolerances as full Newton; the Newton *path*
+    /// same `VTOL`/`ITOL` tolerances as full Newton; the Newton *path*
     /// to them differs, so results agree to solver tolerance rather
     /// than bitwise. This is the refactor policy the batched ensemble
     /// acquisition runs with — on the quiescent-heavy fig. 6 workload
