@@ -109,6 +109,9 @@ pub struct CellSpec {
     /// Whether the commercial CMOS library has a counterpart, so the
     /// paper's Table 2 gives a PG-MCML/CMOS area ratio.
     pub cmos_counterpart: bool,
+    // Whether `inputs` has `clk`, worked out once by `row`: per-gate
+    // loops ask `is_sequential` on every event.
+    sequential: bool,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -133,7 +136,19 @@ const fn row(
         pg_width_units,
         cmos_transistors,
         cmos_counterpart,
+        sequential: has_clk(inputs),
     }
+}
+
+const fn has_clk(pins: &[&str]) -> bool {
+    let mut i = 0;
+    while i < pins.len() {
+        if matches!(pins[i].as_bytes(), b"clk") {
+            return true;
+        }
+        i += 1;
+    }
+    false
 }
 
 /// The library: one row per cell, in the paper's Table 2 order.
@@ -226,7 +241,7 @@ impl CellKind {
     /// a `clk` input.
     #[must_use]
     pub fn is_sequential(self) -> bool {
-        self.input_names().contains(&"clk")
+        self.spec().sequential
     }
 
     /// Number of inputs, `clk`, `rst` and `en` included (a `Dff` has 2):
