@@ -153,7 +153,7 @@ const fn has_clk(pins: &[&str]) -> bool {
 
 /// The library: one row per cell, in the paper's Table 2 order.
 #[rustfmt::skip]
-const CATALOG: [CellSpec; 16] = {
+static CATALOG: [CellSpec; 16] = {
     use CellKind::*;
     [
         //  kind         Table 2        stem     inputs                                 outputs      stages width cmos  ratio
@@ -196,8 +196,7 @@ impl CellKind {
     /// The cell's row of the catalog.
     #[must_use]
     pub fn spec(self) -> &'static CellSpec {
-        let catalog: &'static [CellSpec; 16] = &CATALOG;
-        &catalog[self as usize]
+        &CATALOG[self as usize]
     }
 
     /// Human-readable name as printed in the paper's Table 2.
