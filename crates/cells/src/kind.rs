@@ -114,6 +114,8 @@ pub struct CellSpec {
     sequential: bool,
 }
 
+/// A catalog row from positional columns, so each cell fits on one
+/// line of the table.
 #[allow(clippy::too_many_arguments)]
 const fn row(
     kind: CellKind,

@@ -83,16 +83,6 @@ pub(crate) struct NrOptions {
     pub reuse_jacobian: bool,
 }
 
-impl Default for NrOptions {
-    fn default() -> Self {
-        Self {
-            solver: SolverKind::Auto,
-            bypass_tol: 0.0,
-            reuse_jacobian: false,
-        }
-    }
-}
-
 /// Batched observability tallies for one Newton sequence, flushed once
 /// per `solve_nr` exit so the inner loop stays instrumentation-free.
 #[derive(Default)]
@@ -817,7 +807,8 @@ mod tests {
     fn solve_once(engine: &mut Engine<&Circuit>) {
         let nr = NrOptions {
             solver: SolverKind::Sparse,
-            ..NrOptions::default()
+            bypass_tol: 0.0,
+            reuse_jacobian: false,
         };
         let ckt = engine.ckt;
         let mut x = vec![0.0; engine.n_unk];
