@@ -268,6 +268,9 @@ fn march<L: Lane>(
 
             // A multi-cell leap: every lane must converge and pass its
             // LTE test, or the whole ensemble re-runs at half the leap.
+            // Every lane tries every leap, even after another balked, so
+            // each lane's factors (and its chord directions) depend only
+            // on the shared grid, never on its position in the ensemble.
             let c = ctl.as_ref().expect("only the LTE controller leaps");
             let h = t_next - t;
             let mut balked = false;
@@ -289,9 +292,6 @@ fn march<L: Lane>(
                         mcml_obs::incr(mcml_obs::Counter::TranRetries);
                         balked = true;
                     }
-                }
-                if balked {
-                    break;
                 }
             }
             if balked {
