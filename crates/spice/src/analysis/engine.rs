@@ -7,10 +7,12 @@
 //! sparse backend reuses its symbolic factorisation numerically, and
 //! solves land in preallocated vectors.
 //!
-//! Sparse factorisations eliminate columns in the plan's minimum-degree
-//! order ([`StampPlan::fill_order`]), except in the engine `dc_op` builds
-//! with [`Engine::new_natural_order`]: see SOLVER.md §2 for why the DC
-//! operating point keeps the raw MNA order.
+//! Every transient solve factors on the sparse LU, eliminating columns in
+//! the plan's minimum-degree order ([`StampPlan::fill_order`]). A DC
+//! solve takes the dense LU up to [`AUTO_DENSE_LIMIT`] unknowns and,
+//! above it, the sparse LU in raw MNA order (the engine `dc_op` builds
+//! with [`Engine::new_natural_order`]): see SOLVER.md §2 for why the DC
+//! operating point keeps the LU it has always had.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -451,6 +453,10 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// values — bit-identical ones (exact reuse) or a lagged Jacobian
     /// (chord) — so the triangular solve runs without a
     /// refactorisation.
+    ///
+    /// Every transient solve factors on the sparse LU. A DC solve keeps
+    /// the backend it has always had, because its basin on a bistable
+    /// netlist follows the LU rounding (SOLVER.md §2).
     fn solve_linear(
         &mut self,
         solver: SolverKind,
@@ -458,11 +464,12 @@ impl<C: Borrow<Circuit>> Engine<C> {
         reusable: bool,
         tally: &mut NrTally,
     ) -> Result<()> {
-        let use_dense = match solver {
-            SolverKind::Dense => true,
-            SolverKind::Sparse => false,
-            SolverKind::Auto => self.n_unk <= AUTO_DENSE_LIMIT,
-        };
+        let use_dense = !key.is_transient()
+            && match solver {
+                SolverKind::Dense => true,
+                SolverKind::Sparse => false,
+                SolverKind::Auto => self.n_unk <= AUTO_DENSE_LIMIT,
+            };
         if use_dense {
             for (d, fv) in self.dx.iter_mut().zip(&self.f) {
                 *d = -fv;
@@ -790,10 +797,10 @@ mod tests {
     use super::*;
     use crate::source::SourceWave;
 
-    /// A driven RC ladder, forced onto the sparse backend.
-    fn ladder() -> Circuit {
+    /// A driven RC ladder of `n_nodes` nodes: `n_nodes + 1` unknowns.
+    fn ladder(n_nodes: usize) -> Circuit {
         let mut c = Circuit::new();
-        let nodes: Vec<NodeId> = (0..10).map(|i| c.node(&format!("n{i}"))).collect();
+        let nodes: Vec<NodeId> = (0..n_nodes).map(|i| c.node(&format!("n{i}"))).collect();
         c.vsource("V", nodes[0], Circuit::GND, SourceWave::dc(1.0));
         for (i, w) in nodes.windows(2).enumerate() {
             c.resistor(&format!("R{i}"), w[0], w[1], 1e3);
@@ -804,9 +811,11 @@ mod tests {
         c
     }
 
-    fn solve_once(engine: &mut Engine<&Circuit>) {
+    /// One Newton solve from zero: a backward-Euler step when `tran`,
+    /// a DC solve otherwise.
+    fn solve_once(engine: &mut Engine<&Circuit>, tran: bool) {
         let nr = NrOptions {
-            solver: SolverKind::Sparse,
+            solver: SolverKind::Auto,
             bypass_tol: 0.0,
             reuse_jacobian: false,
         };
@@ -818,8 +827,9 @@ mod tests {
             trapezoidal: false,
             caps: &caps,
         };
+        let companion = tran.then_some(&ctx);
         engine
-            .solve_nr(&mut x, 0.0, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
+            .solve_nr(&mut x, 0.0, companion, ckt.gmin, 1.0, &nr, "test")
             .expect("ladder converges");
     }
 
@@ -891,11 +901,16 @@ mod tests {
         );
     }
 
+    /// The backend dispatch rule: every transient factors sparse in the
+    /// plan's fill order, whatever its size; a DC solve takes the dense
+    /// LU up to `AUTO_DENSE_LIMIT` unknowns and the natural-order sparse
+    /// LU above it.
     #[test]
     fn transient_engine_factors_in_plan_order_dc_engine_in_natural_order() {
-        let ckt = ladder();
+        let ckt = ladder(10);
         let mut tran = Engine::new(&ckt);
-        solve_once(&mut tran);
+        assert!(tran.n_unk <= AUTO_DENSE_LIMIT);
+        solve_once(&mut tran, true);
         let order = tran.plan.fill_order();
         assert_eq!(tran.lu.as_ref().expect("factored").col_order(), &order[..]);
         assert!(
@@ -904,8 +919,18 @@ mod tests {
         );
 
         let mut dc = Engine::new_natural_order(&ckt);
-        solve_once(&mut dc);
+        solve_once(&mut dc, false);
+        assert!(dc.lu.is_none(), "a small DC solves on the dense LU");
+
+        let big = ladder(AUTO_DENSE_LIMIT + 1);
+        let mut dc = Engine::new_natural_order(&big);
+        assert!(dc.n_unk > AUTO_DENSE_LIMIT);
+        solve_once(&mut dc, false);
         let natural = dc.lu.as_ref().expect("factored").col_order();
         assert!(natural.iter().copied().eq(0..dc.n_unk));
+        assert!(
+            dc.plan.fill_order().iter().copied().ne(0..dc.n_unk),
+            "the natural order is not the fill order"
+        );
     }
 }

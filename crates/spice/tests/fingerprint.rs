@@ -190,7 +190,7 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/trap", 0xe97b_915c_4f2d_ddc4),
     ("rc_ladder/bypass", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/chord", 0x8ac0_b588_3471_7e07),
-    ("rc_ladder/dense", 0xa4c3_8b59_08d7_2f11),
+    ("rc_ladder/dense", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/partition", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/partition_x2", 0x8d6a_2ff9_f39c_ca2e),
     ("rc_ladder/ensemble_x3", 0xd466_c26c_f081_dc3e),
