@@ -12,7 +12,9 @@ use mcml_dpa::{cpa_attack, HammingWeight, TraceSet};
 use mcml_netlist::{map_network, TechmapOptions};
 use mcml_or1k::aes_prog::{run_aes_benchmark, AesBenchParams};
 use mcml_sim::{circuit_current, CurrentModel, EventSim, Stimulus};
-use mcml_spice::matrix::{SolverKind, SystemMatrix};
+use mcml_spice::matrix::dense::solve_dense;
+use mcml_spice::matrix::sparse::solve_sparse;
+use mcml_spice::matrix::SystemMatrix;
 use pg_mcml::elaborate::elaborate;
 use pg_mcml::experiments::table1;
 
@@ -156,36 +158,26 @@ fn bench_substrates(c: &mut Criterion) {
 
     // Random sparse MNA-like system, both solvers.
     let n = 400;
-    let build = || {
-        let mut m = SystemMatrix::new(n);
-        let mut s = 0x9e37_79b9u64;
-        let mut rnd = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for r in 0..n {
-            m.add(r, r, 6.0 + rnd());
-            for _ in 0..4 {
-                let cc = ((rnd().abs() * n as f64) as usize).min(n - 1);
-                m.add(r, cc, rnd());
-            }
-        }
-        m
+    let mut m = SystemMatrix::new(n);
+    let mut s = 0x9e37_79b9u64;
+    let mut rnd = move || {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+        ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
     };
+    for r in 0..n {
+        m.add(r, r, 6.0 + rnd());
+        for _ in 0..4 {
+            let cc = ((rnd().abs() * n as f64) as usize).min(n - 1);
+            m.add(r, cc, rnd());
+        }
+    }
+    m.consolidate();
     let b_vec: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
     g.bench_function("sparse_lu_400", |b| {
-        b.iter_batched(
-            build,
-            |mut m| m.solve(&b_vec, SolverKind::Sparse).unwrap(),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| solve_sparse(&m, &b_vec).unwrap());
     });
     g.bench_function("dense_lu_400", |b| {
-        b.iter_batched(
-            build,
-            |mut m| m.solve(&b_vec, SolverKind::Dense).unwrap(),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| solve_dense(&m, &b_vec).unwrap());
     });
     g.finish();
 }

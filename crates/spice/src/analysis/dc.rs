@@ -3,29 +3,7 @@
 use crate::analysis::engine::{Engine, NrOptions};
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::element::Element;
-use crate::matrix::SolverKind;
 use crate::Result;
-
-/// Options for [`Circuit::dc_op`]. The Newton tolerances and budget
-/// are fixed for every analysis; sources are evaluated at `t = 0`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DcOptions {
-    /// Linear-solver selection.
-    pub solver: SolverKind,
-}
-
-impl DcOptions {
-    fn nr(&self) -> NrOptions {
-        NrOptions {
-            solver: self.solver,
-            // DC continuation sweeps voltages deliberately; the
-            // quiescent-device bypass and the demand-driven refactor
-            // policy are transient-only optimisations.
-            bypass_tol: 0.0,
-            reuse_jacobian: false,
-        }
-    }
-}
 
 /// A solved DC operating point.
 #[derive(Debug, Clone)]
@@ -84,20 +62,29 @@ pub(crate) fn branch_map(ckt: &Circuit) -> Vec<Option<usize>> {
 /// Solve the DC operating point.
 ///
 /// Tries plain Newton first, then gmin stepping, then source stepping —
-/// the same continuation ladder real SPICE implementations use.
+/// the same continuation ladder real SPICE implementations use. The
+/// Newton tolerances and budget are fixed for every analysis; sources
+/// are evaluated at `t = 0`.
 ///
 /// # Errors
 ///
 /// Returns [`crate::SpiceError::NoConvergence`] if all strategies fail, or
 /// [`crate::SpiceError::InvalidCircuit`] for an empty circuit.
-pub fn dc_op(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint> {
+pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     ckt.validate()?;
     mcml_obs::incr(mcml_obs::Counter::DcSolves);
-    // Natural column order, bit for bit the factors of the original
-    // sparse LU: on bistable netlists the rounding picks the basin
-    // (SOLVER.md §2).
+    // The dense LU up to `AUTO_DENSE_LIMIT` unknowns, the sparse LU in
+    // natural column order above it: bit for bit the factors the DC has
+    // always used, because on bistable netlists the rounding picks the
+    // basin (SOLVER.md §2).
     let mut engine = Engine::new_natural_order(ckt);
-    let nr = opts.nr();
+    // DC continuation sweeps voltages deliberately; the quiescent-device
+    // bypass and the demand-driven refactor policy are transient-only
+    // optimisations.
+    let nr = NrOptions {
+        bypass_tol: 0.0,
+        reuse_jacobian: false,
+    };
     // Sources at the transient's start time.
     let t = 0.0;
 
@@ -149,22 +136,13 @@ pub fn dc_op(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint> {
 }
 
 impl Circuit {
-    /// Solve the DC operating point with default options.
+    /// Solve the DC operating point.
     ///
     /// # Errors
     ///
     /// See [`dc_op`].
     pub fn dc_op(&self) -> Result<OpPoint> {
-        dc_op(self, &DcOptions::default())
-    }
-
-    /// Solve the DC operating point with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`dc_op`].
-    pub fn dc_op_with(&self, opts: &DcOptions) -> Result<OpPoint> {
-        dc_op(self, opts)
+        dc_op(self)
     }
 }
 

@@ -23,7 +23,7 @@ use crate::element::Element;
 use crate::error::SpiceError;
 use crate::matrix::dense::DenseWorkspace;
 use crate::matrix::sparse::SparseLu;
-use crate::matrix::{SolverKind, SystemMatrix, AUTO_DENSE_LIMIT};
+use crate::matrix::{SystemMatrix, AUTO_DENSE_LIMIT};
 use crate::Result;
 
 /// Per-capacitor companion-model state for transient analysis.
@@ -69,7 +69,6 @@ pub(crate) const MAX_SUBDIV: u32 = 8;
 /// tolerances and budgets above are shared constants.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NrOptions {
-    pub solver: SolverKind,
     /// Quiescent-MOS bypass tolerance (V); `0.0` disables the bypass.
     /// See the `plan` module docs for the reuse rule and error bound.
     pub bypass_tol: f64,
@@ -457,20 +456,8 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// Every transient solve factors on the sparse LU. A DC solve keeps
     /// the backend it has always had, because its basin on a bistable
     /// netlist follows the LU rounding (SOLVER.md §2).
-    fn solve_linear(
-        &mut self,
-        solver: SolverKind,
-        key: JacKey,
-        reusable: bool,
-        tally: &mut NrTally,
-    ) -> Result<()> {
-        let use_dense = !key.is_transient()
-            && match solver {
-                SolverKind::Dense => true,
-                SolverKind::Sparse => false,
-                SolverKind::Auto => self.n_unk <= AUTO_DENSE_LIMIT,
-            };
-        if use_dense {
+    fn solve_linear(&mut self, key: JacKey, reusable: bool, tally: &mut NrTally) -> Result<()> {
+        if !key.is_transient() && self.n_unk <= AUTO_DENSE_LIMIT {
             for (d, fv) in self.dx.iter_mut().zip(&self.f) {
                 *d = -fv;
             }
@@ -613,7 +600,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 && self.lu.is_some()
                 && self.last_factored.is_some_and(|k| k.chord_compatible(key));
             let reusable = exact || stale;
-            if let Err(e) = self.solve_linear(opts.solver, key, reusable, &mut tally) {
+            if let Err(e) = self.solve_linear(key, reusable, &mut tally) {
                 tally.flush();
                 return Err(e);
             }
@@ -815,7 +802,6 @@ mod tests {
     /// a DC solve otherwise.
     fn solve_once(engine: &mut Engine<&Circuit>, tran: bool) {
         let nr = NrOptions {
-            solver: SolverKind::Auto,
             bypass_tol: 0.0,
             reuse_jacobian: false,
         };
@@ -834,7 +820,7 @@ mod tests {
     }
 
     /// Two inverters in a chain, each with a load capacitor, driven by a
-    /// PWL pulse, on the sparse backend.
+    /// PWL pulse.
     fn inverter_chain() -> Circuit {
         use mcml_device::{MosParams, Mosfet};
         let mut c = Circuit::new();
@@ -873,7 +859,6 @@ mod tests {
     fn exact_reuse_sees_factored_values_under_chord_and_bypass() {
         let ckt = inverter_chain();
         let nr = NrOptions {
-            solver: SolverKind::Sparse,
             bypass_tol: 10e-6,
             reuse_jacobian: true,
         };

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::analysis::dc::{branch_map, DcOptions, OpPoint};
+use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
     companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, MAX_SUBDIV,
 };
@@ -156,12 +156,9 @@ pub(crate) fn run(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<TranResult
     // the ladder — can silently settle internal nodes into a different
     // basin and corrupt the clock-edge transient. The march may chord;
     // the op may not.
-    let dc_opts = DcOptions {
-        solver: opts.solver,
-    };
     let ops = ckts
         .iter()
-        .map(|ckt| ckt.dc_op_with(&dc_opts))
+        .map(Circuit::dc_op)
         .collect::<Result<Vec<OpPoint>>>()?;
     if opts.partition {
         // The structure is topology-only, so lane 0's serves every lane

@@ -18,7 +18,6 @@
 
 use crate::analysis::engine::NrOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
-use crate::matrix::SolverKind;
 use crate::waveform::Waveform;
 use crate::Result;
 
@@ -61,8 +60,6 @@ pub struct TranOptions {
     pub dt: f64,
     /// Integration method.
     pub integrator: Integrator,
-    /// Linear-solver selection.
-    pub solver: SolverKind,
     /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
     /// the fixed-step reference behaviour.
     pub lte: Option<AdaptiveOptions>,
@@ -133,7 +130,6 @@ impl TranOptions {
             t_stop,
             dt,
             integrator: Integrator::default(),
-            solver: SolverKind::Auto,
             lte: None,
             bypass_vtol: 0.0,
             jacobian_reuse: false,
@@ -323,7 +319,6 @@ impl TranOptions {
 
     pub(crate) fn nr(&self) -> NrOptions {
         NrOptions {
-            solver: self.solver,
             bypass_tol: self.bypass_vtol,
             reuse_jacobian: self.jacobian_reuse,
         }

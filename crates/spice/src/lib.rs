@@ -43,7 +43,7 @@ pub mod matrix;
 pub mod source;
 pub mod waveform;
 
-pub use analysis::dc::{DcOptions, OpPoint};
+pub use analysis::dc::OpPoint;
 pub use analysis::ensemble::ensemble_transient;
 pub use analysis::partition::{partition_report, PartitionReport};
 pub use analysis::tran::{AdaptiveOptions, Integrator, TranOptions, TranResult};

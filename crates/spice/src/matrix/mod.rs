@@ -9,18 +9,18 @@
 //!   Newton loop uses via `analysis::plan::StampPlan`, where the sparsity
 //!   pattern is computed once per circuit and only values change.
 //!
-//! Depending on size (or an explicit [`SolverKind`] choice) systems are
-//! solved by dense partial-pivoting LU ([`dense::DenseWorkspace`]) or by a
-//! left-looking Gilbert–Peierls sparse LU ([`sparse::SparseLu`]) with a
-//! symbolic/numeric split for allocation-free refactorisation and, for
-//! transient analysis, the minimum-degree column order of
-//! [`order::min_degree_order`].
+//! Every transient solve factors on a left-looking Gilbert–Peierls sparse
+//! LU ([`sparse::SparseLu`]) with a symbolic/numeric split for
+//! allocation-free refactorisation, in the minimum-degree column order of
+//! [`order::min_degree_order`]. A DC solve of at most
+//! [`AUTO_DENSE_LIMIT`] unknowns runs the dense partial-pivoting LU
+//! ([`dense::DenseWorkspace`]); a larger one runs the sparse LU in raw
+//! MNA column order. One-shot solves of a [`SystemMatrix`] call
+//! [`dense::solve_dense`] or [`sparse::solve_sparse`] directly.
 
 pub mod dense;
 pub mod order;
 pub mod sparse;
-
-use crate::error::SpiceError;
 
 /// Immutable column-compressed sparsity pattern of an MNA Jacobian.
 ///
@@ -163,19 +163,8 @@ impl CscPattern {
     }
 }
 
-/// Which factorisation backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Pick dense below [`AUTO_DENSE_LIMIT`] unknowns, sparse above.
-    #[default]
-    Auto,
-    /// Always dense.
-    Dense,
-    /// Always sparse.
-    Sparse,
-}
-
-/// Unknown-count threshold for the automatic dense/sparse switch.
+/// The largest DC operating point, in unknowns, that solves on the
+/// dense LU. Transients always factor sparse.
 pub const AUTO_DENSE_LIMIT: usize = 96;
 
 /// Row-wise sparse accumulator for the MNA Jacobian.
@@ -259,31 +248,14 @@ impl SystemMatrix {
     pub fn nnz(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
     }
-
-    /// Solve `A·x = b` with the requested backend, consuming neither.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] when a pivot vanishes.
-    pub fn solve(&mut self, b: &[f64], kind: SolverKind) -> Result<Vec<f64>, SpiceError> {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        self.consolidate();
-        let use_dense = match kind {
-            SolverKind::Dense => true,
-            SolverKind::Sparse => false,
-            SolverKind::Auto => self.n <= AUTO_DENSE_LIMIT,
-        };
-        if use_dense {
-            dense::solve_dense(self, b)
-        } else {
-            sparse::solve_sparse(self, b)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SpiceError;
+    use dense::solve_dense;
+    use sparse::solve_sparse;
 
     #[test]
     fn consolidate_merges_duplicates() {
@@ -305,17 +277,15 @@ mod tests {
     #[test]
     fn dense_and_sparse_agree_on_small_system() {
         // 2x2: [2 1; 1 3] x = [3; 5] -> x = [0.8, 1.4]
-        let build = || {
-            let mut m = SystemMatrix::new(2);
-            m.add(0, 0, 2.0);
-            m.add(0, 1, 1.0);
-            m.add(1, 0, 1.0);
-            m.add(1, 1, 3.0);
-            m
-        };
+        let mut m = SystemMatrix::new(2);
+        m.add(0, 0, 2.0);
+        m.add(0, 1, 1.0);
+        m.add(1, 0, 1.0);
+        m.add(1, 1, 3.0);
+        m.consolidate();
         let b = vec![3.0, 5.0];
-        let xd = build().solve(&b, SolverKind::Dense).unwrap();
-        let xs = build().solve(&b, SolverKind::Sparse).unwrap();
+        let xd = solve_dense(&m, &b).unwrap();
+        let xs = solve_sparse(&m, &b).unwrap();
         for (a, b) in xd.iter().zip(xs.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -328,11 +298,9 @@ mod tests {
         let mut m = SystemMatrix::new(2);
         m.add(0, 0, 1.0);
         // row 1 empty -> singular
-        let err = m.solve(&[1.0, 1.0], SolverKind::Dense).unwrap_err();
+        let err = solve_dense(&m, &[1.0, 1.0]).unwrap_err();
         assert!(matches!(err, SpiceError::SingularMatrix { .. }));
-        let mut m2 = SystemMatrix::new(2);
-        m2.add(0, 0, 1.0);
-        let err2 = m2.solve(&[1.0, 1.0], SolverKind::Sparse).unwrap_err();
+        let err2 = solve_sparse(&m, &[1.0, 1.0]).unwrap_err();
         assert!(matches!(err2, SpiceError::SingularMatrix { .. }));
     }
 

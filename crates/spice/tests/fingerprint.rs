@@ -9,13 +9,12 @@
 //! names.
 //!
 //! Covered: backward Euler and trapezoidal, quiescent-MOS bypass on and
-//! off, chord (demand-driven refactorisation) with the bypass, the dense
-//! solver, partitioning at one and two lanes, and a 3-lane ensemble — on
-//! an RC ladder, a MOS inverter and a two-island inverter chain (the one
+//! off, chord (demand-driven refactorisation) with the bypass,
+//! partitioning at one and two lanes, and a 3-lane ensemble — on an RC
+//! ladder, a MOS inverter and a two-island inverter chain (the one
 //! circuit that actually partitions).
 
 use mcml_device::{MosParams, Mosfet};
-use mcml_spice::matrix::SolverKind;
 use mcml_spice::{
     ensemble_transient, Circuit, ElementId, Integrator, NodeId, SourceWave, TranOptions, TranResult,
 };
@@ -161,22 +160,13 @@ fn run(build: Build, opts: &TranOptions, lanes: usize) -> u64 {
 
 /// `(name, options, lanes)` for every pinned policy.
 fn policies() -> Vec<(&'static str, TranOptions, usize)> {
-    let mut base = TranOptions::new(3e-9, 10e-12);
-    base.solver = SolverKind::Sparse;
+    let base = TranOptions::new(3e-9, 10e-12);
     let bypass = base.with_bypass(10e-6);
     vec![
         ("be", base, 1),
         ("trap", base.with_integrator(Integrator::Trapezoidal), 1),
         ("bypass", bypass, 1),
         ("chord", bypass.with_jacobian_reuse(), 1),
-        (
-            "dense",
-            TranOptions {
-                solver: SolverKind::Dense,
-                ..base
-            },
-            1,
-        ),
         ("partition", bypass.with_partitioning(), 1),
         ("partition_x2", bypass.with_partitioning(), 2),
         ("ensemble_x3", base, 3),
@@ -190,7 +180,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/trap", 0xe97b_915c_4f2d_ddc4),
     ("rc_ladder/bypass", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/chord", 0x8ac0_b588_3471_7e07),
-    ("rc_ladder/dense", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/partition", 0xfe0f_525d_09aa_5498),
     ("rc_ladder/partition_x2", 0x8d6a_2ff9_f39c_ca2e),
     ("rc_ladder/ensemble_x3", 0xd466_c26c_f081_dc3e),
@@ -199,20 +188,18 @@ const EXPECTED: &[(&str, u64)] = &[
     ("mos_inverter/trap", 0x6571_b698_906d_2aa3),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
     ("mos_inverter/chord", 0xb3ea_7777_69e7_29ac),
-    ("mos_inverter/dense", 0xb507_0e19_4089_d584),
     ("mos_inverter/partition", 0xa99a_1128_3093_bf25),
     ("mos_inverter/partition_x2", 0x8cc4_a19a_a366_85b3),
     ("mos_inverter/ensemble_x3", 0xc3a1_7f14_b219_60f1),
     ("mos_inverter/ensemble_x3_chord", 0xf617_a273_32cf_62c0),
-    ("two_islands/be", 0xb101_a52a_0d62_ea8a),
-    ("two_islands/trap", 0x07c3_4fcf_c57b_ffd4),
-    ("two_islands/bypass", 0x6dd4_63f7_9ef2_97b2),
-    ("two_islands/chord", 0xc4a0_1a72_bade_4b8b),
-    ("two_islands/dense", 0x2f36_bc08_6120_7fb1),
-    ("two_islands/partition", 0xf5be_2eab_a2c0_25e6),
-    ("two_islands/partition_x2", 0x7447_f100_77bb_af36),
-    ("two_islands/ensemble_x3", 0x25b4_8798_abdd_e039),
-    ("two_islands/ensemble_x3_chord", 0x0dd9_e6eb_1e4f_77cd),
+    ("two_islands/be", 0x2f36_bc08_6120_7fb1),
+    ("two_islands/trap", 0x74b3_5b05_b3ab_2251),
+    ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
+    ("two_islands/chord", 0xa5d8_71ed_eab5_273d),
+    ("two_islands/partition", 0xfa80_f9a1_1ef5_c49d),
+    ("two_islands/partition_x2", 0xf93d_b00e_d13c_a360),
+    ("two_islands/ensemble_x3", 0xf630_255a_3533_9901),
+    ("two_islands/ensemble_x3_chord", 0xda92_ac78_0c1a_fb29),
 ];
 
 #[test]

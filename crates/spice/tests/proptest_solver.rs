@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use mcml_spice::matrix::dense::solve_dense;
 use mcml_spice::matrix::order::min_degree_order;
-use mcml_spice::matrix::sparse::SparseLu;
-use mcml_spice::matrix::{CscPattern, SolverKind, SystemMatrix};
+use mcml_spice::matrix::sparse::{solve_sparse, SparseLu};
+use mcml_spice::matrix::{CscPattern, SystemMatrix};
 use mcml_spice::{Circuit, SourceWave, TranOptions, Waveform};
 
 /// A strictly diagonally dominant random system (guaranteed solvable).
@@ -89,8 +90,8 @@ impl Mna {
         for (&(r, c), &v) in self.sites().iter().zip(vals) {
             m.add(r, c, v);
         }
-        m.solve(b, SolverKind::Dense)
-            .expect("MNA system is regular")
+        m.consolidate();
+        solve_dense(&m, b).expect("MNA system is regular")
     }
 }
 
@@ -190,15 +191,13 @@ proptest! {
     /// Sparse Gilbert–Peierls LU and dense partial-pivot LU agree.
     #[test]
     fn sparse_equals_dense((entries, b) in dominant_system(24)) {
-        let build = || {
-            let mut m = SystemMatrix::new(24);
-            for &(r, c, v) in &entries {
-                m.add(r, c, v);
-            }
-            m
-        };
-        let xd = build().solve(&b, SolverKind::Dense).unwrap();
-        let xs = build().solve(&b, SolverKind::Sparse).unwrap();
+        let mut m = SystemMatrix::new(24);
+        for &(r, c, v) in &entries {
+            m.add(r, c, v);
+        }
+        m.consolidate();
+        let xd = solve_dense(&m, &b).unwrap();
+        let xs = solve_sparse(&m, &b).unwrap();
         for (d, s) in xd.iter().zip(&xs) {
             prop_assert!((d - s).abs() < 1e-8, "dense {d} vs sparse {s}");
         }
@@ -213,7 +212,8 @@ proptest! {
             m.add(r, c, v);
             dense[r * 16 + c] += v;
         }
-        let x = m.solve(&b, SolverKind::Auto).unwrap();
+        m.consolidate();
+        let x = solve_dense(&m, &b).unwrap();
         for r in 0..16 {
             let acc: f64 = (0..16).map(|c| dense[r * 16 + c] * x[c]).sum();
             prop_assert!((acc - b[r]).abs() < 1e-7, "row {r}: {acc} vs {}", b[r]);
