@@ -9,7 +9,8 @@
 //!   **source stepping** continuation,
 //! * transient analysis with **backward-Euler** and **trapezoidal**
 //!   companion models and automatic step subdivision on non-convergence,
-//! * dense and sparse (Gilbert–Peierls left-looking) LU factorisation,
+//! * sparse (Gilbert–Peierls left-looking) LU factorisation for every
+//!   transient, and dense LU for small DC operating points,
 //! * elements: resistors, capacitors, independent V/I sources (DC, pulse,
 //!   PWL, sine), and the smooth MOSFET model from [`mcml_device`],
 //! * branch-current probing (supply-current measurement comes for free from

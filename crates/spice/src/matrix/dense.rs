@@ -1,7 +1,14 @@
 //! Dense LU factorisation with partial pivoting.
 //!
-//! MNA matrices for individual standard cells have a few dozen unknowns;
-//! at that size a cache-friendly dense factorisation beats any sparse code.
+//! The engine runs it only for DC operating points of at most
+//! [`super::AUTO_DENSE_LIMIT`] unknowns: every single-cell testbench.
+//! Speed is not the reason. A storage cell's DC sits at its latch's
+//! metastable balance, and the LU rounding picks the basin its
+//! transients start from, so the DC keeps the factorisation its
+//! characterisation goldens were taken with (SOLVER.md §2). Transients
+//! of every size factor on the sparse LU instead: on cell transients its
+//! numeric refactor, solve and exact reuse cost less than half of a
+//! fresh dense factorisation per Newton iteration.
 
 use super::{CscPattern, SystemMatrix};
 use crate::error::SpiceError;
