@@ -11,8 +11,9 @@
 //! the plan's minimum-degree order ([`StampPlan::fill_order`]). A DC
 //! solve takes the dense LU up to [`AUTO_DENSE_LIMIT`] unknowns and,
 //! above it, the sparse LU in raw MNA order (the engine `dc_op` builds
-//! with [`Engine::new_natural_order`]): see SOLVER.md §2 for why the DC
-//! operating point keeps the LU it has always had.
+//! with [`Engine::new_natural_order`]). The DC operating point keeps the
+//! LU its goldens were taken with because on a bistable netlist its
+//! basin follows the LU rounding (SOLVER.md §2).
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -453,9 +454,8 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// (chord) — so the triangular solve runs without a
     /// refactorisation.
     ///
-    /// Every transient solve factors on the sparse LU. A DC solve keeps
-    /// the backend it has always had, because its basin on a bistable
-    /// netlist follows the LU rounding (SOLVER.md §2).
+    /// A DC solve of at most [`AUTO_DENSE_LIMIT`] unknowns takes the
+    /// dense LU, every other solve the sparse one (module docs).
     fn solve_linear(&mut self, key: JacKey, reusable: bool, tally: &mut NrTally) -> Result<()> {
         if !key.is_transient() && self.n_unk <= AUTO_DENSE_LIMIT {
             for (d, fv) in self.dx.iter_mut().zip(&self.f) {
