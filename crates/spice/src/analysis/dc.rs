@@ -73,10 +73,10 @@ pub(crate) fn branch_map(ckt: &Circuit) -> Vec<Option<usize>> {
 pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     ckt.validate()?;
     mcml_obs::incr(mcml_obs::Counter::DcSolves);
-    // The dense LU up to `AUTO_DENSE_LIMIT` unknowns, the sparse LU in
-    // natural column order above it: bit for bit the factors the DC has
-    // always used, because on bistable netlists the rounding picks the
-    // basin (SOLVER.md §2).
+    // The dense LU up to `DENSE_LIMIT` unknowns, the sparse LU in natural
+    // column order above it: bit for bit the factors the DC has always
+    // used, because on bistable netlists the rounding picks the basin
+    // (SOLVER.md §2).
     let mut engine = Engine::new_natural_order(ckt);
     // DC continuation sweeps voltages deliberately; the quiescent-device
     // bypass and the demand-driven refactor policy are transient-only

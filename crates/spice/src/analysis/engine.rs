@@ -1,18 +1,19 @@
 //! Shared MNA assembly and damped Newton–Raphson iteration.
 //!
 //! The engine owns the per-circuit [`StampPlan`] plus every buffer the
-//! Newton loop needs (Jacobian values, residual, update, dense scratch,
-//! sparse LU factors), so after the first iteration the inner loop runs
-//! allocation-free: re-assembly refreshes a flat values buffer, the
-//! sparse backend reuses its symbolic factorisation numerically, and
-//! solves land in preallocated vectors.
+//! Newton loop needs (Jacobian values, residual, update, LU factors), so
+//! after the first iteration the inner loop runs allocation-free:
+//! re-assembly refreshes a flat values buffer, both LU backends replay
+//! their recorded elimination numerically, and solves land in
+//! preallocated vectors.
 //!
-//! Every transient solve factors on the sparse LU, eliminating columns in
-//! the plan's minimum-degree order ([`StampPlan::fill_order`]). A DC
-//! solve takes the dense LU up to [`AUTO_DENSE_LIMIT`] unknowns and,
-//! above it, the sparse LU in raw MNA order (the engine `dc_op` builds
-//! with [`Engine::new_natural_order`]). The DC operating point keeps the
-//! LU its goldens were taken with because on a bistable netlist its
+//! A system of at most [`DENSE_LIMIT`] unknowns (every cell testbench)
+//! factors on the dense partial-pivoting LU, replayed over its
+//! structural non-zeros ([`DenseLu`]). A larger one factors on the sparse
+//! LU: in the plan's minimum-degree order ([`StampPlan::fill_order`]) for
+//! a transient, in raw MNA order for the DC operating point (the engine
+//! `dc_op` builds with [`Engine::new_natural_order`]). Every DC keeps the
+//! factors its goldens were taken with because on a bistable netlist its
 //! basin follows the LU rounding (SOLVER.md §2).
 
 use std::borrow::Borrow;
@@ -22,9 +23,9 @@ use crate::analysis::plan::{MosBypassState, StampPlan};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
 use crate::error::SpiceError;
-use crate::matrix::dense::DenseWorkspace;
+use crate::matrix::dense::DenseLu;
 use crate::matrix::sparse::SparseLu;
-use crate::matrix::{SystemMatrix, AUTO_DENSE_LIMIT};
+use crate::matrix::{SystemMatrix, DENSE_LIMIT};
 use crate::Result;
 
 /// Per-capacitor companion-model state for transient analysis.
@@ -176,7 +177,9 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     dx: Vec<f64>,
     /// Scratch for the sparse backend's separate-rhs solve.
     rhs: Vec<f64>,
-    dense: DenseWorkspace,
+    /// Dense factors of a system of at most [`DENSE_LIMIT`] unknowns;
+    /// `Some` once factored, replayed while the pivot sequence holds.
+    dense: Option<DenseLu>,
     /// Sparse factors; `Some` once factored, reused numerically while the
     /// fixed pivot order stays healthy.
     lu: Option<SparseLu>,
@@ -256,7 +259,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             f: vec![0.0; n_unk],
             dx: vec![0.0; n_unk],
             rhs: vec![0.0; n_unk],
-            dense: DenseWorkspace::new(),
+            dense: None,
             lu: None,
             natural_order: false,
             mos_state: vec![MosBypassState::default(); n_mos],
@@ -454,22 +457,12 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// (chord) — so the triangular solve runs without a
     /// refactorisation.
     ///
-    /// A DC solve of at most [`AUTO_DENSE_LIMIT`] unknowns takes the
-    /// dense LU, every other solve the sparse one (module docs).
+    /// A system of at most [`DENSE_LIMIT`] unknowns takes the dense LU,
+    /// a larger one the sparse LU (module docs).
     fn solve_linear(&mut self, key: JacKey, reusable: bool, tally: &mut NrTally) -> Result<()> {
-        if !key.is_transient() && self.n_unk <= AUTO_DENSE_LIMIT {
-            for (d, fv) in self.dx.iter_mut().zip(&self.f) {
-                *d = -fv;
-            }
-            let _t = mcml_obs::span(mcml_obs::Stage::LuFactor);
-            return self
-                .dense
-                .solve_csc_into(&self.plan.pattern, &self.vals, &mut self.dx);
-        }
-
-        if reusable && self.lu.is_some() {
-            // The factors already match `vals` bit for bit; skip straight
-            // to the triangular solve.
+        if reusable && (self.dense.is_some() || self.lu.is_some()) {
+            // The factors already match `vals` bit for bit, or are the
+            // chord's lagged Jacobian; skip straight to the solve.
             tally.symbolic_reuse += 1;
         } else {
             let _t = mcml_obs::span(mcml_obs::Stage::LuFactor);
@@ -481,24 +474,38 @@ impl<C: Borrow<Circuit>> Engine<C> {
             // reuse check.
             self.last_factored = None;
             let pattern = &self.plan.pattern;
-            match &mut self.lu {
-                Some(lu) => {
+            if self.n_unk <= DENSE_LIMIT {
+                match &mut self.dense {
+                    // Replay the recorded elimination; a moved pivot
+                    // re-records it.
+                    Some(lu) => {
+                        tally.numeric_refactor += 1;
+                        if lu.refactor(pattern, &self.vals)? {
+                            tally.symbolic_reuse += 1;
+                        }
+                    }
+                    None => self.dense = Some(DenseLu::factor_csc(pattern, &self.vals)?),
+                }
+            } else {
+                match &mut self.lu {
                     // Numeric-only refactorisation on the cached symbolic
                     // structure; a degraded pivot falls back to a fresh
                     // pivot search in the same column order.
-                    tally.numeric_refactor += 1;
-                    if lu.refactor(pattern, &self.vals).is_ok() {
-                        tally.symbolic_reuse += 1;
-                    } else {
-                        lu.repivot(pattern, &self.vals)?;
+                    Some(lu) => {
+                        tally.numeric_refactor += 1;
+                        if lu.refactor(pattern, &self.vals).is_ok() {
+                            tally.symbolic_reuse += 1;
+                        } else {
+                            lu.repivot(pattern, &self.vals)?;
+                        }
                     }
-                }
-                None if self.natural_order => {
-                    self.lu = Some(SparseLu::factor_csc(pattern, &self.vals)?);
-                }
-                None => {
-                    let order = self.plan.fill_order();
-                    self.lu = Some(SparseLu::factor_ordered(pattern, &self.vals, order)?);
+                    None if self.natural_order => {
+                        self.lu = Some(SparseLu::factor_csc(pattern, &self.vals)?);
+                    }
+                    None => {
+                        let order = self.plan.fill_order();
+                        self.lu = Some(SparseLu::factor_ordered(pattern, &self.vals, order)?);
+                    }
                 }
             }
             self.last_factored = Some(key);
@@ -506,12 +513,19 @@ impl<C: Borrow<Circuit>> Engine<C> {
             #[cfg(test)]
             self.audit.factored.clone_from(&self.vals);
         }
-        let lu = self.lu.as_ref().expect("factored above");
-        for (r, fv) in self.rhs.iter_mut().zip(&self.f) {
-            *r = -fv;
-        }
         let _t = mcml_obs::span(mcml_obs::Stage::LuSolve);
-        lu.solve_into(&self.rhs, &mut self.dx);
+        if let Some(lu) = &self.dense {
+            for (d, fv) in self.dx.iter_mut().zip(&self.f) {
+                *d = -fv;
+            }
+            lu.solve_in_place(&mut self.dx);
+        } else {
+            let lu = self.lu.as_ref().expect("factored above");
+            for (r, fv) in self.rhs.iter_mut().zip(&self.f) {
+                *r = -fv;
+            }
+            lu.solve_into(&self.rhs, &mut self.dx);
+        }
         Ok(())
     }
 
@@ -819,9 +833,9 @@ mod tests {
             .expect("ladder converges");
     }
 
-    /// Two inverters in a chain, each with a load capacitor, driven by a
-    /// PWL pulse.
-    fn inverter_chain() -> Circuit {
+    /// `stages` inverters in a chain, each with a load capacitor, driven
+    /// by a PWL pulse: `stages + 4` unknowns.
+    fn inverter_chain(stages: usize) -> Circuit {
         use mcml_device::{MosParams, Mosfet};
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
@@ -830,7 +844,7 @@ mod tests {
         let pulse = vec![(0.0, 0.0), (0.3e-9, 0.0), (0.32e-9, 1.2), (1.3e-9, 1.2)];
         c.vsource("VIN", vin, Circuit::GND, SourceWave::Pwl(pulse));
         let mut prev = vin;
-        for k in 0..2 {
+        for k in 0..stages {
             let out = c.node(&format!("o{k}"));
             let pmos = Mosfet::pmos(MosParams::pmos_lvt_90(), 2.0e-6, 0.1e-6);
             let nmos = Mosfet::nmos(MosParams::nmos_lvt_90(), 1.0e-6, 0.1e-6);
@@ -854,47 +868,67 @@ mod tests {
     /// iteration that evaluated devices refreshes their bypass caches
     /// without refactoring, so a later all-bypassed assembly under the
     /// same key stamps values the factors never saw; that must not
-    /// count as exact.
+    /// count as exact. Checked on both backends: the chord runs only on
+    /// the sparse one, above `DENSE_LIMIT` unknowns.
     #[test]
     fn exact_reuse_sees_factored_values_under_chord_and_bypass() {
-        let ckt = inverter_chain();
-        let nr = NrOptions {
-            bypass_tol: 10e-6,
-            reuse_jacobian: true,
-        };
-        let mut engine = Engine::new(&ckt);
-        let mut x = ckt.dc_op().expect("dc op").state().to_vec();
-        let mut caps = init_cap_states(&ckt, &x);
-        let h = 10e-12;
-        for step in 1..=200 {
-            let ctx = CompanionCtx {
-                h,
-                trapezoidal: false,
-                caps: &caps,
+        for stages in [2, DENSE_LIMIT] {
+            let ckt = inverter_chain(stages);
+            let nr = NrOptions {
+                bypass_tol: 10e-6,
+                reuse_jacobian: true,
             };
-            let t = h * f64::from(step);
-            engine
-                .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
-                .expect("step converges");
-            crate::analysis::march::update_caps(&ckt, &mut caps, &x, h, false);
+            let mut engine = Engine::new(&ckt);
+            let mut x = ckt.dc_op().expect("dc op").state().to_vec();
+            let mut caps = init_cap_states(&ckt, &x);
+            let h = 10e-12;
+            for step in 1..=200 {
+                let ctx = CompanionCtx {
+                    h,
+                    trapezoidal: false,
+                    caps: &caps,
+                };
+                let t = h * f64::from(step);
+                engine
+                    .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
+                    .expect("step converges");
+                crate::analysis::march::update_caps(&ckt, &mut caps, &x, h, false);
+            }
+            assert_eq!(engine.lu.is_some(), engine.n_unk > DENSE_LIMIT);
+            assert!(
+                engine.audit.reuses > 0,
+                "{stages} stages: the exact path never ran"
+            );
+            assert_eq!(
+                engine.audit.mismatches, 0,
+                "{stages} stages: {} of {} exact reuses stamped values the factors never saw",
+                engine.audit.mismatches, engine.audit.reuses
+            );
         }
-        assert!(engine.audit.reuses > 0, "the exact path never ran");
-        assert_eq!(
-            engine.audit.mismatches, 0,
-            "{} of {} exact reuses stamped values the factors never saw",
-            engine.audit.mismatches, engine.audit.reuses
-        );
     }
 
-    /// The backend dispatch rule: every transient factors sparse in the
-    /// plan's fill order, whatever its size; a DC solve takes the dense
-    /// LU up to `AUTO_DENSE_LIMIT` unknowns and the natural-order sparse
-    /// LU above it.
+    /// The backend dispatch rule: a system of at most `DENSE_LIMIT`
+    /// unknowns factors on the dense LU, DC and transient alike; above it
+    /// a transient factors sparse in the plan's fill order and a DC in
+    /// natural order.
     #[test]
     fn transient_engine_factors_in_plan_order_dc_engine_in_natural_order() {
-        let ckt = ladder(10);
-        let mut tran = Engine::new(&ckt);
-        assert!(tran.n_unk <= AUTO_DENSE_LIMIT);
+        let small = ladder(10);
+        for tran in [true, false] {
+            let mut engine = if tran {
+                Engine::new(&small)
+            } else {
+                Engine::new_natural_order(&small)
+            };
+            assert!(engine.n_unk <= DENSE_LIMIT);
+            solve_once(&mut engine, tran);
+            assert!(engine.dense.is_some(), "tran {tran}: dense factors");
+            assert!(engine.lu.is_none(), "tran {tran}: no sparse factors");
+        }
+
+        let big = ladder(DENSE_LIMIT + 1);
+        let mut tran = Engine::new(&big);
+        assert!(tran.n_unk > DENSE_LIMIT);
         solve_once(&mut tran, true);
         let order = tran.plan.fill_order();
         assert_eq!(tran.lu.as_ref().expect("factored").col_order(), &order[..]);
@@ -903,19 +937,9 @@ mod tests {
             "ladder is reordered"
         );
 
-        let mut dc = Engine::new_natural_order(&ckt);
-        solve_once(&mut dc, false);
-        assert!(dc.lu.is_none(), "a small DC solves on the dense LU");
-
-        let big = ladder(AUTO_DENSE_LIMIT + 1);
         let mut dc = Engine::new_natural_order(&big);
-        assert!(dc.n_unk > AUTO_DENSE_LIMIT);
         solve_once(&mut dc, false);
         let natural = dc.lu.as_ref().expect("factored").col_order();
         assert!(natural.iter().copied().eq(0..dc.n_unk));
-        assert!(
-            dc.plan.fill_order().iter().copied().ne(0..dc.n_unk),
-            "the natural order is not the fill order"
-        );
     }
 }

@@ -38,9 +38,9 @@
 //! terminal outside the block (a pinned rail or an upstream free node)
 //! becomes a local boundary node held by a *replica* voltage source
 //! whose DC value is rewritten before every solve. The block then runs
-//! the ordinary damped-Newton [`Engine`] — stamp plan, sparse LU,
+//! the ordinary damped-Newton [`Engine`] — stamp plan, sparse/dense LU,
 //! quiescent-MOS bypass and per-block chord reuse all come along for
-//! free.
+//! free, and a block small enough for the dense LU takes it.
 //!
 //! # Event-driven scheduling and the skip rule
 //!

@@ -60,8 +60,7 @@
 //! computed on first use and then shared by every factorisation on the
 //! plan — ensemble lanes hold the plan through one `Arc`, and a
 //! degraded-pivot re-factorisation reuses the order it already has.
-//! Only transient solves ask for it; a DC solve takes the dense LU or,
-//! above the dense limit, the raw MNA order.
+//! Dense-sized systems and the natural-order DC engine never ask for it.
 
 use std::sync::{Arc, OnceLock};
 

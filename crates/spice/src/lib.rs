@@ -9,8 +9,9 @@
 //!   **source stepping** continuation,
 //! * transient analysis with **backward-Euler** and **trapezoidal**
 //!   companion models and automatic step subdivision on non-convergence,
-//! * sparse (Gilbert–Peierls left-looking) LU factorisation for every
-//!   transient, and dense LU for small DC operating points,
+//! * dense LU factorisation, replayed over its structural non-zeros, for
+//!   cell-sized systems and sparse (Gilbert–Peierls left-looking) LU
+//!   above,
 //! * elements: resistors, capacitors, independent V/I sources (DC, pulse,
 //!   PWL, sine), and the smooth MOSFET model from [`mcml_device`],
 //! * branch-current probing (supply-current measurement comes for free from

@@ -9,14 +9,16 @@
 //!   Newton loop uses via `analysis::plan::StampPlan`, where the sparsity
 //!   pattern is computed once per circuit and only values change.
 //!
-//! Every transient solve factors on a left-looking Gilbert–Peierls sparse
-//! LU ([`sparse::SparseLu`]) with a symbolic/numeric split for
-//! allocation-free refactorisation, in the minimum-degree column order of
-//! [`order::min_degree_order`]. A DC solve of at most
-//! [`AUTO_DENSE_LIMIT`] unknowns runs the dense partial-pivoting LU
-//! ([`dense::DenseWorkspace`]); a larger one runs the sparse LU in raw
-//! MNA column order. One-shot solves of a [`SystemMatrix`] call
-//! [`dense::solve_dense`] or [`sparse::solve_sparse`] directly.
+//! A system of at most 96 unknowns (every cell testbench) factors on the
+//! dense partial-pivoting LU ([`dense::DenseLu`]), which records the
+//! structure of its elimination and replays only the structural
+//! non-zeros while the pivot sequence holds. A larger one factors on a
+//! left-looking Gilbert–Peierls sparse LU ([`sparse::SparseLu`]) with a
+//! symbolic/numeric split for allocation-free refactorisation, in the
+//! minimum-degree column order of [`order::min_degree_order`] for a
+//! transient and in raw MNA column order for the DC operating point.
+//! One-shot solves of a [`SystemMatrix`] call [`dense::solve_dense`] or
+//! [`sparse::solve_sparse`] directly.
 
 pub mod dense;
 pub mod order;
@@ -163,9 +165,9 @@ impl CscPattern {
     }
 }
 
-/// The largest DC operating point, in unknowns, that solves on the
-/// dense LU. Transients always factor sparse.
-pub const AUTO_DENSE_LIMIT: usize = 96;
+/// The largest system, in unknowns, that the engine factors on the dense
+/// LU ([`dense::DenseLu`]); larger ones factor on the sparse LU.
+pub(crate) const DENSE_LIMIT: usize = 96;
 
 /// Row-wise sparse accumulator for the MNA Jacobian.
 ///

@@ -11,8 +11,9 @@
 //! Covered: backward Euler and trapezoidal, quiescent-MOS bypass on and
 //! off, chord (demand-driven refactorisation) with the bypass,
 //! partitioning at one and two lanes, and a 3-lane ensemble — on an RC
-//! ladder, a MOS inverter and a two-island inverter chain (the one
-//! circuit that actually partitions).
+//! ladder, a MOS inverter and a two-island inverter chain (the smallest
+//! circuit that actually partitions), which factor on the dense LU, and
+//! a 96-inverter chain, which factors on the sparse LU.
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::{
@@ -114,6 +115,27 @@ fn two_islands(edge: f64) -> Probe {
     }
 }
 
+/// A 96-inverter chain: 100 unknowns, so every policy factors on the
+/// sparse LU (the three circuits above factor on the dense one).
+fn long_chain(edge: f64) -> Probe {
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let vin = c.node("in");
+    let s_vdd = c.vsource("VDD", vdd, Circuit::GND, SourceWave::dc(1.2));
+    let s_in = c.vsource("VIN", vin, Circuit::GND, pulse(edge));
+    let mut nodes = vec![vdd, vin];
+    for k in 0..96 {
+        let out = c.node(&format!("o{k}"));
+        inverter(&mut c, &format!("{k}"), vdd, nodes[nodes.len() - 1], out);
+        nodes.push(out);
+    }
+    Probe {
+        ckt: c,
+        nodes,
+        sources: vec![s_vdd, s_in],
+    }
+}
+
 /// FNV-1a over the recorded grid, every node voltage and source branch
 /// current at every recorded point, the step count and the end time.
 fn fingerprint(p: &Probe, res: &TranResult, h: &mut u64) {
@@ -176,38 +198,47 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
 
 /// Committed fingerprints, `circuit/policy`.
 const EXPECTED: &[(&str, u64)] = &[
-    ("rc_ladder/be", 0xfe0f_525d_09aa_5498),
-    ("rc_ladder/trap", 0xe97b_915c_4f2d_ddc4),
-    ("rc_ladder/bypass", 0xfe0f_525d_09aa_5498),
-    ("rc_ladder/chord", 0x8ac0_b588_3471_7e07),
-    ("rc_ladder/partition", 0xfe0f_525d_09aa_5498),
-    ("rc_ladder/partition_x2", 0x8d6a_2ff9_f39c_ca2e),
-    ("rc_ladder/ensemble_x3", 0xd466_c26c_f081_dc3e),
-    ("rc_ladder/ensemble_x3_chord", 0x95c8_7b16_59c1_6f32),
+    ("rc_ladder/be", 0xa4c3_8b59_08d7_2f11),
+    ("rc_ladder/trap", 0x3f9d_4346_ab12_3fa7),
+    ("rc_ladder/bypass", 0xa4c3_8b59_08d7_2f11),
+    ("rc_ladder/chord", 0xa4c3_8b59_08d7_2f11),
+    ("rc_ladder/partition", 0xa4c3_8b59_08d7_2f11),
+    ("rc_ladder/partition_x2", 0xe0d4_9afd_7d31_d80a),
+    ("rc_ladder/ensemble_x3", 0x2f2b_5f01_a782_e6f5),
+    ("rc_ladder/ensemble_x3_chord", 0x2f2b_5f01_a782_e6f5),
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
     ("mos_inverter/trap", 0x6571_b698_906d_2aa3),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
-    ("mos_inverter/chord", 0xb3ea_7777_69e7_29ac),
+    ("mos_inverter/chord", 0xa99a_1128_3093_bf25),
     ("mos_inverter/partition", 0xa99a_1128_3093_bf25),
     ("mos_inverter/partition_x2", 0x8cc4_a19a_a366_85b3),
     ("mos_inverter/ensemble_x3", 0xc3a1_7f14_b219_60f1),
-    ("mos_inverter/ensemble_x3_chord", 0xf617_a273_32cf_62c0),
+    ("mos_inverter/ensemble_x3_chord", 0xa134_6fe4_5d90_abb1),
     ("two_islands/be", 0x2f36_bc08_6120_7fb1),
     ("two_islands/trap", 0x74b3_5b05_b3ab_2251),
     ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
-    ("two_islands/chord", 0xa5d8_71ed_eab5_273d),
+    ("two_islands/chord", 0x2b3b_95bb_7f17_7421),
     ("two_islands/partition", 0xfa80_f9a1_1ef5_c49d),
     ("two_islands/partition_x2", 0xf93d_b00e_d13c_a360),
     ("two_islands/ensemble_x3", 0xf630_255a_3533_9901),
-    ("two_islands/ensemble_x3_chord", 0xda92_ac78_0c1a_fb29),
+    ("two_islands/ensemble_x3_chord", 0xee49_f4dd_f713_ae68),
+    ("long_chain/be", 0x0b73_cc8c_6f85_1e24),
+    ("long_chain/trap", 0xbd2e_c1a1_62af_d2c2),
+    ("long_chain/bypass", 0xa5b7_1cb3_c5d5_f545),
+    ("long_chain/chord", 0x96f2_0525_c8a4_bbf0),
+    ("long_chain/partition", 0x3c63_1ffd_a31a_cf8f),
+    ("long_chain/partition_x2", 0xc28f_b1a3_57c6_d7c8),
+    ("long_chain/ensemble_x3", 0x0840_edb7_b552_efcd),
+    ("long_chain/ensemble_x3_chord", 0x2d24_ee50_45cf_f78c),
 ];
 
 #[test]
 fn fixed_grid_transients_match_committed_fingerprints() {
-    let circuits: [(&str, Build); 3] = [
+    let circuits: [(&str, Build); 4] = [
         ("rc_ladder", rc_ladder),
         ("mos_inverter", mos_inverter),
         ("two_islands", two_islands),
+        ("long_chain", long_chain),
     ];
     let mut got = Vec::new();
     for (cname, build) in circuits {
