@@ -4,9 +4,12 @@
 //! plaintext 0x3, and key 0x3 with plaintext 0xf) against samples
 //! captured from the reference solver path. Solver-level changes —
 //! assembly reordering, factorisation strategy, step-size handling — may
-//! shift samples only within the tolerances below; anything larger is a
+//! shift samples only within the tolerances of `common`; anything larger is a
 //! physics change, not an optimisation.
 
+mod common;
+
+use common::{benchmark_golden, ABS_TOL, REL_TOL};
 use mcml_cells::{CellParams, LogicStyle};
 use mcml_spice::TranOptions;
 use pg_mcml::experiments::{
@@ -31,14 +34,9 @@ const GOLDEN_SAMPLES: [f64; 10] = [
     1.9982008252221618e-3,
 ];
 
-/// Relative tolerance on each pinned sample (0.01 %, comfortably above
-/// the Newton tolerances `vtol`/`itol` that bound legitimate solver
-/// noise, and far below the paper's 1 µA acquisition resolution on the
-/// ~2 mA tail current), plus an absolute floor at `itol`.
-const REL_TOL: f64 = 1e-4;
-const ABS_TOL: f64 = 1e-9;
-
-/// Check one fig. 6 PG-MCML trace against its pinned samples.
+/// Check one fig. 6 PG-MCML trace against its pinned samples
+/// (`perfbench/golden.json` holds the same every-6th-sample pins for
+/// every key/plaintext pair).
 fn assert_trace_matches(key: u8, plaintext: u8, golden: &[f64]) {
     let trace = fig6_supply_trace(&CellParams::default(), key, LogicStyle::PgMcml, plaintext)
         .expect("transistor-tier trace");
@@ -54,23 +52,6 @@ fn assert_trace_matches(key: u8, plaintext: u8, golden: &[f64]) {
             i * GOLDEN_STRIDE
         );
     }
-}
-
-/// The benchmark's golden samples for one input (`perfbench/golden.json`
-/// holds the same every-6th-sample pins for every key/plaintext pair).
-fn benchmark_golden(entry: &str) -> Vec<f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/golden.json");
-    let text = std::fs::read_to_string(path).expect("read perfbench/golden.json");
-    let tag = format!("\"{entry}\": [");
-    let start = text
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no golden `{entry}`"))
-        + tag.len();
-    let end = start + text[start..].find(']').expect("closing bracket");
-    text[start..end]
-        .split(',')
-        .map(|v| v.trim().parse().expect("golden sample"))
-        .collect()
 }
 
 #[test]

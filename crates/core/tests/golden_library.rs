@@ -9,30 +9,13 @@
 //! test characterises the four sequential cells in every style and
 //! checks the seven values against `library_char/<style>/<cell>` in
 //! `perfbench/golden.json`, read-only, under the benchmark's exact-path
-//! tolerance.
+//! tolerance (`common`).
 
+mod common;
+
+use common::{benchmark_golden, ABS_TOL, REL_TOL};
 use mcml_cells::{CellKind, CellParams, LogicStyle};
 use mcml_char::characterize_cell_uncached;
-
-/// The benchmark's `EXACT_PATH` tolerance: `|got − want| ≤ ABS + REL·|want|`.
-const ABS_TOL: f64 = 1e-9;
-const REL_TOL: f64 = 1e-4;
-
-/// The benchmark's golden values for one key.
-fn benchmark_golden(entry: &str) -> Vec<f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/golden.json");
-    let text = std::fs::read_to_string(path).expect("read perfbench/golden.json");
-    let tag = format!("\"{entry}\": [");
-    let start = text
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no golden `{entry}`"))
-        + tag.len();
-    let end = start + text[start..].find(']').expect("closing bracket");
-    text[start..end]
-        .split(',')
-        .map(|v| v.trim().parse().expect("golden value"))
-        .collect()
-}
 
 #[test]
 fn sequential_cells_match_benchmark_goldens() {
