@@ -158,26 +158,42 @@ fn bench_substrates(c: &mut Criterion) {
 
     // Random sparse MNA-like system, both solvers.
     let n = 400;
-    let mut m = SystemMatrix::new(n);
-    let mut s = 0x9e37_79b9u64;
-    let mut rnd = move || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    for r in 0..n {
-        m.add(r, r, 6.0 + rnd());
-        for _ in 0..4 {
-            let cc = ((rnd().abs() * n as f64) as usize).min(n - 1);
-            m.add(r, cc, rnd());
+    let build = || {
+        let mut m = SystemMatrix::new(n);
+        let mut s = 0x9e37_79b9u64;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        for r in 0..n {
+            m.add(r, r, 6.0 + rnd());
+            for _ in 0..4 {
+                let cc = ((rnd().abs() * n as f64) as usize).min(n - 1);
+                m.add(r, cc, rnd());
+            }
         }
-    }
-    m.consolidate();
+        m
+    };
     let b_vec: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
     g.bench_function("sparse_lu_400", |b| {
-        b.iter(|| solve_sparse(&m, &b_vec).unwrap());
+        b.iter_batched(
+            build,
+            |mut m| {
+                m.consolidate();
+                solve_sparse(&m, &b_vec).unwrap()
+            },
+            BatchSize::SmallInput,
+        );
     });
     g.bench_function("dense_lu_400", |b| {
-        b.iter(|| solve_dense(&m, &b_vec).unwrap());
+        b.iter_batched(
+            build,
+            |mut m| {
+                m.consolidate();
+                solve_dense(&m, &b_vec).unwrap()
+            },
+            BatchSize::SmallInput,
+        );
     });
     g.finish();
 }
