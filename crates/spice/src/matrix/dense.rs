@@ -16,10 +16,10 @@
 //! it does not, it factors and records afresh. A skipped position holds
 //! an exact `+0.0`, from which the full loop would subtract `factor ·
 //! 0.0`, or `0.0 · u`, without effect, so for finite values the factors
-//! and solutions do not change. On the cell transients of the
-//! characterisation this more than halves the dense LU's cost; the
-//! sparse LU's fill-reducing order would cut it further, but its
-//! rounding differs (SOLVER.md §3).
+//! and solutions do not change. On a 46-unknown cell transient this
+//! about halves the time per factorisation and solve; the sparse LU's
+//! fill-reducing order would cut it further, but its rounding differs
+//! (SOLVER.md §3).
 
 use super::{CscPattern, SystemMatrix};
 use crate::error::SpiceError;
@@ -58,8 +58,8 @@ impl StepLists {
 #[derive(Debug, Clone)]
 pub struct DenseLu {
     n: usize,
-    /// Row-major factors: the multipliers of L below the diagonal, U on
-    /// and above it.
+    /// Row-major working matrix; U on and above the diagonal once
+    /// factored.
     a: Vec<f64>,
     /// `piv[k]`: the position swapped with `k` at step `k`.
     piv: Vec<usize>,
@@ -71,6 +71,9 @@ pub struct DenseLu {
     cand: StepLists,
     /// Step `k`'s structurally non-zero multiplier rows.
     lower: StepLists,
+    /// The multipliers of L, parallel to `lower`'s rows (`0.0` where the
+    /// dense loop skips the row).
+    lvals: Vec<f64>,
     /// Step `k`'s structurally non-zero columns right of the pivot, in
     /// ascending order.
     upper: StepLists,
@@ -81,6 +84,8 @@ pub struct DenseLu {
     /// Recording scratch: the structural non-zeros, row-major in the
     /// current row order.
     nz: Vec<bool>,
+    /// Replay scratch: the pivot row's values at `upper`'s columns.
+    uk: Vec<f64>,
 }
 
 impl DenseLu {
@@ -99,9 +104,11 @@ impl DenseLu {
             scatter: Vec::new(),
             cand: StepLists::default(),
             lower: StepLists::default(),
+            lvals: Vec::new(),
             upper: StepLists::default(),
             recorded: false,
             nz: Vec::new(),
+            uk: Vec::new(),
         };
         lu.record(pattern, vals)?;
         Ok(lu)
@@ -154,8 +161,8 @@ impl DenseLu {
         }
         for k in 0..n {
             let xk = x[k];
-            for &r in self.lower.step(k) {
-                let factor = self.a[r * n + k];
+            let span = self.lower.ptr[k]..self.lower.ptr[k + 1];
+            for (&r, &factor) in self.lower.idx[span.clone()].iter().zip(&self.lvals[span]) {
                 if factor != 0.0 {
                     x[r] -= factor * xk;
                 }
@@ -201,6 +208,7 @@ impl DenseLu {
         self.piv.clear();
         self.cand.clear();
         self.lower.clear();
+        self.lvals.clear();
         self.upper.clear();
         for k in 0..n {
             // Pivot search in column k, rows k..n. A row without a
@@ -246,10 +254,11 @@ impl DenseLu {
                     nz[q * n + c] = true;
                 }
                 if a[q * n + k] == 0.0 {
+                    self.lvals.push(0.0);
                     continue;
                 }
                 let factor = a[q * n + k] / pivot;
-                a[q * n + k] = factor;
+                self.lvals.push(factor);
                 if factor == 0.0 {
                     continue;
                 }
@@ -305,26 +314,25 @@ impl DenseLu {
                 return Ok(false);
             }
             let pivot = a[k * n + k];
-            let rows = self.lower.step(k);
-            // Every division first, so they pipeline instead of each
-            // waiting for the row update before it.
-            for &r in rows {
-                let m = &mut a[r * n + k];
-                if *m != 0.0 {
-                    *m /= pivot;
-                }
-            }
             let cols = self.upper.step(k);
             let (top, below) = a.split_at_mut((k + 1) * n);
             let urow = &top[k * n..];
-            for &r in rows {
+            let uk = &mut self.uk;
+            uk.clear();
+            uk.extend(cols.iter().map(|&c| urow[c]));
+            let span = self.lower.ptr[k]..self.lower.ptr[k + 1];
+            for (&r, l) in self.lower.idx[span.clone()]
+                .iter()
+                .zip(&mut self.lvals[span])
+            {
                 let row = &mut below[(r - k - 1) * n..(r - k) * n];
-                let factor = row[k];
+                let factor = if row[k] == 0.0 { 0.0 } else { row[k] / pivot };
+                *l = factor;
                 if factor == 0.0 {
                     continue;
                 }
-                for &c in cols {
-                    row[c] -= factor * urow[c];
+                for (&c, &u) in cols.iter().zip(uk.iter()) {
+                    row[c] -= factor * u;
                 }
             }
         }
