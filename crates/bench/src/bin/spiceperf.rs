@@ -202,10 +202,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Tier 2: the table 2/3 characterisation workload — every cell of the
-    // PG-MCML library on a cold cache (DCs on the dense LU, transients on
-    // the fill-ordered sparse LU). The cache clear runs before *every*
-    // repetition, outside the timed window, so each repetition re-does
-    // the full SPICE work.
+    // PG-MCML library on a cold cache (DCs and transients on the replayed
+    // dense LU). The cache clear runs before *every* repetition, outside
+    // the timed window, so each repetition re-does the full SPICE work.
     let (char_tier, lib) = measure_tier_reps("table3_char", reps, mcml_char::cache::clear, || {
         mcml_char::build_library(&params, &[LogicStyle::PgMcml])
     });
