@@ -1,4 +1,4 @@
-//! Bitwise fingerprints of fixed-grid transients.
+//! Bitwise fingerprints of transients.
 //!
 //! Every recorded sample of every policy below — node voltages, source
 //! branch currents, the recorded grid, the accepted step count and the
@@ -10,7 +10,9 @@
 //!
 //! Covered: backward Euler and trapezoidal, quiescent-MOS bypass on and
 //! off, chord (demand-driven refactorisation) with the bypass,
-//! partitioning at one and two lanes, and a 3-lane ensemble — on an RC
+//! partitioning at one and two lanes, a 3-lane ensemble, and
+//! grid-aligned adaptive leaps, alone and combined with the bypass,
+//! chord and three lanes as the fig. 6 ensemble runs them — on an RC
 //! ladder, a MOS inverter and a two-island inverter chain (the smallest
 //! circuit that actually partitions), which factor on the dense LU, and
 //! a 96-inverter chain, which factors on the sparse LU.
@@ -193,6 +195,14 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
         ("partition_x2", bypass.with_partitioning(), 2),
         ("ensemble_x3", base, 3),
         ("ensemble_x3_chord", bypass.with_jacobian_reuse(), 3),
+        ("adaptive", base.adaptive_grid_aligned(1e-4, 100e-12), 1),
+        (
+            "adaptive_x3_chord",
+            bypass
+                .adaptive_grid_aligned(1e-4, 100e-12)
+                .with_jacobian_reuse(),
+            3,
+        ),
     ]
 }
 
@@ -206,6 +216,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/partition_x2", 0xe0d4_9afd_7d31_d80a),
     ("rc_ladder/ensemble_x3", 0x2f2b_5f01_a782_e6f5),
     ("rc_ladder/ensemble_x3_chord", 0x2f2b_5f01_a782_e6f5),
+    ("rc_ladder/adaptive", 0x2cc1_dddb_b59d_7305),
+    ("rc_ladder/adaptive_x3_chord", 0xb83a_39ff_560f_0ef4),
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
     ("mos_inverter/trap", 0x6571_b698_906d_2aa3),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
@@ -214,6 +226,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ("mos_inverter/partition_x2", 0x8cc4_a19a_a366_85b3),
     ("mos_inverter/ensemble_x3", 0xc3a1_7f14_b219_60f1),
     ("mos_inverter/ensemble_x3_chord", 0xa134_6fe4_5d90_abb1),
+    ("mos_inverter/adaptive", 0x6378_d0ef_146c_bd36),
+    ("mos_inverter/adaptive_x3_chord", 0x0926_df6a_2e11_e48a),
     ("two_islands/be", 0x2f36_bc08_6120_7fb1),
     ("two_islands/trap", 0x74b3_5b05_b3ab_2251),
     ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
@@ -222,6 +236,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ("two_islands/partition_x2", 0xf93d_b00e_d13c_a360),
     ("two_islands/ensemble_x3", 0xf630_255a_3533_9901),
     ("two_islands/ensemble_x3_chord", 0xee49_f4dd_f713_ae68),
+    ("two_islands/adaptive", 0x2e5b_4938_fc6e_8c97),
+    ("two_islands/adaptive_x3_chord", 0x183e_8df8_5098_37a8),
     ("long_chain/be", 0x0b73_cc8c_6f85_1e24),
     ("long_chain/trap", 0xbd2e_c1a1_62af_d2c2),
     ("long_chain/bypass", 0xa5b7_1cb3_c5d5_f545),
@@ -230,6 +246,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ("long_chain/partition_x2", 0xc28f_b1a3_57c6_d7c8),
     ("long_chain/ensemble_x3", 0x0840_edb7_b552_efcd),
     ("long_chain/ensemble_x3_chord", 0x2d24_ee50_45cf_f78c),
+    ("long_chain/adaptive", 0xea72_bc2c_744c_edc9),
+    ("long_chain/adaptive_x3_chord", 0xe9c2_bc32_509c_67cc),
 ];
 
 #[test]
