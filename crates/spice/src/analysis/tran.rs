@@ -49,15 +49,25 @@ pub struct AdaptiveOptions {
 }
 
 /// Options for [`Circuit::transient`].
+///
+/// The end time and the base step are fixed by [`TranOptions::new`],
+/// which checks them, and cannot be changed afterwards:
+///
+/// ```compile_fail,E0616
+/// use mcml_spice::TranOptions;
+///
+/// let mut opts = TranOptions::new(1e-9, 1e-12);
+/// opts.t_stop = f64::INFINITY;
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TranOptions {
     /// End time (s).
-    pub t_stop: f64,
+    pub(crate) t_stop: f64,
     /// Base time step (s); also the spacing of the recorded output grid.
     /// Fixed-step marches it one cell at a time (subdividing locally
     /// when Newton fails); the adaptive controller leaps whole multiples
     /// of it.
-    pub dt: f64,
+    pub(crate) dt: f64,
     /// Integration method.
     pub integrator: Integrator,
     /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
