@@ -35,9 +35,6 @@ pub(crate) struct CapState {
     pub c: f64,
     /// Voltage across the capacitor at the previous accepted time point.
     pub prev_v: f64,
-    /// Current through the capacitor at the previous accepted time point
-    /// (used by the trapezoidal rule).
-    pub prev_i: f64,
 }
 
 /// Companion-model context handed to assembly during transient steps.
@@ -47,8 +44,6 @@ pub(crate) struct CapState {
 pub(crate) struct CompanionCtx<'c> {
     /// Current step size (s).
     pub h: f64,
-    /// True for trapezoidal, false for backward Euler.
-    pub trapezoidal: bool,
     /// Parallel to the circuit's element list; `Some` for capacitors.
     pub caps: &'c [Option<CapState>],
 }
@@ -76,13 +71,12 @@ pub(crate) struct NrOptions {
     pub bypass_tol: f64,
     /// Demand-driven refactorisation (modified Newton): keep solving
     /// against the last numeric LU factors — across iterations *and*
-    /// steps whose [`JacKey`]s are chord-compatible (same integrator
-    /// and gmin; the step size may drift) — and refactor only when the
-    /// iteration's contraction rate says the stale Jacobian has stopped
-    /// converging. The residual is always assembled fresh, so the
-    /// convergence test is unchanged; only the Newton *direction* comes
-    /// from a lagged Jacobian. Off by default: full Newton refactors
-    /// every iteration.
+    /// steps whose [`JacKey`]s are chord-compatible (same gmin; the step
+    /// size may drift) — and refactor only when the iteration's
+    /// contraction rate says the stale Jacobian has stopped converging.
+    /// The residual is always assembled fresh, so the convergence test
+    /// is unchanged; only the Newton *direction* comes from a lagged
+    /// Jacobian. Off by default: full Newton refactors every iteration.
     pub reuse_jacobian: bool,
 }
 
@@ -114,19 +108,17 @@ impl NrTally {
 }
 
 /// Everything the stamped Jacobian *values* can depend on besides the
-/// MOS linearizations: the companion conductances (step size and
-/// integration method) and the gmin ground leak. Source waveforms only
-/// reach the residual, never the matrix, so they are deliberately
-/// absent. Used by the exact reuse check: when an assembly evaluated
-/// zero MOS devices (every device served from its bypass cache) and this
-/// key matches the one recorded at the last factorisation, the stamped
-/// values are bit-identical to the factored ones and the
-/// refactorisation can be skipped outright.
+/// MOS linearizations: the companion conductances (the step size) and
+/// the gmin ground leak. Source waveforms only reach the residual, never
+/// the matrix, so they are deliberately absent. Used by the exact reuse
+/// check: when an assembly evaluated zero MOS devices (every device
+/// served from its bypass cache) and this key matches the one recorded
+/// at the last factorisation, the stamped values are bit-identical to
+/// the factored ones and the refactorisation can be skipped outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JacKey {
     /// `h.to_bits()` of the companion context, `u64::MAX` for DC.
     h_bits: u64,
-    trapezoidal: bool,
     gmin_bits: u64,
 }
 
@@ -134,7 +126,6 @@ impl JacKey {
     fn new(companion: Option<&CompanionCtx<'_>>, gmin: f64) -> Self {
         Self {
             h_bits: companion.map_or(u64::MAX, |c| c.h.to_bits()),
-            trapezoidal: companion.is_some_and(|c| c.trapezoidal),
             gmin_bits: gmin.to_bits(),
         }
     }
@@ -144,14 +135,11 @@ impl JacKey {
     /// keys; the chord path additionally tolerates a changed step size
     /// — an `h` change only rescales the capacitor companion
     /// conductances, a mild, uniform Jacobian drift that the
-    /// contraction monitor polices like any other staleness. Method or
-    /// gmin changes, or crossing the DC/transient boundary, change the
-    /// matrix structure semantics and always demand a refactor.
+    /// contraction monitor polices like any other staleness. A gmin
+    /// change, or crossing the DC/transient boundary, changes the matrix
+    /// structure semantics and always demands a refactor.
     fn chord_compatible(self, other: Self) -> bool {
-        self.trapezoidal == other.trapezoidal
-            && self.gmin_bits == other.gmin_bits
-            && self.is_transient()
-            && other.is_transient()
+        self.gmin_bits == other.gmin_bits && self.is_transient() && other.is_transient()
     }
 
     fn is_transient(self) -> bool {
@@ -347,7 +335,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 Element::Capacitor { a, b, .. } => {
                     let Some(ctx) = companion else { continue };
                     let Some(state) = ctx.caps[idx] else { continue };
-                    let (geq, hist) = companion_terms(&state, ctx.h, ctx.trapezoidal);
+                    let (geq, hist) = companion_terms(&state, ctx.h);
                     let v_now = Self::v(x, *a) - Self::v(x, *b);
                     let i = geq * v_now + hist;
                     self.stamp_conductance(mat, f, *a, *b, geq, i);
@@ -695,15 +683,11 @@ impl<C: Borrow<Circuit>> Engine<C> {
     }
 }
 
-/// Companion conductance and history current for a capacitor.
-pub(crate) fn companion_terms(state: &CapState, h: f64, trapezoidal: bool) -> (f64, f64) {
-    if trapezoidal {
-        let geq = 2.0 * state.c / h;
-        (geq, -geq * state.prev_v - state.prev_i)
-    } else {
-        let geq = state.c / h;
-        (geq, -geq * state.prev_v)
-    }
+/// Backward-Euler companion conductance and history current for a
+/// capacitor.
+pub(crate) fn companion_terms(state: &CapState, h: f64) -> (f64, f64) {
+    let geq = state.c / h;
+    (geq, -geq * state.prev_v)
 }
 
 /// Initialise companion states (capacitor voltages) from a solved state.
@@ -713,7 +697,6 @@ pub(crate) fn init_cap_states(ckt: &Circuit, x: &[f64]) -> Vec<Option<CapState>>
             Element::Capacitor { a, b, farads } => Some(CapState {
                 c: *farads,
                 prev_v: v_node(x, *a) - v_node(x, *b),
-                prev_i: 0.0,
             }),
             _ => None,
         })
@@ -824,7 +807,6 @@ mod tests {
         let caps = init_cap_states(ckt, &x);
         let ctx = CompanionCtx {
             h: 1e-12,
-            trapezoidal: false,
             caps: &caps,
         };
         let companion = tran.then_some(&ctx);
@@ -883,16 +865,12 @@ mod tests {
             let mut caps = init_cap_states(&ckt, &x);
             let h = 10e-12;
             for step in 1..=200 {
-                let ctx = CompanionCtx {
-                    h,
-                    trapezoidal: false,
-                    caps: &caps,
-                };
+                let ctx = CompanionCtx { h, caps: &caps };
                 let t = h * f64::from(step);
                 engine
                     .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
                     .expect("step converges");
-                crate::analysis::march::update_caps(&ckt, &mut caps, &x, h, false);
+                crate::analysis::march::update_caps(&ckt, &mut caps, &x);
             }
             assert_eq!(engine.lu.is_some(), engine.n_unk > DENSE_LIMIT);
             assert!(

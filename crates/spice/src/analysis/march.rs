@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, MAX_SUBDIV,
+    init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, MAX_SUBDIV,
 };
 use crate::analysis::partition::{PartLane, PartitionStructure};
-use crate::analysis::tran::{AdaptiveOptions, Integrator, TranOptions, TranResult};
+use crate::analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
 use crate::error::SpiceError;
@@ -43,7 +43,7 @@ pub(crate) trait Lane {
     fn try_step(&mut self, t: f64, h: f64) -> Result<()>;
     /// The last trial's state (node voltages first).
     fn trial(&self) -> &[f64];
-    /// Accept the last trial, advancing the companion states by `h`.
+    /// Accept the last trial, a step of size `h`.
     fn commit(&mut self, h: f64);
     /// The committed state (node voltages first).
     fn state(&self) -> &[f64];
@@ -61,7 +61,6 @@ pub(crate) trait Lane {
 pub(crate) struct MonoLane<'c> {
     engine: Engine<&'c Circuit>,
     nr: NrOptions,
-    trapezoidal: bool,
     x: Vec<f64>,
     x_try: Vec<f64>,
     caps: Vec<Option<CapState>>,
@@ -73,7 +72,6 @@ impl<'c> MonoLane<'c> {
         Self {
             engine,
             nr: opts.nr(),
-            trapezoidal: opts.integrator == Integrator::Trapezoidal,
             x: x0.to_vec(),
             x_try: vec![0.0; x0.len()],
             caps: init_cap_states(ckt, x0),
@@ -86,7 +84,6 @@ impl Lane for MonoLane<'_> {
         self.x_try.clone_from(&self.x);
         let ctx = CompanionCtx {
             h,
-            trapezoidal: self.trapezoidal,
             caps: &self.caps,
         };
         let gmin = self.engine.ckt.gmin;
@@ -98,9 +95,8 @@ impl Lane for MonoLane<'_> {
         &self.x_try
     }
 
-    fn commit(&mut self, h: f64) {
-        let ckt = self.engine.ckt;
-        update_caps(ckt, &mut self.caps, &self.x_try, h, self.trapezoidal);
+    fn commit(&mut self, _h: f64) {
+        update_caps(self.engine.ckt, &mut self.caps, &self.x_try);
         std::mem::swap(&mut self.x, &mut self.x_try);
     }
 
@@ -125,19 +121,10 @@ impl Lane for MonoLane<'_> {
 }
 
 /// Advance capacitor companion states past an accepted step to `x`.
-pub(crate) fn update_caps(
-    ckt: &Circuit,
-    caps: &mut [Option<CapState>],
-    x: &[f64],
-    h: f64,
-    trapezoidal: bool,
-) {
+pub(crate) fn update_caps(ckt: &Circuit, caps: &mut [Option<CapState>], x: &[f64]) {
     for (idx, (_, e)) in ckt.elements().map(|(id, n, e)| (id.index(), (n, e))) {
         if let (Element::Capacitor { a, b, .. }, Some(state)) = (e, caps[idx].as_mut()) {
-            let v_new = v_node(x, *a) - v_node(x, *b);
-            let (geq, hist) = companion_terms(state, h, trapezoidal);
-            state.prev_i = geq * v_new + hist;
-            state.prev_v = v_new;
+            state.prev_v = v_node(x, *a) - v_node(x, *b);
         }
     }
 }
@@ -386,7 +373,6 @@ fn retag_tran(e: SpiceError, time: f64) -> SpiceError {
 /// discontinuity can't fall unseen inside a leap.
 struct Controller {
     lte: AdaptiveOptions,
-    trapezoidal: bool,
     /// Capacitor terminal pairs, shared by every lane's topology.
     pairs: Vec<(NodeId, NodeId)>,
     /// Per-lane divided-difference history.
@@ -460,7 +446,6 @@ impl Controller {
             .collect();
         Self {
             lte,
-            trapezoidal: opts.integrator == Integrator::Trapezoidal,
             pairs,
             hist,
             barriers,
@@ -486,15 +471,7 @@ impl Controller {
     /// Lane `l`'s LTE ratio for a candidate step of size `h` to
     /// `(t_new, x_new)`.
     fn ratio(&self, l: usize, x_new: &[f64], t_new: f64, h: f64) -> Option<f64> {
-        lte_ratio(
-            &self.hist[l],
-            &self.pairs,
-            x_new,
-            t_new,
-            h,
-            self.trapezoidal,
-            self.lte,
-        )
+        lte_ratio(&self.hist[l], &self.pairs, x_new, t_new, h, self.lte)
     }
 
     /// Update every lane's proposal after a `k`-cell macro step landed
@@ -508,7 +485,6 @@ impl Controller {
         lanes: &[L],
     ) {
         mcml_obs::add(mcml_obs::Counter::AdaptiveSteps, lanes.len() as u64);
-        let p_ord = if self.trapezoidal { 3.0 } else { 2.0 }; // p + 1
         let landed_barrier = self.barriers.get(self.bar_idx) == Some(&pos);
         for (l, lane) in lanes.iter().enumerate() {
             if landed_barrier {
@@ -519,8 +495,10 @@ impl Controller {
             } else {
                 let grown = match ratios[l] {
                     Some(r) => {
+                        // The backward-Euler LTE scales as h², so the
+                        // leap may grow by r^(-1/2), less a 10 % margin.
                         let f = if r > 0.0 {
-                            0.9 * r.powf(-1.0 / p_ord)
+                            0.9 * r.powf(-0.5)
                         } else {
                             f64::INFINITY
                         };
@@ -544,19 +522,19 @@ impl Controller {
     }
 }
 
-/// Up to three past `(t, capacitor voltages)` samples for the LTE
-/// divided differences; the newest entry is at index `len - 1`.
+/// Up to two past `(t, capacitor voltages)` samples for the LTE
+/// divided difference; the newest entry is at index `len - 1`.
 struct CapHistory {
-    t: [f64; 3],
-    v: [Vec<f64>; 3],
+    t: [f64; 2],
+    v: [Vec<f64>; 2],
     len: usize,
 }
 
 impl CapHistory {
     fn new(n_caps: usize) -> Self {
         Self {
-            t: [0.0; 3],
-            v: [vec![0.0; n_caps], vec![0.0; n_caps], vec![0.0; n_caps]],
+            t: [0.0; 2],
+            v: [vec![0.0; n_caps], vec![0.0; n_caps]],
             len: 0,
         }
     }
@@ -566,10 +544,10 @@ impl CapHistory {
     }
 
     fn push(&mut self, t: f64, pairs: &[(NodeId, NodeId)], x: &[f64]) {
-        if self.len == 3 {
+        if self.len == 2 {
             self.t.rotate_left(1);
             self.v.rotate_left(1);
-            self.len = 2;
+            self.len = 1;
         }
         self.t[self.len] = t;
         let slot = &mut self.v[self.len];
@@ -583,16 +561,14 @@ impl CapHistory {
 /// Worst per-capacitor `LTE / (reltol·|v| + abstol)` ratio for a
 /// candidate step to `(t_new, x_new)`, or `None` when the history is
 /// still too short to form the divided difference (such steps are
-/// accepted without growing the leap). The estimate is
-/// `h²·|f[t_{n-1},t_n,t_{n+1}]|` for backward Euler (order 1) and
-/// `h³/2·|f[t_{n-2},…,t_{n+1}]|` for trapezoidal (order 2).
+/// accepted without growing the leap). The backward-Euler (order 1)
+/// estimate is `h²·|f[t_{n-1},t_n,t_{n+1}]|`.
 fn lte_ratio(
     hist: &CapHistory,
     pairs: &[(NodeId, NodeId)],
     x_new: &[f64],
     t_new: f64,
     h: f64,
-    trapezoidal: bool,
     lte: AdaptiveOptions,
 ) -> Option<f64> {
     if pairs.is_empty() {
@@ -600,30 +576,19 @@ fn lte_ratio(
         // breakpoints, so any step size is exact.
         return Some(0.0);
     }
-    let need = if trapezoidal { 3 } else { 2 };
-    if hist.len < need {
+    if hist.len < 2 {
         return None;
     }
-    let n = hist.len;
-    let (t1, t2) = (hist.t[n - 2], hist.t[n - 1]);
+    let (t1, t2) = (hist.t[0], hist.t[1]);
     let mut r_max = 0.0f64;
     for (k, &(a, b)) in pairs.iter().enumerate() {
         let v_new = v_node(x_new, a) - v_node(x_new, b);
-        let (v1, v2) = (hist.v[n - 2][k], hist.v[n - 1][k]);
+        let (v1, v2) = (hist.v[0][k], hist.v[1][k]);
         let dd1a = (v2 - v1) / (t2 - t1);
         let dd1b = (v_new - v2) / (t_new - t2);
         let dd2 = (dd1b - dd1a) / (t_new - t1);
-        let err = if trapezoidal {
-            // Order 2: LTE ≈ h³/12·|v‴|, with v‴ ≈ 6·f[t_{n-2},…,t_{n+1}].
-            let (t0, v0) = (hist.t[n - 3], hist.v[n - 3][k]);
-            let dd1z = (v1 - v0) / (t1 - t0);
-            let dd2a = (dd1a - dd1z) / (t2 - t0);
-            let dd3 = (dd2 - dd2a) / (t_new - t0);
-            0.5 * h * h * h * dd3.abs()
-        } else {
-            // Order 1: LTE ≈ h²/2·|v″|, with v″ ≈ 2·f[t_{n-1},t_n,t_{n+1}].
-            h * h * dd2.abs()
-        };
+        // LTE ≈ h²/2·|v″|, with v″ ≈ 2·f[t_{n-1},t_n,t_{n+1}].
+        let err = h * h * dd2.abs();
         let tol = lte.reltol * v_new.abs().max(v2.abs()) + lte.abstol;
         r_max = r_max.max(err / tol);
     }

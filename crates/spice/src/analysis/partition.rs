@@ -68,7 +68,7 @@ use crate::analysis::engine::{
     companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, VTOL,
 };
 use crate::analysis::march::{update_caps, Lane};
-use crate::analysis::tran::{Integrator, TranOptions};
+use crate::analysis::tran::TranOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::element::Element;
 use crate::source::SourceWave;
@@ -622,6 +622,9 @@ struct RailCap {
     a: NodeId,
     b: NodeId,
     state: CapState,
+    /// Companion current from `a` to `b` at the last accepted time
+    /// point, for the rails' branch-current reconstruction.
+    i: f64,
 }
 
 /// A partitioned lane: the block scheduler behind the march's
@@ -632,7 +635,6 @@ pub(crate) struct PartLane<'a> {
     ckt: &'a Circuit,
     structure: &'a PartitionStructure,
     nr: NrOptions,
-    trapezoidal: bool,
     /// Boundary movement below which a settled block is skipped: the
     /// bypass tolerance when enabled, else `VTOL`.
     skip_tol: f64,
@@ -687,8 +689,8 @@ impl<'a> PartLane<'a> {
                     state: CapState {
                         c: *farads,
                         prev_v: v_node(x0, *a) - v_node(x0, *b),
-                        prev_i: 0.0,
                     },
+                    i: 0.0,
                 }),
                 _ => None,
             })
@@ -707,7 +709,6 @@ impl<'a> PartLane<'a> {
             ckt,
             structure,
             nr,
-            trapezoidal: opts.integrator == Integrator::Trapezoidal,
             skip_tol: if nr.bypass_tol > 0.0 {
                 nr.bypass_tol
             } else {
@@ -730,7 +731,6 @@ impl Lane for PartLane<'_> {
             ckt,
             structure,
             nr,
-            trapezoidal,
             skip_tol,
             runtimes,
             x,
@@ -764,11 +764,7 @@ impl Lane for PartLane<'_> {
                 }
             }
             rt.x_try.clone_from(&rt.x);
-            let ctx = CompanionCtx {
-                h,
-                trapezoidal: *trapezoidal,
-                caps: &rt.caps,
-            };
+            let ctx = CompanionCtx { h, caps: &rt.caps };
             rt.engine
                 .solve_nr(&mut rt.x_try, t, Some(&ctx), ckt.gmin, 1.0, nr, "tran")?;
             let nn = rt.engine.n_node_unk;
@@ -789,18 +785,17 @@ impl Lane for PartLane<'_> {
     }
 
     fn commit(&mut self, h: f64) {
-        let trapezoidal = self.trapezoidal;
         for rt in &mut self.runtimes {
             match rt.pending {
                 Pending::Skip => {
                     self.block_skips += 1;
                     // Companion states still advance — exact under
                     // frozen node voltages.
-                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x, h, trapezoidal);
+                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x);
                 }
                 Pending::Solved(settled) => {
                     self.block_solves += 1;
-                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x_try, h, trapezoidal);
+                    update_caps(&rt.engine.ckt, &mut rt.caps, &rt.x_try);
                     rt.x.clone_from(&rt.x_try);
                     rt.settled = settled;
                     std::mem::swap(&mut rt.last_inputs, &mut rt.try_inputs);
@@ -809,8 +804,8 @@ impl Lane for PartLane<'_> {
         }
         for rc in &mut self.rail_caps {
             let v_now = v_node(&self.x_stage, rc.a) - v_node(&self.x_stage, rc.b);
-            let (geq, hist) = companion_terms(&rc.state, h, trapezoidal);
-            rc.state.prev_i = geq * v_now + hist;
+            let (geq, hist) = companion_terms(&rc.state, h);
+            rc.i = geq * v_now + hist;
             rc.state.prev_v = v_now;
         }
         self.x.copy_from_slice(&self.x_stage);
@@ -915,8 +910,8 @@ fn reconstruct_branch_currents(
         }
     }
     for rc in rail_caps {
-        leave(&mut acc, rc.a, rc.state.prev_i);
-        leave(&mut acc, rc.b, -rc.state.prev_i);
+        leave(&mut acc, rc.a, rc.i);
+        leave(&mut acc, rc.b, -rc.i);
     }
     // Leaves-first sweep: children were pinned after their parents, so
     // reverse pinning order resolves every child branch before its

@@ -435,7 +435,7 @@ impl StampPlan {
                 let (PlanElem::Cap { fa, fb, g }, Some(cap)) = (plan, state) else {
                     continue;
                 };
-                let (geq, hist) = companion_terms(cap, ctx.h, ctx.trapezoidal);
+                let (geq, hist) = companion_terms(cap, ctx.h);
                 for (slot, val) in g.iter().zip([geq, -geq, -geq, geq]) {
                     if *slot != SLOT_NONE {
                         vals[*slot] += val;

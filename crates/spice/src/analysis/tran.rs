@@ -1,9 +1,11 @@
-//! Transient analysis with backward-Euler / trapezoidal companion models.
+//! Transient analysis with backward-Euler companion models.
 //!
 //! This module holds the options and the result; the time loop itself is
 //! the shared lane march in `analysis::march`, which [`transient`] runs
-//! over one lane and [`crate::ensemble_transient`] over many. Two
-//! stepping policies share the caller's uniform `dt` grid:
+//! over one lane and [`crate::ensemble_transient`] over many. Backward
+//! Euler is the only integrator: every capacitor becomes a conductance
+//! `C/h` in parallel with a history current. Two stepping policies share
+//! the caller's uniform `dt` grid:
 //!
 //! * **Fixed-step** (the default): march one grid cell at a time,
 //!   subdividing a cell only when Newton fails. This is the reference
@@ -20,18 +22,6 @@ use crate::analysis::engine::NrOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::waveform::Waveform;
 use crate::Result;
-
-/// Numerical integration method for capacitor companion models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// Backward Euler: L-stable, slightly dissipative — the robust
-    /// default.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal rule: second-order accurate, preferred for energy
-    /// measurements.
-    Trapezoidal,
-}
 
 /// LTE controller settings for grid-aligned adaptive stepping.
 ///
@@ -68,8 +58,6 @@ pub struct TranOptions {
     /// when Newton fails); the adaptive controller leaps whole multiples
     /// of it.
     pub(crate) dt: f64,
-    /// Integration method.
-    pub integrator: Integrator,
     /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
     /// the fixed-step reference behaviour.
     pub lte: Option<AdaptiveOptions>,
@@ -139,30 +127,11 @@ impl TranOptions {
         Self {
             t_stop,
             dt,
-            integrator: Integrator::default(),
             lte: None,
             bypass_vtol: 0.0,
             jacobian_reuse: false,
             partition: false,
         }
-    }
-
-    /// Builder-style integrator selection.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{Integrator, TranOptions};
-    ///
-    /// let opts = TranOptions::new(1e-9, 1e-12).with_integrator(Integrator::Trapezoidal);
-    /// assert_eq!(opts.integrator, Integrator::Trapezoidal);
-    /// // The default is backward Euler.
-    /// assert_eq!(TranOptions::new(1e-9, 1e-12).integrator, Integrator::BackwardEuler);
-    /// ```
-    #[must_use]
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
-        self
     }
 
     /// Enable grid-aligned adaptive stepping (see [`transient`]): every
@@ -424,21 +393,21 @@ impl TranResult {
 /// Run a transient analysis.
 ///
 /// The initial condition is the DC operating point with sources evaluated
-/// at `t = 0`. The march steps the caller's `dt` grid; when a step fails
-/// to converge it is halved, up to 8 times.
+/// at `t = 0`. Every step integrates the capacitors by backward Euler
+/// (first order, L-stable). The march steps the caller's `dt` grid; when
+/// a step fails to converge it is halved, up to 8 times.
 ///
 /// With [`TranOptions::adaptive_grid_aligned`] set, a macro step may leap
 /// several grid cells: after each converged step the per-capacitor LTE
-/// is estimated from divided differences of the capacitor history —
-/// `h²·|f[t_{n-1},t_n,t_{n+1}]|` for backward Euler (order 1),
-/// `h³/2·|f[t_{n-2},…,t_{n+1}]|` for trapezoidal (order 2) — and a leap
-/// is rejected and halved when the worst ratio against
-/// `reltol·|v| + abstol` exceeds 1. The leap doubles (up to `h_max`)
-/// while the ratio is small and drops to one cell when it exceeds 1. A
-/// leap never jumps past the first grid point at-or-after a source
-/// breakpoint (pulse corners, PWL knots, sine onsets), where the history
-/// is reset. Grid points the march lands on record the solved state;
-/// points inside a leap are linearly interpolated.
+/// is estimated from the second divided difference of the capacitor
+/// history, `h²·|f[t_{n-1},t_n,t_{n+1}]|`, and a leap is rejected and
+/// halved when the worst ratio against `reltol·|v| + abstol` exceeds 1.
+/// The leap doubles (up to `h_max`) while the ratio is small and drops
+/// to one cell when it exceeds 1. A leap never jumps past the first grid
+/// point at-or-after a source breakpoint (pulse corners, PWL knots, sine
+/// onsets), where the history is reset. Grid points the march lands on
+/// record the solved state; points inside a leap are linearly
+/// interpolated.
 ///
 /// # Errors
 ///
@@ -487,63 +456,6 @@ mod tests {
         let v_tau = w.sample(2e-9);
         assert!((v_tau - 0.632).abs() < 0.02, "v(tau) = {v_tau}");
         assert!((w.last_value() - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn trapezoidal_matches_analytic_better() {
-        // Sine-driven RC low-pass: smooth waveform where the second-order
-        // trapezoidal rule should clearly beat backward Euler at a coarse
-        // step. (On discontinuous steps trapezoidal rings — that is
-        // expected and why BE is the default.)
-        let build = || {
-            let mut c = Circuit::new();
-            let vin = c.node("in");
-            let out = c.node("out");
-            c.vsource(
-                "V",
-                vin,
-                Circuit::GND,
-                SourceWave::Sine {
-                    offset: 0.0,
-                    ampl: 1.0,
-                    freq: 100e6,
-                    delay: 0.0,
-                },
-            );
-            c.resistor("R", vin, out, 1.0e3);
-            c.capacitor("C", out, Circuit::GND, 1.0e-12);
-            (c, out)
-        };
-        let (c, out) = build();
-        let dt = 100e-12;
-        let be = c
-            .transient(&TranOptions::new(40e-9, dt))
-            .unwrap()
-            .voltage(out);
-        let tr = c
-            .transient(&TranOptions::new(40e-9, dt).with_integrator(Integrator::Trapezoidal))
-            .unwrap()
-            .voltage(out);
-        // Analytic steady state of RC low-pass driven by sin(wt):
-        // vout = A·sin(wt − φ), A = 1/√(1+(wRC)²), φ = atan(wRC).
-        let w_ang = 2.0 * std::f64::consts::PI * 100e6;
-        let wrc = w_ang * 1.0e3 * 1.0e-12;
-        let amp = 1.0 / (1.0 + wrc * wrc).sqrt();
-        let phi = wrc.atan();
-        let analytic = |t: f64| amp * (w_ang * t - phi).sin();
-        // Compare after the transient has died (t > 10 RC = 10 ns).
-        let err = |w: &Waveform| {
-            w.iter()
-                .filter(|&(t, _)| t > 10e-9)
-                .map(|(t, v)| (v - analytic(t)).abs())
-                .fold(0.0f64, f64::max)
-        };
-        assert!(
-            err(&tr) < err(&be),
-            "trap err {} vs BE err {}",
-            err(&tr),
-            err(&be)
-        );
     }
 
     #[test]
@@ -596,20 +508,6 @@ mod tests {
             last.to_bits(),
             "internal clock and recorded time agree bitwise"
         );
-    }
-
-    #[test]
-    fn adaptive_trapezoidal_is_supported() {
-        let (c, out, _) = rc_circuit();
-        let adap = c
-            .transient(
-                &TranOptions::new(8e-9, 5e-12)
-                    .with_integrator(Integrator::Trapezoidal)
-                    .adaptive_grid_aligned(1e-4, 500e-12),
-            )
-            .unwrap();
-        let w = adap.voltage(out);
-        assert!((w.last_value() - 1.0).abs() < 0.01);
     }
 
     #[test]

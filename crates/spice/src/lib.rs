@@ -7,8 +7,8 @@
 //!
 //! * Newton–Raphson DC operating-point analysis with **gmin stepping** and
 //!   **source stepping** continuation,
-//! * transient analysis with **backward-Euler** and **trapezoidal**
-//!   companion models and automatic step subdivision on non-convergence,
+//! * transient analysis with **backward-Euler** companion models (the
+//!   one integrator) and automatic step subdivision on non-convergence,
 //! * dense LU factorisation, replayed over its structural non-zeros, for
 //!   cell-sized systems and sparse (Gilbert–Peierls left-looking) LU
 //!   above,
@@ -48,7 +48,7 @@ pub mod waveform;
 pub use analysis::dc::OpPoint;
 pub use analysis::ensemble::ensemble_transient;
 pub use analysis::partition::{partition_report, PartitionReport};
-pub use analysis::tran::{AdaptiveOptions, Integrator, TranOptions, TranResult};
+pub use analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
 pub use circuit::{Circuit, ElementId, NodeId};
 pub use element::Element;
 pub use error::SpiceError;
@@ -69,26 +69,22 @@ pub mod testing {
 
     /// Dense `(row-major matrix, residual)` snapshots of one MNA assembly
     /// through the legacy full-restamp path and the stamp-plan fast path,
-    /// in that order. `companion` is `(h, trapezoidal, state)` with the
-    /// capacitor voltages initialised from `state`.
+    /// in that order. `companion` is `(h, state)`: a backward-Euler step
+    /// of size `h` with the capacitor voltages initialised from `state`.
     #[must_use]
     pub fn assemble_both_dense(
         ckt: &Circuit,
         x: &[f64],
         t: f64,
-        companion: Option<(f64, bool, &[f64])>,
+        companion: Option<(f64, &[f64])>,
         gmin: f64,
         src_scale: f64,
     ) -> (DenseSystem, DenseSystem) {
         let mut engine = Engine::new(ckt);
         match companion {
-            Some((h, trapezoidal, state)) => {
+            Some((h, state)) => {
                 let caps = init_cap_states(ckt, state);
-                let ctx = CompanionCtx {
-                    h,
-                    trapezoidal,
-                    caps: &caps,
-                };
+                let ctx = CompanionCtx { h, caps: &caps };
                 engine.assemble_both_dense(x, t, Some(&ctx), gmin, src_scale)
             }
             None => engine.assemble_both_dense(x, t, None, gmin, src_scale),

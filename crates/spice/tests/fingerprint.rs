@@ -8,18 +8,18 @@
 //! change that legitimately moves numbers updates exactly the hashes it
 //! names.
 //!
-//! Covered: backward Euler and trapezoidal, quiescent-MOS bypass on and
-//! off, chord (demand-driven refactorisation) with the bypass,
-//! partitioning at one and two lanes, a 3-lane ensemble, and
-//! grid-aligned adaptive leaps, alone and combined with the bypass,
-//! chord and three lanes as the fig. 6 ensemble runs them — on an RC
+//! Covered: the quiescent-MOS bypass on and off, chord (demand-driven
+//! refactorisation) with the bypass, partitioning at one and two lanes,
+//! a 3-lane ensemble, and grid-aligned adaptive leaps, alone and
+//! combined with the bypass, chord and three lanes as the fig. 6
+//! ensemble runs them — on an RC
 //! ladder, a MOS inverter and a two-island inverter chain (the smallest
 //! circuit that actually partitions), which factor on the dense LU, and
 //! a 96-inverter chain, which factors on the sparse LU.
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::{
-    ensemble_transient, Circuit, ElementId, Integrator, NodeId, SourceWave, TranOptions, TranResult,
+    ensemble_transient, Circuit, ElementId, NodeId, SourceWave, TranOptions, TranResult,
 };
 
 /// A circuit plus every node and voltage source it declares, so the
@@ -188,7 +188,6 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
     let bypass = base.with_bypass(10e-6);
     vec![
         ("be", base, 1),
-        ("trap", base.with_integrator(Integrator::Trapezoidal), 1),
         ("bypass", bypass, 1),
         ("chord", bypass.with_jacobian_reuse(), 1),
         ("partition", bypass.with_partitioning(), 1),
@@ -209,7 +208,6 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
 /// Committed fingerprints, `circuit/policy`.
 const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/be", 0xa4c3_8b59_08d7_2f11),
-    ("rc_ladder/trap", 0x3f9d_4346_ab12_3fa7),
     ("rc_ladder/bypass", 0xa4c3_8b59_08d7_2f11),
     ("rc_ladder/chord", 0xa4c3_8b59_08d7_2f11),
     ("rc_ladder/partition", 0xa4c3_8b59_08d7_2f11),
@@ -219,7 +217,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/adaptive", 0x2cc1_dddb_b59d_7305),
     ("rc_ladder/adaptive_x3_chord", 0xb83a_39ff_560f_0ef4),
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
-    ("mos_inverter/trap", 0x6571_b698_906d_2aa3),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
     ("mos_inverter/chord", 0xa99a_1128_3093_bf25),
     ("mos_inverter/partition", 0xa99a_1128_3093_bf25),
@@ -229,7 +226,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("mos_inverter/adaptive", 0x6378_d0ef_146c_bd36),
     ("mos_inverter/adaptive_x3_chord", 0x0926_df6a_2e11_e48a),
     ("two_islands/be", 0x2f36_bc08_6120_7fb1),
-    ("two_islands/trap", 0x74b3_5b05_b3ab_2251),
     ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
     ("two_islands/chord", 0x2b3b_95bb_7f17_7421),
     ("two_islands/partition", 0xfa80_f9a1_1ef5_c49d),
@@ -239,7 +235,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ("two_islands/adaptive", 0x2e5b_4938_fc6e_8c97),
     ("two_islands/adaptive_x3_chord", 0x183e_8df8_5098_37a8),
     ("long_chain/be", 0x0b73_cc8c_6f85_1e24),
-    ("long_chain/trap", 0xbd2e_c1a1_62af_d2c2),
     ("long_chain/bypass", 0xa5b7_1cb3_c5d5_f545),
     ("long_chain/chord", 0x96f2_0525_c8a4_bbf0),
     ("long_chain/partition", 0x3c63_1ffd_a31a_cf8f),

@@ -2,13 +2,13 @@
 //!
 //! The grid-aligned LTE controller must reproduce the fixed-step
 //! reference within the LTE budget — over random RC ladders and MOS
-//! inverter stages, for both integrators — on the bitwise-identical
-//! recorded grid, and never take more steps than the fixed grid.
+//! inverter stages — on the bitwise-identical recorded grid, and never
+//! take more steps than the fixed grid.
 
 use proptest::prelude::*;
 
 use mcml_device::{MosParams, Mosfet};
-use mcml_spice::{Circuit, Integrator, SourceWave, TranOptions};
+use mcml_spice::{Circuit, SourceWave, TranOptions};
 
 /// Worst absolute difference between two results' node voltage at the
 /// shared recorded grid.
@@ -49,8 +49,7 @@ fn rc_ladder(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Grid-aligned adaptive ≡ fixed on random RC ladders, both
-    /// integrators.
+    /// Grid-aligned adaptive ≡ fixed on random RC ladders.
     #[test]
     fn adaptive_matches_fixed_on_rc_ladders(
         stages in 1usize..4,
@@ -58,12 +57,10 @@ proptest! {
         cs in collection::vec(0.2e-12f64..2e-12, 4),
         edge_at in 0.5e-9f64..2e-9,
         v_hi in 0.5f64..1.5,
-        trapezoidal in any::<bool>(),
     ) {
         let wave = SourceWave::step(0.0, v_hi, edge_at);
         let (c, taps) = rc_ladder(stages, &rs, &cs, wave);
-        let integ = if trapezoidal { Integrator::Trapezoidal } else { Integrator::BackwardEuler };
-        let base = TranOptions::new(10e-9, 10e-12).with_integrator(integ);
+        let base = TranOptions::new(10e-9, 10e-12);
         let fixed = c.transient(&base).unwrap();
         let adap = c.transient(&base.adaptive_grid_aligned(1e-4, 1e-9)).unwrap();
         prop_assert_eq!(fixed.times(), adap.times(), "leaps keep the grid");
@@ -82,13 +79,12 @@ proptest! {
     }
 
     /// Grid-aligned adaptive ≡ fixed on a MOS inverter driving a random
-    /// load, both integrators.
+    /// load.
     #[test]
     fn adaptive_matches_fixed_on_mos_inverter(
         w_n in 0.5e-6f64..4e-6,
         c_load in 2e-15f64..50e-15,
         edge_at in 0.5e-9f64..1.5e-9,
-        trapezoidal in any::<bool>(),
     ) {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
@@ -113,8 +109,7 @@ proptest! {
             Mosfet::nmos(MosParams::nmos_lvt_90(), w_n, 0.1e-6),
         );
         c.capacitor("CL", out, Circuit::GND, c_load);
-        let integ = if trapezoidal { Integrator::Trapezoidal } else { Integrator::BackwardEuler };
-        let base = TranOptions::new(4e-9, 5e-12).with_integrator(integ);
+        let base = TranOptions::new(4e-9, 5e-12);
         let fixed = c.transient(&base).unwrap();
         let adap = c.transient(&base.adaptive_grid_aligned(1e-4, 200e-12)).unwrap();
         prop_assert_eq!(fixed.times(), adap.times());

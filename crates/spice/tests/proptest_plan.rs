@@ -96,7 +96,7 @@ fn check_equivalence(
     specs: &[ElemSpec],
     raw_x: &[f64],
     t: f64,
-    companion: Option<(f64, bool)>,
+    companion: Option<f64>,
     gmin: f64,
     src_scale: f64,
 ) -> Result<(), String> {
@@ -104,7 +104,7 @@ fn check_equivalence(
     let n = n_unknowns(&ckt);
     prop_assume!(n > 0);
     let x: Vec<f64> = (0..n).map(|i| raw_x[i % raw_x.len()]).collect();
-    let comp = companion.map(|(h, trap)| (h, trap, x.as_slice()));
+    let comp = companion.map(|h| (h, x.as_slice()));
     let ((a_ref, f_ref), (a_plan, f_plan)) =
         assemble_both_dense(&ckt, &x, t, comp, gmin, src_scale);
     for (i, (r, p)) in a_ref.iter().zip(&a_plan).enumerate() {
@@ -140,29 +140,20 @@ proptest! {
         check_equivalence(n_nodes, &specs, &raw_x, 0.0, None, 1e-12, src_scale)?;
     }
 
-    /// Transient assembly (backward-Euler and trapezoidal companions)
-    /// agrees on random circuits.
+    /// Transient assembly (backward-Euler companions) agrees on random
+    /// circuits.
     #[test]
     fn plan_matches_reference_companion(
         n_nodes in 1usize..5,
         specs in collection::vec(elem_spec(4), 1..12),
         raw_x in collection::vec(-2.0f64..2.0, 8),
         h in 1e-13f64..1e-9,
-        trapezoidal in any::<bool>(),
     ) {
         let specs: Vec<ElemSpec> = specs
             .iter()
             .map(|s| fold_nodes(s, n_nodes))
             .collect();
-        check_equivalence(
-            n_nodes,
-            &specs,
-            &raw_x,
-            1e-10,
-            Some((h, trapezoidal)),
-            1e-12,
-            1.0,
-        )?;
+        check_equivalence(n_nodes, &specs, &raw_x, 1e-10, Some(h), 1e-12, 1.0)?;
     }
 }
 
