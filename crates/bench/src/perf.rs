@@ -11,15 +11,16 @@
 //! # Honest wall-clock numbers (`mcml-bench-perf/2`)
 //!
 //! Single-shot wall times conflate the workload with cold caches, lazy
-//! page faults, and scheduler noise. Schema 2 points therefore come from
+//! page faults, and scheduler noise. Points therefore come from
 //! [`measure_tier_reps`]: one **untimed warmup**, then N timed
 //! repetitions; `wall_s` is the **median**, with `wall_min_s`/`wall_max_s`
 //! recording the observed spread so a reader can judge the noise floor.
 //! Each point also carries a host block (core count, `MCML_THREADS`,
 //! build profile, rustc version) because a wall number without its
-//! environment is not comparable to anything. Schema 1 files still parse:
-//! their points read back as `reps: 1`, no host block, and
-//! min = max = the single-shot wall.
+//! environment is not comparable to anything. The reader accepts only
+//! this schema and requires every key; the one exception is the host
+//! block, which the committed file's first three points (`pr3`–`pr5`,
+//! single-shot, `reps: 1`) predate.
 //!
 //! ```
 //! use mcml_bench::perf::{PerfPoint, TierPerf, Trajectory};
@@ -64,10 +65,6 @@ use std::time::Instant;
 /// Schema identifier written into every trajectory file.
 pub const SCHEMA: &str = "mcml-bench-perf/2";
 
-/// The predecessor schema (single-shot walls, no host block); still
-/// accepted by [`Trajectory::from_json`].
-pub const SCHEMA_V1: &str = "mcml-bench-perf/1";
-
 /// One measured tier inside a trajectory point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierPerf {
@@ -77,10 +74,10 @@ pub struct TierPerf {
     /// repetitions (machine-dependent).
     pub wall_s: f64,
     /// Fastest timed repetition (s). Equal to `wall_s` for single-shot
-    /// (schema 1) points.
+    /// points.
     pub wall_min_s: f64,
     /// Slowest timed repetition (s). Equal to `wall_s` for single-shot
-    /// (schema 1) points.
+    /// points.
     pub wall_max_s: f64,
     /// `spice.nr_iterations` delta over the tier (deterministic).
     pub nr_iterations: u64,
@@ -167,11 +164,11 @@ impl HostInfo {
 pub struct PerfPoint {
     /// Point label, conventionally `pr<N>-<short-description>`.
     pub label: String,
-    /// Timed repetitions behind each tier's wall stats (1 for points
-    /// parsed from schema 1 files).
+    /// Timed repetitions behind each tier's wall stats (1 for
+    /// single-shot points).
     pub reps: u32,
-    /// Measurement environment; `None` for points parsed from schema 1
-    /// files (the key is omitted on re-serialisation, keeping old points
+    /// Measurement environment; `None` for points recorded before the
+    /// host block existed (the key is then omitted, keeping those points
     /// byte-stable).
     pub host: Option<HostInfo>,
     /// Per-tier measurements.
@@ -469,10 +466,8 @@ impl Trajectory {
         let schema = get(obj, "schema")?
             .as_str()
             .ok_or("`schema` must be a string")?;
-        if schema != SCHEMA && schema != SCHEMA_V1 {
-            return Err(format!(
-                "unsupported schema `{schema}` (want `{SCHEMA}` or `{SCHEMA_V1}`)"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
         }
         let mut points = Vec::new();
         for p in get(obj, "points")?
@@ -486,40 +481,30 @@ impl Trajectory {
                 .ok_or("`tiers` must be an array")?
             {
                 let tobj = t.as_object().ok_or("tier must be an object")?;
-                let wall_s = num(tobj, "wall_s")?;
                 tiers.push(TierPerf {
                     tier: get(tobj, "tier")?
                         .as_str()
                         .ok_or("`tier` must be a string")?
                         .to_owned(),
-                    wall_s,
-                    // Schema 1 points were single-shot: the one wall they
-                    // recorded is both the floor and the ceiling.
-                    wall_min_s: num_or(tobj, "wall_min_s", wall_s)?,
-                    wall_max_s: num_or(tobj, "wall_max_s", wall_s)?,
+                    wall_s: num(tobj, "wall_s")?,
+                    wall_min_s: num(tobj, "wall_min_s")?,
+                    wall_max_s: num(tobj, "wall_max_s")?,
                     nr_iterations: int(tobj, "nr_iterations")?,
                     matrix_solves: int(tobj, "matrix_solves")?,
                     tran_steps: int(tobj, "tran_steps")?,
                     symbolic_reuse: int(tobj, "symbolic_reuse")?,
                     numeric_refactor: int(tobj, "numeric_refactor")?,
                     linear_stamps_skipped: int(tobj, "linear_stamps_skipped")?,
-                    // Adaptive-stepping counters postdate the first
-                    // trajectory points; absent keys read as 0 so the
-                    // committed history keeps parsing.
-                    lte_rejects: int_or(tobj, "lte_rejects", 0)?,
-                    adaptive_steps: int_or(tobj, "adaptive_steps", 0)?,
-                    h_growths: int_or(tobj, "h_growths", 0)?,
-                    // The bypass counters postdate schema 1 likewise.
-                    mos_evals: int_or(tobj, "mos_evals", 0)?,
-                    mos_bypassed: int_or(tobj, "mos_bypassed", 0)?,
-                    // The ensemble counters postdate both schemas'
-                    // earliest points likewise.
-                    ensemble_lanes: int_or(tobj, "ensemble_lanes", 0)?,
-                    lane_refactors: int_or(tobj, "lane_refactors", 0)?,
-                    // The partition counters postdate them all likewise.
-                    partition_blocks: int_or(tobj, "partition_blocks", 0)?,
-                    block_solves: int_or(tobj, "block_solves", 0)?,
-                    block_skips: int_or(tobj, "block_skips", 0)?,
+                    lte_rejects: int(tobj, "lte_rejects")?,
+                    adaptive_steps: int(tobj, "adaptive_steps")?,
+                    h_growths: int(tobj, "h_growths")?,
+                    mos_evals: int(tobj, "mos_evals")?,
+                    mos_bypassed: int(tobj, "mos_bypassed")?,
+                    ensemble_lanes: int(tobj, "ensemble_lanes")?,
+                    lane_refactors: int(tobj, "lane_refactors")?,
+                    partition_blocks: int(tobj, "partition_blocks")?,
+                    block_solves: int(tobj, "block_solves")?,
+                    block_skips: int(tobj, "block_skips")?,
                     solves_per_sec: num(tobj, "solves_per_sec")?,
                 });
             }
@@ -549,8 +534,7 @@ impl Trajectory {
                     .as_str()
                     .ok_or("`label` must be a string")?
                     .to_owned(),
-                // Schema 1 points were single-shot.
-                reps: u32::try_from(int_or(pobj, "reps", 1)?)
+                reps: u32::try_from(int(pobj, "reps")?)
                     .map_err(|_| "`reps` out of range".to_owned())?,
                 host,
                 tiers,
@@ -623,13 +607,14 @@ impl Trajectory {
 }
 
 /// Counters introduced after the first recorded baselines. A trajectory
-/// point saved before such a counter existed parses it back as 0
-/// (`mcml-bench-perf/1` → `/2` compatibility), and a zero baseline would
-/// turn *any* candidate value into a violation — so these checks only
-/// arm once a baseline with a real (nonzero) measurement exists. Every
-/// counter added to [`TierPerf`] after a schema bump belongs in this
-/// list; the always-armed trio (`nr_iterations`, `matrix_solves`,
-/// `tran_steps`) has been present since the first schema and stays out.
+/// point measured before such a counter existed records it as 0 (the
+/// committed `pr3`–`pr5` points read `mos_evals` and `block_solves` as
+/// 0), and a zero baseline would turn *any* candidate value into a
+/// violation — so these checks only arm once a baseline with a real
+/// (nonzero) measurement exists. Every gated counter added to
+/// [`TierPerf`] after the first points belongs in this list; the
+/// always-armed trio (`nr_iterations`, `matrix_solves`, `tran_steps`)
+/// has been measured since the first point and stays out.
 pub const ZERO_BASELINE_ARMED: &[&str] = &["mos_evals", "block_solves"];
 
 /// Compare a candidate point against a baseline point: every deterministic
@@ -731,25 +716,6 @@ fn int(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
         return Err(format!("`{key}` must be a non-negative integer, got {v}"));
     }
     Ok(v as u64)
-}
-
-/// Like [`int`], but a missing key reads as `default` (for fields added
-/// to the schema after points were already committed).
-fn int_or(obj: &[(String, Json)], key: &str, default: u64) -> Result<u64, String> {
-    if obj.iter().any(|(k, _)| k == key) {
-        int(obj, key)
-    } else {
-        Ok(default)
-    }
-}
-
-/// Like [`num`], but a missing key reads as `default` (ditto).
-fn num_or(obj: &[(String, Json)], key: &str, default: f64) -> Result<f64, String> {
-    if obj.iter().any(|(k, _)| k == key) {
-        num(obj, key)
-    } else {
-        Ok(default)
-    }
 }
 
 /// Minimal JSON value for the trajectory schema (objects keep key order).
@@ -1027,67 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn points_without_adaptive_counters_parse_as_zero() {
-        // Trajectory points committed before the adaptive counters
-        // existed carry no lte_rejects/adaptive_steps/h_growths keys.
-        let json = r#"{
-          "schema": "mcml-bench-perf/1",
-          "points": [{
-            "label": "pr4-legacy",
-            "tiers": [{
-              "tier": "fig6_tran", "wall_s": 1.0,
-              "nr_iterations": 10, "matrix_solves": 10, "tran_steps": 5,
-              "symbolic_reuse": 0, "numeric_refactor": 0,
-              "linear_stamps_skipped": 0, "solves_per_sec": 10.0
-            }]
-          }]
-        }"#;
-        let t = Trajectory::from_json(json).unwrap();
-        let tier = &t.points[0].tiers[0];
-        assert_eq!(tier.lte_rejects, 0);
-        assert_eq!(tier.adaptive_steps, 0);
-        assert_eq!(tier.h_growths, 0);
-        // And the re-serialised form round-trips with the new keys.
-        let back = Trajectory::from_json(&t.to_json()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn schema_v1_points_upgrade_to_v2_semantics() {
-        // A full schema-1 point: single-shot wall, no spread, no reps, no
-        // host, no bypass counters.
-        let json = r#"{
-          "schema": "mcml-bench-perf/1",
-          "points": [{
-            "label": "pr5-adaptive-tran",
-            "tiers": [{
-              "tier": "fig6_tran", "wall_s": 2.5,
-              "nr_iterations": 100, "matrix_solves": 100, "tran_steps": 50,
-              "symbolic_reuse": 90, "numeric_refactor": 90,
-              "linear_stamps_skipped": 1000, "lte_rejects": 2,
-              "adaptive_steps": 40, "h_growths": 10, "solves_per_sec": 40.0
-            }]
-          }]
-        }"#;
-        let t = Trajectory::from_json(json).unwrap();
-        let p = &t.points[0];
-        assert_eq!(p.reps, 1, "schema 1 points were single-shot");
-        assert!(p.host.is_none(), "schema 1 recorded no environment");
-        let tier = &p.tiers[0];
-        assert_eq!(tier.wall_min_s, tier.wall_s);
-        assert_eq!(tier.wall_max_s, tier.wall_s);
-        assert_eq!(tier.mos_evals, 0);
-        assert_eq!(tier.mos_bypassed, 0);
-        // Re-serialising upgrades the file to schema 2 and the upgraded
-        // form round-trips byte-identically.
-        let v2 = t.to_json();
-        assert!(v2.contains("mcml-bench-perf/2"));
-        let back = Trajectory::from_json(&v2).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.to_json(), v2);
-    }
-
-    #[test]
     fn emitted_tier_json_carries_bypass_counters() {
         let traj = Trajectory {
             points: vec![point("pr6", vec![tier("fig6_tran", 100)])],
@@ -1162,25 +1067,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_baseline_arms_post_schema_counters_uniformly() {
-        // A mixed trajectory: the baseline label predates the v2 counters
-        // (parsed from schema-1 JSON, so `mos_evals`/`block_solves` read
-        // back as 0), the candidate is a fresh v2 measurement with real
-        // values. Every counter in ZERO_BASELINE_ARMED must stay quiet
-        // against the old point — none may spuriously flag "0 -> n".
-        let v1 = r#"{
-          "schema": "mcml-bench-perf/1",
-          "points": [{
-            "label": "pr5-old-baseline",
-            "tiers": [{
-              "tier": "fig6_tran", "wall_s": 1.0,
-              "nr_iterations": 1000, "matrix_solves": 1000, "tran_steps": 500,
-              "symbolic_reuse": 0, "numeric_refactor": 0,
-              "linear_stamps_skipped": 0, "solves_per_sec": 1000.0
-            }]
-          }]
-        }"#;
-        let old = Trajectory::from_json(v1).unwrap();
+    fn zero_baseline_arms_post_schema_counters_uniformly() {
+        // A mixed trajectory: the baseline is shaped like the committed
+        // pr3–pr5 points, measured before the bypass and partition
+        // counters existed, so it records `mos_evals`/`block_solves` as
+        // 0; the candidate is a fresh measurement with real values.
+        // Every counter in ZERO_BASELINE_ARMED must stay quiet against
+        // the old point — none may spuriously flag "0 -> n".
+        let old = Trajectory {
+            points: vec![PerfPoint {
+                label: "pr5-old-baseline".to_owned(),
+                reps: 1,
+                host: None,
+                tiers: vec![TierPerf {
+                    mos_evals: 0,
+                    mos_bypassed: 0,
+                    block_solves: 0,
+                    block_skips: 0,
+                    ..tier("fig6_tran", 1000)
+                }],
+            }],
+        };
+        let old = Trajectory::from_json(&old.to_json()).unwrap();
         let baseline = &old.points[0];
         for name in ZERO_BASELINE_ARMED {
             let t = &baseline.tiers[0];
@@ -1189,7 +1097,7 @@ mod tests {
                 "block_solves" => t.block_solves,
                 other => panic!("unknown armed counter `{other}` — extend this test"),
             };
-            assert_eq!(read, 0, "{name}: v1 points must parse the counter as 0");
+            assert_eq!(read, 0, "{name}: the old point must read the counter as 0");
         }
         // Candidate: same always-armed work, huge post-schema counters.
         let candidate = PerfPoint {
@@ -1199,9 +1107,9 @@ mod tests {
         };
         assert!(
             compare_points(baseline, &candidate, 0.10).is_empty(),
-            "zero-baseline counters must not fire against a v1 point"
+            "zero-baseline counters must not fire against an old point"
         );
-        // And once a real (v2) baseline exists, the same counters arm:
+        // And once a real (nonzero) baseline exists, the same counters arm:
         // regressing mos_evals/block_solves 8x against it must fail.
         let armed_base = PerfPoint {
             label: "pr9-baseline".to_owned(),
