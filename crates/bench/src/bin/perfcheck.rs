@@ -9,10 +9,10 @@
 //! standards of evidence:
 //!
 //! - **Deterministic work counters** (`nr_iterations`, `matrix_solves`,
-//!   `tran_steps`, and `mos_evals` once a baseline records it) are
-//!   thread- and machine-invariant, so they are gated **strictly**: any
-//!   tier exceeding the baseline by more than the tolerance (default
-//!   10 %) fails the check.
+//!   `tran_steps`, and `mos_evals` and `block_solves` once a baseline
+//!   records them) are thread- and machine-invariant, so they are gated
+//!   **strictly**: any tier exceeding the baseline by more than the
+//!   tolerance (default 10 %) fails the check.
 //! - **Wall-clock medians** are machine- and load-dependent, so they
 //!   are compared against a configurable **noise band** (`--wall-band`,
 //!   default 30 %) and only *warn* when exceeded — unless

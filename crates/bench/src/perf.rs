@@ -617,12 +617,13 @@ impl Trajectory {
 /// has been measured since the first point and stays out.
 pub const ZERO_BASELINE_ARMED: &[&str] = &["mos_evals", "block_solves"];
 
-/// Compare a candidate point against a baseline point: every deterministic
-/// work counter (`nr_iterations`, `matrix_solves`, `tran_steps`) of every
-/// tier present in both must not exceed the baseline by more than
-/// `tolerance` (e.g. `0.10` for +10 %). Returns the list of violations,
-/// empty when the candidate passes. Counters listed in
-/// [`ZERO_BASELINE_ARMED`] are skipped while their baseline reads 0.
+/// Compare a candidate point against a baseline point: every gated
+/// deterministic work counter (`nr_iterations`, `matrix_solves`,
+/// `tran_steps`, `mos_evals`, `block_solves`) of every tier present in
+/// both must not exceed the baseline by more than `tolerance` (e.g.
+/// `0.10` for +10 %). Returns the list of violations, empty when the
+/// candidate passes. Counters listed in [`ZERO_BASELINE_ARMED`] are
+/// skipped while their baseline reads 0.
 #[must_use]
 pub fn compare_points(baseline: &PerfPoint, candidate: &PerfPoint, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
