@@ -573,8 +573,8 @@ impl<C: Borrow<Circuit>> Engine<C> {
             }
             tally.stamps_skipped += self.plan.linear_stamps;
             // Exact reuse: an assembly with zero MOS evaluations under
-            // the same (h, method, gmin) as the last factorisation, with
-            // no device evaluated since that factorisation, reproduced
+            // the same (h, gmin) as the last factorisation, with no
+            // device evaluated since that factorisation, reproduced
             // the factored values bit for bit (bypassed devices stamp
             // their cached conductances; everything else in the matrix
             // is constant given the key), so the factors can be reused
