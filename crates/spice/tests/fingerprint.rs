@@ -12,10 +12,10 @@
 //! refactorisation) with the bypass, partitioning at one and two lanes,
 //! a 3-lane ensemble, and grid-aligned adaptive leaps, alone and
 //! combined with the bypass, chord and three lanes as the fig. 6
-//! ensemble runs them — on an RC
-//! ladder, a MOS inverter and a two-island inverter chain (the smallest
-//! circuit that actually partitions), which factor on the dense LU, and
-//! a 96-inverter chain, which factors on the sparse LU.
+//! ensemble runs them — on an RC ladder, a MOS inverter and a
+//! two-island inverter chain (the smallest circuit that actually
+//! partitions), which factor on the dense LU, and a 96-inverter chain,
+//! which factors on the sparse LU.
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::{
