@@ -104,11 +104,12 @@ pub struct TierPerf {
     pub mos_evals: u64,
     /// `spice.mos_bypassed` delta over the tier (deterministic; ditto).
     pub mos_bypassed: u64,
-    /// `spice.ensemble_lanes` delta over the tier (deterministic; 0 on
-    /// scalar tiers and on trajectory points predating the batched
-    /// ensemble engine).
+    /// `spice.ensemble_lanes` delta over the tier (deterministic). Only
+    /// the deleted lockstep ensemble engine emitted it, so it is 0 on
+    /// every point since; schema 2 still records it.
     pub ensemble_lanes: u64,
-    /// `spice.lane_refactors` delta over the tier (deterministic; ditto).
+    /// `spice.lane_refactors` delta over the tier (deterministic; 0 on
+    /// trajectory points predating the counter).
     pub lane_refactors: u64,
     /// `spice.partition_blocks` delta over the tier (deterministic; 0 on
     /// monolithic tiers and on trajectory points predating the

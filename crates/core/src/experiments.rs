@@ -614,14 +614,9 @@ pub fn fig6_tran_options() -> TranOptions {
     opts
 }
 
-/// The driven fig. 6 lane circuit for one plaintext: constant
-/// plaintext/key rails plus the single clock edge, ready for a transient
-/// run. Every plaintext produces the **same topology** — element order,
-/// nodes and resistor values are identical, only DC source levels differ
-/// — which is exactly the sharing contract of
-/// [`mcml_spice::ensemble_transient`], so a block of these circuits can
-/// march lockstep over one stamp plan.
-fn fig6_lane_circuit(
+/// The driven fig. 6 circuit for one plaintext: constant plaintext/key
+/// rails plus the single clock edge, ready for a transient run.
+fn fig6_plaintext_circuit(
     el: &crate::elaborate::Elaborated,
     v_lo: f64,
     v_hi: f64,
@@ -653,7 +648,7 @@ fn fig6_lane_circuit(
     ckt
 }
 
-/// Resample one lane's supply current over the fig. 6 capture window.
+/// Resample a transient's supply current over the fig. 6 capture window.
 fn fig6_extract_supply(
     res: &mcml_spice::TranResult,
     el: &crate::elaborate::Elaborated,
@@ -680,7 +675,7 @@ fn fig6_plaintext_trace(
     p: u8,
     tran_opts: &TranOptions,
 ) -> Result<Vec<f64>> {
-    let ckt = fig6_lane_circuit(el, v_lo, v_hi, key, p);
+    let ckt = fig6_plaintext_circuit(el, v_lo, v_hi, key, p);
     let res = ckt.transient(tran_opts)?;
     fig6_extract_supply(&res, el)
 }
@@ -845,21 +840,20 @@ pub fn aes_tran_tier(
         .collect()
 }
 
-/// [`fig6_transistor_par`]'s batched sibling: plaintexts are chunked into
-/// `lanes`-wide blocks, each block runs as **one ensemble transient**
-/// over a shared stamp plan and symbolic LU
-/// ([`mcml_spice::ensemble_transient`]), blocks fan across the worker
-/// pool, and completed lanes stream — in plaintext order — into the
-/// online CPA accumulator. The full trace matrix is never materialised:
-/// peak memory is one block of lane states plus the
-/// `O(guesses × samples)` accumulator, regardless of how many plaintexts
-/// the campaign sweeps.
+/// [`fig6_transistor_par`]'s streaming sibling: each plaintext's
+/// registered-netlist transient runs alone with the campaign options
+/// ([`fig6_tran_options`] plus [`TranOptions::with_jacobian_reuse`]),
+/// plaintexts fan across the worker pool,
+/// and completed traces stream — in plaintext order — into the online
+/// CPA accumulator. The full trace matrix is never materialised: peak
+/// memory is one transient per worker plus the `O(guesses × samples)`
+/// accumulator, regardless of how many plaintexts the campaign sweeps.
 ///
 /// Verdict contract: the streamed accumulator folds traces in the same
 /// plaintext order as [`fig6_transistor_par`] pushes them, so reruns with
 /// the same arguments are bit-identical, and verdicts (key rank, margin)
-/// match the trace-per-task path — the ensemble lanes and the scalar
-/// transients agree to solver precision, far inside the attack's
+/// match the trace-per-task path — the chord and full-Newton transients
+/// agree to solver precision, far inside the attack's
 /// distinguishability margins (the regression tests pin both).
 ///
 /// # Errors
@@ -870,7 +864,6 @@ pub fn fig6_transistor_ensemble(
     key: u8,
     style: LogicStyle,
     plaintexts: &[u8],
-    lanes: usize,
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
     let reduced = ReducedAes::new(4);
@@ -882,32 +875,16 @@ pub fn fig6_transistor_ensemble(
     };
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
     let tran_opts = fig6_tran_options().with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes.max(1)).collect();
-    let el_ref = &el;
-    let opts_ref = &tran_opts;
     let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
     let (acc, first_err) = mcml_exec::parallel_fold_ordered(
         par,
-        blocks.len(),
+        plaintexts.len(),
         (acc, None),
-        |b| -> Result<Vec<Vec<f64>>> {
-            let block = blocks[b];
-            let ckts: Vec<Circuit> = block
-                .iter()
-                .map(|&p| fig6_lane_circuit(el_ref, v_lo, v_hi, key, p))
-                .collect();
-            let results = mcml_spice::ensemble_transient(&ckts, opts_ref)?;
-            results
-                .iter()
-                .map(|r| fig6_extract_supply(r, el_ref))
-                .collect()
-        },
-        |(acc, first_err), b, rows| match rows {
-            Ok(rows) => {
-                for (&p, row) in blocks[b].iter().zip(&rows) {
-                    mcml_obs::incr(mcml_obs::Counter::TracesAcquired);
-                    acc.push(p, row);
-                }
+        |i| fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintexts[i], &tran_opts),
+        |(acc, first_err), i, row| match row {
+            Ok(row) => {
+                mcml_obs::incr(mcml_obs::Counter::TracesAcquired);
+                acc.push(plaintexts[i], &row);
             }
             Err(e) => {
                 if first_err.is_none() {
@@ -925,8 +902,10 @@ pub fn fig6_transistor_ensemble(
 
 /// The 16 distinct base supply-current waveforms of the 4-bit fig. 6
 /// testbench (one per plaintext nibble at the fixed key) — the complete
-/// deterministic content of the transistor tier, acquired either lane by
-/// lane (`lanes <= 1`, the scalar reference) or as ensemble blocks.
+/// deterministic content of the transistor tier. Each plaintext marches
+/// alone with the campaign options ([`fig6_tran_options`] plus
+/// [`TranOptions::with_jacobian_reuse`]); `_lanes` selects nothing and
+/// stays only so existing callers keep compiling.
 ///
 /// A 4-bit design has only 16 distinct stimuli and the simulator is
 /// deterministic, so *any* N-trace campaign factorises into these 16
@@ -939,7 +918,7 @@ pub fn fig6_base_waveforms(
     params: &CellParams,
     key: u8,
     style: LogicStyle,
-    lanes: usize,
+    _lanes: usize,
     par: Parallelism,
 ) -> Result<Vec<Vec<f64>>> {
     let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
@@ -949,34 +928,13 @@ pub fn fig6_base_waveforms(
         _ => (params.v_low(), params.tech.vdd),
     };
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let plaintexts: Vec<u8> = (0..16u8).collect();
-    if lanes <= 1 {
-        let tran_opts = fig6_tran_options();
-        let rows = mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
-            fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
-        });
-        return rows.into_iter().collect();
-    }
     let tran_opts = fig6_tran_options().with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes).collect();
-    let el_ref = &el;
-    let block_rows =
-        mcml_exec::parallel_map_items(par, &blocks, |block| -> Result<Vec<Vec<f64>>> {
-            let ckts: Vec<Circuit> = block
-                .iter()
-                .map(|&p| fig6_lane_circuit(el_ref, v_lo, v_hi, key, p))
-                .collect();
-            let results = mcml_spice::ensemble_transient(&ckts, &tran_opts)?;
-            results
-                .iter()
-                .map(|r| fig6_extract_supply(r, el_ref))
-                .collect()
-        });
-    let mut rows = Vec::with_capacity(16);
-    for block in block_rows {
-        rows.extend(block?);
-    }
-    Ok(rows)
+    let plaintexts: Vec<u8> = (0..16u8).collect();
+    mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
+        fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Outcome of a streaming CPA campaign ([`cpa_campaign`]).
@@ -990,18 +948,16 @@ pub struct CampaignOutcome {
 
 /// A noisy N-trace CPA campaign against the fig. 6 transistor tier,
 /// streaming every trace into the online accumulator — memory stays
-/// `O(lanes × state + guesses × samples)` whether N is 10³ or 10⁵.
+/// `O(workers × state + guesses × samples)` whether N is 10³ or 10⁵.
 ///
-/// The 16 distinct base waveforms are simulated once (as ensemble blocks
-/// when `lanes > 1`, the scalar path when `lanes <= 1`); each of the N
-/// acquisitions then draws a uniform plaintext nibble and additive
+/// The 16 distinct base waveforms are simulated once
+/// ([`fig6_base_waveforms`]); each of the N acquisitions then draws a uniform plaintext nibble and additive
 /// Gaussian measurement noise (`noise_rel` × the base waveform's mean
 /// |current|) from its own `(seed, index)`-derived stream, exactly the
 /// noise model of the template tier. Trace `i`'s plaintext and noise
 /// depend only on `(seed, i)`, and the accumulator folds in index order,
-/// so two runs with the same arguments are **bit-identical**, and runs
-/// that differ only in `lanes` reach identical verdicts (the base
-/// waveforms agree to solver precision).
+/// so two runs with the same arguments are **bit-identical**, whatever
+/// the worker count.
 ///
 /// # Errors
 ///
@@ -1010,7 +966,6 @@ pub struct CampaignOutcome {
 /// # Panics
 ///
 /// Panics when `n_traces < 2` (nothing to correlate).
-#[allow(clippy::too_many_arguments)] // campaign knobs mirror the CLI flags one-to-one
 pub fn cpa_campaign(
     params: &CellParams,
     key: u8,
@@ -1018,12 +973,11 @@ pub fn cpa_campaign(
     n_traces: usize,
     noise_rel: f64,
     seed: u64,
-    lanes: usize,
     par: Parallelism,
 ) -> Result<CampaignOutcome> {
     assert!(n_traces >= 2, "campaign needs at least two traces");
     let reduced = ReducedAes::new(4);
-    let bases = fig6_base_waveforms(params, key, style, lanes, par)?;
+    let bases = fig6_base_waveforms(params, key, style, 1, par)?;
     let means: Vec<f64> = bases
         .iter()
         .map(|b| (b.iter().map(|v| v.abs()).sum::<f64>() / b.len() as f64).max(1e-12))
@@ -1144,16 +1098,16 @@ mod tests {
         assert_eq!(rows[0].cell, "BUFX1");
     }
 
-    /// The batched acquisition path is a drop-in replacement for the
+    /// The streaming acquisition path is a drop-in replacement for the
     /// trace-per-task tier: same plaintexts, same key, same attack —
     /// the verdict (key rank) must match and the correlation peaks must
-    /// agree to solver precision. CMOS is the style with a *real* leak,
-    /// so the correlations measure signal that dwarfs the µA-level
-    /// acquisition drift and the comparison is tight; on PG-MCML a
-    /// 6-trace Pearson correlates solver residue and any per-guess
-    /// comparison would be noise against noise. Six plaintexts in
-    /// 3-wide lanes keeps the ensemble on the interesting path (two
-    /// multi-lane blocks) while staying cheap enough for the tier-1
+    /// agree to solver precision, although the streaming path runs the
+    /// chord Jacobian reuse and the trace-per-task tier full Newton.
+    /// CMOS is the style with a *real* leak, so the correlations measure
+    /// signal that dwarfs the µA-level acquisition drift and the
+    /// comparison is tight; on PG-MCML a 6-trace Pearson correlates
+    /// solver residue and any per-guess comparison would be noise
+    /// against noise. Six plaintexts stay cheap enough for the tier-1
     /// suite.
     #[test]
     fn fig6_ensemble_verdict_matches_trace_per_task() {
@@ -1172,7 +1126,6 @@ mod tests {
             0xb,
             LogicStyle::Cmos,
             &plaintexts,
-            3,
             Parallelism::Serial,
         )
         .unwrap();
@@ -1181,19 +1134,18 @@ mod tests {
         for (g, (e, s)) in ens_r.peak.iter().zip(&serial_r.peak).enumerate() {
             assert!(
                 (e - s).abs() <= 1e-3 + 1e-3 * s.abs(),
-                "guess {g}: ensemble peak {e} vs serial {s}"
+                "guess {g}: streamed peak {e} vs serial {s}"
             );
         }
     }
 
     /// The streaming campaign is deterministic: identical arguments give
-    /// bit-identical correlations, and the lane count is a pure
-    /// performance knob — a scalar-acquired and a 16-lane-acquired
-    /// campaign over the same seed reach the same verdict.
+    /// bit-identical correlations. At campaign scale PG-MCML still
+    /// resists the attack.
     #[test]
-    fn cpa_campaign_deterministic_and_lane_invariant() {
+    fn cpa_campaign_is_deterministic_and_pg_mcml_resists() {
         let params = CellParams::default();
-        let run = |lanes| {
+        let run = || {
             cpa_campaign(
                 &params,
                 0xb,
@@ -1201,31 +1153,19 @@ mod tests {
                 1000,
                 0.05,
                 7,
-                lanes,
                 Parallelism::Serial,
             )
             .unwrap()
         };
-        let scalar = run(1);
-        let batched = run(16);
-        let batched_again = run(16);
+        let first = run();
+        let again = run();
         // Same arguments → bit-identical, down to every correlation.
-        assert_eq!(batched.verdict, batched_again.verdict);
-        assert_eq!(batched.result.peak, batched_again.result.peak);
-        assert_eq!(batched.result.corr, batched_again.result.corr);
-        // Lane count changes only the acquisition schedule.
-        assert_eq!(batched.verdict.rank, scalar.verdict.rank);
-        assert_eq!(batched.verdict.traces, scalar.verdict.traces);
-        assert!(
-            (batched.verdict.margin - scalar.verdict.margin).abs()
-                <= 1e-2 * scalar.verdict.margin.abs().max(1.0),
-            "margins diverge: {} vs {}",
-            batched.verdict.margin,
-            scalar.verdict.margin
-        );
+        assert_eq!(first.verdict, again.verdict);
+        assert_eq!(first.result.peak, again.result.peak);
+        assert_eq!(first.result.corr, again.result.corr);
         // And the paper's claim holds at campaign scale: PG-MCML stays
         // indistinguishable.
-        let v = &batched.verdict;
+        let v = &first.verdict;
         assert!(
             v.rank > 0 || v.margin < 1.05,
             "PG-MCML must resist the campaign: {v:?}"

@@ -41,11 +41,13 @@ pub enum Counter {
     /// more than the bypass tolerance since it was recorded
     /// (`mcml-spice`).
     MosBypassed,
-    /// Ensemble transient lanes launched — each lane is one input vector
-    /// marched lockstep over the shared stamp plan (`mcml-spice`).
+    /// Lockstep ensemble lanes launched. Nothing emits it since every
+    /// transient marches one circuit, so it always reads 0; it stays
+    /// because every `mcml-bench-perf/2` trajectory tier records it
+    /// (`mcml-spice`).
     EnsembleLanes,
     /// Sparse LU factorisations actually performed inside transient
-    /// solves, in every engine (scalar, ensemble lane, partition block);
+    /// solves, in every engine (monolithic or partition block);
     /// the gap to `MatrixSolves` is the solves that reused factors —
     /// provably unchanged Jacobian values, or a chord step
     /// (`mcml-spice`).

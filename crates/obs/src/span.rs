@@ -38,9 +38,6 @@ pub enum Stage {
     /// One transient analysis, DC operating point to final step
     /// (`mcml-spice`).
     Transient,
-    /// One ensemble transient — N input vectors marched lockstep over a
-    /// shared stamp plan and symbolic LU (`mcml-spice`).
-    EnsembleTran,
     /// Connected-component partition of a transient's MNA system:
     /// pinned-rail fixpoint, union-find over the coupling graph, block
     /// sub-circuit construction and per-block engine setup
@@ -77,7 +74,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 21] = [
+    pub const ALL: [Stage; 20] = [
         Stage::Characterize,
         Stage::BiasSweep,
         Stage::CornerSweep,
@@ -87,7 +84,6 @@ impl Stage {
         Stage::TraceAcquisition,
         Stage::SpiceTier,
         Stage::Transient,
-        Stage::EnsembleTran,
         Stage::Partition,
         Stage::Cpa,
         Stage::Tvla,
@@ -117,7 +113,6 @@ impl Stage {
             Stage::TraceAcquisition => "trace_acquisition",
             Stage::SpiceTier => "spice_tier",
             Stage::Transient => "transient",
-            Stage::EnsembleTran => "ensemble_tran",
             Stage::Partition => "partition",
             Stage::Cpa => "cpa",
             Stage::Tvla => "tvla",

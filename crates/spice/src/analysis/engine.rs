@@ -17,7 +17,6 @@
 //! basin follows the LU rounding (SOLVER.md §2).
 
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 use crate::analysis::plan::{MosBypassState, StampPlan};
 use crate::circuit::{Circuit, NodeId};
@@ -156,7 +155,7 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     pub ckt: C,
     pub n_node_unk: usize,
     pub n_unk: usize,
-    plan: Arc<StampPlan>,
+    plan: StampPlan,
     /// Jacobian values, parallel to the plan's pattern.
     vals: Vec<f64>,
     /// Residual `f(x)`.
@@ -180,7 +179,7 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// whole quiet window.
     mos_state: Vec<MosBypassState>,
     /// The [`JacKey`] the current sparse factors were computed under;
-    /// `None` when no factors exist or they came from a foreign lane. A
+    /// `None` when no factors exist. A
     /// Newton iteration whose assembly evaluated zero MOS devices under
     /// this key, with none evaluated since the factorisation either,
     /// reuses the factors without a refactorisation: the stamped values
@@ -214,28 +213,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             let n_node_unk = c.node_count() - 1;
             (n_node_unk, n_node_unk + c.branch_count())
         };
-        let plan = Arc::new(StampPlan::build(ckt.borrow(), n_node_unk, n_unk));
-        Self::with_shared_plan(ckt, plan)
-    }
-
-    /// An engine whose sparse factorisations keep the raw MNA column
-    /// order — the DC operating point's, whose basin on bistable
-    /// netlists follows the LU rounding (SOLVER.md §2).
-    pub fn new_natural_order(ckt: C) -> Self {
-        Self {
-            natural_order: true,
-            ..Self::new(ckt)
-        }
-    }
-
-    /// Build an engine around an existing stamp plan — the ensemble path,
-    /// where every lane shares one plan built from lane 0's circuit. The
-    /// caller guarantees `plan` was built for a circuit with identical
-    /// topology (same elements in the same order, same node/branch
-    /// counts); only source waveform values may differ.
-    pub fn with_shared_plan(ckt: C, plan: Arc<StampPlan>) -> Self {
-        let n_node_unk = ckt.borrow().node_count() - 1;
-        let n_unk = n_node_unk + ckt.borrow().branch_count();
+        let plan = StampPlan::build(ckt.borrow(), n_node_unk, n_unk);
         let nnz = plan.pattern.nnz();
         let n_mos = plan.n_mos;
         Self {
@@ -258,21 +236,14 @@ impl<C: Borrow<Circuit>> Engine<C> {
         }
     }
 
-    /// A cheap clone of this engine's stamp plan for sharing with sibling
-    /// lanes.
-    pub fn plan_handle(&self) -> Arc<StampPlan> {
-        Arc::clone(&self.plan)
-    }
-
-    /// Adopt another engine's sparse factors (symbolic structure + its
-    /// numbers). The first solve after this replays the recorded
-    /// elimination order numerically instead of re-running the symbolic
-    /// DFS and pivot search — the ensemble's "shared symbolic LU". The
-    /// adopted numbers are treated as stale (`last_factored` cleared), so
-    /// the next Newton iteration always refactors before solving.
-    pub fn adopt_factors_from(&mut self, donor: &Engine<impl Borrow<Circuit>>) {
-        self.lu = donor.lu.clone();
-        self.last_factored = None;
+    /// An engine whose sparse factorisations keep the raw MNA column
+    /// order — the DC operating point's, whose basin on bistable
+    /// netlists follows the LU rounding (SOLVER.md §2).
+    pub fn new_natural_order(ckt: C) -> Self {
+        Self {
+            natural_order: true,
+            ..Self::new(ckt)
+        }
     }
 
     #[inline]

@@ -1,28 +1,24 @@
-//! The transient march: one time loop for scalar, ensemble and
-//! partitioned runs.
+//! The transient march: one time loop for monolithic and partitioned
+//! circuits.
 //!
-//! [`transient`](super::tran::transient) runs it over one lane,
-//! [`ensemble_transient`](super::ensemble::ensemble_transient) over
-//! many. A *lane* is one circuit's solver behind the [`Lane`] trait: a
-//! trial solve that touches nothing committed, and a commit. A
-//! monolithic lane ([`MonoLane`]) is one damped-Newton [`Engine`]; a
-//! partitioned lane (`PartLane` in the `partition` module) is a block
-//! scheduler over many. The march owns everything else:
+//! [`transient`](super::tran::transient) runs it over one *lane*: one
+//! circuit's solver behind the [`Lane`] trait, a trial solve that
+//! touches nothing committed, and a commit. A monolithic lane
+//! ([`MonoLane`]) is one damped-Newton [`Engine`]; a partitioned lane
+//! (`PartLane` in the `partition` module) is a block scheduler over
+//! many. The march owns everything else:
 //!
 //! * **the grid**: the caller's uniform `dt` grid, whose last cell is
 //!   clamped to `t_stop`;
 //! * **the controller**: fixed-step is the grid-aligned controller with
 //!   the leap pinned to one cell. With
 //!   [`TranOptions::adaptive_grid_aligned`] a macro step leaps `k`
-//!   cells through quiet regions, judged per lane by the LTE estimate
-//!   of [`lte_ratio`], and every lane shares it: any lane's reject or
-//!   Newton failure halves `k` for the whole ensemble;
+//!   cells through quiet regions, judged by the LTE estimate of
+//!   [`lte_ratio`]; an LTE reject or a Newton failure halves `k`;
 //! * **the Newton-failure subdivision**: a one-cell step ([`cell`])
-//!   halves `h` on failure, up to [`MAX_SUBDIV`] times, per lane;
+//!   halves `h` on failure, up to [`MAX_SUBDIV`] times;
 //! * **recording**: a grid point the march landed on records the solved
 //!   state; only points inside a multi-cell leap are interpolated.
-
-use std::sync::Arc;
 
 use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
@@ -49,12 +45,6 @@ pub(crate) trait Lane {
     fn state(&self) -> &[f64];
     /// The full unknown vector to record for the committed time `t`.
     fn record(&self, t: f64) -> Vec<f64>;
-    /// Called once, after lane 0's first accepted step.
-    fn share_factors(_lanes: &mut [Self])
-    where
-        Self: Sized,
-    {
-    }
 }
 
 /// A monolithic lane: one engine over the whole circuit.
@@ -107,17 +97,6 @@ impl Lane for MonoLane<'_> {
     fn record(&self, _t: f64) -> Vec<f64> {
         self.x.clone()
     }
-
-    /// Hand lane 0's factors to every other lane: their first
-    /// factorisation then replays the recorded symbolic structure
-    /// numerically instead of re-running the DFS and pivot search.
-    fn share_factors(lanes: &mut [Self]) {
-        if let Some((lane0, rest)) = lanes.split_first_mut() {
-            for lane in rest {
-                lane.engine.adopt_factors_from(&lane0.engine);
-            }
-        }
-    }
 }
 
 /// Advance capacitor companion states past an accepted step to `x`.
@@ -129,49 +108,27 @@ pub(crate) fn update_caps(ckt: &Circuit, caps: &mut [Option<CapState>], x: &[f64
     }
 }
 
-/// Solve every lane's DC operating point, build the lanes and march
-/// them: partitioned lanes when [`TranOptions::partition`] is set and
-/// lane 0's circuit splits into two or more blocks, monolithic lanes
-/// sharing lane 0's stamp plan otherwise.
-pub(crate) fn run(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<TranResult>> {
-    // Per-lane DC operating point, cold. Deliberately *not*
+/// Solve the DC operating point, build the lane and march it: a
+/// partitioned lane when [`TranOptions::partition`] is set and the
+/// circuit splits into two or more blocks, a monolithic one otherwise.
+pub(crate) fn run(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
+    // The DC operating point is solved cold, deliberately *not*
     // accelerated: differential MCML cells have multiple locally stable
     // operating points whose supply currents are indistinguishable
     // (that is the style's whole point), so any shortcut that changes
-    // the Newton path from zero — warm starting from a sibling's op,
-    // skipping a continuation rung, lagged-Jacobian iterations inside
-    // the ladder — can silently settle internal nodes into a different
-    // basin and corrupt the clock-edge transient. The march may chord;
-    // the op may not.
-    let ops = ckts
-        .iter()
-        .map(Circuit::dc_op)
-        .collect::<Result<Vec<OpPoint>>>()?;
+    // the Newton path from zero — a warm start, skipping a continuation
+    // rung, lagged-Jacobian iterations inside the ladder — can silently
+    // settle internal nodes into a different basin and corrupt the
+    // clock-edge transient. The march may chord; the op may not.
+    let op = ckt.dc_op()?;
     if opts.partition {
-        // The structure is topology-only, so lane 0's serves every lane
-        // (the same contract as the shared stamp plan); block circuits
-        // are built from each lane's own element values.
-        if let Some(structure) = PartitionStructure::build(&ckts[0], true) {
-            let lanes = ckts
-                .iter()
-                .zip(&ops)
-                .map(|(ckt, op)| PartLane::new(ckt, &structure, op.state(), opts))
-                .collect();
-            return march(ckts, &ops, lanes, opts);
+        if let Some(structure) = PartitionStructure::build(ckt, true) {
+            let lane = PartLane::new(ckt, &structure, op.state(), opts);
+            return march(ckt, &op, lane, opts);
         }
     }
-    let lane0 = Engine::new(&ckts[0]);
-    let plan = lane0.plan_handle();
-    let engines = std::iter::once(lane0).chain(
-        ckts[1..]
-            .iter()
-            .map(|ckt| Engine::with_shared_plan(ckt, Arc::clone(&plan))),
-    );
-    let lanes = engines
-        .zip(&ops)
-        .map(|(engine, op)| MonoLane::new(engine, op.state(), opts))
-        .collect();
-    march(ckts, &ops, lanes, opts)
+    let lane = MonoLane::new(Engine::new(ckt), op.state(), opts);
+    march(ckt, &op, lane, opts)
 }
 
 /// Grid cells covering `[0, t_stop]`. When `t_stop` is not a whole
@@ -187,15 +144,14 @@ fn grid_steps(opts: &TranOptions) -> usize {
     }
 }
 
-/// March `lanes` (one per circuit in `ckts`, starting from `ops`)
-/// across the grid and record their results.
+/// March `lane` (the solver of `ckt`, starting from `op`) across the
+/// grid and record its result.
 fn march<L: Lane>(
-    ckts: &[Circuit],
-    ops: &[OpPoint],
-    mut lanes: Vec<L>,
+    ckt: &Circuit,
+    op: &OpPoint,
+    mut lane: L,
     opts: &TranOptions,
-) -> Result<Vec<TranResult>> {
-    let n_lanes = lanes.len();
+) -> Result<TranResult> {
     let n_steps = grid_steps(opts);
     let grid_t = |i: usize| {
         if i == n_steps {
@@ -207,25 +163,13 @@ fn march<L: Lane>(
 
     let mut ctl = opts
         .lte
-        .map(|lte| Controller::new(ckts, opts, lte, n_steps, &lanes));
+        .map(|lte| Controller::new(ckt, opts, lte, n_steps, lane.state()));
     let mut times = Vec::with_capacity(n_steps + 1);
     times.push(0.0);
-    let mut states: Vec<Vec<Vec<f64>>> = ops
-        .iter()
-        .map(|op| {
-            let mut rec = Vec::with_capacity(n_steps + 1);
-            rec.push(op.state().to_vec());
-            rec
-        })
-        .collect();
-    let mut steps = vec![0usize; n_lanes];
-    let mut ratios: Vec<Option<f64>> = vec![None; n_lanes];
-    let mut shared = false;
-    let mut share_once = |lanes: &mut [L]| {
-        if !std::mem::replace(&mut shared, true) {
-            L::share_factors(lanes);
-        }
-    };
+    let mut states = Vec::with_capacity(n_steps + 1);
+    states.push(op.state().to_vec());
+    let mut steps_taken = 0usize;
+    let mut ratio: Option<f64> = None;
 
     let mut t = 0.0;
     let mut pos = 0usize;
@@ -234,95 +178,65 @@ fn march<L: Lane>(
         loop {
             let t_next = grid_t(pos + k);
             if k == 1 {
-                for l in 0..n_lanes {
-                    steps[l] += cell(&mut lanes[l], opts, t, t_next)?;
-                    if l == 0 {
-                        share_once(&mut lanes);
-                    }
-                    if let Some(c) = &ctl {
-                        ratios[l] = c.ratio(l, lanes[l].state(), t_next, opts.dt);
-                    }
+                steps_taken += cell(&mut lane, opts, t, t_next)?;
+                if let Some(c) = &ctl {
+                    ratio = c.ratio(lane.state(), t_next, opts.dt);
                 }
                 times.push(t_next);
-                for (rec, lane) in states.iter_mut().zip(&lanes) {
-                    rec.push(lane.record(t_next));
-                }
+                states.push(lane.record(t_next));
                 break;
             }
 
-            // A multi-cell leap: every lane must converge and pass its
-            // LTE test, or the whole ensemble re-runs at half the leap.
-            // Every lane tries every leap, even after another balked, so
-            // each lane's factors (and its chord directions) depend only
-            // on the shared grid, never on its position in the ensemble.
+            // A multi-cell leap: it must converge and pass the LTE
+            // test, or it re-runs at half the leap.
             let c = ctl.as_ref().expect("only the LTE controller leaps");
             let h = t_next - t;
-            let mut balked = false;
-            for l in 0..n_lanes {
-                match lanes[l].try_step(t_next, h) {
-                    Ok(()) => {
-                        if l == 0 {
-                            share_once(&mut lanes);
-                        }
-                        ratios[l] = c.ratio(l, lanes[l].trial(), t_next, h);
-                        if ratios[l].is_some_and(|r| r > 1.0) {
-                            mcml_obs::incr(mcml_obs::Counter::LteRejects);
-                            balked = true;
-                        }
-                    }
-                    Err(_) => {
-                        // Once k reaches 1 the cell step owns any
-                        // further subdivision and the terminal error.
-                        mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                        balked = true;
-                    }
-                }
-            }
-            if balked {
+            if lane.try_step(t_next, h).is_err() {
+                // Once k reaches 1 the cell step owns any further
+                // subdivision and the terminal error.
+                mcml_obs::incr(mcml_obs::Counter::TranRetries);
                 k /= 2;
                 continue;
             }
-            let inside: Vec<f64> = (pos + 1..pos + k).map(grid_t).collect();
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                steps[l] += 1;
-                let from = lane.record(t);
-                lane.commit(h);
-                let to = lane.record(t_next);
-                for &tg in &inside {
-                    let u = (tg - t) / (t_next - t);
-                    let lerp = from.iter().zip(&to).map(|(a, b)| a + (b - a) * u);
-                    states[l].push(lerp.collect());
-                }
-                states[l].push(to);
+            ratio = c.ratio(lane.trial(), t_next, h);
+            if ratio.is_some_and(|r| r > 1.0) {
+                mcml_obs::incr(mcml_obs::Counter::LteRejects);
+                k /= 2;
+                continue;
             }
-            times.extend(inside);
+            mcml_obs::incr(mcml_obs::Counter::TranSteps);
+            steps_taken += 1;
+            let from = lane.record(t);
+            lane.commit(h);
+            let to = lane.record(t_next);
+            for i in pos + 1..pos + k {
+                let tg = grid_t(i);
+                let u = (tg - t) / (t_next - t);
+                times.push(tg);
+                states.push(from.iter().zip(&to).map(|(a, b)| a + (b - a) * u).collect());
+            }
             times.push(t_next);
+            states.push(to);
             break;
         }
         t = grid_t(pos + k);
         pos += k;
         if let Some(c) = ctl.as_mut() {
-            c.advance(pos, k, t, &ratios, &lanes);
+            c.advance(pos, k, t, ratio, lane.state());
         }
     }
 
-    Ok(ckts
-        .iter()
-        .zip(states)
-        .zip(steps)
-        .map(|((ckt, states), steps_taken)| TranResult {
-            times: times.clone(),
-            states,
-            n_node_unk: ckt.node_count() - 1,
-            branch_of_elem: branch_map(ckt),
-            t_end: t,
-            steps_taken,
-        })
-        .collect())
+    Ok(TranResult {
+        times,
+        states,
+        n_node_unk: ckt.node_count() - 1,
+        branch_of_elem: branch_map(ckt),
+        t_end: t,
+        steps_taken,
+    })
 }
 
-/// March one lane across one grid cell from `t` to `t_next`, halving
+/// March the lane across one grid cell from `t` to `t_next`, halving
 /// the step on Newton failure up to [`MAX_SUBDIV`] times. Returns the
 /// number of accepted solves.
 fn cell<L: Lane>(lane: &mut L, opts: &TranOptions, mut t: f64, t_next: f64) -> Result<usize> {
@@ -367,44 +281,41 @@ fn retag_tran(e: SpiceError, time: f64) -> SpiceError {
 
 /// The grid-aligned LTE controller: every macro step covers a whole
 /// number `k` of grid cells, so a `k = 1` step is exactly the fixed
-/// path's cell step. The leap grows while every lane's LTE stays well
-/// inside tolerance, collapses to one cell at edges, and never jumps
-/// past the first grid point at-or-after a source breakpoint, so a
-/// discontinuity can't fall unseen inside a leap.
+/// path's cell step. The leap grows while the LTE stays well inside
+/// tolerance, collapses to one cell at edges, and never jumps past the
+/// first grid point at-or-after a source breakpoint, so a discontinuity
+/// can't fall unseen inside a leap.
 struct Controller {
     lte: AdaptiveOptions,
-    /// Capacitor terminal pairs, shared by every lane's topology.
+    /// Capacitor terminal pairs.
     pairs: Vec<(NodeId, NodeId)>,
-    /// Per-lane divided-difference history.
-    hist: Vec<CapHistory>,
-    /// First grid index at-or-after each source breakpoint of any lane.
+    /// Divided-difference history.
+    hist: CapHistory,
+    /// First grid index at-or-after each source breakpoint.
     barriers: Vec<usize>,
     bar_idx: usize,
     k_max: usize,
-    /// Per-lane proposal for the next leap; the ensemble takes the
-    /// minimum.
-    k_next: Vec<usize>,
+    /// Proposal for the next leap.
+    k_next: usize,
 }
 
 impl Controller {
-    fn new<L: Lane>(
-        ckts: &[Circuit],
+    fn new(
+        ckt: &Circuit,
         opts: &TranOptions,
         lte: AdaptiveOptions,
         n_steps: usize,
-        lanes: &[L],
+        x0: &[f64],
     ) -> Self {
         let mut bps: Vec<f64> = Vec::new();
         let mut hint = f64::INFINITY;
-        for ckt in ckts {
-            for (_, _, e) in ckt.elements() {
-                let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-                    continue;
-                };
-                wave.breakpoints(opts.t_stop, &mut bps);
-                if let Some(h) = wave.max_step_hint() {
-                    hint = hint.min(h);
-                }
+        for (_, _, e) in ckt.elements() {
+            let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
+                continue;
+            };
+            wave.breakpoints(opts.t_stop, &mut bps);
+            if let Some(h) = wave.max_step_hint() {
+                hint = hint.min(h);
             }
         }
         bps.sort_by(f64::total_cmp);
@@ -429,21 +340,15 @@ impl Controller {
         } else {
             usize::MAX
         };
-        let pairs: Vec<(NodeId, NodeId)> = ckts[0]
+        let pairs: Vec<(NodeId, NodeId)> = ckt
             .elements()
             .filter_map(|(_, _, e)| match e {
                 Element::Capacitor { a, b, .. } => Some((*a, *b)),
                 _ => None,
             })
             .collect();
-        let hist = lanes
-            .iter()
-            .map(|lane| {
-                let mut h = CapHistory::new(pairs.len());
-                h.push(0.0, &pairs, lane.state());
-                h
-            })
-            .collect();
+        let mut hist = CapHistory::new(pairs.len());
+        hist.push(0.0, &pairs, x0);
         Self {
             lte,
             pairs,
@@ -451,7 +356,7 @@ impl Controller {
             barriers,
             bar_idx: 0,
             k_max: ((lte.h_max / opts.dt).floor() as usize).max(1).min(k_hint),
-            k_next: vec![1; lanes.len()],
+            k_next: 1,
         }
     }
 
@@ -460,65 +365,54 @@ impl Controller {
         while self.barriers.get(self.bar_idx).is_some_and(|&b| b <= pos) {
             self.bar_idx += 1;
         }
-        let k_next = self.k_next.iter().copied().min().expect("lanes >= 1");
-        let k = k_next.min(self.k_max).min(n_steps - pos).max(1);
+        let k = self.k_next.min(self.k_max).min(n_steps - pos).max(1);
         match self.barriers.get(self.bar_idx) {
             Some(&bar) => k.min(bar - pos),
             None => k,
         }
     }
 
-    /// Lane `l`'s LTE ratio for a candidate step of size `h` to
+    /// The LTE ratio for a candidate step of size `h` to
     /// `(t_new, x_new)`.
-    fn ratio(&self, l: usize, x_new: &[f64], t_new: f64, h: f64) -> Option<f64> {
-        lte_ratio(&self.hist[l], &self.pairs, x_new, t_new, h, self.lte)
+    fn ratio(&self, x_new: &[f64], t_new: f64, h: f64) -> Option<f64> {
+        lte_ratio(&self.hist, &self.pairs, x_new, t_new, h, self.lte)
     }
 
-    /// Update every lane's proposal after a `k`-cell macro step landed
-    /// on grid index `pos` at time `t`, with per-lane LTE `ratios`.
-    fn advance<L: Lane>(
-        &mut self,
-        pos: usize,
-        k: usize,
-        t: f64,
-        ratios: &[Option<f64>],
-        lanes: &[L],
-    ) {
-        mcml_obs::add(mcml_obs::Counter::AdaptiveSteps, lanes.len() as u64);
-        let landed_barrier = self.barriers.get(self.bar_idx) == Some(&pos);
-        for (l, lane) in lanes.iter().enumerate() {
-            if landed_barrier {
-                // Slope discontinuity behind us: divided differences
-                // across the corner are meaningless, so restart.
-                self.hist[l].clear();
-                self.k_next[l] = 1;
-            } else {
-                let grown = match ratios[l] {
-                    Some(r) => {
-                        // The backward-Euler LTE scales as h², so the
-                        // leap may grow by r^(-1/2), less a 10 % margin.
-                        let f = if r > 0.0 {
-                            0.9 * r.powf(-0.5)
-                        } else {
-                            f64::INFINITY
-                        };
-                        if f >= 2.0 {
-                            (k * 2).min(self.k_max)
-                        } else if r > 1.0 {
-                            1
-                        } else {
-                            k
-                        }
+    /// Update the proposal after a `k`-cell macro step landed on grid
+    /// index `pos` at time `t` in state `x`, with LTE `ratio`.
+    fn advance(&mut self, pos: usize, k: usize, t: f64, ratio: Option<f64>, x: &[f64]) {
+        mcml_obs::incr(mcml_obs::Counter::AdaptiveSteps);
+        if self.barriers.get(self.bar_idx) == Some(&pos) {
+            // Slope discontinuity behind us: divided differences across
+            // the corner are meaningless, so restart.
+            self.hist.clear();
+            self.k_next = 1;
+        } else {
+            let grown = match ratio {
+                Some(r) => {
+                    // The backward-Euler LTE scales as h², so the leap
+                    // may grow by r^(-1/2), less a 10 % margin.
+                    let f = if r > 0.0 {
+                        0.9 * r.powf(-0.5)
+                    } else {
+                        f64::INFINITY
+                    };
+                    if f >= 2.0 {
+                        (k * 2).min(self.k_max)
+                    } else if r > 1.0 {
+                        1
+                    } else {
+                        k
                     }
-                    None => k,
-                };
-                if grown > k {
-                    mcml_obs::incr(mcml_obs::Counter::HGrowths);
                 }
-                self.k_next[l] = grown;
+                None => k,
+            };
+            if grown > k {
+                mcml_obs::incr(mcml_obs::Counter::HGrowths);
             }
-            self.hist[l].push(t, &self.pairs, lane.state());
+            self.k_next = grown;
         }
+        self.hist.push(t, &self.pairs, x);
     }
 }
 

@@ -1,9 +1,7 @@
-//! Circuit analyses: DC operating point, transient, and the lockstep
-//! ensemble transient.
+//! Circuit analyses: DC operating point and transient.
 
 pub mod dc;
 pub(crate) mod engine;
-pub mod ensemble;
 pub(crate) mod march;
 pub(crate) mod partition;
 pub(crate) mod plan;

@@ -124,9 +124,8 @@ struct BlockStructure {
     always_active: bool,
 }
 
-/// Topology-only partition of a circuit: value-independent, so it is
-/// shared across ensemble lanes with identical topology (the same
-/// contract as the shared stamp plan).
+/// Topology-only partition of a circuit: which nodes are pinned rails,
+/// which elements form each block and in what order the blocks solve.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionStructure {
     class: Vec<NodeClass>,

@@ -58,8 +58,8 @@
 //! ([`StampPlan::fill_order`]): the minimum-degree order of the
 //! pattern's A+Aᵀ graph. It is a function of the pattern alone, so it is
 //! computed on first use and then shared by every factorisation on the
-//! plan — ensemble lanes hold the plan through one `Arc`, and a
-//! degraded-pivot re-factorisation reuses the order it already has.
+//! plan: a degraded-pivot re-factorisation reuses the order it already
+//! has.
 //! Dense-sized systems and the natural-order DC engine never ask for it.
 
 use std::sync::{Arc, OnceLock};

@@ -1,9 +1,9 @@
 //! Transient analysis with backward-Euler companion models.
 //!
 //! This module holds the options and the result; the time loop itself is
-//! the shared lane march in `analysis::march`, which [`transient`] runs
-//! over one lane and [`crate::ensemble_transient`] over many. Backward
-//! Euler is the only integrator: every capacitor becomes a conductance
+//! the march in `analysis::march`, which [`transient`] runs over one
+//! circuit, monolithic or partitioned. Backward Euler is the only
+//! integrator: every capacitor becomes a conductance
 //! `C/h` in parallel with a history current. Two stepping policies share
 //! the caller's uniform `dt` grid:
 //!
@@ -218,7 +218,7 @@ impl TranOptions {
     /// stops halving, or damping engages). Converged solutions satisfy the
     /// same `VTOL`/`ITOL` tolerances as full Newton; the Newton *path*
     /// to them differs, so results agree to solver tolerance rather
-    /// than bitwise. This is the refactor policy the batched ensemble
+    /// than bitwise. This is the refactor policy the fig. 6 campaign
     /// acquisition runs with — on the quiescent-heavy fig. 6 workload
     /// it eliminates the large majority of numeric refactorisations.
     ///
@@ -417,8 +417,7 @@ impl TranResult {
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     let _span = mcml_obs::span(mcml_obs::Stage::Transient);
     mcml_obs::incr(mcml_obs::Counter::Transients);
-    let mut lanes = crate::analysis::march::run(std::slice::from_ref(ckt), opts)?;
-    Ok(lanes.pop().expect("one lane in, one result out"))
+    crate::analysis::march::run(ckt, opts)
 }
 
 impl Circuit {

@@ -12,8 +12,8 @@
 //! [`SparseLu::factor_ordered`] eliminates column `col_order[k]` at step
 //! `k`; the transient engine passes the minimum-degree order of
 //! [`super::order::min_degree_order`], computed once per stamp plan
-//! (`analysis::plan::StampPlan::fill_order`) and shared by every ensemble
-//! lane. On the 262-unknown fig. 6 lane matrix (2,084 non-zeros) it cuts
+//! (`analysis::plan::StampPlan::fill_order`). On the 262-unknown fig. 6
+//! matrix (2,084 non-zeros) it cuts
 //! the factors from 16,644 to 3,589 entries and makes one numeric
 //! refactor ~16× cheaper (SOLVER.md §3). [`SparseLu::factor_csc`] keeps
 //! the raw MNA (identity) order, bit for bit the factors this module
@@ -57,8 +57,7 @@ const UNPIVOTED: usize = usize::MAX;
 /// order, the per-step reach sets discovered by the DFS and the row
 /// permutation, which [`SparseLu::refactor`] replays for numeric-only
 /// refactorisation. Cloning copies both the symbolic structure and the
-/// current numbers — the ensemble transient hands lane 0's factors to
-/// sibling lanes so their first factorisation is a numeric-only replay.
+/// current numbers.
 #[derive(Clone)]
 pub struct SparseLu {
     n: usize,

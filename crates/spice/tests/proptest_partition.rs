@@ -306,31 +306,6 @@ fn counter_identity_and_skips() {
     assert!(d_solves > 0, "edges must produce solves");
 }
 
-/// The ensemble engine routes lanes through the same partitioned march:
-/// per-lane results match the scalar partitioned runs exactly, and
-/// lane-varying parameters keep their own physics.
-#[test]
-fn ensemble_lanes_match_scalar_partitioned() {
-    let _g = lock();
-    let mk = |c_load: f64| island_farm(2, 2, 1.0e-6, c_load, 0.5e-9, 0.4e-9);
-    let (c0, _, outs) = mk(8e-15);
-    let (c1, _, _) = mk(8e-15); // same topology, same values
-    let opts = TranOptions::new(3e-9, 5e-12)
-        .with_partitioning()
-        .with_bypass(10e-6);
-
-    let scalar = c0.transient(&opts).unwrap();
-    let ens = mcml_spice::ensemble_transient(&[c0, c1], &opts).unwrap();
-    assert_eq!(ens.len(), 2);
-    for res in &ens {
-        for &out in &outs {
-            for ((_, x), (_, y)) in scalar.voltage(out).iter().zip(res.voltage(out).iter()) {
-                assert!(x.to_bits() == y.to_bits(), "lane diverged: {x} != {y}");
-            }
-        }
-    }
-}
-
 /// Partitioned lanes run through the same march as monolithic ones, so
 /// grid-aligned adaptive leaps apply to them too: the partitioned run
 /// really partitions, leaps the quiet tail, and tracks the monolithic
