@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--key" => {
                 key = u8::from_str_radix(val()?.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("--key: {e}"))?
-                    & 0x0f;
+                    .map_err(|e| format!("--key: {e}"))?;
             }
             "--style" => {
                 style = match val()?.as_str() {
@@ -55,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         noise,
         seed,
         Parallelism::from_env(),
-    )?;
+    )
+    .map_err(|e| format!("campaign: {e}"))?;
     let wall = t0.elapsed().as_secs_f64();
     let v = &out.verdict;
     println!(

@@ -961,11 +961,10 @@ pub struct CampaignOutcome {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics when `n_traces < 2` (nothing to correlate).
+/// Returns [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
+/// before any simulation runs when `key` is not a nibble, `n_traces < 2`
+/// (nothing to correlate) or `noise_rel` is negative or not finite;
+/// otherwise propagates simulator errors.
 pub fn cpa_campaign(
     params: &CellParams,
     key: u8,
@@ -975,7 +974,21 @@ pub fn cpa_campaign(
     seed: u64,
     par: Parallelism,
 ) -> Result<CampaignOutcome> {
-    assert!(n_traces >= 2, "campaign needs at least two traces");
+    let reason = if key > 0xf {
+        Some(format!("key must be a nibble (0..=0xf), got {key:#x}"))
+    } else if n_traces < 2 {
+        Some(format!("need at least two traces, got {n_traces}"))
+    } else if !(noise_rel.is_finite() && noise_rel >= 0.0) {
+        Some(format!("noise must be finite and >= 0, got {noise_rel}"))
+    } else {
+        None
+    };
+    if let Some(reason) = reason {
+        return Err(mcml_spice::SpiceError::InvalidParameter {
+            element: "cpa campaign".to_owned(),
+            reason,
+        });
+    }
     let reduced = ReducedAes::new(4);
     let bases = fig6_base_waveforms(params, key, style, 1, par)?;
     let means: Vec<f64> = bases
@@ -1170,6 +1183,32 @@ mod tests {
             v.rank > 0 || v.margin < 1.05,
             "PG-MCML must resist the campaign: {v:?}"
         );
+    }
+
+    /// Hostile campaign arguments err before any transient runs.
+    #[test]
+    fn cpa_campaign_rejects_hostile_input() {
+        let params = CellParams::default();
+        for (key, n_traces, noise) in [(0x1f, 100, 0.05), (0xb, 1, 0.05), (0xb, 100, f64::NAN)] {
+            let err = cpa_campaign(
+                &params,
+                key,
+                LogicStyle::PgMcml,
+                n_traces,
+                noise,
+                7,
+                Parallelism::Serial,
+            )
+            .expect_err("hostile input must err");
+            assert!(
+                matches!(
+                    &err,
+                    mcml_spice::SpiceError::InvalidParameter { element, .. }
+                        if element == "cpa campaign"
+                ),
+                "key {key:#x}, {n_traces} traces, noise {noise}: {err}"
+            );
+        }
     }
 
     #[test]
