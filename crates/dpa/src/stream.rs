@@ -6,7 +6,7 @@
 //! they need the whole [`TraceSet`](crate::TraceSet) in memory to compute
 //! per-sample means first and centred cross-products second. A 10⁵-trace
 //! fig. 6 campaign at 60 samples is still only ~48 MB, but the point of
-//! the batched acquisition path is that completed ensemble lanes stream
+//! the streaming acquisition path is that completed traces flow
 //! straight into the attack statistics — so these accumulators keep
 //! **O(guesses × samples)** state regardless of how many traces pass
 //! through, using raw-moment sums:
@@ -17,9 +17,9 @@
 //!
 //! Determinism contract: a fold is a *sequence*, so two accumulators fed
 //! the same traces **in the same order** produce bit-identical results —
-//! the batched acquisition path preserves trace order end-to-end (see
-//! `parallel_fold_ordered` in `mcml-exec`), which is what makes the
-//! ensemble campaign's verdicts bit-reproducible against a serial run.
+//! the streaming acquisition path preserves trace order end-to-end (see
+//! `parallel_fold_ordered` in `mcml-exec`), which is what makes a
+//! parallel campaign's verdicts bit-reproducible against a serial run.
 //! Against the two-pass functions the raw-moment rounding differs in the
 //! last few ulps, so campaigns compare *verdicts* (best guess, ranking,
 //! leak flags) exactly and correlations to a tolerance; the regression

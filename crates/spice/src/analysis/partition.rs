@@ -830,7 +830,7 @@ impl Lane for PartLane<'_> {
 }
 
 impl Drop for PartLane<'_> {
-    /// The per-lane block tallies reach `mcml-obs` once, however the
+    /// The lane's block tallies reach `mcml-obs` once, however the
     /// march ends.
     fn drop(&mut self) {
         mcml_obs::add(mcml_obs::Counter::BlockSolves, self.block_solves);
