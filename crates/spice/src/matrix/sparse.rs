@@ -56,9 +56,7 @@ const UNPIVOTED: usize = usize::MAX;
 /// The struct also carries the reusable symbolic state: the column
 /// order, the per-step reach sets discovered by the DFS and the row
 /// permutation, which [`SparseLu::refactor`] replays for numeric-only
-/// refactorisation. Cloning copies both the symbolic structure and the
-/// current numbers.
-#[derive(Clone)]
+/// refactorisation.
 pub struct SparseLu {
     n: usize,
     /// `col_order[k]` = column of A eliminated at step `k`.
