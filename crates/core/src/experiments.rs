@@ -843,11 +843,11 @@ pub fn aes_tran_tier(
 /// [`fig6_transistor_par`]'s streaming sibling: each plaintext's
 /// registered-netlist transient runs alone with the campaign options
 /// ([`fig6_tran_options`] plus [`TranOptions::with_jacobian_reuse`]),
-/// plaintexts fan across the worker pool,
-/// and completed traces stream — in plaintext order — into the online
-/// CPA accumulator. The full trace matrix is never materialised: peak
-/// memory is one transient per worker plus the `O(guesses × samples)`
-/// accumulator, regardless of how many plaintexts the campaign sweeps.
+/// plaintexts fan across the worker pool, and completed traces stream
+/// — in plaintext order — into the online CPA accumulator. The full
+/// trace matrix is never materialised: peak memory is one transient per
+/// worker plus the `O(guesses × samples)` accumulator, regardless of
+/// how many plaintexts the campaign sweeps.
 ///
 /// Verdict contract: the streamed accumulator folds traces in the same
 /// plaintext order as [`fig6_transistor_par`] pushes them, so reruns with
@@ -951,10 +951,11 @@ pub struct CampaignOutcome {
 /// `O(workers × state + guesses × samples)` whether N is 10³ or 10⁵.
 ///
 /// The 16 distinct base waveforms are simulated once
-/// ([`fig6_base_waveforms`]); each of the N acquisitions then draws a uniform plaintext nibble and additive
-/// Gaussian measurement noise (`noise_rel` × the base waveform's mean
-/// |current|) from its own `(seed, index)`-derived stream, exactly the
-/// noise model of the template tier. Trace `i`'s plaintext and noise
+/// ([`fig6_base_waveforms`]); each of the N acquisitions then draws a
+/// uniform plaintext nibble and additive Gaussian measurement noise
+/// (`noise_rel` × the base waveform's mean |current|) from its own
+/// `(seed, index)`-derived stream, exactly the noise model of the
+/// template tier. Trace `i`'s plaintext and noise
 /// depend only on `(seed, i)`, and the accumulator folds in index order,
 /// so two runs with the same arguments are **bit-identical**, whatever
 /// the worker count.
