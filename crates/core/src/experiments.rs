@@ -514,7 +514,10 @@ pub fn fig6_mtd(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Returns [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
+/// before any simulation runs when `key` or a plaintext is not a nibble
+/// or fewer than two plaintexts are given; otherwise propagates
+/// simulator errors.
 pub fn fig6_transistor(
     params: &CellParams,
     key: u8,
@@ -530,7 +533,7 @@ pub fn fig6_transistor(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// As [`fig6_transistor`].
 pub fn fig6_transistor_par(
     params: &CellParams,
     key: u8,
@@ -538,29 +541,20 @@ pub fn fig6_transistor_par(
     plaintexts: &[u8],
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
-    let reduced = ReducedAes::new(4);
-    // The registered design, like the paper's synthesised block: the
-    // plaintext/key pair settles combinationally, then the output
-    // register captures S(p ⊕ k) on the clock edge — the moment whose
-    // supply charge carries the Hamming-weight leak (in CMOS).
-    let nl: Netlist = reduced.build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
+    let bench = fig6_bench(params, key, style, plaintexts, true)?;
     // Every plaintext gets its own clone of the elaborated circuit and a
     // full transistor-level transient — the expensive, perfectly
     // independent work items of this tier.
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
     let tran_opts = fig6_tran_options();
     let rows = mcml_exec::parallel_map_items(par, plaintexts, |&p| {
-        fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
+        fig6_plaintext_trace(&bench, key, p, &tran_opts)
     });
     let mut ts = TraceSet::new(FIG6_N_SAMPLES);
     for (&p, row) in plaintexts.iter().zip(rows) {
         ts.push(p, &row?);
     }
+    let reduced = ReducedAes::new(4);
     let model = HammingWeight::new(|x| reduced.sbox(x), 4);
     let r = cpa_attack_par(&ts, &model, par);
     Ok((verdict(style, usize::from(key), &r, ts.n_traces()), r))
@@ -614,15 +608,71 @@ pub fn fig6_tran_options() -> TranOptions {
     opts
 }
 
-/// The driven fig. 6 circuit for one plaintext: constant plaintext/key
-/// rails plus the single clock edge, ready for a transient run.
-fn fig6_plaintext_circuit(
-    el: &crate::elaborate::Elaborated,
+/// The elaborated fig. 6 testbench and the levels its input rails
+/// swing between.
+struct Fig6Bench {
+    el: crate::elaborate::Elaborated,
     v_lo: f64,
     v_hi: f64,
+}
+
+/// Low and high input rail levels of `style`.
+fn rail_levels(params: &CellParams, style: LogicStyle) -> (f64, f64) {
+    match style {
+        LogicStyle::Cmos => (0.0, params.tech.vdd),
+        _ => (params.v_low(), params.tech.vdd),
+    }
+}
+
+/// Why the 4-bit fig. 6 testbench cannot serve a request, if it cannot:
+/// the key and every plaintext must be nibbles, and a CPA over `traces`
+/// traces (`None` when no CPA follows) needs at least two of them.
+fn fig6_input_fault(key: u8, plaintexts: &[u8], traces: Option<usize>) -> Option<String> {
+    if key > 0xf {
+        return Some(format!("key must be a nibble (0..=0xf), got {key:#x}"));
+    }
+    if let Some(p) = plaintexts.iter().find(|&&p| p > 0xf) {
+        return Some(format!("plaintext must be a nibble (0..=0xf), got {p:#x}"));
+    }
+    match traces {
+        Some(n) if n < 2 => Some(format!("need at least two traces, got {n}")),
+        _ => None,
+    }
+}
+
+/// Check a fig. 6 transistor-tier request, then elaborate the
+/// registered reduced-AES testbench. Registered like the paper's
+/// synthesised block: the plaintext/key pair settles combinationally,
+/// then the output register captures S(p ⊕ k) on the clock edge — the
+/// moment whose supply charge carries the Hamming-weight leak (in CMOS).
+///
+/// `cpa` says whether a CPA over `plaintexts` follows. A request the
+/// testbench cannot serve ([`fig6_input_fault`]) errs with
+/// [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
+/// before anything is built or simulated.
+fn fig6_bench(
+    params: &CellParams,
     key: u8,
-    p: u8,
-) -> Circuit {
+    style: LogicStyle,
+    plaintexts: &[u8],
+    cpa: bool,
+) -> Result<Fig6Bench> {
+    if let Some(reason) = fig6_input_fault(key, plaintexts, cpa.then_some(plaintexts.len())) {
+        return Err(mcml_spice::SpiceError::InvalidParameter {
+            element: "fig6 transistor tier".to_owned(),
+            reason,
+        });
+    }
+    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
+    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
+    let (v_lo, v_hi) = rail_levels(params, style);
+    Ok(Fig6Bench { el, v_lo, v_hi })
+}
+
+/// The driven fig. 6 circuit for one plaintext: constant plaintext/key
+/// rails plus the single clock edge, ready for a transient run.
+fn fig6_plaintext_circuit(bench: &Fig6Bench, key: u8, p: u8) -> Circuit {
+    let &Fig6Bench { ref el, v_lo, v_hi } = bench;
     let mut ckt: Circuit = el.circuit.clone();
     let drive_const = |ckt: &mut Circuit, name: &str, v: bool| {
         let (np, nn) = el.inputs[name];
@@ -668,16 +718,14 @@ fn fig6_extract_supply(
 /// clock edge, run the full transient, and resample the Vdd current over
 /// the capture window.
 fn fig6_plaintext_trace(
-    el: &crate::elaborate::Elaborated,
-    v_lo: f64,
-    v_hi: f64,
+    bench: &Fig6Bench,
     key: u8,
     p: u8,
     tran_opts: &TranOptions,
 ) -> Result<Vec<f64>> {
-    let ckt = fig6_plaintext_circuit(el, v_lo, v_hi, key, p);
+    let ckt = fig6_plaintext_circuit(bench, key, p);
     let res = ckt.transient(tran_opts)?;
-    fig6_extract_supply(&res, el)
+    fig6_extract_supply(&res, &bench.el)
 }
 
 /// The raw supply-current trace of a single fig. 6 plaintext — the
@@ -686,20 +734,16 @@ fn fig6_plaintext_trace(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Returns [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
+/// before any simulation runs when `key` or `plaintext` is not a nibble;
+/// otherwise propagates simulator errors.
 pub fn fig6_supply_trace(
     params: &CellParams,
     key: u8,
     style: LogicStyle,
     plaintext: u8,
 ) -> Result<Vec<f64>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintext, &fig6_tran_options())
+    fig6_supply_trace_with(params, key, style, plaintext, &fig6_tran_options())
 }
 
 /// [`fig6_supply_trace`] with an explicit stepping policy — the hook the
@@ -708,7 +752,7 @@ pub fn fig6_supply_trace(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// As [`fig6_supply_trace`].
 pub fn fig6_supply_trace_with(
     params: &CellParams,
     key: u8,
@@ -716,13 +760,8 @@ pub fn fig6_supply_trace_with(
     plaintext: u8,
     tran_opts: &TranOptions,
 ) -> Result<Vec<f64>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintext, tran_opts)
+    let bench = fig6_bench(params, key, style, &[plaintext], false)?;
+    fig6_plaintext_trace(&bench, key, plaintext, tran_opts)
 }
 
 /// Quiescent-MOS bypass tolerance (V) of the `aes_tran` partition tier —
@@ -801,10 +840,7 @@ pub fn aes_tran_tier(
 ) -> Result<Vec<Vec<f64>>> {
     let nl: Netlist = ReducedAes::new(4).build_netlist(style);
     let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
+    let (v_lo, v_hi) = rail_levels(params, style);
     let edge = |a: f64, b: f64| {
         SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
     };
@@ -858,7 +894,7 @@ pub fn aes_tran_tier(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// As [`fig6_transistor`].
 pub fn fig6_transistor_ensemble(
     params: &CellParams,
     key: u8,
@@ -866,21 +902,16 @@ pub fn fig6_transistor_ensemble(
     plaintexts: &[u8],
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
-    let reduced = ReducedAes::new(4);
-    let nl: Netlist = reduced.build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
+    let bench = fig6_bench(params, key, style, plaintexts, true)?;
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
     let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let reduced = ReducedAes::new(4);
     let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
     let (acc, first_err) = mcml_exec::parallel_fold_ordered(
         par,
         plaintexts.len(),
         (acc, None),
-        |i| fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintexts[i], &tran_opts),
+        |i| fig6_plaintext_trace(&bench, key, plaintexts[i], &tran_opts),
         |(acc, first_err), i, row| match row {
             Ok(row) => {
                 mcml_obs::incr(mcml_obs::Counter::TracesAcquired);
@@ -913,7 +944,9 @@ pub fn fig6_transistor_ensemble(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Returns [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
+/// before any simulation runs when `key` is not a nibble; otherwise
+/// propagates simulator errors.
 pub fn fig6_base_waveforms(
     params: &CellParams,
     key: u8,
@@ -921,17 +954,12 @@ pub fn fig6_base_waveforms(
     _lanes: usize,
     par: Parallelism,
 ) -> Result<Vec<Vec<f64>>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
+    let plaintexts: Vec<u8> = (0..16u8).collect();
+    let bench = fig6_bench(params, key, style, &plaintexts, false)?;
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
     let tran_opts = fig6_tran_options().with_jacobian_reuse();
-    let plaintexts: Vec<u8> = (0..16u8).collect();
     mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
-        fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
+        fig6_plaintext_trace(&bench, key, p, &tran_opts)
     })
     .into_iter()
     .collect()
@@ -975,15 +1003,10 @@ pub fn cpa_campaign(
     seed: u64,
     par: Parallelism,
 ) -> Result<CampaignOutcome> {
-    let reason = if key > 0xf {
-        Some(format!("key must be a nibble (0..=0xf), got {key:#x}"))
-    } else if n_traces < 2 {
-        Some(format!("need at least two traces, got {n_traces}"))
-    } else if !(noise_rel.is_finite() && noise_rel >= 0.0) {
-        Some(format!("noise must be finite and >= 0, got {noise_rel}"))
-    } else {
-        None
-    };
+    let reason = fig6_input_fault(key, &[], Some(n_traces)).or_else(|| {
+        (!(noise_rel.is_finite() && noise_rel >= 0.0))
+            .then(|| format!("noise must be finite and >= 0, got {noise_rel}"))
+    });
     if let Some(reason) = reason {
         return Err(mcml_spice::SpiceError::InvalidParameter {
             element: "cpa campaign".to_owned(),
@@ -1186,30 +1209,45 @@ mod tests {
         );
     }
 
-    /// Hostile campaign arguments err before any transient runs.
+    /// Hostile campaign and transistor-tier arguments err before any
+    /// transient runs: a key or plaintext that is not a nibble, fewer
+    /// than two traces to correlate, or unusable noise.
     #[test]
     fn cpa_campaign_rejects_hostile_input() {
         let params = CellParams::default();
-        for (key, n_traces, noise) in [(0x1f, 100, 0.05), (0xb, 1, 0.05), (0xb, 100, f64::NAN)] {
-            let err = cpa_campaign(
-                &params,
-                key,
-                LogicStyle::PgMcml,
-                n_traces,
-                noise,
-                7,
-                Parallelism::Serial,
-            )
-            .expect_err("hostile input must err");
+        let style = LogicStyle::PgMcml;
+        let par = Parallelism::Serial;
+        let rejected = |err: mcml_spice::SpiceError, what: &str| {
             assert!(
                 matches!(
                     &err,
-                    mcml_spice::SpiceError::InvalidParameter { element, .. }
-                        if element == "cpa campaign"
+                    mcml_spice::SpiceError::InvalidParameter { element, .. } if element == what
                 ),
-                "key {key:#x}, {n_traces} traces, noise {noise}: {err}"
+                "{what}: {err}"
             );
+        };
+        for (key, n_traces, noise) in [(0x1f, 100, 0.05), (0xb, 1, 0.05), (0xb, 100, f64::NAN)] {
+            let err = cpa_campaign(&params, key, style, n_traces, noise, 7, par);
+            rejected(err.expect_err("hostile input must err"), "cpa campaign");
         }
+        let tier = "fig6 transistor tier";
+        for (key, plaintexts) in [
+            (0x1f, &[0u8, 1][..]),
+            (0xb, &[0x13, 0x3][..]),
+            (0xb, &[0][..]),
+            (0xb, &[][..]),
+        ] {
+            let err = fig6_transistor_par(&params, key, style, plaintexts, par);
+            rejected(err.expect_err("hostile input must err"), tier);
+            let err = fig6_transistor_ensemble(&params, key, style, plaintexts, par);
+            rejected(err.expect_err("hostile input must err"), tier);
+        }
+        for (key, plaintext) in [(0x1f, 0x3), (0xb, 0x13)] {
+            let err = fig6_supply_trace(&params, key, style, plaintext);
+            rejected(err.expect_err("hostile input must err"), tier);
+        }
+        let err = fig6_base_waveforms(&params, 0x1f, style, 1, par);
+        rejected(err.expect_err("hostile input must err"), tier);
     }
 
     #[test]
