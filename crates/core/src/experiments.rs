@@ -877,20 +877,19 @@ pub fn aes_tran_tier(
 }
 
 /// [`fig6_transistor_par`]'s streaming sibling: each plaintext's
-/// registered-netlist transient runs alone with the campaign options
-/// ([`fig6_tran_options`] plus [`TranOptions::with_jacobian_reuse`]),
+/// registered-netlist transient runs alone with [`fig6_tran_options`],
 /// plaintexts fan across the worker pool, and completed traces stream
 /// — in plaintext order — into the online CPA accumulator. The full
 /// trace matrix is never materialised: peak memory is one transient per
 /// worker plus the `O(guesses × samples)` accumulator, regardless of
 /// how many plaintexts the campaign sweeps.
 ///
-/// Verdict contract: the streamed accumulator folds traces in the same
-/// plaintext order as [`fig6_transistor_par`] pushes them, so reruns with
-/// the same arguments are bit-identical, and verdicts (key rank, margin)
-/// match the trace-per-task path — the chord and full-Newton transients
-/// agree to solver precision, far inside the attack's
-/// distinguishability margins (the regression tests pin both).
+/// Verdict contract: every trace is bit for bit the one
+/// [`fig6_transistor_par`] acquires, and the streamed accumulator folds
+/// them in the same plaintext order as it pushes them, so reruns with
+/// the same arguments are bit-identical, and verdicts (key rank,
+/// margin) match the trace-per-task path up to the rounding of the
+/// one-pass correlation (the regression tests pin both).
 ///
 /// # Errors
 ///
@@ -904,7 +903,7 @@ pub fn fig6_transistor_ensemble(
 ) -> Result<(Fig6Row, CpaResult)> {
     let bench = fig6_bench(params, key, style, plaintexts, true)?;
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let tran_opts = fig6_tran_options();
     let reduced = ReducedAes::new(4);
     let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
     let (acc, first_err) = mcml_exec::parallel_fold_ordered(
@@ -934,8 +933,8 @@ pub fn fig6_transistor_ensemble(
 /// The 16 distinct base supply-current waveforms of the 4-bit fig. 6
 /// testbench (one per plaintext nibble at the fixed key) — the complete
 /// deterministic content of the transistor tier. Each plaintext marches
-/// alone with the campaign options ([`fig6_tran_options`] plus
-/// [`TranOptions::with_jacobian_reuse`]); `_lanes` selects nothing and
+/// alone with [`fig6_tran_options`], so row `p` is bit for bit
+/// [`fig6_supply_trace`] of plaintext `p`; `_lanes` selects nothing and
 /// stays only so existing callers keep compiling.
 ///
 /// A 4-bit design has only 16 distinct stimuli and the simulator is
@@ -957,7 +956,7 @@ pub fn fig6_base_waveforms(
     let plaintexts: Vec<u8> = (0..16u8).collect();
     let bench = fig6_bench(params, key, style, &plaintexts, false)?;
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let tran_opts = fig6_tran_options();
     mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
         fig6_plaintext_trace(&bench, key, p, &tran_opts)
     })
@@ -1136,16 +1135,15 @@ mod tests {
     }
 
     /// The streaming acquisition path is a drop-in replacement for the
-    /// trace-per-task tier: same plaintexts, same key, same attack —
-    /// the verdict (key rank) must match and the correlation peaks must
-    /// agree to solver precision, although the streaming path runs the
-    /// chord Jacobian reuse and the trace-per-task tier full Newton.
-    /// CMOS is the style with a *real* leak, so the correlations measure
-    /// signal that dwarfs the µA-level acquisition drift and the
-    /// comparison is tight; on PG-MCML a 6-trace Pearson correlates
-    /// solver residue and any per-guess comparison would be noise
-    /// against noise. Six plaintexts stay cheap enough for the tier-1
-    /// suite.
+    /// trace-per-task tier: same plaintexts, key and transient options,
+    /// so both see the same traces bit for bit. What differs is the
+    /// attack: the streaming path folds the traces into the one-pass
+    /// accumulator, the trace-per-task tier runs the two-pass CPA. The
+    /// verdict (key rank) must match and the correlation peaks must
+    /// agree within the tolerance below. CMOS is the style with a *real*
+    /// leak, so the peaks compared are signal; on PG-MCML a 6-trace
+    /// Pearson correlates solver residue. Six plaintexts stay cheap
+    /// enough for the tier-1 suite.
     #[test]
     fn fig6_ensemble_verdict_matches_trace_per_task() {
         let params = CellParams::default();

@@ -1,6 +1,6 @@
 //! DC operating-point analysis with gmin and source stepping.
 
-use crate::analysis::engine::{Engine, NrOptions};
+use crate::analysis::engine::Engine;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::element::Element;
 use crate::Result;
@@ -79,12 +79,8 @@ pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     // (SOLVER.md §2).
     let mut engine = Engine::new_natural_order(ckt);
     // DC continuation sweeps voltages deliberately; the quiescent-device
-    // bypass and the demand-driven refactor policy are transient-only
-    // optimisations.
-    let nr = NrOptions {
-        bypass_tol: 0.0,
-        reuse_jacobian: false,
-    };
+    // bypass is a transient-only optimisation, so every solve passes a
+    // zero bypass tolerance.
     // Sources at the transient's start time.
     let t = 0.0;
 
@@ -98,7 +94,7 @@ pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     // 1. Plain Newton from zero.
     let mut x = vec![0.0; engine.n_unk];
     if engine
-        .solve_nr(&mut x, t, None, ckt.gmin, 1.0, &nr, "dc")
+        .solve_nr(&mut x, t, None, ckt.gmin, 1.0, 0.0, "dc")
         .is_ok()
     {
         return Ok(finish(x));
@@ -109,7 +105,7 @@ pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     let mut ladder_ok = true;
     let mut g = 1e-3;
     while g > ckt.gmin {
-        if engine.solve_nr(&mut x, t, None, g, 1.0, &nr, "dc").is_err() {
+        if engine.solve_nr(&mut x, t, None, g, 1.0, 0.0, "dc").is_err() {
             ladder_ok = false;
             break;
         }
@@ -117,7 +113,7 @@ pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     }
     if ladder_ok
         && engine
-            .solve_nr(&mut x, t, None, ckt.gmin, 1.0, &nr, "dc")
+            .solve_nr(&mut x, t, None, ckt.gmin, 1.0, 0.0, "dc")
             .is_ok()
     {
         return Ok(finish(x));
@@ -130,7 +126,7 @@ pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
         let scale = f64::from(k) / f64::from(steps);
         // Keep a mild gmin during the ramp for robustness.
         let g = if k < steps { 1e-9 } else { ckt.gmin };
-        engine.solve_nr(&mut x, t, None, g, scale, &nr, "dc")?;
+        engine.solve_nr(&mut x, t, None, g, scale, 0.0, "dc")?;
     }
     Ok(finish(x))
 }

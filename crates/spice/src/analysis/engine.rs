@@ -61,24 +61,6 @@ pub(crate) const VSTEP_LIMIT: f64 = 0.4;
 /// fails, before the march reports the failure.
 pub(crate) const MAX_SUBDIV: u32 = 8;
 
-/// Newton–Raphson settings that differ between analyses; the
-/// tolerances and budgets above are shared constants.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NrOptions {
-    /// Quiescent-MOS bypass tolerance (V); `0.0` disables the bypass.
-    /// See the `plan` module docs for the reuse rule and error bound.
-    pub bypass_tol: f64,
-    /// Demand-driven refactorisation (modified Newton): keep solving
-    /// against the last numeric LU factors — across iterations *and*
-    /// steps whose [`JacKey`]s are chord-compatible (same gmin; the step
-    /// size may drift) — and refactor only when the iteration's
-    /// contraction rate says the stale Jacobian has stopped converging.
-    /// The residual is always assembled fresh, so the convergence test
-    /// is unchanged; only the Newton *direction* comes from a lagged
-    /// Jacobian. Off by default: full Newton refactors every iteration.
-    pub reuse_jacobian: bool,
-}
-
 /// Batched observability tallies for one Newton sequence, flushed once
 /// per `solve_nr` exit so the inner loop stays instrumentation-free.
 #[derive(Default)]
@@ -129,18 +111,6 @@ impl JacKey {
         }
     }
 
-    /// Whether factors computed under `self` may serve as a *lagged*
-    /// Jacobian for a solve under `other`. Exact reuse demands equal
-    /// keys; the chord path additionally tolerates a changed step size
-    /// — an `h` change only rescales the capacitor companion
-    /// conductances, a mild, uniform Jacobian drift that the
-    /// contraction monitor polices like any other staleness. A gmin
-    /// change, or crossing the DC/transient boundary, changes the matrix
-    /// structure semantics and always demands a refactor.
-    fn chord_compatible(self, other: Self) -> bool {
-        self.gmin_bits == other.gmin_bits && self.is_transient() && other.is_transient()
-    }
-
     fn is_transient(self) -> bool {
         self.h_bits != u64::MAX
     }
@@ -178,26 +148,22 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// iterations *and* time steps — idle devices stay bypassed for the
     /// whole quiet window.
     mos_state: Vec<MosBypassState>,
-    /// The [`JacKey`] the current sparse factors were computed under;
-    /// `None` when no factors exist. A
-    /// Newton iteration whose assembly evaluated zero MOS devices under
-    /// this key, with none evaluated since the factorisation either,
-    /// reuses the factors without a refactorisation: the stamped values
-    /// are provably bit-identical to the ones factored.
+    /// The [`JacKey`] the current factors were computed under; `None`
+    /// when no factors exist. A Newton iteration whose assembly
+    /// evaluated zero MOS devices under this key reuses the factors
+    /// without a refactorisation: every iteration that evaluates a
+    /// device refactors, so the bypass caches still hold the
+    /// linearizations factored and the stamped values are bit-identical
+    /// to the ones factored.
     last_factored: Option<JacKey>,
-    /// Set when an assembly evaluated MOS devices and no factorisation
-    /// followed (a chord iteration): the bypass caches then hold
-    /// linearizations the factors never saw. Cleared by a
-    /// factorisation.
-    evaluated_since_factor: bool,
     /// Test-only record of what the exact path saw.
     #[cfg(test)]
     audit: ExactAudit,
 }
 
 /// The values the current factors were computed from, and how often an
-/// exact reuse stamped anything else (which would make it a chord step
-/// in disguise).
+/// exact reuse stamped anything else (which would solve against a stale
+/// Jacobian).
 #[cfg(test)]
 #[derive(Default)]
 struct ExactAudit {
@@ -230,7 +196,6 @@ impl<C: Borrow<Circuit>> Engine<C> {
             natural_order: false,
             mos_state: vec![MosBypassState::default(); n_mos],
             last_factored: None,
-            evaluated_since_factor: false,
             #[cfg(test)]
             audit: ExactAudit::default(),
         }
@@ -411,17 +376,16 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// Factor (or numerically refactor) and solve `J·dx = −f` for the
     /// current `vals`/`f`, leaving the update in `self.dx`.
     ///
-    /// `reusable` means the caller accepts the current factors for these
-    /// values — bit-identical ones (exact reuse) or a lagged Jacobian
-    /// (chord) — so the triangular solve runs without a
+    /// `exact` means the current factors were computed from these very
+    /// values (exact reuse), so the triangular solve runs without a
     /// refactorisation.
     ///
     /// A system of at most [`DENSE_LIMIT`] unknowns takes the dense LU,
     /// a larger one the sparse LU (module docs).
-    fn solve_linear(&mut self, key: JacKey, reusable: bool, tally: &mut NrTally) -> Result<()> {
-        if reusable && (self.dense.is_some() || self.lu.is_some()) {
-            // The factors already match `vals` bit for bit, or are the
-            // chord's lagged Jacobian; skip straight to the solve.
+    fn solve_linear(&mut self, key: JacKey, exact: bool, tally: &mut NrTally) -> Result<()> {
+        if exact && (self.dense.is_some() || self.lu.is_some()) {
+            // The factors already match `vals` bit for bit; skip
+            // straight to the solve.
             tally.symbolic_reuse += 1;
         } else {
             let _t = mcml_obs::span(mcml_obs::Stage::LuFactor);
@@ -468,7 +432,6 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 }
             }
             self.last_factored = Some(key);
-            self.evaluated_since_factor = false;
             #[cfg(test)]
             self.audit.factored.clone_from(&self.vals);
         }
@@ -488,7 +451,9 @@ impl<C: Borrow<Circuit>> Engine<C> {
         Ok(())
     }
 
-    /// Damped Newton–Raphson from the warm start in `x`.
+    /// Damped Newton–Raphson from the warm start in `x`, with the
+    /// quiescent-MOS bypass at `bypass_tol` (V; `0.0` disables it). See
+    /// the `plan` module docs for the reuse rule and error bound.
     #[allow(clippy::too_many_arguments)]
     pub fn solve_nr(
         &mut self,
@@ -497,30 +462,11 @@ impl<C: Borrow<Circuit>> Engine<C> {
         companion: Option<&CompanionCtx<'_>>,
         gmin: f64,
         src_scale: f64,
-        opts: &NrOptions,
+        bypass_tol: f64,
         analysis: &'static str,
     ) -> Result<()> {
         let mut tally = NrTally::default();
         let key = JacKey::new(companion, gmin);
-        // Demand-driven refactorisation state (see `NrOptions::
-        // reuse_jacobian`). `chord_enabled` governs the whole solve and
-        // only drops permanently when the final polish begins;
-        // `refactor_pending` is the contraction monitor's one-shot
-        // demand — the next iteration factors fresh, after which the
-        // chord resumes (and the monitor re-trips if even the refreshed
-        // factors go stale again). A genuinely nonlinear step thus
-        // alternates chord/fresh instead of degrading to
-        // refactor-every-iteration.
-        let mut chord_enabled = opts.reuse_jacobian;
-        let mut refactor_pending = false;
-        let mut prev_dv: Option<f64> = None;
-        // A solve is "clean" while no iteration has needed damping and
-        // the contraction monitor has never tripped — i.e. the lagged
-        // Jacobian has behaved like the exact one throughout. A clean
-        // chord convergence may be accepted as-is (the residual it is
-        // judged by is always assembled fresh); a dirty one must be
-        // polished with a full-Newton iteration first.
-        let mut clean = true;
         for iter in 0..MAX_ITER {
             tally.iters += 1;
             let evals;
@@ -533,7 +479,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
                     companion,
                     gmin,
                     src_scale,
-                    opts.bypass_tol,
+                    bypass_tol,
                     &mut self.mos_state,
                     &mut self.vals,
                     &mut self.f,
@@ -544,15 +490,12 @@ impl<C: Borrow<Circuit>> Engine<C> {
             }
             tally.stamps_skipped += self.plan.linear_stamps;
             // Exact reuse: an assembly with zero MOS evaluations under
-            // the same (h, gmin) as the last factorisation, with no
-            // device evaluated since that factorisation, reproduced
+            // the same (h, gmin) as the last factorisation reproduced
             // the factored values bit for bit (bypassed devices stamp
-            // their cached conductances; everything else in the matrix
-            // is constant given the key), so the factors can be reused
-            // without refactoring.
-            let exact =
-                evals == 0 && !self.evaluated_since_factor && self.last_factored == Some(key);
-            self.evaluated_since_factor |= evals > 0;
+            // the cached conductances that factorisation saw; everything
+            // else in the matrix is constant given the key), so the
+            // factors can be reused without refactoring.
+            let exact = evals == 0 && self.last_factored == Some(key);
             #[cfg(test)]
             if exact {
                 self.audit.reuses += 1;
@@ -561,26 +504,9 @@ impl<C: Borrow<Circuit>> Engine<C> {
                     self.audit.mismatches += 1;
                 }
             }
-            // Demand-driven (modified-Newton) reuse: solve against the
-            // stale numeric factors while they were computed under the
-            // same key — across iterations and across steps — and let
-            // the contraction monitor below decide when a refactor is
-            // actually demanded. The residual `f` is fresh either way,
-            // so the convergence test never lies.
-            let stale = !exact
-                && chord_enabled
-                && !refactor_pending
-                && self.lu.is_some()
-                && self.last_factored.is_some_and(|k| k.chord_compatible(key));
-            let reusable = exact || stale;
-            if let Err(e) = self.solve_linear(key, reusable, &mut tally) {
+            if let Err(e) = self.solve_linear(key, exact, &mut tally) {
                 tally.flush();
                 return Err(e);
-            }
-            if !stale {
-                // Either a fresh factorisation just ran or the factors
-                // are bit-exact — the monitor's demand is satisfied.
-                refactor_pending = false;
             }
 
             // Damping: cap the largest node-voltage update.
@@ -608,42 +534,9 @@ impl<C: Borrow<Circuit>> Engine<C> {
                 .iter()
                 .fold(0.0f64, |m, v| m.max(v.abs()));
             if damp == 1.0 && max_dv < VTOL && max_f < ITOL {
-                if stale && !clean {
-                    // Converged along a lagged direction after a rough
-                    // ride (damping or a monitor trip earlier in this
-                    // solve). Polish with one full-Newton iteration so
-                    // the accepted point satisfies the tolerances with
-                    // a *fresh* Jacobian direction — the same
-                    // acceptance full Newton applies — instead of
-                    // wherever in the tolerance ball the chord happened
-                    // to stop. Keeps the lagged-Jacobian wobble out of
-                    // the LTE controller and the recorded waveforms. A
-                    // *clean* chord convergence skips the polish: every
-                    // iteration contracted at full Newton rate, so the
-                    // stale factors were numerically indistinguishable
-                    // from fresh ones, and the fresh residual already
-                    // vouches for the point.
-                    chord_enabled = false;
-                    prev_dv = Some(max_dv);
-                    continue;
-                }
                 tally.flush();
                 return Ok(());
             }
-
-            // Contraction monitor for the stale-factor path: a chord
-            // iteration that needed damping, or that failed to shrink
-            // the largest update by at least half, means the lagged
-            // Jacobian no longer points downhill fast enough — demand
-            // one real refactorisation before chording again.
-            if damp < 1.0 {
-                clean = false;
-            }
-            if stale && (damp < 1.0 || prev_dv.is_some_and(|p| max_dv > 0.7 * p)) {
-                refactor_pending = true;
-                clean = false;
-            }
-            prev_dv = Some(max_dv);
         }
         tally.flush();
         Err(SpiceError::NoConvergence {
@@ -769,10 +662,6 @@ mod tests {
     /// One Newton solve from zero: a backward-Euler step when `tran`,
     /// a DC solve otherwise.
     fn solve_once(engine: &mut Engine<&Circuit>, tran: bool) {
-        let nr = NrOptions {
-            bypass_tol: 0.0,
-            reuse_jacobian: false,
-        };
         let ckt = engine.ckt;
         let mut x = vec![0.0; engine.n_unk];
         let caps = init_cap_states(ckt, &x);
@@ -782,7 +671,7 @@ mod tests {
         };
         let companion = tran.then_some(&ctx);
         engine
-            .solve_nr(&mut x, 0.0, companion, ckt.gmin, 1.0, &nr, "test")
+            .solve_nr(&mut x, 0.0, companion, ckt.gmin, 1.0, 0.0, "test")
             .expect("ladder converges");
     }
 
@@ -817,20 +706,16 @@ mod tests {
     }
 
     /// Exact reuse skips a refactorisation only when the stamped values
-    /// are the factored ones bit for bit. Under chord + bypass, a chord
-    /// iteration that evaluated devices refreshes their bypass caches
-    /// without refactoring, so a later all-bypassed assembly under the
-    /// same key stamps values the factors never saw; that must not
-    /// count as exact. Checked on both backends: the chord runs only on
-    /// the sparse one, above `DENSE_LIMIT` unknowns.
+    /// are the factored ones bit for bit. Under the bypass, an
+    /// all-bypassed assembly under the key of the last factorisation
+    /// stamps cached linearizations, which must be the ones that
+    /// factorisation saw; that holds because every iteration that
+    /// evaluates a device refactors. Checked on both backends, below and
+    /// above `DENSE_LIMIT` unknowns.
     #[test]
-    fn exact_reuse_sees_factored_values_under_chord_and_bypass() {
+    fn exact_reuse_sees_factored_values_under_bypass() {
         for stages in [2, DENSE_LIMIT] {
             let ckt = inverter_chain(stages);
-            let nr = NrOptions {
-                bypass_tol: 10e-6,
-                reuse_jacobian: true,
-            };
             let mut engine = Engine::new(&ckt);
             let mut x = ckt.dc_op().expect("dc op").state().to_vec();
             let mut caps = init_cap_states(&ckt, &x);
@@ -839,7 +724,7 @@ mod tests {
                 let ctx = CompanionCtx { h, caps: &caps };
                 let t = h * f64::from(step);
                 engine
-                    .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, &nr, "tran")
+                    .solve_nr(&mut x, t, Some(&ctx), ckt.gmin, 1.0, 10e-6, "tran")
                     .expect("step converges");
                 crate::analysis::march::update_caps(&ckt, &mut caps, &x);
             }

@@ -22,7 +22,7 @@
 
 use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
-    init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, MAX_SUBDIV,
+    init_cap_states, v_node, CapState, CompanionCtx, Engine, MAX_SUBDIV,
 };
 use crate::analysis::partition::{PartLane, PartitionStructure};
 use crate::analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
@@ -50,7 +50,8 @@ pub(crate) trait Lane {
 /// A monolithic lane: one engine over the whole circuit.
 pub(crate) struct MonoLane<'c> {
     engine: Engine<&'c Circuit>,
-    nr: NrOptions,
+    /// Quiescent-MOS bypass tolerance (V); `0.0` disables it.
+    bypass_tol: f64,
     x: Vec<f64>,
     x_try: Vec<f64>,
     caps: Vec<Option<CapState>>,
@@ -61,7 +62,7 @@ impl<'c> MonoLane<'c> {
         let ckt = engine.ckt;
         Self {
             engine,
-            nr: opts.nr(),
+            bypass_tol: opts.bypass_vtol,
             x: x0.to_vec(),
             x_try: vec![0.0; x0.len()],
             caps: init_cap_states(ckt, x0),
@@ -76,9 +77,9 @@ impl Lane for MonoLane<'_> {
             h,
             caps: &self.caps,
         };
-        let gmin = self.engine.ckt.gmin;
+        let (gmin, tol) = (self.engine.ckt.gmin, self.bypass_tol);
         self.engine
-            .solve_nr(&mut self.x_try, t, Some(&ctx), gmin, 1.0, &self.nr, "tran")
+            .solve_nr(&mut self.x_try, t, Some(&ctx), gmin, 1.0, tol, "tran")
     }
 
     fn trial(&self) -> &[f64] {
@@ -119,7 +120,7 @@ pub(crate) fn run(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     // the Newton path from zero — a warm start, skipping a continuation
     // rung, lagged-Jacobian iterations inside the ladder — can silently
     // settle internal nodes into a different basin and corrupt the
-    // clock-edge transient. The march may chord; the op may not.
+    // clock-edge transient.
     let op = ckt.dc_op()?;
     if opts.partition {
         if let Some(structure) = PartitionStructure::build(ckt, true) {

@@ -39,8 +39,8 @@
 //! becomes a local boundary node held by a *replica* voltage source
 //! whose DC value is rewritten before every solve. The block then runs
 //! the ordinary damped-Newton [`Engine`] — stamp plan, sparse/dense LU,
-//! quiescent-MOS bypass and per-block chord reuse all come along for
-//! free, and a block small enough for the dense LU takes it.
+//! quiescent-MOS bypass and per-block exact factor reuse all come along
+//! for free, and a block small enough for the dense LU takes it.
 //!
 //! # Event-driven scheduling and the skip rule
 //!
@@ -65,7 +65,7 @@ use std::collections::HashMap;
 
 use crate::analysis::dc::branch_map;
 use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, NrOptions, VTOL,
+    companion_terms, init_cap_states, v_node, CapState, CompanionCtx, Engine, VTOL,
 };
 use crate::analysis::march::{update_caps, Lane};
 use crate::analysis::tran::TranOptions;
@@ -482,8 +482,8 @@ struct Replica {
 }
 
 /// Per-block mutable solver state: an owned sub-circuit behind its own
-/// engine (own stamp plan, LU factors, chord key and MOS bypass cache),
-/// the committed/trial local states, and the skip bookkeeping.
+/// engine (own stamp plan, LU factors and MOS bypass cache), the
+/// committed/trial local states, and the skip bookkeeping.
 struct BlockRuntime {
     engine: Engine<Circuit>,
     /// Committed local state at the last accepted time point.
@@ -633,7 +633,8 @@ struct RailCap {
 pub(crate) struct PartLane<'a> {
     ckt: &'a Circuit,
     structure: &'a PartitionStructure,
-    nr: NrOptions,
+    /// Quiescent-MOS bypass tolerance (V); `0.0` disables it.
+    bypass_tol: f64,
     /// Boundary movement below which a settled block is skipped: the
     /// bypass tolerance when enabled, else `VTOL`.
     skip_tol: f64,
@@ -660,7 +661,7 @@ impl<'a> PartLane<'a> {
         opts: &TranOptions,
     ) -> Self {
         let _span = mcml_obs::span(mcml_obs::Stage::Partition);
-        let nr = opts.nr();
+        let bypass_tol = opts.bypass_vtol;
         let runtimes: Vec<BlockRuntime> = structure
             .blocks
             .iter()
@@ -707,12 +708,8 @@ impl<'a> PartLane<'a> {
         PartLane {
             ckt,
             structure,
-            nr,
-            skip_tol: if nr.bypass_tol > 0.0 {
-                nr.bypass_tol
-            } else {
-                VTOL
-            },
+            bypass_tol,
+            skip_tol: if bypass_tol > 0.0 { bypass_tol } else { VTOL },
             runtimes,
             rail_caps,
             n_replicas,
@@ -726,10 +723,10 @@ impl<'a> PartLane<'a> {
 
 impl Lane for PartLane<'_> {
     fn try_step(&mut self, t: f64, h: f64) -> Result<()> {
+        let tol = self.bypass_tol;
         let PartLane {
             ckt,
             structure,
-            nr,
             skip_tol,
             runtimes,
             x,
@@ -765,7 +762,7 @@ impl Lane for PartLane<'_> {
             rt.x_try.clone_from(&rt.x);
             let ctx = CompanionCtx { h, caps: &rt.caps };
             rt.engine
-                .solve_nr(&mut rt.x_try, t, Some(&ctx), ckt.gmin, 1.0, nr, "tran")?;
+                .solve_nr(&mut rt.x_try, t, Some(&ctx), ckt.gmin, 1.0, tol, "tran")?;
             let nn = rt.engine.n_node_unk;
             let settled = rt.x_try[..nn]
                 .iter()

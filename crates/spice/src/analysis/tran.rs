@@ -18,7 +18,6 @@
 //!   leap are filled by linear interpolation, so downstream consumers
 //!   see the same interface either way.
 
-use crate::analysis::engine::NrOptions;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::waveform::Waveform;
 use crate::Result;
@@ -70,19 +69,6 @@ pub struct TranOptions {
     /// second order in the tolerance (see `spice.mos_bypassed` in
     /// `docs/OBSERVABILITY.md`).
     pub bypass_vtol: f64,
-    /// Demand-driven refactorisation (modified Newton): keep solving
-    /// Newton updates against the last numeric LU factors — across
-    /// iterations *and* time steps, even when the adaptive controller
-    /// changes the step size (an `h` change only rescales the capacitor
-    /// companion conductances) — and refactor only when the iteration's
-    /// contraction rate degrades (the update fails to halve, or damping
-    /// engages). The residual is assembled fresh every iteration, so
-    /// the convergence test is unchanged: an accepted solution
-    /// satisfies exactly the same `VTOL`/`ITOL` bounds as full Newton,
-    /// it is just reached along a chord direction. `false` (the
-    /// default) refactors every iteration, which is the reference
-    /// behaviour all fixed-step goldens pin.
-    pub jacobian_reuse: bool,
     /// Connected-component / block-triangular partitioning of the MNA
     /// solve (see [`TranOptions::with_partitioning`]). `false` (the
     /// default) keeps the bit-preserved monolithic reference path.
@@ -129,7 +115,6 @@ impl TranOptions {
             dt,
             lte: None,
             bypass_vtol: 0.0,
-            jacobian_reuse: false,
             partition: false,
         }
     }
@@ -210,47 +195,6 @@ impl TranOptions {
         self
     }
 
-    /// Builder-style demand-driven refactorisation (modified Newton):
-    /// Newton updates keep using the last numeric LU factors — across
-    /// iterations and across time steps, surviving adaptive step-size
-    /// changes — and a refactorisation happens only when the
-    /// iteration's contraction monitor demands one (the largest update
-    /// stops halving, or damping engages). Converged solutions satisfy the
-    /// same `VTOL`/`ITOL` tolerances as full Newton; the Newton *path*
-    /// to them differs, so results agree to solver tolerance rather
-    /// than bitwise. This is the refactor policy the fig. 6 campaign
-    /// acquisition runs with — on the quiescent-heavy fig. 6 workload
-    /// it eliminates the large majority of numeric refactorisations.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{Circuit, SourceWave, TranOptions};
-    ///
-    /// let mut c = Circuit::new();
-    /// let vin = c.node("in");
-    /// let out = c.node("out");
-    /// c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, 1.0, 1e-9));
-    /// c.resistor("R", vin, out, 1.0e3);
-    /// c.capacitor("C", out, Circuit::GND, 1.0e-12);
-    ///
-    /// let base = TranOptions::new(8e-9, 5e-12);
-    /// let full = c.transient(&base).unwrap();
-    /// let chord = c.transient(&base.with_jacobian_reuse()).unwrap();
-    /// // Same grid, same physics to solver tolerance.
-    /// assert_eq!(full.times(), chord.times());
-    /// let (f, l) = (
-    ///     full.voltage(out).last_value(),
-    ///     chord.voltage(out).last_value(),
-    /// );
-    /// assert!((f - l).abs() < 1e-6);
-    /// ```
-    #[must_use]
-    pub fn with_jacobian_reuse(mut self) -> Self {
-        self.jacobian_reuse = true;
-        self
-    }
-
     /// Enable connected-component / block-triangular partitioning of the
     /// MNA solve: the node graph is split at the voltage-source rails,
     /// each connected component becomes an independently factored solve
@@ -294,13 +238,6 @@ impl TranOptions {
     pub fn with_partitioning(mut self) -> Self {
         self.partition = true;
         self
-    }
-
-    pub(crate) fn nr(&self) -> NrOptions {
-        NrOptions {
-            bypass_tol: self.bypass_vtol,
-            reuse_jacobian: self.jacobian_reuse,
-        }
     }
 }
 
