@@ -107,29 +107,28 @@ fn fig6_bypass_drift_vs_exact_below_pin_tolerance() {
     assert!(worst <= REL_TOL, "worst bypass-vs-exact drift {worst:e}");
 }
 
-/// The campaign acquisition must be an *optimisation*, not a physics
-/// change: its 16 base waveforms (every plaintext nibble, one transient
-/// each with chord reuse on top of the fig. 6 options) have to land the
-/// golden plaintext's supply pins inside the same tolerance as the
-/// scalar path, every row has to stay within the acquisition-resolution
-/// band of the fixed-step physics anchor for its plaintext, and every
-/// pinned sample of every row has to match the benchmark's
-/// `fig6_ensemble` golden for the key within the same band. Chord
-/// changes the Newton path, so the rows are *not* bitwise copies of the
-/// scalar run — the tolerance band is the contract.
+/// The campaign acquisition runs the scalar path's options, so its 16
+/// base waveforms (every plaintext nibble, one transient each) are
+/// bitwise copies of the scalar `fig6_supply_trace` traces. The golden
+/// plaintext has to land its supply pins, and every pinned sample of
+/// every row the benchmark's `fig6_scalar` golden for its plaintext,
+/// inside the exact-path tolerance. Every row also has to stay within
+/// the acquisition-resolution band of the benchmark's `fig6_ensemble`
+/// golden for the key and of the fixed-step physics anchor for its
+/// plaintext.
 #[test]
 fn fig6_campaign_waveforms_match_goldens() {
-    // Per-row drift bound against the fixed-step anchor. Drift
-    // concentrates on the one or two samples riding the clock-edge
-    // transient, where the adaptive policy's grid interpolates the fast
-    // edge differently per plaintext: measured worst is 1.9 µA
-    // (plaintext 0x1, a sample where the chord acquisition matches the
-    // scalar adaptive run to 1 nA — the drift is the adaptive policy's,
-    // not the chord's; everywhere else it is ≤ 0.9 µA, *below* the
-    // scalar adaptive path's own edge error). Bound at 2.5× the paper's
-    // 1 µA acquisition resolution on the ~2 mA tail, plus the pin's
-    // relative tolerance; the benchmark holds its `fig6_ensemble`
-    // goldens to the same band.
+    // Band for the `fig6_ensemble` goldens and the fixed-step anchor.
+    // Against the anchor, drift concentrates on the one or two samples
+    // riding the clock-edge transient, where the adaptive policy's grid
+    // interpolates the fast edge differently per plaintext: measured
+    // worst is 1.86 µA (plaintext 0x1) and 1.80 µA (0x7), every other
+    // row ≤ 0.82 µA. The committed `fig6_ensemble` goldens were written
+    // by an acquisition that reused a lagged Newton Jacobian, so they
+    // sit off the scalar path by solver noise: at most 0.69 of this
+    // band. Bound at 2.5× the paper's 1 µA acquisition resolution on
+    // the ~2 mA tail, plus the pin's relative tolerance; the benchmark
+    // holds its `fig6_ensemble` goldens to the same band.
     const EDGE_ABS_TOL: f64 = 2.5e-6;
 
     let params = CellParams::default();
@@ -148,8 +147,24 @@ fn fig6_campaign_waveforms_match_goldens() {
         );
     }
 
-    // Every pinned sample of every row against the benchmark's golden
-    // for key 11, which holds the rows in plaintext order.
+    // Every pinned sample of every row against the benchmark's scalar
+    // golden for key 11 and its plaintext, at the exact-path tolerance.
+    for (p, row) in rows.iter().enumerate() {
+        let golden = benchmark_golden(&format!("fig6_scalar/k11/p{p}"));
+        let picked: Vec<f64> = row.iter().copied().step_by(GOLDEN_STRIDE).collect();
+        assert_eq!(picked.len(), golden.len(), "10 pins per plaintext");
+        for (i, (got, want)) in picked.iter().zip(&golden).enumerate() {
+            let tol = ABS_TOL + REL_TOL * want.abs();
+            assert!(
+                (got - want).abs() <= tol,
+                "plaintext {p:#x} sample {}: got {got:e}, scalar golden {want:e} (tol {tol:e})",
+                i * GOLDEN_STRIDE
+            );
+        }
+    }
+
+    // Every pinned sample of every row against the benchmark's campaign
+    // golden for key 11, which holds the rows in plaintext order.
     let golden = benchmark_golden("fig6_ensemble/k11");
     let pinned: Vec<f64> = rows
         .iter()
