@@ -46,11 +46,10 @@ pub enum Counter {
     /// because every `mcml-bench-perf/2` trajectory tier records it
     /// (`mcml-spice`).
     EnsembleLanes,
-    /// Sparse LU factorisations actually performed inside transient
-    /// solves, in every engine (monolithic or partition block);
-    /// the gap to `MatrixSolves` is the solves that reused factors —
-    /// provably unchanged Jacobian values, or a chord step
-    /// (`mcml-spice`).
+    /// LU factorisations, dense or sparse, actually performed inside
+    /// transient solves, in every engine (monolithic or partition
+    /// block); the gap to `MatrixSolves` is the solves that reused
+    /// factors of provably unchanged Jacobian values (`mcml-spice`).
     LaneRefactors,
     /// Linear-system factor/solve calls (`mcml-spice`).
     MatrixSolves,
