@@ -152,9 +152,9 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// when no factors exist. A Newton iteration whose assembly
     /// evaluated zero MOS devices under this key reuses the factors
     /// without a refactorisation: every iteration that evaluates a
-    /// device refactors, so the bypass caches still hold the
-    /// linearizations factored and the stamped values are bit-identical
-    /// to the ones factored.
+    /// device refactors, so the bypass caches hold the linearizations
+    /// that were factored and the stamped values are bit-identical to
+    /// the factored ones.
     last_factored: Option<JacKey>,
     /// Test-only record of what the exact path saw.
     #[cfg(test)]
@@ -383,7 +383,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// A system of at most [`DENSE_LIMIT`] unknowns takes the dense LU,
     /// a larger one the sparse LU (module docs).
     fn solve_linear(&mut self, key: JacKey, exact: bool, tally: &mut NrTally) -> Result<()> {
-        if exact && (self.dense.is_some() || self.lu.is_some()) {
+        if exact {
             // The factors already match `vals` bit for bit; skip
             // straight to the solve.
             tally.symbolic_reuse += 1;
