@@ -296,6 +296,7 @@ pub fn table3(
             .collect();
         let lib = flow.library();
         let model = &flow.model;
+        let sim = EventSim::new(&nl, lib);
         let energies: Vec<f64> =
             mcml_exec::parallel_map_items(flow.parallelism, &jobs, |&(prev, input)| {
                 let mut st = Stimulus::new();
@@ -310,7 +311,7 @@ pub fn table3(
                         st.at(t_op, &format!("x{b}"), nv);
                     }
                 }
-                let tr = EventSim::new(&nl, lib).run(&st, window);
+                let tr = sim.run(&st, window);
                 let wake = SleepWave::awake_windows(&[(t_op - 1.0e-9, t_op + 1.5 * period)]);
                 let sleep = if style.is_power_gated() {
                     Some(&wake)
@@ -450,6 +451,7 @@ pub fn acquire_template_traces(
     let _span = mcml_obs::span(mcml_obs::Stage::TraceAcquisition);
     let lib = flow.library();
     let model = &flow.model;
+    let sim = EventSim::new(&nl, lib);
     let t_edge = 2.2e-9;
     let n_samples = 60;
     let inputs: Vec<u8> = (0..=255u8).collect();
@@ -470,7 +472,7 @@ pub fn acquire_template_traces(
                 st.at(0.0, &format!("k{b}"), (key >> b) & 1 == 1);
                 st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
             }
-            let trace = EventSim::new(&nl, lib).run(&st, 3.6e-9);
+            let trace = sim.run(&st, 3.6e-9);
             let iw = circuit_current(&nl, &trace, lib, None, model);
             let mean = iw.mean().abs().max(1e-12);
             let w = iw.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);
@@ -1059,6 +1061,7 @@ pub fn tvla_assessment(
     flow.library_for(&nl)?;
     let lib = flow.library();
     let model = &flow.model;
+    let sim = EventSim::new(&nl, lib);
     let t_edge = 2.2e-9;
     let n_samples = 60;
     // Worst-case fixed class: the plaintext whose S-box output Hamming
@@ -1086,7 +1089,7 @@ pub fn tvla_assessment(
                 st.at(0.0, &format!("k{b}"), (key >> b) & 1 == 1);
                 st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
             }
-            let trace = EventSim::new(&nl, lib).run(&st, 3.6e-9);
+            let trace = sim.run(&st, 3.6e-9);
             let i_wave = circuit_current(&nl, &trace, lib, None, model);
             let mean = i_wave.mean().abs().max(1e-12);
             let w = i_wave.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);

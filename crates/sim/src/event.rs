@@ -1,13 +1,24 @@
 //! Three-valued event-driven netlist simulation with back-annotated
 //! delays.
+//!
+//! [`EventSim::new`] compiles a netlist once, and each
+//! [`EventSim::run`] replays a [`Stimulus`] through the compiled form
+//! into a [`SimTrace`]: events pop in `(time, push order)`, gates
+//! evaluate from truth tables, unknown inputs give unknown outputs, and
+//! every output has one delay, the library's FO1/FO4 interpolation at
+//! the net's fan-out plus 1 ps of wiring per fan-out.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
-use mcml_cells::{CellKind, LogicStyle};
-use mcml_char::TimingLibrary;
-use mcml_netlist::{Conn, GateKind, NetId, Netlist};
+use mcml_cells::CellKind;
+use mcml_char::{CellTiming, TimingLibrary};
+use mcml_netlist::{GateKind, NetId, Netlist};
+use mcml_spice::SpiceError;
 use serde::{Deserialize, Serialize};
+
+use crate::power::KindTimings;
 
 /// Logic value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -94,12 +105,28 @@ impl Stimulus {
         self
     }
 
-    /// All events sorted by time.
-    #[must_use]
-    pub fn sorted(&self) -> Vec<(f64, String, bool)> {
-        let mut e = self.events.clone();
-        e.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        e
+    /// Check the stimulus against a netlist: every event drives one of
+    /// its primary inputs at a time that is not NaN.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidParameter`] naming the first event that
+    /// fails.
+    pub fn check(&self, nl: &Netlist) -> Result<(), SpiceError> {
+        for (i, (t, name, _)) in self.events.iter().enumerate() {
+            let reason = if !nl.inputs().iter().any(|(n, _)| n == name) {
+                format!("drives `{name}`, which is not an input of `{}`", nl.name)
+            } else if t.is_nan() {
+                format!("drives `{name}` at a NaN time")
+            } else {
+                continue;
+            };
+            return Err(SpiceError::InvalidParameter {
+                element: format!("stimulus event {i}"),
+                reason,
+            });
+        }
+        Ok(())
     }
 
     /// Number of stimulus events.
@@ -133,8 +160,6 @@ pub struct SimTrace {
     pub transitions: Vec<Transition>,
     /// Number of nets in the simulated netlist.
     pub net_count: usize,
-    /// Net names, indexed like [`Transition::net`].
-    pub net_names: Vec<String>,
     /// Final values at `t_stop`.
     pub final_values: Vec<Logic>,
     /// Simulation end time (s).
@@ -183,22 +208,120 @@ impl SimTrace {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Extra delay per fan-out unit from wiring (s).
+const WIRE_DELAY: f64 = 1e-12;
+
+/// Most inputs of any cell (`Mux4`): a truth table over them fits a
+/// `u64`.
+const MAX_INPUTS: usize = 6;
+
+/// Most outputs of any cell (`FullAdder`).
+const MAX_OUTPUTS: usize = 2;
+
+/// Truth tables of every gate kind, indexed like
+/// [`KindTimings`](crate::power::KindTimings): the 16 cells by
+/// discriminant, then [`GateKind::Inv`]. Output `o` of a combinational
+/// kind reads bit `row` of `[o]`, where bit `j` of `row` is input `j`.
+/// Sequential cells have none (their tables stay 0).
+type TruthTables = [[u64; MAX_OUTPUTS]; CellKind::ALL.len() + 1];
+
+/// The tables, derived once per process from [`CellKind::eval_comb`].
+fn truth_tables() -> &'static TruthTables {
+    static TABLES: OnceLock<TruthTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0; MAX_OUTPUTS]; CellKind::ALL.len() + 1];
+        for k in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
+            let n = k.input_count();
+            assert!(
+                n <= MAX_INPUTS && k.output_names().len() <= MAX_OUTPUTS,
+                "{k}: a truth table holds {MAX_INPUTS} inputs and {MAX_OUTPUTS} outputs"
+            );
+            for row in 0..1usize << n {
+                let ins: Vec<bool> = (0..n).map(|j| (row >> j) & 1 == 1).collect();
+                let outs = k.eval_comb(&ins).expect("combinational");
+                for (table, out) in tables[k as usize].iter_mut().zip(outs) {
+                    *table |= u64::from(out) << row;
+                }
+            }
+        }
+        // `Inv`: the complement of its one input.
+        tables[CellKind::ALL.len()][0] = 0b01;
+        tables
+    })
+}
+
+fn table_index(kind: GateKind) -> usize {
+    match kind {
+        GateKind::Lib(k) => k as usize,
+        GateKind::Inv => CellKind::ALL.len(),
+    }
+}
+
+/// How a compiled gate reacts when one of its inputs changes.
+#[derive(Debug, Clone, Copy)]
+enum Eval {
+    /// Combinational: one truth table per output.
+    Comb([u64; MAX_OUTPUTS]),
+    /// Latch or flip-flop, with the position of its `clk` pin.
+    Seq { kind: CellKind, clk: usize },
+}
+
+/// One gate, compiled: its pins are `pins[pin0..pin0 + n_in]`, its
+/// outputs `outs[out0..out0 + n_out]`.
+#[derive(Debug, Clone, Copy)]
+struct CompiledGate {
+    eval: Eval,
+    pin0: u32,
+    n_in: u8,
+    /// Bit `j` set when pin `j` reads its net inverted.
+    inverted: u8,
+    out0: u32,
+    n_out: u8,
+}
+
+/// A gate output: the net it drives and the delay to it (s).
+#[derive(Debug, Clone, Copy)]
+struct Output {
+    net: u32,
+    delay: f64,
+}
+
+/// The input pattern a gate sees, as a truth-table row, or `None` when
+/// any input is unknown (X-pessimism).
+fn input_row(values: &[Logic], nets: &[u32], inverted: u8) -> Option<usize> {
+    let mut row = 0;
+    for (j, &net) in nets.iter().enumerate() {
+        match values[net as usize] {
+            Logic::L0 => {}
+            Logic::L1 => row |= 1 << j,
+            Logic::X => return None,
+        }
+    }
+    Some(row ^ usize::from(inverted))
+}
+
+/// A scheduled net assignment.
+#[derive(Debug, Clone, Copy)]
 struct Event {
+    /// Pop order: the time as a totally ordered integer (high half),
+    /// then the push sequence number (low half).
+    key: u128,
     time: f64,
-    seq: u64,
     net: u32,
     value: Logic,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
 
 impl Eq for Event {}
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("finite event times")
-            .then(self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -208,19 +331,38 @@ impl PartialOrd for Event {
     }
 }
 
-#[derive(Default)]
+/// Map a time to an integer with the same order. Adding `0.0` folds
+/// `-0.0` onto `+0.0`, which compare equal as floats.
+fn time_order(time: f64) -> u64 {
+    let bits = (time + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Pops events in `(time, push order)` order.
 struct Scheduler {
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
 }
 
 impl Scheduler {
-    fn push(&mut self, time: f64, net: usize, value: Logic) {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(n),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, time: f64, net: u32, value: Logic) {
         self.seq += 1;
+        let key = (u128::from(time_order(time)) << 64) | u128::from(self.seq);
         self.heap.push(Reverse(Event {
+            key,
             time,
-            seq: self.seq,
-            net: u32::try_from(net).expect("net index"),
+            net,
             value,
         }));
     }
@@ -230,81 +372,170 @@ impl Scheduler {
     }
 }
 
+/// Output delay (s) of a gate of `kind` driving `fanout` loads: the
+/// library's FO1/FO4 interpolation (a default when the cell is not
+/// characterised) plus wiring per fan-out.
+fn gate_delay(kind: GateKind, timing: Option<&CellTiming>, fanout: usize) -> f64 {
+    let ps = match kind {
+        GateKind::Lib(_) => timing.map_or(30.0, |t| t.delay_ps(fanout as f64)),
+        GateKind::Inv => timing.map_or(15.0, |t| 0.6 * t.delay_ps(fanout as f64)),
+    };
+    ps * 1e-12 + WIRE_DELAY * fanout as f64
+}
+
 /// Event-driven simulator with library delays.
+///
+/// [`EventSim::new`] compiles the netlist once: fan-out lists, each
+/// gate's pins, each output's delay and each cell's truth tables. A
+/// [`run`](EventSim::run) then evaluates gates without allocating or
+/// consulting the library, so one simulator serves any number of runs,
+/// from any number of threads.
 pub struct EventSim<'a> {
-    nl: &'a Netlist,
-    lib: &'a TimingLibrary,
-    /// Extra delay per fan-out unit from wiring (s).
-    pub wire_delay: f64,
+    /// Primary inputs by name.
+    inputs: HashMap<&'a str, u32>,
+    net_count: usize,
+    /// The gates reading net `n` are `sinks[sink_start[n]..sink_start[n + 1]]`,
+    /// once per pin, in gate then pin order.
+    sink_start: Vec<u32>,
+    sinks: Vec<u32>,
+    gates: Vec<CompiledGate>,
+    /// Input nets of every gate, concatenated.
+    pins: Vec<u32>,
+    outs: Vec<Output>,
 }
 
 impl<'a> EventSim<'a> {
-    /// Create a simulator for a netlist with delays from `lib`.
+    /// Compile a netlist with delays from `lib`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate has more outputs than its cell, or a sequential
+    /// gate has none.
     #[must_use]
     pub fn new(nl: &'a Netlist, lib: &'a TimingLibrary) -> Self {
-        Self {
-            nl,
-            lib,
-            wire_delay: 1e-12,
-        }
-    }
+        let net_count = nl.net_count();
+        let fanout = nl.fanout_counts();
+        let timings = KindTimings::new(lib, nl.style);
+        let tables = truth_tables();
 
-    fn gate_delay(&self, kind: GateKind, fanout: usize) -> f64 {
-        let ps = match kind {
-            GateKind::Lib(k) => self
-                .lib
-                .get(k, self.nl.style)
-                .map_or(30.0, |t| t.delay_ps(fanout as f64)),
-            GateKind::Inv => self
-                .lib
-                .get(CellKind::Buffer, LogicStyle::Cmos)
-                .map_or(15.0, |t| 0.6 * t.delay_ps(fanout as f64)),
-        };
-        ps * 1e-12 + self.wire_delay * fanout as f64
+        let mut sink_start = vec![0u32; net_count + 1];
+        for g in nl.gates() {
+            for c in &g.inputs {
+                sink_start[c.net.index() + 1] += 1;
+            }
+        }
+        for n in 0..net_count {
+            sink_start[n + 1] += sink_start[n];
+        }
+        let mut fill = sink_start.clone();
+        let mut sinks = vec![0u32; sink_start[net_count] as usize];
+
+        let mut gates = Vec::with_capacity(nl.gate_count());
+        let mut pins = Vec::with_capacity(sinks.len());
+        let mut outs = Vec::new();
+        for (gi, g) in nl.gates().iter().enumerate() {
+            let gi = u32::try_from(gi).expect("gate index fits u32");
+            let mut inverted = 0u8;
+            for (j, c) in g.inputs.iter().enumerate() {
+                let slot = &mut fill[c.net.index()];
+                sinks[*slot as usize] = gi;
+                *slot += 1;
+                pins.push(c.net.index() as u32);
+                inverted |= u8::from(c.inverted) << j;
+            }
+            let eval = match g.kind {
+                GateKind::Lib(k) if k.is_sequential() => {
+                    assert!(!g.outputs.is_empty(), "gate {}: {k} drives no net", g.name);
+                    let clk = k
+                        .input_names()
+                        .iter()
+                        .position(|&n| n == "clk")
+                        .expect("sequential cell has clk");
+                    Eval::Seq { kind: k, clk }
+                }
+                kind => Eval::Comb(tables[table_index(kind)]),
+            };
+            let max_outputs = match g.kind {
+                GateKind::Lib(k) => k.output_names().len(),
+                GateKind::Inv => 1,
+            };
+            assert!(
+                g.outputs.len() <= max_outputs,
+                "gate {}: {} has {max_outputs} outputs, not {}",
+                g.name,
+                g.kind,
+                g.outputs.len()
+            );
+            let out0 = outs.len() as u32;
+            for &o in &g.outputs {
+                let delay = gate_delay(g.kind, timings.get(g.kind), fanout[o.index()].max(1));
+                outs.push(Output {
+                    net: o.index() as u32,
+                    delay,
+                });
+            }
+            gates.push(CompiledGate {
+                eval,
+                pin0: (pins.len() - g.inputs.len()) as u32,
+                // The netlist holds every gate to its kind's arity, at
+                // most `MAX_INPUTS`.
+                n_in: g.inputs.len() as u8,
+                inverted,
+                out0,
+                n_out: g.outputs.len() as u8,
+            });
+        }
+
+        Self {
+            inputs: nl
+                .inputs()
+                .iter()
+                .map(|(n, id)| (n.as_str(), id.index() as u32))
+                .collect(),
+            net_count,
+            sink_start,
+            sinks,
+            gates,
+            pins,
+            outs,
+        }
     }
 
     /// Run until `t_stop`, applying `stimulus` to the primary inputs.
     /// Sequential elements power up holding 0 (a settled MCML latch).
     ///
+    /// Events pop in time order; events at equal times pop in the order
+    /// they were scheduled, stimulus events in the order they were added.
+    ///
     /// # Panics
     ///
-    /// Panics if the stimulus drives an unknown input.
+    /// Panics if the stimulus drives an unknown input or has a NaN time
+    /// (see [`Stimulus::check`]).
     #[must_use]
     pub fn run(&self, stimulus: &Stimulus, t_stop: f64) -> SimTrace {
         let _span = mcml_obs::span(mcml_obs::Stage::EventSim);
         mcml_obs::incr(mcml_obs::Counter::EventSimRuns);
-        let nl = self.nl;
-        let n_nets = nl.net_count();
-        let input_of: HashMap<&str, NetId> = nl
-            .inputs()
-            .iter()
-            .map(|(n, id)| (n.as_str(), *id))
-            .collect();
-        let mut sinks: Vec<Vec<usize>> = vec![Vec::new(); n_nets];
-        for (gi, g) in nl.gates().iter().enumerate() {
-            for c in &g.inputs {
-                sinks[c.net.index()].push(gi);
-            }
-        }
-        let fanout = nl.fanout_counts();
+        let mut values = vec![Logic::X; self.net_count];
+        let mut state = vec![Logic::L0; self.gates.len()];
+        let mut sched = Scheduler::with_capacity(self.net_count + stimulus.len());
 
-        let mut values = vec![Logic::X; n_nets];
-        let mut ff_state: Vec<Logic> = vec![Logic::L0; nl.gates().len()];
-        let mut sched = Scheduler::default();
-
-        for (t, name, v) in stimulus.sorted() {
-            let net = input_of
+        // Pushing in insertion order pops exactly as a stable time sort
+        // would: equal times fall back to push order.
+        for (t, name, v) in &stimulus.events {
+            let net = *self
+                .inputs
                 .get(name.as_str())
                 .unwrap_or_else(|| panic!("stimulus drives unknown input `{name}`"));
-            sched.push(t, net.index(), Logic::from_bool(v));
+            assert!(!t.is_nan(), "stimulus time of `{name}` is NaN");
+            sched.push(*t, net, Logic::from_bool(*v));
         }
-        for (gi, g) in nl.gates().iter().enumerate() {
-            if g.kind.is_sequential() {
-                sched.push(0.0, g.outputs[0].index(), ff_state[gi]);
+        for g in &self.gates {
+            if matches!(g.eval, Eval::Seq { .. }) {
+                sched.push(0.0, self.outs[g.out0 as usize].net, Logic::L0);
             }
         }
 
-        let mut transitions = Vec::new();
+        let mut transitions = Vec::with_capacity(self.net_count);
         while let Some(ev) = sched.pop() {
             if ev.time > t_stop {
                 break;
@@ -321,54 +552,47 @@ impl<'a> EventSim<'a> {
                 value: ev.value,
             });
 
-            for &gi in &sinks[net] {
-                let g = &nl.gates()[gi];
-                match g.kind {
-                    GateKind::Lib(k) if k.is_sequential() => {
-                        let clk_idx = k
-                            .input_names()
-                            .iter()
-                            .position(|&n| n == "clk")
-                            .expect("sequential cell has clk");
-                        let clk_conn = g.inputs[clk_idx];
-                        let clk_now = conn_value(&values, clk_conn);
-                        let triggered = if clk_conn.net.index() == net {
-                            let old_pin = old.xor_inv(clk_conn.inverted);
-                            let rising = old_pin != Logic::L1 && clk_now == Logic::L1;
-                            rising || (k == CellKind::DLatch && clk_now == Logic::L1)
-                        } else {
-                            // Data changed: only the transparent latch
-                            // reacts without a clock edge.
-                            k == CellKind::DLatch && clk_now == Logic::L1
-                        };
-                        if triggered {
-                            let ins: Vec<Logic> =
-                                g.inputs.iter().map(|c| conn_value(&values, *c)).collect();
-                            let next = match ins
-                                .iter()
-                                .map(|l| l.to_bool())
-                                .collect::<Option<Vec<bool>>>()
-                            {
-                                Some(b) => {
-                                    let cur = ff_state[gi].to_bool().unwrap_or(false);
-                                    Logic::from_bool(k.next_state(cur, &b).expect("sequential"))
-                                }
-                                None => Logic::X,
-                            };
-                            ff_state[gi] = next;
-                            let onet = g.outputs[0];
-                            let d = self.gate_delay(g.kind, fanout[onet.index()].max(1));
-                            sched.push(ev.time + d, onet.index(), next);
+            let fan = self.sink_start[net] as usize..self.sink_start[net + 1] as usize;
+            for &gi in &self.sinks[fan] {
+                let g = &self.gates[gi as usize];
+                let nets = &self.pins[g.pin0 as usize..][..usize::from(g.n_in)];
+                let outs = &self.outs[g.out0 as usize..][..usize::from(g.n_out)];
+                match g.eval {
+                    Eval::Comb(tables) => {
+                        let row = input_row(&values, nets, g.inverted);
+                        for (table, out) in tables.iter().zip(outs) {
+                            let v =
+                                row.map_or(Logic::X, |r| Logic::from_bool((table >> r) & 1 == 1));
+                            sched.push(ev.time + out.delay, out.net, v);
                         }
                     }
-                    _ => {
-                        let ins: Vec<Logic> =
-                            g.inputs.iter().map(|c| conn_value(&values, *c)).collect();
-                        let outs = eval_gate(g.kind, &ins);
-                        for (oi, &onet) in g.outputs.iter().enumerate() {
-                            let d = self.gate_delay(g.kind, fanout[onet.index()].max(1));
-                            sched.push(ev.time + d, onet.index(), outs[oi]);
+                    Eval::Seq { kind, clk } => {
+                        let clk_net = nets[clk] as usize;
+                        let clk_inv = (g.inverted >> clk) & 1 == 1;
+                        let clk_now = values[clk_net].xor_inv(clk_inv);
+                        // A flop fires on a rising clock pin; the latch
+                        // follows its data while the clock is high.
+                        let rising = clk_net == net
+                            && old.xor_inv(clk_inv) != Logic::L1
+                            && clk_now == Logic::L1;
+                        let transparent = kind == CellKind::DLatch && clk_now == Logic::L1;
+                        if !(rising || transparent) {
+                            continue;
                         }
+                        let gi = gi as usize;
+                        let next = match input_row(&values, nets, g.inverted) {
+                            Some(row) => {
+                                let ins: [bool; MAX_INPUTS] =
+                                    std::array::from_fn(|j| (row >> j) & 1 == 1);
+                                let cur = state[gi].to_bool().unwrap_or(false);
+                                let next = kind.next_state(cur, &ins[..nets.len()]);
+                                Logic::from_bool(next.expect("sequential"))
+                            }
+                            None => Logic::X,
+                        };
+                        state[gi] = next;
+                        let out = outs[0];
+                        sched.push(ev.time + out.delay, out.net, next);
                     }
                 }
             }
@@ -377,42 +601,18 @@ impl<'a> EventSim<'a> {
         mcml_obs::add(mcml_obs::Counter::NetTransitions, transitions.len() as u64);
         SimTrace {
             transitions,
-            net_count: n_nets,
-            net_names: (0..n_nets)
-                .map(|i| nl.net_name(NetId::from_index(i)).to_owned())
-                .collect(),
+            net_count: self.net_count,
             final_values: values,
             t_stop,
         }
     }
 }
 
-fn conn_value(values: &[Logic], c: Conn) -> Logic {
-    values[c.net.index()].xor_inv(c.inverted)
-}
-
-/// Evaluate a combinational gate over 3-valued inputs (X-pessimistic:
-/// any unknown input makes all outputs unknown).
-fn eval_gate(kind: GateKind, ins: &[Logic]) -> Vec<Logic> {
-    let bools: Option<Vec<bool>> = ins.iter().map(|l| l.to_bool()).collect();
-    match (kind, bools) {
-        (GateKind::Inv, Some(b)) => vec![Logic::from_bool(!b[0])],
-        (GateKind::Lib(k), Some(b)) => k
-            .eval_comb(&b)
-            .expect("combinational")
-            .into_iter()
-            .map(Logic::from_bool)
-            .collect(),
-        (GateKind::Inv, None) => vec![Logic::X],
-        (GateKind::Lib(k), None) => vec![Logic::X; k.output_names().len()],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcml_cells::DriveStrength;
-    use mcml_char::CellTiming;
+    use mcml_cells::{DriveStrength, LogicStyle};
+    use mcml_netlist::Conn;
 
     fn test_lib(style: LogicStyle) -> TimingLibrary {
         let mut lib = TimingLibrary::new();
@@ -581,7 +781,198 @@ mod tests {
         st.clock("clk", 1e-9, 2e-9, 2);
         assert_eq!(st.len(), 4);
         assert!(!st.is_empty());
-        let sorted = st.sorted();
-        assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
+        let edges: Vec<(f64, bool)> = st.events.iter().map(|e| (e.0, e.2)).collect();
+        let (start, period) = (1e-9, 2e-9);
+        let rise = start + period;
+        assert_eq!(
+            edges,
+            [
+                (start, true),
+                (start + period / 2.0, false),
+                (rise, true),
+                (rise + period / 2.0, false)
+            ]
+        );
+    }
+
+    fn bits(row: usize, n: usize) -> Vec<bool> {
+        (0..n).map(|j| (row >> j) & 1 == 1).collect()
+    }
+
+    #[test]
+    fn truth_tables_match_eval_comb_on_every_input() {
+        let tables = truth_tables();
+        for k in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
+            let n = k.input_count();
+            let table = tables[table_index(GateKind::Lib(k))];
+            for row in 0..1usize << n {
+                let want = k.eval_comb(&bits(row, n)).unwrap();
+                let got: Vec<bool> = (0..want.len())
+                    .map(|o| (table[o] >> row) & 1 == 1)
+                    .collect();
+                assert_eq!(got, want, "{k} at input row {row:#b}");
+            }
+        }
+        let inv = tables[table_index(GateKind::Inv)][0];
+        assert_eq!([inv & 1, (inv >> 1) & 1], [1, 0], "Inv complements");
+        assert_eq!(CellKind::Mux4.input_count(), MAX_INPUTS);
+        assert_eq!(CellKind::FullAdder.output_names().len(), MAX_OUTPUTS);
+    }
+
+    /// One gate of `kind` on inputs `i0…`, its odd pins inverted, every
+    /// output a primary output.
+    fn one_gate(kind: GateKind) -> Netlist {
+        let mut nl = Netlist::new("g", LogicStyle::Cmos);
+        let ins: Vec<Conn> = (0..kind.input_count())
+            .map(|j| {
+                let net = nl.add_input(&format!("i{j}"));
+                if j % 2 == 1 {
+                    Conn::inv(net)
+                } else {
+                    Conn::plain(net)
+                }
+            })
+            .collect();
+        let n_out = match kind {
+            GateKind::Lib(k) => k.output_names().len(),
+            GateKind::Inv => 1,
+        };
+        let outs: Vec<NetId> = (0..n_out).map(|o| nl.add_net(&format!("o{o}"))).collect();
+        nl.add_gate("u", kind, ins, outs.clone());
+        for (o, &net) in outs.iter().enumerate() {
+            nl.set_output(&format!("o{o}"), Conn::plain(net));
+        }
+        nl
+    }
+
+    fn comb_kinds() -> impl Iterator<Item = GateKind> {
+        CellKind::ALL
+            .into_iter()
+            .filter(|k| !k.is_sequential())
+            .map(GateKind::Lib)
+            .chain([GateKind::Inv])
+    }
+
+    #[test]
+    fn compiled_gates_evaluate_every_input_pattern() {
+        let lib = test_lib(LogicStyle::Cmos);
+        for kind in comb_kinds() {
+            let nl = one_gate(kind);
+            let sim = EventSim::new(&nl, &lib);
+            let n = kind.input_count();
+            // Pattern `row` on the pins, applied 1 ns apart.
+            let mut st = Stimulus::new();
+            for row in 0..1usize << n {
+                for (j, pin) in bits(row, n).into_iter().enumerate() {
+                    st.at(row as f64 * 1e-9, &format!("i{j}"), pin ^ (j % 2 == 1));
+                }
+            }
+            let trace = sim.run(&st, (1usize << n) as f64 * 1e-9);
+            for row in 0..1usize << n {
+                let want = match kind {
+                    GateKind::Lib(k) => k.eval_comb(&bits(row, n)).unwrap(),
+                    GateKind::Inv => vec![row == 0],
+                };
+                for (o, (_, c)) in nl.outputs().iter().enumerate() {
+                    let got = trace.value_at(c.net, (row as f64 + 0.9) * 1e-9);
+                    assert_eq!(
+                        got,
+                        Logic::from_bool(want[o]),
+                        "{kind} output {o}, row {row:#b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_unknown_input_makes_every_output_unknown() {
+        let lib = test_lib(LogicStyle::Cmos);
+        for kind in comb_kinds() {
+            let nl = one_gate(kind);
+            let sim = EventSim::new(&nl, &lib);
+            let n = kind.input_count();
+            for undriven in 0..n {
+                for row in [0, (1usize << n) - 1] {
+                    let mut st = Stimulus::new();
+                    for (j, pin) in bits(row, n).into_iter().enumerate() {
+                        if j != undriven {
+                            st.at(0.0, &format!("i{j}"), pin);
+                        }
+                    }
+                    let trace = sim.run(&st, 1e-9);
+                    for (_, c) in nl.outputs() {
+                        assert_eq!(
+                            trace.final_values[c.net.index()],
+                            Logic::X,
+                            "{kind}: input {undriven} unknown, row {row:#b}"
+                        );
+                    }
+                }
+            }
+        }
+        // A flop clocked with an unknown data input captures X.
+        let mut nl = Netlist::new("ff", LogicStyle::Cmos);
+        let d = nl.add_input("d");
+        let clk = nl.add_input("clk");
+        let q = nl.add_net("q");
+        nl.add_gate(
+            "ff",
+            GateKind::Lib(CellKind::Dff),
+            vec![Conn::plain(d), Conn::plain(clk)],
+            vec![q],
+        );
+        let mut st = Stimulus::new();
+        st.at(0.0, "clk", false).at(1e-9, "clk", true);
+        let trace = EventSim::new(&nl, &lib).run(&st, 2e-9);
+        assert_eq!(trace.value_at(q, 0.9e-9), Logic::L0, "powers up at 0");
+        assert_eq!(trace.value_at(q, 1.9e-9), Logic::X, "captured X");
+    }
+
+    #[test]
+    fn equal_times_pop_in_push_order() {
+        let mut s = Scheduler::with_capacity(0);
+        let pushes = [
+            (1e-9, 0),
+            (-1e-9, 1),
+            (0.0, 2),
+            (-1e-9, 3),
+            (-0.0, 4),
+            (1e-9, 5),
+            (0.0, 6),
+            (-1e-9, 7),
+            (f64::NEG_INFINITY, 8),
+        ];
+        for (t, net) in pushes {
+            s.push(t, net, Logic::L1);
+        }
+        let popped: Vec<(f64, u32)> = std::iter::from_fn(|| s.pop())
+            .map(|e| (e.time, e.net))
+            .collect();
+        let order: Vec<u32> = popped.iter().map(|p| p.1).collect();
+        assert_eq!(order, [8, 1, 3, 7, 2, 4, 6, 0, 5]);
+        // Times come back with their bits, the sign of zero included.
+        assert!(popped[5].0.is_sign_negative() && popped[5].0 == 0.0);
+
+        // Through a run: the later of two same-time stimulus events wins.
+        let nl = xor_netlist();
+        let lib = test_lib(LogicStyle::PgMcml);
+        let mut st = Stimulus::new();
+        st.at(-1e-9, "a", true).at(-1e-9, "b", true);
+        st.at(-1e-9, "a", false).at(-2e-9, "b", false);
+        let trace = EventSim::new(&nl, &lib).run(&st, 1e-9);
+        let a = nl.inputs()[0].1;
+        assert_eq!(
+            trace.net_transitions(a),
+            [(-1e-9, Logic::L1), (-1e-9, Logic::L0)]
+        );
+        let q = nl.outputs()[0].1.net;
+        assert_eq!(trace.final_values[q.index()], Logic::L1, "a = 0, b = 1");
+    }
+
+    #[test]
+    fn simulator_is_sync() {
+        fn sync<T: Sync>() {}
+        sync::<EventSim<'_>>();
     }
 }

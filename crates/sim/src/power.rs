@@ -121,10 +121,26 @@ impl Default for CurrentModel {
     }
 }
 
-fn timing_of(lib: &TimingLibrary, kind: GateKind, style: LogicStyle) -> Option<&CellTiming> {
-    match kind {
-        GateKind::Lib(k) => lib.get(k, style),
-        GateKind::Inv => lib.get(CellKind::Buffer, LogicStyle::Cmos),
+/// Each gate kind's library entry, looked up once per netlist instead of
+/// once per gate or per event: the 16 cells in the netlist's style, then
+/// the CMOS buffer that times [`GateKind::Inv`].
+pub(crate) struct KindTimings<'l>([Option<&'l CellTiming>; CellKind::ALL.len() + 1]);
+
+impl<'l> KindTimings<'l> {
+    pub(crate) fn new(lib: &'l TimingLibrary, style: LogicStyle) -> Self {
+        let mut t = [None; CellKind::ALL.len() + 1];
+        for k in CellKind::ALL {
+            t[k as usize] = lib.get(k, style);
+        }
+        t[CellKind::ALL.len()] = lib.get(CellKind::Buffer, LogicStyle::Cmos);
+        Self(t)
+    }
+
+    pub(crate) fn get(&self, kind: GateKind) -> Option<&'l CellTiming> {
+        match kind {
+            GateKind::Lib(k) => self.0[k as usize],
+            GateKind::Inv => self.0[CellKind::ALL.len()],
+        }
     }
 }
 
@@ -158,10 +174,12 @@ pub fn circuit_current(
     let style = nl.style;
 
     // --- static / envelope component -------------------------------
+    let timings = KindTimings::new(lib, style);
     let mut static_current = 0.0; // awake
     let mut leak_current = 0.0; // asleep (PG) or same as static
     for g in nl.gates() {
-        let t = timing_of(lib, g.kind, style)
+        let t = timings
+            .get(g.kind)
             .unwrap_or_else(|| panic!("library misses {} in {style}", g.kind));
         static_current += t.static_power_w / model.vdd;
         leak_current += t.leakage_sleep_w / model.vdd;
@@ -210,13 +228,21 @@ pub fn circuit_current(
     }
 
     // --- switching component ----------------------------------------
-    let driver = nl.driver_map();
+    // The timing of each net's driving gate (the last gate listing the
+    // net as an output); primary inputs and floating nets have none.
+    let mut driver: Vec<Option<&CellTiming>> = vec![None; nl.net_count()];
+    for g in nl.gates() {
+        for &o in &g.outputs {
+            driver[o.index()] = timings.get(g.kind);
+        }
+    }
     let mut last: Vec<Logic> = vec![Logic::X; trace.net_count];
+    let mut awake = SleepCursor::new(sleep);
     for tr in &trace.transitions {
         let net = tr.net as usize;
         let old = last[net];
         last[net] = tr.value;
-        let (Some(gi), Some(old_b), Some(new_b)) = (
+        let (Some(timing), Some(old_b), Some(new_b)) = (
             driver.get(net).copied().flatten(),
             old.to_bool(),
             tr.value.to_bool(),
@@ -226,8 +252,6 @@ pub fn circuit_current(
         if old_b == new_b {
             continue;
         }
-        let g = &nl.gates()[gi];
-        let timing = timing_of(lib, g.kind, style).expect("checked above");
         match style {
             LogicStyle::Cmos => {
                 let q_rise = timing.toggle_energy_j / model.vdd;
@@ -246,7 +270,7 @@ pub fn circuit_current(
             }
             LogicStyle::Mcml | LogicStyle::PgMcml => {
                 // Skip switching detail while asleep — no bias current.
-                if style == LogicStyle::PgMcml && !sleep.value_at(tr.time) {
+                if style == LogicStyle::PgMcml && !awake.value_at(tr.time) {
                     continue;
                 }
                 let i_gate = timing.static_power_w / model.vdd;
@@ -267,6 +291,41 @@ pub fn circuit_current(
     }
 
     Waveform::new(times, samples)
+}
+
+/// [`SleepWave::value_at`] for non-decreasing query times, as the
+/// transitions of a trace are: the prefix of sleep transitions at or
+/// before `t` only grows with `t`, so the scan resumes where the last
+/// query stopped. An earlier time restarts it.
+struct SleepCursor<'w> {
+    wave: &'w SleepWave,
+    next: usize,
+    value: bool,
+    last_t: f64,
+}
+
+impl<'w> SleepCursor<'w> {
+    fn new(wave: &'w SleepWave) -> Self {
+        Self {
+            wave,
+            next: 0,
+            value: wave.initial,
+            last_t: f64::NEG_INFINITY,
+        }
+    }
+
+    fn value_at(&mut self, t: f64) -> bool {
+        if t.is_nan() || t < self.last_t {
+            *self = Self::new(self.wave);
+        }
+        self.last_t = t;
+        let tr = &self.wave.transitions;
+        while self.next < tr.len() && tr[self.next].0 <= t {
+            self.value = tr[self.next].1;
+            self.next += 1;
+        }
+        self.value
+    }
 }
 
 /// Spread `charge` (A·s) as a rectangular pulse starting at `t0`.
@@ -466,6 +525,41 @@ mod tests {
         add_pulse(&mut s, dt, 10.3e-12, 5e-12, 2e-15);
         let total: f64 = s.iter().map(|x| x * dt).sum();
         assert!((total - 2e-15).abs() < 1e-20, "charge {total}");
+    }
+
+    #[test]
+    fn sleep_cursor_agrees_with_value_at() {
+        let waves = [
+            SleepWave::awake_windows(&[(1.0, 2.0), (2.0, 3.0), (5.0, 6.0)]),
+            SleepWave::always_on(),
+            // Unsorted: `value_at` stops at the first later transition.
+            SleepWave {
+                initial: false,
+                transitions: vec![(2.0, true), (1.0, false), (4.0, false), (3.0, true)],
+            },
+        ];
+        let times = [
+            -1.0,
+            0.0,
+            1.0,
+            1.0,
+            1.5,
+            2.0,
+            2.5,
+            0.5,
+            3.0,
+            f64::NAN,
+            4.0,
+            5.5,
+            7.0,
+            f64::INFINITY,
+        ];
+        for w in &waves {
+            let mut cursor = SleepCursor::new(w);
+            for t in times {
+                assert_eq!(cursor.value_at(t), w.value_at(t), "{w:?} at {t}");
+            }
+        }
     }
 
     #[test]
