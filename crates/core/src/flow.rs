@@ -150,8 +150,18 @@ impl DesignFlow {
     ///
     /// # Errors
     ///
-    /// Propagates characterisation errors.
+    /// [`mcml_spice::SpiceError::InvalidParameter`] when the stimulus
+    /// drives a net that is not an input of `nl`, or `t_stop` or a
+    /// stimulus time is NaN (checked before anything is characterised);
+    /// otherwise propagates characterisation errors.
     pub fn simulate(&mut self, nl: &Netlist, stimulus: &Stimulus, t_stop: f64) -> Result<SimTrace> {
+        if t_stop.is_nan() {
+            return Err(mcml_spice::SpiceError::InvalidParameter {
+                element: "t_stop".into(),
+                reason: "is NaN".into(),
+            });
+        }
+        stimulus.check(nl)?;
         self.library_for(nl)?;
         Ok(EventSim::new(nl, &self.lib).run(stimulus, t_stop))
     }
@@ -229,5 +239,42 @@ mod tests {
         assert!(i.mean() > 0.0, "PG-MCML netlist draws bias current");
         let tree = flow.sleep_tree(&nl).unwrap();
         assert!(tree.buffer_count() >= 1);
+    }
+
+    #[test]
+    fn simulate_rejects_hostile_stimulus() {
+        let mut flow = DesignFlow::new(CellParams::default());
+        let mut bn = BoolNetwork::new();
+        let a = bn.input("a");
+        bn.set_output("q", a);
+        let nl = flow.map(&bn, LogicStyle::Mcml);
+        let rejected = |flow: &mut DesignFlow, st: &Stimulus, t_stop: f64| match flow
+            .simulate(&nl, st, t_stop)
+        {
+            Err(mcml_spice::SpiceError::InvalidParameter { element, reason }) => {
+                format!("{element}: {reason}")
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+
+        let mut unknown = Stimulus::new();
+        unknown.at(0.0, "a", true).at(1e-9, "nope", true);
+        let msg = rejected(&mut flow, &unknown, 2e-9);
+        assert!(msg.contains("event 1") && msg.contains("`nope`"), "{msg}");
+
+        let mut nan = Stimulus::new();
+        nan.at(0.0, "a", true)
+            .at(f64::NAN, "a", false)
+            .at(1e-9, "a", true);
+        let msg = rejected(&mut flow, &nan, 2e-9);
+        assert!(msg.contains("event 1") && msg.contains("NaN"), "{msg}");
+
+        let mut fine = Stimulus::new();
+        fine.at(0.0, "a", true);
+        let msg = rejected(&mut flow, &fine, f64::NAN);
+        assert!(msg.starts_with("t_stop"), "{msg}");
+        // Nothing was characterised for the rejected calls.
+        assert!(flow.library().is_empty());
+        assert!(flow.simulate(&nl, &fine, 2e-9).is_ok());
     }
 }
