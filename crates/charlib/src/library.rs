@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{get_or_characterize, CharKey};
 
 use crate::measure::{
-    measure_delay, measure_dynamic_energy, measure_sleep_leakage, measure_static_power,
+    measure_delay, measure_dynamic_energy, measure_sleep_leakage, measure_static_power, ToggleRun,
 };
 use crate::Result;
 
@@ -162,7 +162,18 @@ pub fn characterize_cell_uncached(
 ) -> Result<CellTiming> {
     let _span = mcml_obs::span(mcml_obs::Stage::Characterize);
     mcml_obs::incr(mcml_obs::Counter::CellsCharacterized);
-    let d1 = measure_delay(kind, style, params, 1)?;
+    // A combinational cell's FO1 delay transient is also the testbench
+    // `measure_dynamic_energy` would build, so the CMOS toggle energy
+    // below reads the same run.
+    let fo1 = if kind.is_sequential() {
+        None
+    } else {
+        Some(ToggleRun::new(kind, style, params, 1)?)
+    };
+    let d1 = match &fo1 {
+        Some(run) => run.delay()?,
+        None => measure_delay(kind, style, params, 1)?,
+    };
     let d4 = measure_delay(kind, style, params, 4)?;
     let idle_inputs = vec![true; kind.input_count()];
     let static_power = measure_static_power(kind, style, params, &idle_inputs)?;
@@ -171,26 +182,20 @@ pub fn characterize_cell_uncached(
     } else {
         static_power
     };
-    let toggle_energy = if kind.is_sequential() {
-        // Approximate with the buffer's toggle energy scaled by area; the
-        // event-driven power model only needs an order of magnitude for
-        // sequential CMOS cells.
-        match style {
-            LogicStyle::Cmos => {
-                measure_dynamic_energy(CellKind::Buffer, style, params, 1)?
-                    * (cell_area_um2(kind, style, DriveStrength::X1)
-                        / cell_area_um2(CellKind::Buffer, style, DriveStrength::X1))
-            }
-            _ => 0.0,
+    let toggle_energy = match (style, &fo1) {
+        (LogicStyle::Cmos, Some(run)) => run.dynamic_energy(params)?,
+        // Sequential: approximate with the buffer's toggle energy scaled
+        // by area; the event-driven power model only needs an order of
+        // magnitude for sequential CMOS cells.
+        (LogicStyle::Cmos, None) => {
+            measure_dynamic_energy(CellKind::Buffer, style, params, 1)?
+                * (cell_area_um2(kind, style, DriveStrength::X1)
+                    / cell_area_um2(CellKind::Buffer, style, DriveStrength::X1))
         }
-    } else {
-        match style {
-            LogicStyle::Cmos => measure_dynamic_energy(kind, style, params, 1)?,
-            // MCML cells draw Iss regardless of switching; the marginal
-            // switching energy is the load swing charge, tiny by
-            // comparison and data-independent.
-            _ => 0.0,
-        }
+        // MCML cells draw Iss regardless of switching; the marginal
+        // switching energy is the load swing charge, tiny by comparison
+        // and data-independent.
+        _ => 0.0,
     };
     Ok(CellTiming {
         kind,

@@ -1,9 +1,9 @@
 //! Delay, power, leakage and wake-up measurements.
 
 use mcml_cells::{CellKind, CellParams, LogicStyle};
-use mcml_spice::SpiceError;
+use mcml_spice::{SpiceError, TranResult};
 
-use crate::harness::{sensitizing_inputs, LogicWave, Testbench};
+use crate::harness::{sensitizing_inputs, BuiltTestbench, LogicWave, Testbench};
 use crate::Result;
 
 /// A measured propagation delay.
@@ -48,7 +48,7 @@ pub fn measure_delay(
     if kind.is_sequential() {
         measure_clk_to_q(kind, style, params, fanout)
     } else {
-        measure_comb_delay(kind, style, params, fanout)
+        ToggleRun::new(kind, style, params, fanout)?.delay()
     }
 }
 
@@ -56,61 +56,102 @@ fn missing(what: &str) -> SpiceError {
     SpiceError::InvalidCircuit(format!("measurement failed: {what}"))
 }
 
-fn measure_comb_delay(
+/// The toggle testbench shared by the combinational delay and the CMOS
+/// dynamic energy: the first sensitisable input pulses up at
+/// [`ToggleRun::T_RISE`] and down at [`ToggleRun::T_FALL`] while the
+/// others hold their sensitising values, and the output drives `fanout`
+/// loads.
+pub(crate) struct ToggleRun {
     kind: CellKind,
-    style: LogicStyle,
-    params: &CellParams,
-    fanout: usize,
-) -> Result<DelayMeasurement> {
-    // Pick the first input that can be sensitised.
-    let (active, statics) = (0..kind.input_count())
-        .find_map(|i| sensitizing_inputs(kind, i).map(|s| (i, s)))
-        .ok_or_else(|| missing("no sensitisable input"))?;
-    // Non-inverting sensitisation guaranteed preferred; detect polarity.
-    let mut probe = statics.clone();
-    probe[active] = true;
-    let inverting = !kind.eval_comb(&probe).expect("combinational")[0];
+    active: usize,
+    inverting: bool,
+    built: BuiltTestbench,
+    res: TranResult,
+}
 
-    let t_rise = 1.0e-9;
-    let t_fall = 2.5e-9;
-    let mut tb = Testbench::new(kind, style, params);
-    for (i, &v) in statics.iter().enumerate() {
-        tb.set_input(i, v);
+impl ToggleRun {
+    const T_RISE: f64 = 1.0e-9;
+    const T_FALL: f64 = 2.5e-9;
+
+    /// Build and simulate the testbench.
+    pub(crate) fn new(
+        kind: CellKind,
+        style: LogicStyle,
+        params: &CellParams,
+        fanout: usize,
+    ) -> Result<Self> {
+        let (active, statics) = (0..kind.input_count())
+            .find_map(|i| sensitizing_inputs(kind, i).map(|s| (i, s)))
+            .ok_or_else(|| missing("no sensitisable input"))?;
+        // Non-inverting sensitisation guaranteed preferred; detect polarity.
+        let mut probe = statics.clone();
+        probe[active] = true;
+        let inverting = !kind.eval_comb(&probe).expect("combinational")[0];
+
+        let mut tb = Testbench::new(kind, style, params);
+        for (i, &v) in statics.iter().enumerate() {
+            tb.set_input(i, v);
+        }
+        tb.set_input_wave(active, LogicWave::pulse(Self::T_RISE, Self::T_FALL));
+        tb.set_fanout(fanout);
+        let (built, res) = tb.run(4.0e-9, 4.0e-12)?;
+        Ok(Self {
+            kind,
+            active,
+            inverting,
+            built,
+            res,
+        })
     }
-    tb.set_input_wave(active, LogicWave::pulse(t_rise, t_fall));
-    tb.set_fanout(fanout);
-    let (built, res) = tb.run(4.0e-9, 4.0e-12)?;
 
-    let inp = built.signal(&res, kind.input_names()[active]);
-    let out = built.signal(&res, kind.output_names()[0]);
-    let lvl_in = built.switch_level_for(kind.input_names()[active]);
-    let lvl_out = built.switch_level_for(kind.output_names()[0]);
+    /// The 50 %-to-50 % (differential zero-crossing) delay of both
+    /// output edges.
+    pub(crate) fn delay(&self) -> Result<DelayMeasurement> {
+        let (kind, built, res) = (self.kind, &self.built, &self.res);
+        let (t_rise, t_fall) = (Self::T_RISE, Self::T_FALL);
+        let inp = built.signal(res, kind.input_names()[self.active]);
+        let out = built.signal(res, kind.output_names()[0]);
+        let lvl_in = built.switch_level_for(kind.input_names()[self.active]);
+        let lvl_out = built.switch_level_for(kind.output_names()[0]);
 
-    let t_in_rise = inp
-        .first_crossing_after(lvl_in, true, t_rise - 0.2e-9)
-        .ok_or_else(|| missing("input rise crossing"))?;
-    let t_in_fall = inp
-        .first_crossing_after(lvl_in, false, t_fall - 0.2e-9)
-        .ok_or_else(|| missing("input fall crossing"))?;
-    let (out_dir_first, out_dir_second) = if inverting {
-        (false, true)
-    } else {
-        (true, false)
-    };
-    let t_out_1 = out
-        .first_crossing_after(lvl_out, out_dir_first, t_in_rise)
-        .ok_or_else(|| missing("output first crossing"))?;
-    let t_out_2 = out
-        .first_crossing_after(lvl_out, out_dir_second, t_in_fall)
-        .ok_or_else(|| missing("output second crossing"))?;
+        let t_in_rise = inp
+            .first_crossing_after(lvl_in, true, t_rise - 0.2e-9)
+            .ok_or_else(|| missing("input rise crossing"))?;
+        let t_in_fall = inp
+            .first_crossing_after(lvl_in, false, t_fall - 0.2e-9)
+            .ok_or_else(|| missing("input fall crossing"))?;
+        let (out_dir_first, out_dir_second) = if self.inverting {
+            (false, true)
+        } else {
+            (true, false)
+        };
+        let t_out_1 = out
+            .first_crossing_after(lvl_out, out_dir_first, t_in_rise)
+            .ok_or_else(|| missing("output first crossing"))?;
+        let t_out_2 = out
+            .first_crossing_after(lvl_out, out_dir_second, t_in_fall)
+            .ok_or_else(|| missing("output second crossing"))?;
 
-    // `rise` = delay of the output-rising transition.
-    let (rise, fall) = if inverting {
-        (t_out_2 - t_in_fall, t_out_1 - t_in_rise)
-    } else {
-        (t_out_1 - t_in_rise, t_out_2 - t_in_fall)
-    };
-    Ok(DelayMeasurement { rise, fall })
+        // `rise` = delay of the output-rising transition.
+        let (rise, fall) = if self.inverting {
+            (t_out_2 - t_in_fall, t_out_1 - t_in_rise)
+        } else {
+            (t_out_1 - t_in_rise, t_out_2 - t_in_fall)
+        };
+        Ok(DelayMeasurement { rise, fall })
+    }
+
+    /// Supply charge of the input pulse times Vdd (J), with the quiet
+    /// pre-edge baseline subtracted.
+    pub(crate) fn dynamic_energy(&self, params: &CellParams) -> Result<f64> {
+        let (t_rise, t_fall) = (Self::T_RISE, Self::T_FALL);
+        let i = self.built.supply_current(&self.res);
+        // Baseline: average current in the quiet pre-edge window.
+        let baseline = i.try_mean_between(0.2e-9, 0.8e-9)?;
+        let window = i.try_integral_between(t_rise - 0.1e-9, t_fall - 0.1e-9)?
+            - baseline * (t_fall - t_rise);
+        Ok((window * params.tech.vdd).abs())
+    }
 }
 
 fn measure_clk_to_q(
@@ -259,24 +300,7 @@ pub fn measure_dynamic_energy(
     params: &CellParams,
     fanout: usize,
 ) -> Result<f64> {
-    let (active, statics) = (0..kind.input_count())
-        .find_map(|i| sensitizing_inputs(kind, i).map(|s| (i, s)))
-        .ok_or_else(|| missing("no sensitisable input"))?;
-    let t_rise = 1.0e-9;
-    let t_fall = 2.5e-9;
-    let mut tb = Testbench::new(kind, style, params);
-    for (i, &v) in statics.iter().enumerate() {
-        tb.set_input(i, v);
-    }
-    tb.set_input_wave(active, LogicWave::pulse(t_rise, t_fall));
-    tb.set_fanout(fanout);
-    let (built, res) = tb.run(4.0e-9, 4.0e-12)?;
-    let i = built.supply_current(&res);
-    // Baseline: average current in the quiet pre-edge window.
-    let baseline = i.try_mean_between(0.2e-9, 0.8e-9)?;
-    let window =
-        i.try_integral_between(t_rise - 0.1e-9, t_fall - 0.1e-9)? - baseline * (t_fall - t_rise);
-    Ok((window * params.tech.vdd).abs())
+    ToggleRun::new(kind, style, params, fanout)?.dynamic_energy(params)
 }
 
 /// Wake-up time of a power-gated cell (s): sleep asserted at t=0, the
