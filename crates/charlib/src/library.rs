@@ -163,16 +163,15 @@ pub fn characterize_cell_uncached(
     let _span = mcml_obs::span(mcml_obs::Stage::Characterize);
     mcml_obs::incr(mcml_obs::Counter::CellsCharacterized);
     // A combinational cell's FO1 delay transient is also the testbench
-    // `measure_dynamic_energy` would build, so the CMOS toggle energy
-    // below reads the same run.
-    let fo1 = if kind.is_sequential() {
-        None
+    // `measure_dynamic_energy` would build, so the CMOS toggle energy is
+    // read from it here, and the run freed, before the next transient;
+    // an error in it surfaces where the energy is used below.
+    let (d1, fo1_energy) = if kind.is_sequential() {
+        (measure_delay(kind, style, params, 1)?, None)
     } else {
-        Some(ToggleRun::new(kind, style, params, 1)?)
-    };
-    let d1 = match &fo1 {
-        Some(run) => run.delay()?,
-        None => measure_delay(kind, style, params, 1)?,
+        let run = ToggleRun::new(kind, style, params, 1)?;
+        let energy = (style == LogicStyle::Cmos).then(|| run.dynamic_energy(params));
+        (run.delay()?, energy)
     };
     let d4 = measure_delay(kind, style, params, 4)?;
     let idle_inputs = vec![true; kind.input_count()];
@@ -182,8 +181,8 @@ pub fn characterize_cell_uncached(
     } else {
         static_power
     };
-    let toggle_energy = match (style, &fo1) {
-        (LogicStyle::Cmos, Some(run)) => run.dynamic_energy(params)?,
+    let toggle_energy = match (style, fo1_energy) {
+        (LogicStyle::Cmos, Some(energy)) => energy?,
         // Sequential: approximate with the buffer's toggle energy scaled
         // by area; the event-driven power model only needs an order of
         // magnitude for sequential CMOS cells.
