@@ -18,7 +18,7 @@ use mcml_netlist::{GateKind, NetId, Netlist};
 use mcml_spice::SpiceError;
 use serde::{Deserialize, Serialize};
 
-use crate::power::KindTimings;
+use crate::power::{kind_slot, KindTimings, GATE_KINDS};
 
 /// Logic value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -218,18 +218,16 @@ const MAX_INPUTS: usize = 6;
 /// Most outputs of any cell (`FullAdder`).
 const MAX_OUTPUTS: usize = 2;
 
-/// Truth tables of every gate kind, indexed like
-/// [`KindTimings`](crate::power::KindTimings): the 16 cells by
-/// discriminant, then [`GateKind::Inv`]. Output `o` of a combinational
-/// kind reads bit `row` of `[o]`, where bit `j` of `row` is input `j`.
-/// Sequential cells have none (their tables stay 0).
-type TruthTables = [[u64; MAX_OUTPUTS]; CellKind::ALL.len() + 1];
+/// Truth tables of every gate kind, by [`kind_slot`]. Output `o` of a
+/// combinational kind reads bit `row` of `[o]`, where bit `j` of `row`
+/// is input `j`. Sequential cells have none (their tables stay 0).
+type TruthTables = [[u64; MAX_OUTPUTS]; GATE_KINDS];
 
 /// The tables, derived once per process from [`CellKind::eval_comb`].
 fn truth_tables() -> &'static TruthTables {
     static TABLES: OnceLock<TruthTables> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut tables = [[0; MAX_OUTPUTS]; CellKind::ALL.len() + 1];
+        let mut tables = [[0; MAX_OUTPUTS]; GATE_KINDS];
         for k in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
             let n = k.input_count();
             assert!(
@@ -239,22 +237,15 @@ fn truth_tables() -> &'static TruthTables {
             for row in 0..1usize << n {
                 let ins: Vec<bool> = (0..n).map(|j| (row >> j) & 1 == 1).collect();
                 let outs = k.eval_comb(&ins).expect("combinational");
-                for (table, out) in tables[k as usize].iter_mut().zip(outs) {
+                for (table, out) in tables[kind_slot(GateKind::Lib(k))].iter_mut().zip(outs) {
                     *table |= u64::from(out) << row;
                 }
             }
         }
         // `Inv`: the complement of its one input.
-        tables[CellKind::ALL.len()][0] = 0b01;
+        tables[kind_slot(GateKind::Inv)][0] = 0b01;
         tables
     })
-}
-
-fn table_index(kind: GateKind) -> usize {
-    match kind {
-        GateKind::Lib(k) => k as usize,
-        GateKind::Inv => CellKind::ALL.len(),
-    }
 }
 
 /// How a compiled gate reacts when one of its inputs changes.
@@ -453,7 +444,7 @@ impl<'a> EventSim<'a> {
                         .expect("sequential cell has clk");
                     Eval::Seq { kind: k, clk }
                 }
-                kind => Eval::Comb(tables[table_index(kind)]),
+                kind => Eval::Comb(tables[kind_slot(kind)]),
             };
             let max_outputs = match g.kind {
                 GateKind::Lib(k) => k.output_names().len(),
@@ -804,7 +795,7 @@ mod tests {
         let tables = truth_tables();
         for k in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
             let n = k.input_count();
-            let table = tables[table_index(GateKind::Lib(k))];
+            let table = tables[kind_slot(GateKind::Lib(k))];
             for row in 0..1usize << n {
                 let want = k.eval_comb(&bits(row, n)).unwrap();
                 let got: Vec<bool> = (0..want.len())
@@ -813,7 +804,7 @@ mod tests {
                 assert_eq!(got, want, "{k} at input row {row:#b}");
             }
         }
-        let inv = tables[table_index(GateKind::Inv)][0];
+        let inv = tables[kind_slot(GateKind::Inv)][0];
         assert_eq!([inv & 1, (inv >> 1) & 1], [1, 0], "Inv complements");
         assert_eq!(CellKind::Mux4.input_count(), MAX_INPUTS);
         assert_eq!(CellKind::FullAdder.output_names().len(), MAX_OUTPUTS);

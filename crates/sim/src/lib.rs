@@ -6,9 +6,9 @@
 //! (Nanosim). This crate mirrors both tiers, handing the activity over
 //! in memory as a [`SimTrace`] instead of a VCD file:
 //!
-//! * [`event`] — a 3-valued event-driven simulator over
-//!   [`mcml_netlist::Netlist`] with per-gate delays back-annotated from a
-//!   characterised [`mcml_char::TimingLibrary`] (the SDF role);
+//! * [`event`] — a 3-valued event-driven simulator, compiled once per
+//!   [`mcml_netlist::Netlist`], with per-output delays back-annotated
+//!   from a characterised [`mcml_char::TimingLibrary`] (the SDF role);
 //! * [`power`] — per-style supply-current templates composed over the
 //!   activity trace: CMOS draws data-dependent charge pulses per toggle,
 //!   MCML draws its constant `Iss` with small toggle ripple, PG-MCML

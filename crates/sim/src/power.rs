@@ -121,26 +121,35 @@ impl Default for CurrentModel {
     }
 }
 
+/// Slots of a per-gate-kind table: the 16 cells by discriminant, then
+/// [`GateKind::Inv`].
+pub(crate) const GATE_KINDS: usize = CellKind::ALL.len() + 1;
+
+/// A gate kind's slot in a per-kind table.
+pub(crate) fn kind_slot(kind: GateKind) -> usize {
+    match kind {
+        GateKind::Lib(k) => k as usize,
+        GateKind::Inv => CellKind::ALL.len(),
+    }
+}
+
 /// Each gate kind's library entry, looked up once per netlist instead of
-/// once per gate or per event: the 16 cells in the netlist's style, then
-/// the CMOS buffer that times [`GateKind::Inv`].
-pub(crate) struct KindTimings<'l>([Option<&'l CellTiming>; CellKind::ALL.len() + 1]);
+/// once per gate or per event: the cells in the netlist's style, and the
+/// CMOS buffer that times [`GateKind::Inv`].
+pub(crate) struct KindTimings<'l>([Option<&'l CellTiming>; GATE_KINDS]);
 
 impl<'l> KindTimings<'l> {
     pub(crate) fn new(lib: &'l TimingLibrary, style: LogicStyle) -> Self {
-        let mut t = [None; CellKind::ALL.len() + 1];
+        let mut t = [None; GATE_KINDS];
         for k in CellKind::ALL {
-            t[k as usize] = lib.get(k, style);
+            t[kind_slot(GateKind::Lib(k))] = lib.get(k, style);
         }
-        t[CellKind::ALL.len()] = lib.get(CellKind::Buffer, LogicStyle::Cmos);
+        t[kind_slot(GateKind::Inv)] = lib.get(CellKind::Buffer, LogicStyle::Cmos);
         Self(t)
     }
 
     pub(crate) fn get(&self, kind: GateKind) -> Option<&'l CellTiming> {
-        match kind {
-            GateKind::Lib(k) => self.0[k as usize],
-            GateKind::Inv => self.0[CellKind::ALL.len()],
-        }
+        self.0[kind_slot(kind)]
     }
 }
 
