@@ -727,6 +727,53 @@ mod tests {
     }
 
     #[test]
+    fn flop_variants_follow_next_state() {
+        use Logic::{L0, L1};
+        let mut nl = Netlist::new("flops", LogicStyle::PgMcml);
+        let [d, clk, rst, en] = ["d", "clk", "rst", "en"].map(|n| nl.add_input(n));
+        let q: Vec<NetId> = ["r", "e", "n"].iter().map(|n| nl.add_net(n)).collect();
+        nl.add_gate(
+            "dffr",
+            GateKind::Lib(CellKind::Dffr),
+            vec![Conn::plain(d), Conn::plain(clk), Conn::plain(rst)],
+            vec![q[0]],
+        );
+        nl.add_gate(
+            "edff",
+            GateKind::Lib(CellKind::Edff),
+            vec![Conn::plain(d), Conn::plain(clk), Conn::plain(en)],
+            vec![q[1]],
+        );
+        // Clocked through an inverted pin: captures on the falling net.
+        nl.add_gate(
+            "negff",
+            GateKind::Lib(CellKind::Dff),
+            vec![Conn::plain(d), Conn::inv(clk)],
+            vec![q[2]],
+        );
+        let lib = test_lib(LogicStyle::PgMcml);
+        let mut st = Stimulus::new();
+        st.at(0.0, "d", false)
+            .at(0.0, "clk", false)
+            .at(0.0, "rst", false)
+            .at(0.0, "en", false);
+        st.at(0.5e-9, "d", true);
+        st.at(1e-9, "clk", true); // dffr takes 1, edff holds 0
+        st.at(1.5e-9, "clk", false); // negff takes 1
+        st.at(2e-9, "en", true).at(2e-9, "rst", true);
+        st.at(3e-9, "clk", true); // dffr resets, edff takes 1
+                                  // Same time: `d` pops first, so negff takes the new 0.
+        st.at(3.5e-9, "d", false).at(3.5e-9, "clk", false);
+        let trace = EventSim::new(&nl, &lib).run(&st, 4e-9);
+        let at = |t: f64| q.iter().map(|&n| trace.value_at(n, t)).collect::<Vec<_>>();
+        assert_eq!(at(0.9e-9), [L0, L0, L0], "power-up");
+        assert_eq!(at(1.4e-9), [L1, L0, L0], "rising edge, en low");
+        assert_eq!(at(1.9e-9), [L1, L0, L1], "inverted clock pin rose");
+        assert_eq!(at(3.4e-9), [L0, L1, L1], "reset and enable");
+        assert_eq!(at(3.9e-9), [L0, L1, L0], "data before clock");
+    }
+
+    #[test]
     fn inverted_conn_respected() {
         let mut nl = Netlist::new("i", LogicStyle::PgMcml);
         let a = nl.add_input("a");
