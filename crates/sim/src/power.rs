@@ -237,21 +237,13 @@ pub fn circuit_current(
     }
 
     // --- switching component ----------------------------------------
-    // The timing of each net's driving gate (the last gate listing the
-    // net as an output); primary inputs and floating nets have none.
-    let mut driver: Vec<Option<&CellTiming>> = vec![None; nl.net_count()];
-    for g in nl.gates() {
-        for &o in &g.outputs {
-            driver[o.index()] = timings.get(g.kind);
-        }
-    }
+    let driver = nl.driver_map();
     let mut last: Vec<Logic> = vec![Logic::X; trace.net_count];
-    let mut awake = SleepCursor::new(sleep);
     for tr in &trace.transitions {
         let net = tr.net as usize;
         let old = last[net];
         last[net] = tr.value;
-        let (Some(timing), Some(old_b), Some(new_b)) = (
+        let (Some(gi), Some(old_b), Some(new_b)) = (
             driver.get(net).copied().flatten(),
             old.to_bool(),
             tr.value.to_bool(),
@@ -261,6 +253,7 @@ pub fn circuit_current(
         if old_b == new_b {
             continue;
         }
+        let timing = timings.get(nl.gates()[gi].kind).expect("checked above");
         match style {
             LogicStyle::Cmos => {
                 let q_rise = timing.toggle_energy_j / model.vdd;
@@ -279,7 +272,7 @@ pub fn circuit_current(
             }
             LogicStyle::Mcml | LogicStyle::PgMcml => {
                 // Skip switching detail while asleep — no bias current.
-                if style == LogicStyle::PgMcml && !awake.value_at(tr.time) {
+                if style == LogicStyle::PgMcml && !sleep.value_at(tr.time) {
                     continue;
                 }
                 let i_gate = timing.static_power_w / model.vdd;
@@ -300,41 +293,6 @@ pub fn circuit_current(
     }
 
     Waveform::new(times, samples)
-}
-
-/// [`SleepWave::value_at`] for non-decreasing query times, as the
-/// transitions of a trace are: the prefix of sleep transitions at or
-/// before `t` only grows with `t`, so the scan resumes where the last
-/// query stopped. An earlier time restarts it.
-struct SleepCursor<'w> {
-    wave: &'w SleepWave,
-    next: usize,
-    value: bool,
-    last_t: f64,
-}
-
-impl<'w> SleepCursor<'w> {
-    fn new(wave: &'w SleepWave) -> Self {
-        Self {
-            wave,
-            next: 0,
-            value: wave.initial,
-            last_t: f64::NEG_INFINITY,
-        }
-    }
-
-    fn value_at(&mut self, t: f64) -> bool {
-        if t.is_nan() || t < self.last_t {
-            *self = Self::new(self.wave);
-        }
-        self.last_t = t;
-        let tr = &self.wave.transitions;
-        while self.next < tr.len() && tr[self.next].0 <= t {
-            self.value = tr[self.next].1;
-            self.next += 1;
-        }
-        self.value
-    }
 }
 
 /// Spread `charge` (A·s) as a rectangular pulse starting at `t0`.
@@ -534,41 +492,6 @@ mod tests {
         add_pulse(&mut s, dt, 10.3e-12, 5e-12, 2e-15);
         let total: f64 = s.iter().map(|x| x * dt).sum();
         assert!((total - 2e-15).abs() < 1e-20, "charge {total}");
-    }
-
-    #[test]
-    fn sleep_cursor_agrees_with_value_at() {
-        let waves = [
-            SleepWave::awake_windows(&[(1.0, 2.0), (2.0, 3.0), (5.0, 6.0)]),
-            SleepWave::always_on(),
-            // Unsorted: `value_at` stops at the first later transition.
-            SleepWave {
-                initial: false,
-                transitions: vec![(2.0, true), (1.0, false), (4.0, false), (3.0, true)],
-            },
-        ];
-        let times = [
-            -1.0,
-            0.0,
-            1.0,
-            1.0,
-            1.5,
-            2.0,
-            2.5,
-            0.5,
-            3.0,
-            f64::NAN,
-            4.0,
-            5.5,
-            7.0,
-            f64::INFINITY,
-        ];
-        for w in &waves {
-            let mut cursor = SleepCursor::new(w);
-            for t in times {
-                assert_eq!(cursor.value_at(t), w.value_at(t), "{w:?} at {t}");
-            }
-        }
     }
 
     #[test]
