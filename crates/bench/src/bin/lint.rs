@@ -3,7 +3,7 @@
 //! transistor level, with the sleep-domain rules exercised through an
 //! automatically inserted sleep plan.
 //!
-//! Writes the combined `mcml-lint/2` document to `report.json`, prints
+//! Writes the combined `mcml-lint/3` document to `report.json`, prints
 //! a per-rule fire-count table, and exits non-zero if any target has a
 //! deny-severity diagnostic — the CI gate that keeps the shipped corpus
 //! lint-clean. With `--deny-warnings`, unwaived warnings fail the gate

@@ -38,6 +38,9 @@
 //!   the streaming attack differ. The tier keeps the name it had when
 //!   the 16 plaintexts marched as one lockstep ensemble, so the
 //!   trajectory stays comparable.
+//! - `aes_tran_mono` — eight combinational reduced-AES S-box
+//!   transients on a fixed grid with the bypass, parasitics off. Same
+//!   cold-cache state as `fig6_tran`.
 //! - `table3_char` — characterises all 16 PG-MCML cells **from a cold
 //!   characterisation cache**, cleared before every repetition;
 //!   without the clear, repetition 2+ (or a run after a warm tier)
@@ -152,29 +155,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1e3 * scalar_per_trace,
     );
 
-    // Tier 1c: the multi-cell partitioned transient and its monolithic
-    // twin — the combinational reduced-AES S-box on a fixed 10 ps grid,
-    // parasitics off so the design decomposes into per-stage solve
-    // blocks. The two tiers
-    // run the identical workload with only the partition flag flipped;
-    // their wall ratio is the block scheduler's headline speedup and the
-    // `block_solves`/`block_skips` counters are the deterministic
-    // evidence that the event-driven skipping actually engaged. Cold
-    // characterisation cache by the same order-independence argument as
-    // `fig6_tran` (the tier never consults it).
+    // Tier 1c: the multi-cell transient — the combinational reduced-AES
+    // S-box on a fixed 10 ps grid with the bypass, parasitics off. The
+    // tier keeps the name it had beside the deleted partitioned twin, so
+    // the trajectory stays comparable. Cold characterisation cache by the
+    // same order-independence argument as `fig6_tran` (the tier never
+    // consults it).
     let aes_params = aes_tran_params();
     let aes_plaintexts: Vec<u8> = (0..8).collect();
-    let (aes_tier, aes_res) = measure_tier_reps("aes_tran", reps, mcml_char::cache::clear, || {
-        aes_tran_tier(
-            &aes_params,
-            0xb,
-            LogicStyle::PgMcml,
-            &aes_plaintexts,
-            &aes_tran_options(true),
-        )
-    });
-    let aes_rows = aes_res?;
-    print_tier(&aes_tier, &format!("({} traces)", aes_rows.len()));
     let (aes_mono_tier, aes_mono_res) =
         measure_tier_reps("aes_tran_mono", reps, mcml_char::cache::clear, || {
             aes_tran_tier(
@@ -185,18 +173,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &aes_tran_options(false),
             )
         });
-    aes_mono_res?;
+    let aes_rows = aes_mono_res?;
     print_tier(&aes_mono_tier, &format!("({} traces)", aes_rows.len()));
-    println!(
-        "             partition: {} blocks, {} block solves, {} skipped ({:.1} % skipped), \
-         {:.2}x wall speedup vs monolithic",
-        aes_tier.partition_blocks,
-        aes_tier.block_solves,
-        aes_tier.block_skips,
-        100.0 * aes_tier.block_skips as f64
-            / (aes_tier.block_solves + aes_tier.block_skips).max(1) as f64,
-        aes_mono_tier.wall_s / aes_tier.wall_s.max(1e-12)
-    );
 
     // Tier 2: the table 2/3 characterisation workload — every cell of the
     // PG-MCML library on a cold cache (DCs and transients on the replayed
@@ -220,14 +198,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         label,
         reps,
         host: Some(host),
-        tiers: vec![
-            fig6_tier,
-            ens_tier,
-            aes_tier,
-            aes_mono_tier,
-            char_tier,
-            fig3_tier,
-        ],
+        tiers: vec![fig6_tier, ens_tier, aes_mono_tier, char_tier, fig3_tier],
     };
     let path = std::path::PathBuf::from(&out);
     Trajectory::load(&path)?.append_and_save(point, &path)?;

@@ -111,16 +111,14 @@ pub struct TierPerf {
     /// `spice.lane_refactors` delta over the tier (deterministic; 0 on
     /// trajectory points predating the counter).
     pub lane_refactors: u64,
-    /// `spice.partition_blocks` delta over the tier (deterministic; 0 on
-    /// monolithic tiers and on trajectory points predating the
-    /// partitioned solve).
+    /// `spice.partition_blocks` delta over the tier (deterministic).
+    /// Only the deleted partitioned solve emitted it, so it is 0 on
+    /// every monolithic tier and on every point since; schema 2 still
+    /// records it.
     pub partition_blocks: u64,
     /// `spice.block_solves` delta over the tier (deterministic; ditto).
     pub block_solves: u64,
     /// `spice.block_skips` delta over the tier (deterministic; ditto).
-    /// `block_solves + block_skips == partition_blocks × committed
-    /// sub-steps`, so a skip regression always surfaces as a
-    /// `block_solves` increase.
     pub block_skips: u64,
     /// Linear solves per wall-clock second (machine-dependent).
     pub solves_per_sec: f64,

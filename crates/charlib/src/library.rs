@@ -7,9 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{get_or_characterize, CharKey};
 
-use crate::measure::{
-    measure_delay, measure_dynamic_energy, measure_sleep_leakage, measure_static_power, ToggleRun,
-};
+use crate::measure::{measure_delay, measure_sleep_leakage, measure_static_power, ToggleRun};
 use crate::Result;
 
 /// Characterised data for one cell in one style.
@@ -150,7 +148,9 @@ pub fn characterize_cell(
     })
 }
 
-/// Characterise one cell, bypassing (and not populating) the cache.
+/// Characterise one cell, bypassing (and not populating) the cache for
+/// it. A sequential CMOS cell still reads the CMOS buffer's toggle
+/// energy through [`characterize_cell`], which caches the buffer.
 ///
 /// # Errors
 ///
@@ -185,9 +185,14 @@ pub fn characterize_cell_uncached(
         (LogicStyle::Cmos, Some(energy)) => energy?,
         // Sequential: approximate with the buffer's toggle energy scaled
         // by area; the event-driven power model only needs an order of
-        // magnitude for sequential CMOS cells.
+        // magnitude for sequential CMOS cells. The buffer's energy comes
+        // from its cached characterisation, whose FO1 run is the
+        // transient `measure_dynamic_energy` would repeat. The cache
+        // computes outside its lock and waits on a buffer already in
+        // flight, and a buffer never looks up a sequential cell, so the
+        // nested lookup cannot deadlock.
         (LogicStyle::Cmos, None) => {
-            measure_dynamic_energy(CellKind::Buffer, style, params, 1)?
+            characterize_cell(CellKind::Buffer, style, params)?.toggle_energy_j
                 * (cell_area_um2(kind, style, DriveStrength::X1)
                     / cell_area_um2(CellKind::Buffer, style, DriveStrength::X1))
         }

@@ -766,30 +766,26 @@ pub fn fig6_supply_trace_with(
     fig6_plaintext_trace(&bench, key, plaintext, tran_opts)
 }
 
-/// Quiescent-MOS bypass tolerance (V) of the `aes_tran` partition tier —
-/// same rationale as [`FIG6_BYPASS_VTOL`].
+/// Quiescent-MOS bypass tolerance (V) of the `aes_tran` tier — same
+/// rationale as [`FIG6_BYPASS_VTOL`].
 const AES_TRAN_BYPASS_VTOL: f64 = 10e-6;
 
-/// The transient options of the `aes_tran` multi-cell partition tier:
-/// the fig. 6 acquisition window on a plain 10 ps **fixed** grid plus
-/// the quiescent-MOS bypass. `partition` toggles the block scheduler; off
-/// gives the monolithic baseline the perf gate compares against.
+/// The transient options of the `aes_tran` multi-cell tier: the fig. 6
+/// acquisition window on a plain 10 ps **fixed** grid plus the
+/// quiescent-MOS bypass.
+///
+/// `_partition` selects nothing: it chose the partitioned block solve,
+/// which is deleted, so both values return the same options. The
+/// argument stays only because the `aes_partition` benchmark workload
+/// passes it.
 #[must_use]
-pub fn aes_tran_options(partition: bool) -> TranOptions {
-    let opts = TranOptions::new(FIG6_T_STOP, 10e-12).with_bypass(AES_TRAN_BYPASS_VTOL);
-    if partition {
-        opts.with_partitioning()
-    } else {
-        opts
-    }
+pub fn aes_tran_options(_partition: bool) -> TranOptions {
+    TranOptions::new(FIG6_T_STOP, 10e-12).with_bypass(AES_TRAN_BYPASS_VTOL)
 }
 
-/// Cell parameters of the `aes_tran` partition tier: the defaults with
-/// the gate-overlap parasitics off. The drain–gate coupling capacitors
-/// bridge every stage bidirectionally, which collapses the whole design
-/// into a single solve block; without them the MOS gate is input-only
-/// and the reduced-AES netlist decomposes into one block per logic
-/// stage.
+/// Cell parameters of the `aes_tran` tier: the defaults with the
+/// gate-overlap parasitics off, so the MOS gate is input-only and the
+/// circuit carries no capacitance.
 #[must_use]
 pub fn aes_tran_params() -> CellParams {
     CellParams {
@@ -798,37 +794,18 @@ pub fn aes_tran_params() -> CellParams {
     }
 }
 
-/// One plaintext's supply-current trace of the `aes_tran` partition
-/// tier: the **combinational** reduced-AES S-box driven by a plaintext
-/// edge at the fig. 6 clock instant, resampled over the same capture
-/// window.
+/// The whole `aes_tran` benchmark tier: one elaboration of the
+/// **combinational** reduced-AES S-box, then per plaintext one
+/// supply-current trace, driven by a plaintext edge at the fig. 6 clock
+/// instant and resampled over the same capture window. Elaboration
+/// (netlist mapping + lint) is hoisted out of the per-plaintext loop so
+/// the tier's wall clock measures solver work, not front-end work
+/// repeated per trace.
 ///
 /// Combinational rather than registered on purpose: with the tier's
 /// parasitics off the circuit carries no capacitance, so a latch's hold
-/// state would be pinned only by Newton seeding from the previous step
-/// — a reordered (partitioned) solve can then legitimately resolve a
-/// bistable node onto the other branch. The S-box DAG has a unique
-/// solution at every step, which makes monolithic-vs-partitioned parity
-/// a well-posed contract.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn aes_tran_trace(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintext: u8,
-    tran_opts: &TranOptions,
-) -> Result<Vec<f64>> {
-    Ok(aes_tran_tier(params, key, style, &[plaintext], tran_opts)?.remove(0))
-}
-
-/// The whole `aes_tran` benchmark tier: one elaboration of the
-/// combinational reduced-AES S-box, then one [`aes_tran_trace`]-shaped
-/// transient per plaintext. Elaboration (netlist mapping + lint) is
-/// hoisted out of the per-plaintext loop so the tier's wall clock
-/// measures solver work, not front-end work repeated per trace.
+/// state would be pinned only by Newton seeding from the previous step.
+/// The S-box DAG has a unique solution at every step.
 ///
 /// # Errors
 ///

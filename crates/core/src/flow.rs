@@ -178,7 +178,6 @@ impl DesignFlow {
         sleep: Option<&SleepWave>,
     ) -> Result<Waveform> {
         self.library_for(nl)?;
-        let _span = mcml_obs::span(mcml_obs::Stage::PowerModel);
         Ok(circuit_current(nl, trace, &self.lib, sleep, &self.model))
     }
 

@@ -263,30 +263,12 @@ impl LintEngine {
             LintTarget::Netlist { nl, .. } => ctx.dataflow().map(|r| summarize(nl, r)),
             LintTarget::Circuit { .. } => None,
         };
-        // Solve-block decomposition of transistor-level targets: the
-        // DC-coupling view (`dc_coupling_only = true`), since a
-        // parasitic capacitor merges blocks for the solver but is not a
-        // galvanic bridge — the lint question is about unintended
-        // galvanic coupling, not solver granularity.
-        let partition = match target {
-            LintTarget::Circuit { circuit, .. } => {
-                let rep = mcml_spice::partition_report(circuit, true);
-                Some(crate::report::PartitionSummary {
-                    blocks: rep.blocks,
-                    largest_block: rep.block_sizes.first().copied().unwrap_or(0),
-                    rail_nodes: rep.rail_nodes,
-                    fallback: rep.fallback,
-                })
-            }
-            LintTarget::Netlist { .. } => None,
-        };
         LintReport {
             target: target.name(),
             rules_run: self.rules.len(),
             diagnostics,
             waived,
             dataflow,
-            partition,
         }
     }
 }

@@ -28,7 +28,7 @@
 //! findings per location ([`Waiver`], justification required). Deny
 //! findings fail [`LintReport::is_clean`], which the `pg-mcml` design
 //! flow uses to refuse elaboration before any SPICE is run. Reports
-//! render to a deterministic `mcml-lint/2` JSON schema (same
+//! render to a deterministic `mcml-lint/3` JSON schema (same
 //! hand-rolled style as `mcml-obs`) including the waived findings and
 //! a dataflow taint/score summary, and runs are observable through the
 //! `lint.*` counters and the `lint` / `dataflow` span stages.
@@ -63,7 +63,4 @@ pub use config::{LintConfig, Waiver};
 pub use dataflow::DataflowResults;
 pub use diag::{Diagnostic, Location, Severity};
 pub use engine::{LintContext, LintEngine, LintTarget, Rule};
-pub use report::{
-    combined_json, DataflowSummary, LintReport, NetScore, PartitionSummary, WaivedDiagnostic,
-    SCHEMA,
-};
+pub use report::{combined_json, DataflowSummary, LintReport, NetScore, WaivedDiagnostic, SCHEMA};

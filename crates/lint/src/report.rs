@@ -1,4 +1,4 @@
-//! Deterministic lint reports (`mcml-lint/2` JSON schema).
+//! Deterministic lint reports (`mcml-lint/3` JSON schema).
 //!
 //! The JSON is hand-rolled the same way `mcml-obs` renders its run
 //! reports: keys in a fixed order, diagnostics pre-sorted by the
@@ -10,16 +10,17 @@
 //! waivers with justification) and the optional `dataflow` summary
 //! (taint/toggle/leakage-score tables) to each target; the optional
 //! `partition` summary (solve-block decomposition of transistor-level
-//! targets) was added later under the same schema tag — consumers
-//! treat absent optional keys as "not applicable", so the addition is
-//! backward compatible.
+//! targets) was added later under the same schema tag. `mcml-lint/3`
+//! drops the `partition` summary with the partitioned transient solve
+//! it described; the `partition-collapse` rule still reports a
+//! galvanically collapsed circuit as a diagnostic.
 
 use std::fmt::Write as _;
 
 use crate::diag::{Diagnostic, Severity};
 
 /// Schema identifier stamped into every report.
-pub const SCHEMA: &str = "mcml-lint/2";
+pub const SCHEMA: &str = "mcml-lint/3";
 
 /// A diagnostic suppressed by a configured waiver: kept out of the
 /// deny/warn counts but carried into the report with its justification.
@@ -61,28 +62,6 @@ pub struct DataflowSummary {
     pub top_scores: Vec<NetScore>,
 }
 
-/// How a transistor-level target's MNA system decomposes into solve
-/// blocks (the `mcml-spice` partitioned-solve view, DC couplings only —
-/// parasitic capacitors are not galvanic bridges).
-///
-/// Present only for circuit targets. A "differential" design that
-/// collapses into one block couples all its stages galvanically —
-/// usually a shorted rail or a shared bias net — which both defeats the
-/// partitioned solver and merges supposedly independent current paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSummary {
-    /// Number of solve blocks after splitting at voltage-source rails.
-    pub blocks: usize,
-    /// Free nodes in the largest block.
-    pub largest_block: usize,
-    /// Nodes pinned by voltage-source chains (rails).
-    pub rail_nodes: usize,
-    /// True when the decomposition fell back for a structural reason
-    /// (voltage-source loop or floating source) rather than because the
-    /// design is one block.
-    pub fallback: bool,
-}
-
 /// The outcome of linting one target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintReport {
@@ -97,8 +76,6 @@ pub struct LintReport {
     pub waived: Vec<WaivedDiagnostic>,
     /// Dataflow summary, when the target is an acyclic netlist.
     pub dataflow: Option<DataflowSummary>,
-    /// Solve-block decomposition, when the target is a circuit.
-    pub partition: Option<PartitionSummary>,
 }
 
 impl LintReport {
@@ -134,7 +111,7 @@ impl LintReport {
             .filter(move |d| d.rule_id == rule_id)
     }
 
-    /// Render the report as `mcml-lint/2` JSON.
+    /// Render the report as `mcml-lint/3` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -173,11 +150,7 @@ impl LintReport {
             }
             let _ = writeln!(out, "{pad}  ],");
         }
-        let dataflow_comma = if self.dataflow.is_some() || self.partition.is_some() {
-            ","
-        } else {
-            ""
-        };
+        let dataflow_comma = if self.dataflow.is_some() { "," } else { "" };
         if self.waived.is_empty() {
             let _ = writeln!(out, "{pad}  \"waived_diagnostics\": []{dataflow_comma}");
         } else {
@@ -222,22 +195,13 @@ impl LintReport {
                 }
                 let _ = writeln!(out, "{pad}    ]");
             }
-            let partition_comma = if self.partition.is_some() { "," } else { "" };
-            let _ = writeln!(out, "{pad}  }}{partition_comma}");
-        }
-        if let Some(p) = &self.partition {
-            let _ = writeln!(out, "{pad}  \"partition\": {{");
-            let _ = writeln!(out, "{pad}    \"blocks\": {},", p.blocks);
-            let _ = writeln!(out, "{pad}    \"largest_block\": {},", p.largest_block);
-            let _ = writeln!(out, "{pad}    \"rail_nodes\": {},", p.rail_nodes);
-            let _ = writeln!(out, "{pad}    \"fallback\": {}", p.fallback);
             let _ = writeln!(out, "{pad}  }}");
         }
         let _ = write!(out, "{pad}}}");
     }
 }
 
-/// Render several reports as one `mcml-lint/2` document (the shape the
+/// Render several reports as one `mcml-lint/3` document (the shape the
 /// `lint` bench binary writes to `report.json`).
 #[must_use]
 pub fn combined_json(run: &str, reports: &[LintReport]) -> String {
@@ -310,7 +274,6 @@ mod tests {
             ],
             waived: vec![],
             dataflow: None,
-            partition: None,
         }
     }
 
@@ -327,7 +290,6 @@ mod tests {
             diagnostics: vec![],
             waived: vec![],
             dataflow: None,
-            partition: None,
         };
         assert!(clean.is_clean());
     }
@@ -338,7 +300,7 @@ mod tests {
         let a = r.to_json();
         let b = r.to_json();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\n  \"schema\": \"mcml-lint/2\","));
+        assert!(a.starts_with("{\n  \"schema\": \"mcml-lint/3\","));
         assert!(a.contains("\"deny\": 1"));
         assert!(a.contains("\"rule\": \"comb-loop\""));
         assert!(a.contains("\"waived_diagnostics\": []"));
@@ -373,35 +335,6 @@ mod tests {
         assert!(json.contains("\"score_j\": \"1.250e-14\""));
         // Still deterministic.
         assert_eq!(json, r.to_json());
-    }
-
-    #[test]
-    fn partition_section_renders_after_dataflow() {
-        let mut r = sample();
-        r.partition = Some(PartitionSummary {
-            blocks: 7,
-            largest_block: 12,
-            rail_nodes: 3,
-            fallback: false,
-        });
-        let json = r.to_json();
-        assert!(json.contains("\"partition\": {"));
-        assert!(json.contains("\"blocks\": 7"));
-        assert!(json.contains("\"largest_block\": 12"));
-        assert!(json.contains("\"rail_nodes\": 3"));
-        assert!(json.contains("\"fallback\": false"));
-        // The comma chain stays valid with every optional-section
-        // combination: partition alone, and dataflow + partition.
-        assert!(json.contains("\"waived_diagnostics\": [],"));
-        r.dataflow = Some(DataflowSummary {
-            tainted_nets: 1,
-            glitch_nets: 0,
-            max_toggle_bound: 1,
-            top_scores: vec![],
-        });
-        let both = r.to_json();
-        assert!(both.contains("  },\n  \"partition\": {"));
-        assert_eq!(both, r.to_json());
     }
 
     #[test]

@@ -550,27 +550,80 @@ impl Rule for PgSleepPosition {
 }
 
 /// Multi-stage circuit whose DC-coupling graph collapses into a single
-/// solve block.
+/// galvanic component.
 ///
 /// MCML stages hand signals forward through MOS **gates** (input-only —
 /// no DC current), so a multi-cell design should decompose into one
-/// solve block per stage once the shared rails are split out. When it
-/// instead collapses into one block, some net couples the stages
-/// galvanically — typically a resistive bridge, a shared bias net that
-/// should be a rail, or an output shorted to a neighbour's internal
-/// node. That both defeats the partitioned transient scheduler (one
-/// monolithic matrix instead of per-stage blocks) and, worse for a DPA
-/// library, merges current paths that the differential-symmetry
-/// argument assumes independent.
+/// DC-coupled component per stage once the shared rails are split out.
+/// When it instead collapses into one component, some net couples the
+/// stages galvanically — typically a resistive bridge, a shared bias
+/// net that should be a rail, or an output shorted to a neighbour's
+/// internal node. For a DPA library that merges current paths that the
+/// differential-symmetry argument assumes independent. Stages that feed
+/// each other only through gates, even around a loop, stay separate.
 ///
 /// The threshold of 16 devices (~two PG-MCML gates) keeps single-cell
-/// targets — which are legitimately one block — out of scope.
+/// targets — which are legitimately one component — out of scope.
 struct PartitionCollapse;
 
-/// Smallest MOS count at which a one-block decomposition is suspicious:
-/// a single PG-MCML cell tops out below this, so only genuinely
-/// multi-stage circuits can trip the rule.
+/// Smallest MOS count at which a one-component decomposition is
+/// suspicious: a single PG-MCML cell tops out below this, so only
+/// genuinely multi-stage circuits can trip the rule.
 const COLLAPSE_MIN_MOS: usize = 16;
+
+/// Galvanic components of `ckt`, or `None` when its voltage sources do
+/// not tie a forest of rails to ground: a source loop or a floating
+/// source is a structural defect (the `vsource-loop` and `no-dc-path`
+/// rules own those), not a collapse.
+///
+/// Every node tied to ground through voltage sources is a rail. The
+/// free nodes left are joined over every element that carries DC
+/// current between two of them: resistors, current sources and MOS
+/// drain–source channels; capacitors and gates join nothing. A
+/// component counts when it owns an element, that is, when the
+/// element's first free KCL row (either terminal of a two-terminal
+/// element, the drain or source of a MOS) lies in it. A net that only
+/// feeds gates owns none.
+fn galvanic_components(ckt: &Circuit) -> Option<usize> {
+    let n = ckt.node_count();
+    let mut rails = Dsu::new(n);
+    let mut source_nodes = Vec::new();
+    for (_, _, e) in ckt.elements() {
+        if let Element::Vsource { p, n, .. } = e {
+            if !rails.union(p.index(), n.index()) {
+                return None;
+            }
+            source_nodes.push(p.index());
+        }
+    }
+    let ground = rails.find(Circuit::GND.index());
+    if source_nodes.into_iter().any(|p| rails.find(p) != ground) {
+        return None;
+    }
+    let free: Vec<bool> = (0..n).map(|i| rails.find(i) != ground).collect();
+    let rows = |e: &Element| match e {
+        Element::Resistor { a, b, .. }
+        | Element::Capacitor { a, b, .. }
+        | Element::Isource { p: a, n: b, .. } => Some([a.index(), b.index()]),
+        Element::Mos { d, s, .. } => Some([d.index(), s.index()]),
+        _ => None,
+    };
+    let mut dsu = Dsu::new(n);
+    for (_, _, e) in ckt.elements() {
+        if let Some([a, b]) = rows(e) {
+            if free[a] && free[b] && !matches!(e, Element::Capacitor { .. }) {
+                dsu.union(a, b);
+            }
+        }
+    }
+    let mut owners = HashSet::new();
+    for (_, _, e) in ckt.elements() {
+        if let Some(row) = rows(e).and_then(|r| r.into_iter().find(|&r| free[r])) {
+            owners.insert(dsu.find(row));
+        }
+    }
+    Some(owners.len())
+}
 
 impl Rule for PartitionCollapse {
     fn id(&self) -> &'static str {
@@ -593,13 +646,7 @@ impl Rule for PartitionCollapse {
         if mos_count < COLLAPSE_MIN_MOS {
             return Vec::new();
         }
-        // DC couplings only: a parasitic capacitor merges blocks for
-        // the transient solver but is not a galvanic bridge, and this
-        // rule is about galvanic structure. A structural fallback
-        // (vsource loop, floating source) is *not* a collapse — the
-        // vsource-loop / no-dc-path rules own those defects.
-        let rep = mcml_spice::partition_report(circuit, true);
-        if rep.blocks > 1 || rep.fallback {
+        if galvanic_components(circuit).is_none_or(|c| c > 1) {
             return Vec::new();
         }
         vec![Diagnostic {

@@ -233,3 +233,71 @@ fn whole_library_is_lint_clean() {
         }
     }
 }
+
+/// Three differential stages of 9 MOS each, every stage's gates driven
+/// by the previous stage's outputs, the ring closed from the last stage
+/// back to the first. The stages couple only through gates, which carry
+/// no DC current, so there is no galvanic bridge and
+/// `partition-collapse` must stay silent: each stage is its own DC
+/// component.
+#[test]
+fn gate_only_ring_is_not_a_collapse() {
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    ckt.vsource("v_vdd", vdd, Circuit::GND, SourceWave::dc(1.2));
+    let outs: Vec<_> = (0..3)
+        .map(|s| {
+            (
+                ckt.node(&format!("s{s}_out_p")),
+                ckt.node(&format!("s{s}_out_n")),
+            )
+        })
+        .collect();
+    for s in 0..3 {
+        let (out_p, out_n) = outs[s];
+        let (in_p, in_n) = outs[(s + 2) % 3];
+        let tail = ckt.node(&format!("s{s}_tail"));
+        ckt.resistor(&format!("s{s}_rl_p"), vdd, out_p, 10e3);
+        ckt.resistor(&format!("s{s}_rl_n"), vdd, out_n, 10e3);
+        for k in 0..4 {
+            ckt.mosfet(
+                &format!("s{s}_mp{k}"),
+                out_p,
+                in_p,
+                tail,
+                Circuit::GND,
+                nmos(),
+            );
+            ckt.mosfet(
+                &format!("s{s}_mn{k}"),
+                out_n,
+                in_n,
+                tail,
+                Circuit::GND,
+                nmos(),
+            );
+        }
+        ckt.mosfet(
+            &format!("s{s}_tail_dev"),
+            tail,
+            vdd,
+            Circuit::GND,
+            Circuit::GND,
+            nmos(),
+        );
+    }
+    let report = lint(&ckt);
+    assert_eq!(
+        report.by_rule("partition-collapse").count(),
+        0,
+        "a gate-only ring is not a galvanic bridge: {:?}",
+        report.diagnostics
+    );
+
+    // Two resistive bridges join the three stages into one galvanic
+    // component: now the rule fires.
+    let (a, b, c) = (outs[0].0, outs[1].0, outs[2].0);
+    ckt.resistor("r_bridge_01", a, b, 50e3);
+    ckt.resistor("r_bridge_12", b, c, 50e3);
+    assert_rule(&lint(&ckt), "partition-collapse", Severity::Warn);
+}

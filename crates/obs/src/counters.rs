@@ -47,8 +47,7 @@ pub enum Counter {
     /// (`mcml-spice`).
     EnsembleLanes,
     /// LU factorisations, dense or sparse, actually performed inside
-    /// transient solves, in every engine (monolithic or partition
-    /// block); the gap to `MatrixSolves` is the solves that reused
+    /// transient solves; the gap to `MatrixSolves` is the solves that reused
     /// factors of provably unchanged Jacobian values (`mcml-spice`).
     LaneRefactors,
     /// Linear-system factor/solve calls (`mcml-spice`).
@@ -65,17 +64,18 @@ pub enum Counter {
     /// `StampPlan` base instead of being re-evaluated per Newton
     /// iteration (`mcml-spice`).
     LinearStampsSkipped,
-    /// Solve blocks produced by the connected-component partition of a
-    /// transient's MNA system, summed over partitioned transients; a
-    /// monolithic run contributes nothing (`mcml-spice`).
+    /// Solve blocks of the deleted partitioned transient solve. Nothing
+    /// emits it since every transient runs one monolithic system, so it
+    /// always reads 0; it stays because every `mcml-bench-perf/2`
+    /// trajectory tier records it (`mcml-spice`).
     PartitionBlocks,
-    /// Per-block Newton solves actually executed by the partitioned
-    /// scheduler on committed sub-steps (`mcml-spice`).
+    /// Per-block solves of the deleted partitioned transient solve;
+    /// always 0, kept for the same reason as `PartitionBlocks`
+    /// (`mcml-spice`).
     BlockSolves,
-    /// Per-block solves skipped because neither the block's own state
-    /// nor any upstream interface voltage moved beyond the skip
-    /// tolerance; `block_solves + block_skips == blocks x committed
-    /// sub-steps` per partitioned run (`mcml-spice`).
+    /// Per-block skips of the deleted partitioned transient solve;
+    /// always 0, kept for the same reason as `PartitionBlocks`
+    /// (`mcml-spice`).
     BlockSkips,
     /// Characterisation-cache lookups (`mcml-char`).
     CacheLookups,

@@ -38,11 +38,9 @@ pub enum Stage {
     /// One transient analysis, DC operating point to final step
     /// (`mcml-spice`).
     Transient,
-    /// Connected-component partition of a transient's MNA system:
-    /// pinned-rail fixpoint, union-find over the coupling graph, block
-    /// sub-circuit construction and per-block engine setup
-    /// (`mcml-spice`).
-    Partition,
+    /// One DC operating-point solve, the whole continuation ladder
+    /// (`mcml-spice`); nested inside `transient` when it seeds one.
+    DcOp,
     /// Correlation power analysis (`mcml-dpa`).
     Cpa,
     /// Welch t-test leakage assessment (`mcml-dpa`).
@@ -84,7 +82,7 @@ impl Stage {
         Stage::TraceAcquisition,
         Stage::SpiceTier,
         Stage::Transient,
-        Stage::Partition,
+        Stage::DcOp,
         Stage::Cpa,
         Stage::Tvla,
         Stage::ParallelMap,
@@ -113,7 +111,7 @@ impl Stage {
             Stage::TraceAcquisition => "trace_acquisition",
             Stage::SpiceTier => "spice_tier",
             Stage::Transient => "transient",
-            Stage::Partition => "partition",
+            Stage::DcOp => "dc_op",
             Stage::Cpa => "cpa",
             Stage::Tvla => "tvla",
             Stage::ParallelMap => "parallel_map",

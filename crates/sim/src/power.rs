@@ -177,6 +177,7 @@ pub fn circuit_current(
     sleep: Option<&SleepWave>,
     model: &CurrentModel,
 ) -> Waveform {
+    let _span = mcml_obs::span(mcml_obs::Stage::PowerModel);
     let n = ((trace.t_stop / model.dt).ceil() as usize).max(2);
     let times: Vec<f64> = (0..n).map(|i| i as f64 * model.dt).collect();
     let mut samples = vec![0.0f64; n];

@@ -72,6 +72,7 @@ pub(crate) fn branch_map(ckt: &Circuit) -> Vec<Option<usize>> {
 /// [`crate::SpiceError::InvalidCircuit`] for an empty circuit.
 pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
     ckt.validate()?;
+    let _span = mcml_obs::span(mcml_obs::Stage::DcOp);
     mcml_obs::incr(mcml_obs::Counter::DcSolves);
     // The dense LU up to `DENSE_LIMIT` unknowns, the sparse LU in natural
     // column order above it: bit for bit the factors the DC has always

@@ -16,8 +16,6 @@
 //! factors its goldens were taken with because on a bistable netlist its
 //! basin follows the LU rounding (SOLVER.md §2).
 
-use std::borrow::Borrow;
-
 use crate::analysis::plan::{MosBypassState, StampPlan};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
@@ -116,13 +114,9 @@ impl JacKey {
     }
 }
 
-/// Generic over how the circuit is held: monolithic lanes borrow
-/// (`Engine<&Circuit>`), while the partitioned solver's per-block
-/// engines *own* their sub-circuits (`Engine<Circuit>`) so the boundary
-/// replica-source values can be rewritten between solves without
-/// fighting the borrow of a long-lived engine.
-pub(crate) struct Engine<C: Borrow<Circuit>> {
-    pub ckt: C,
+/// The Newton solver of one circuit, which it borrows.
+pub(crate) struct Engine<'c> {
+    pub ckt: &'c Circuit,
     pub n_node_unk: usize,
     pub n_unk: usize,
     plan: StampPlan,
@@ -172,14 +166,11 @@ struct ExactAudit {
     mismatches: usize,
 }
 
-impl<C: Borrow<Circuit>> Engine<C> {
-    pub fn new(ckt: C) -> Self {
-        let (n_node_unk, n_unk) = {
-            let c = ckt.borrow();
-            let n_node_unk = c.node_count() - 1;
-            (n_node_unk, n_node_unk + c.branch_count())
-        };
-        let plan = StampPlan::build(ckt.borrow(), n_node_unk, n_unk);
+impl<'c> Engine<'c> {
+    pub fn new(ckt: &'c Circuit) -> Self {
+        let n_node_unk = ckt.node_count() - 1;
+        let n_unk = n_node_unk + ckt.branch_count();
+        let plan = StampPlan::build(ckt, n_node_unk, n_unk);
         let nnz = plan.pattern.nnz();
         let n_mos = plan.n_mos;
         Self {
@@ -204,7 +195,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
     /// An engine whose sparse factorisations keep the raw MNA column
     /// order — the DC operating point's, whose basin on bistable
     /// netlists follows the LU rounding (SOLVER.md §2).
-    pub fn new_natural_order(ckt: C) -> Self {
+    pub fn new_natural_order(ckt: &'c Circuit) -> Self {
         Self {
             natural_order: true,
             ..Self::new(ckt)
@@ -256,12 +247,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             f[i] += gmin * x[i];
         }
 
-        for (idx, (_, elem)) in self
-            .ckt
-            .borrow()
-            .elements()
-            .map(|(id, n, e)| (id.index(), (n, e)))
-        {
+        for (idx, (_, elem)) in self.ckt.elements().map(|(id, n, e)| (id.index(), (n, e))) {
             match elem {
                 Element::Resistor { a, b, ohms } => {
                     let g = 1.0 / ohms;
@@ -473,7 +459,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
             {
                 let _t = mcml_obs::span(mcml_obs::Stage::MnaAssemble);
                 let mos = self.plan.assemble_into(
-                    self.ckt.borrow(),
+                    self.ckt,
                     x,
                     t,
                     companion,
@@ -581,19 +567,7 @@ pub(crate) fn v_node(x: &[f64], node: NodeId) -> f64 {
     }
 }
 
-impl Engine<Circuit> {
-    /// Mutable access to an owned circuit — the partitioned solver
-    /// rewrites its boundary replica-source values between solves.
-    /// Source waveform values never reach the stamp plan or the matrix
-    /// sparsity (they only enter the residual), so this cannot
-    /// invalidate the engine's cached plan or factors; the caller must
-    /// not change the topology.
-    pub fn ckt_mut(&mut self) -> &mut Circuit {
-        &mut self.ckt
-    }
-}
-
-impl<C: Borrow<Circuit>> Engine<C> {
+impl Engine<'_> {
     /// Assemble both paths to dense `(matrix, residual)` pairs — the
     /// equivalence-test hook behind `crate::testing`.
     pub(crate) fn assemble_both_dense(
@@ -618,7 +592,7 @@ impl<C: Borrow<Circuit>> Engine<C> {
         }
 
         self.plan.assemble_into(
-            self.ckt.borrow(),
+            self.ckt,
             x,
             t,
             companion,
@@ -661,7 +635,7 @@ mod tests {
 
     /// One Newton solve from zero: a backward-Euler step when `tran`,
     /// a DC solve otherwise.
-    fn solve_once(engine: &mut Engine<&Circuit>, tran: bool) {
+    fn solve_once(engine: &mut Engine<'_>, tran: bool) {
         let ckt = engine.ckt;
         let mut x = vec![0.0; engine.n_unk];
         let caps = init_cap_states(ckt, &x);

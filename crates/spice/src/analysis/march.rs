@@ -1,12 +1,9 @@
-//! The transient march: one time loop for monolithic and partitioned
-//! circuits.
+//! The transient march: the one time loop every transient runs.
 //!
-//! [`transient`](super::tran::transient) runs it over one *lane*: one
-//! circuit's solver behind the [`Lane`] trait, a trial solve that
-//! touches nothing committed, and a commit. A monolithic lane
-//! ([`MonoLane`]) is one damped-Newton [`Engine`]; a partitioned lane
-//! (`PartLane` in the `partition` module) is a block scheduler over
-//! many. The march owns everything else:
+//! [`transient`](super::tran::transient) runs it over one [`MonoLane`]:
+//! one damped-Newton [`Engine`] over the whole circuit, with a trial
+//! solve that touches nothing committed, and a commit. The march owns
+//! everything else:
 //!
 //! * **the grid**: the caller's uniform `dt` grid, whose last cell is
 //!   clamped to `t_stop`;
@@ -24,32 +21,17 @@ use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
     init_cap_states, v_node, CapState, CompanionCtx, Engine, MAX_SUBDIV,
 };
-use crate::analysis::partition::{PartLane, PartitionStructure};
 use crate::analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
 use crate::error::SpiceError;
 use crate::Result;
 
-/// One circuit's solver as the march drives it.
-pub(crate) trait Lane {
-    /// Solve the step of size `h` that ends at time `t`, starting from
-    /// the committed state. Nothing committed changes, so a failed or
-    /// rejected trial retries cleanly.
-    fn try_step(&mut self, t: f64, h: f64) -> Result<()>;
-    /// The last trial's state (node voltages first).
-    fn trial(&self) -> &[f64];
-    /// Accept the last trial, a step of size `h`.
-    fn commit(&mut self, h: f64);
-    /// The committed state (node voltages first).
-    fn state(&self) -> &[f64];
-    /// The full unknown vector to record for the committed time `t`.
-    fn record(&self, t: f64) -> Vec<f64>;
-}
-
-/// A monolithic lane: one engine over the whole circuit.
-pub(crate) struct MonoLane<'c> {
-    engine: Engine<&'c Circuit>,
+/// The circuit's solver as the march drives it: one engine over the
+/// whole circuit, its committed state and the trial state of the step
+/// in flight.
+struct MonoLane<'c> {
+    engine: Engine<'c>,
     /// Quiescent-MOS bypass tolerance (V); `0.0` disables it.
     bypass_tol: f64,
     x: Vec<f64>,
@@ -58,7 +40,7 @@ pub(crate) struct MonoLane<'c> {
 }
 
 impl<'c> MonoLane<'c> {
-    fn new(engine: Engine<&'c Circuit>, x0: &[f64], opts: &TranOptions) -> Self {
+    fn new(engine: Engine<'c>, x0: &[f64], opts: &TranOptions) -> Self {
         let ckt = engine.ckt;
         Self {
             engine,
@@ -68,9 +50,10 @@ impl<'c> MonoLane<'c> {
             caps: init_cap_states(ckt, x0),
         }
     }
-}
 
-impl Lane for MonoLane<'_> {
+    /// Solve the step of size `h` that ends at time `t`, starting from
+    /// the committed state. Nothing committed changes, so a failed or
+    /// rejected trial retries cleanly.
     fn try_step(&mut self, t: f64, h: f64) -> Result<()> {
         self.x_try.clone_from(&self.x);
         let ctx = CompanionCtx {
@@ -82,21 +65,20 @@ impl Lane for MonoLane<'_> {
             .solve_nr(&mut self.x_try, t, Some(&ctx), gmin, 1.0, tol, "tran")
     }
 
+    /// The last trial's state (node voltages first).
     fn trial(&self) -> &[f64] {
         &self.x_try
     }
 
-    fn commit(&mut self, _h: f64) {
+    /// Accept the last trial.
+    fn commit(&mut self) {
         update_caps(self.engine.ckt, &mut self.caps, &self.x_try);
         std::mem::swap(&mut self.x, &mut self.x_try);
     }
 
+    /// The committed state (node voltages first).
     fn state(&self) -> &[f64] {
         &self.x
-    }
-
-    fn record(&self, _t: f64) -> Vec<f64> {
-        self.x.clone()
     }
 }
 
@@ -109,9 +91,7 @@ pub(crate) fn update_caps(ckt: &Circuit, caps: &mut [Option<CapState>], x: &[f64
     }
 }
 
-/// Solve the DC operating point, build the lane and march it: a
-/// partitioned lane when [`TranOptions::partition`] is set and the
-/// circuit splits into two or more blocks, a monolithic one otherwise.
+/// Solve the DC operating point, build the lane and march it.
 pub(crate) fn run(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     // The DC operating point is solved cold, deliberately *not*
     // accelerated: differential MCML cells have multiple locally stable
@@ -122,12 +102,6 @@ pub(crate) fn run(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     // settle internal nodes into a different basin and corrupt the
     // clock-edge transient.
     let op = ckt.dc_op()?;
-    if opts.partition {
-        if let Some(structure) = PartitionStructure::build(ckt, true) {
-            let lane = PartLane::new(ckt, &structure, op.state(), opts);
-            return march(ckt, &op, lane, opts);
-        }
-    }
     let lane = MonoLane::new(Engine::new(ckt), op.state(), opts);
     march(ckt, &op, lane, opts)
 }
@@ -147,10 +121,10 @@ fn grid_steps(opts: &TranOptions) -> usize {
 
 /// March `lane` (the solver of `ckt`, starting from `op`) across the
 /// grid and record its result.
-fn march<L: Lane>(
+fn march(
     ckt: &Circuit,
     op: &OpPoint,
-    mut lane: L,
+    mut lane: MonoLane<'_>,
     opts: &TranOptions,
 ) -> Result<TranResult> {
     let n_steps = grid_steps(opts);
@@ -184,7 +158,7 @@ fn march<L: Lane>(
                     ratio = c.ratio(lane.state(), t_next, opts.dt);
                 }
                 times.push(t_next);
-                states.push(lane.record(t_next));
+                states.push(lane.state().to_vec());
                 break;
             }
 
@@ -207,9 +181,9 @@ fn march<L: Lane>(
             }
             mcml_obs::incr(mcml_obs::Counter::TranSteps);
             steps_taken += 1;
-            let from = lane.record(t);
-            lane.commit(h);
-            let to = lane.record(t_next);
+            let from = lane.state().to_vec();
+            lane.commit();
+            let to = lane.state().to_vec();
             for i in pos + 1..pos + k {
                 let tg = grid_t(i);
                 let u = (tg - t) / (t_next - t);
@@ -240,7 +214,7 @@ fn march<L: Lane>(
 /// March the lane across one grid cell from `t` to `t_next`, halving
 /// the step on Newton failure up to [`MAX_SUBDIV`] times. Returns the
 /// number of accepted solves.
-fn cell<L: Lane>(lane: &mut L, opts: &TranOptions, mut t: f64, t_next: f64) -> Result<usize> {
+fn cell(lane: &mut MonoLane<'_>, opts: &TranOptions, mut t: f64, t_next: f64) -> Result<usize> {
     let mut accepted = 0usize;
     while t < t_next - opts.dt * 1e-9 {
         let mut h = t_next - t;
@@ -249,7 +223,7 @@ fn cell<L: Lane>(lane: &mut L, opts: &TranOptions, mut t: f64, t_next: f64) -> R
             match lane.try_step(t + h, h) {
                 Ok(()) => {
                     mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    lane.commit(h);
+                    lane.commit();
                     t += h;
                     accepted += 1;
                     break;

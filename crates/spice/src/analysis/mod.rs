@@ -3,6 +3,5 @@
 pub mod dc;
 pub(crate) mod engine;
 pub(crate) mod march;
-pub(crate) mod partition;
 pub(crate) mod plan;
 pub mod tran;

@@ -2,7 +2,7 @@
 //!
 //! This module holds the options and the result; the time loop itself is
 //! the march in `analysis::march`, which [`transient`] runs over one
-//! circuit, monolithic or partitioned. Backward Euler is the only
+//! circuit as one monolithic Newton system. Backward Euler is the only
 //! integrator: every capacitor becomes a conductance
 //! `C/h` in parallel with a history current. Two stepping policies share
 //! the caller's uniform `dt` grid:
@@ -69,10 +69,6 @@ pub struct TranOptions {
     /// second order in the tolerance (see `spice.mos_bypassed` in
     /// `docs/OBSERVABILITY.md`).
     pub bypass_vtol: f64,
-    /// Connected-component / block-triangular partitioning of the MNA
-    /// solve (see [`TranOptions::with_partitioning`]). `false` (the
-    /// default) keeps the bit-preserved monolithic reference path.
-    pub partition: bool,
 }
 
 impl TranOptions {
@@ -115,7 +111,6 @@ impl TranOptions {
             dt,
             lte: None,
             bypass_vtol: 0.0,
-            partition: false,
         }
     }
 
@@ -192,51 +187,6 @@ impl TranOptions {
             "need a finite bypass tolerance >= 0"
         );
         self.bypass_vtol = tol;
-        self
-    }
-
-    /// Enable connected-component / block-triangular partitioning of the
-    /// MNA solve: the node graph is split at the voltage-source rails,
-    /// each connected component becomes an independently factored solve
-    /// block, blocks are ordered along the gate-coupling DAG (upstream
-    /// outputs feed downstream gates), and per time step a settled block
-    /// whose boundary inputs have not moved beyond the bypass tolerance
-    /// replays its cached solution instead of re-solving.
-    ///
-    /// Partitioning applies to circuits that actually split into two or
-    /// more blocks; everything else (single-component circuits,
-    /// voltage-source loops) silently takes the monolithic reference
-    /// path, bit for bit.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{Circuit, SourceWave, TranOptions};
-    ///
-    /// // Two independent RC islands off the same supply rail.
-    /// let mut c = Circuit::new();
-    /// let vdd = c.node("vdd");
-    /// let (a, b) = (c.node("a"), c.node("b"));
-    /// c.vsource("VDD", vdd, Circuit::GND, SourceWave::step(0.0, 1.2, 1e-9));
-    /// c.resistor("Ra", vdd, a, 1.0e3);
-    /// c.capacitor("Ca", a, Circuit::GND, 1.0e-12);
-    /// c.resistor("Rb", vdd, b, 2.0e3);
-    /// c.capacitor("Cb", b, Circuit::GND, 1.0e-12);
-    ///
-    /// let base = TranOptions::new(8e-9, 5e-12);
-    /// let mono = c.transient(&base).unwrap();
-    /// let part = c.transient(&base.with_partitioning()).unwrap();
-    /// // Same grid, same physics to solver tolerance.
-    /// assert_eq!(mono.times(), part.times());
-    /// let (m, p) = (
-    ///     mono.voltage(a).last_value(),
-    ///     part.voltage(a).last_value(),
-    /// );
-    /// assert!((m - p).abs() < 1e-6);
-    /// ```
-    #[must_use]
-    pub fn with_partitioning(mut self) -> Self {
-        self.partition = true;
         self
     }
 }

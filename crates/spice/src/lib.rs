@@ -46,7 +46,6 @@ pub mod source;
 pub mod waveform;
 
 pub use analysis::dc::OpPoint;
-pub use analysis::partition::{partition_report, PartitionReport};
 pub use analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
 pub use circuit::{Circuit, ElementId, NodeId};
 pub use element::Element;

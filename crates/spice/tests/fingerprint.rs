@@ -8,14 +8,13 @@
 //! change that legitimately moves numbers updates exactly the hashes it
 //! names.
 //!
-//! Covered: the quiescent-MOS bypass on and off, partitioning, and
-//! grid-aligned adaptive leaps, alone and combined with the bypass as
-//! the fig. 6 campaign runs them. A policy hashes one copy of its
-//! circuit, or (`_x2`, `_x3`) several copies with staggered input
-//! edges, each marched by its own transient. The circuits are an RC
-//! ladder, a MOS inverter and a two-island inverter chain (the smallest
-//! circuit that actually partitions), which factor on the dense LU, and
-//! a 96-inverter chain, which factors on the sparse LU.
+//! Covered: the quiescent-MOS bypass on and off, and grid-aligned
+//! adaptive leaps, alone and combined with the bypass as the fig. 6
+//! campaign runs them. A policy hashes one copy of its circuit, or
+//! (`_x3`) several copies with staggered input edges, each marched by
+//! its own transient. The circuits are an RC ladder, a MOS inverter and
+//! two inverters coupled only through a gate, which factor on the dense
+//! LU, and a 96-inverter chain, which factors on the sparse LU.
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::{Circuit, ElementId, NodeId, SourceWave, TranOptions, TranResult};
@@ -96,8 +95,8 @@ fn mos_inverter(edge: f64) -> Probe {
     }
 }
 
-/// Two inverters in a chain: the gate edge between them splits the
-/// circuit into two solve blocks under partitioning.
+/// Two inverters in a chain, coupled only through the second one's
+/// gate.
 fn two_islands(edge: f64) -> Probe {
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
@@ -179,8 +178,6 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
     vec![
         ("be", base, 1),
         ("bypass", bypass, 1),
-        ("partition", bypass.with_partitioning(), 1),
-        ("partition_x2", bypass.with_partitioning(), 2),
         ("ensemble_x3", base, 3),
         ("bypass_x3", bypass, 3),
         ("adaptive", base.adaptive_grid_aligned(1e-4, 100e-12), 1),
@@ -196,32 +193,24 @@ fn policies() -> Vec<(&'static str, TranOptions, usize)> {
 const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/be", 0xa4c3_8b59_08d7_2f11),
     ("rc_ladder/bypass", 0xa4c3_8b59_08d7_2f11),
-    ("rc_ladder/partition", 0xa4c3_8b59_08d7_2f11),
-    ("rc_ladder/partition_x2", 0xe0d4_9afd_7d31_d80a),
     ("rc_ladder/ensemble_x3", 0x2f2b_5f01_a782_e6f5),
     ("rc_ladder/bypass_x3", 0x2f2b_5f01_a782_e6f5),
     ("rc_ladder/adaptive", 0x2cc1_dddb_b59d_7305),
     ("rc_ladder/adaptive_bypass_x3", 0x3d21_1641_d614_bf95),
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
-    ("mos_inverter/partition", 0xa99a_1128_3093_bf25),
-    ("mos_inverter/partition_x2", 0x8cc4_a19a_a366_85b3),
     ("mos_inverter/ensemble_x3", 0xc3a1_7f14_b219_60f1),
     ("mos_inverter/bypass_x3", 0xa134_6fe4_5d90_abb1),
     ("mos_inverter/adaptive", 0x6378_d0ef_146c_bd36),
     ("mos_inverter/adaptive_bypass_x3", 0x0e26_e25a_fa2b_403c),
     ("two_islands/be", 0x2f36_bc08_6120_7fb1),
     ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
-    ("two_islands/partition", 0xfa80_f9a1_1ef5_c49d),
-    ("two_islands/partition_x2", 0xf93d_b00e_d13c_a360),
     ("two_islands/ensemble_x3", 0xf630_255a_3533_9901),
     ("two_islands/bypass_x3", 0xee49_f4dd_f713_ae68),
     ("two_islands/adaptive", 0x2e5b_4938_fc6e_8c97),
     ("two_islands/adaptive_bypass_x3", 0x7f34_80d9_792f_bf43),
     ("long_chain/be", 0x0b73_cc8c_6f85_1e24),
     ("long_chain/bypass", 0xa5b7_1cb3_c5d5_f545),
-    ("long_chain/partition", 0x3c63_1ffd_a31a_cf8f),
-    ("long_chain/partition_x2", 0xc28f_b1a3_57c6_d7c8),
     ("long_chain/ensemble_x3", 0x0840_edb7_b552_efcd),
     ("long_chain/bypass_x3", 0xd9b6_93be_b9f7_9521),
     ("long_chain/adaptive", 0xea72_bc2c_744c_edc9),

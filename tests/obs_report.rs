@@ -109,68 +109,6 @@ fn library_fanout_counters_equal_under_contention() {
 }
 
 #[test]
-fn partition_counters_equal_serial_vs_four_threads() {
-    // Fan four independent partitioned transients across workers: the
-    // sharded atomic counters must aggregate to the same totals whether
-    // the runs share one thread or race on four (`MCML_THREADS=4`).
-    use mcml_spice::{Circuit, SourceWave, TranOptions};
-
-    let _g = locked();
-    // Six RC islands hanging off one stepped rail; splitting at the
-    // vsource pin leaves six single-node blocks, and once each island
-    // settles after the step its solves are skipped.
-    let farm = || {
-        let mut c = Circuit::new();
-        let rail = c.node("rail");
-        c.vsource("VDD", rail, Circuit::GND, SourceWave::step(0.0, 1.2, 1e-9));
-        for i in 0..6 {
-            let out = c.node(&format!("out{i}"));
-            c.resistor(&format!("R{i}"), rail, out, 1.0e3 * (i + 1) as f64);
-            c.capacitor(&format!("C{i}"), out, Circuit::GND, 1.0e-12);
-        }
-        c
-    };
-    let opts = TranOptions::new(20e-9, 0.1e-9).with_partitioning();
-    let workload = |par: Parallelism| {
-        mcml_exec::parallel_map(par, 4, |_| {
-            farm()
-                .transient(&opts)
-                .expect("partitioned transient")
-                .steps_taken()
-        })
-    };
-    let mut steps = Vec::new();
-    let serial = instrumented("partition", 1, || {
-        steps = workload(Parallelism::Serial);
-    });
-    let parallel = instrumented("partition", 4, || {
-        workload(Parallelism::Threads(4));
-    });
-
-    assert_eq!(
-        serial.deterministic_totals(),
-        parallel.deterministic_totals(),
-        "partition counters must not depend on MCML_THREADS"
-    );
-    for c in [
-        Counter::PartitionBlocks,
-        Counter::BlockSolves,
-        Counter::BlockSkips,
-    ] {
-        assert!(serial.counter(c) > 0, "{} should be nonzero", c.name());
-    }
-    // Accounting identity: every block either solved or skipped on every
-    // committed sub-step, across all four runs.
-    assert_eq!(serial.counter(Counter::PartitionBlocks), 4 * 6);
-    let committed: u64 = steps.iter().map(|&s| s as u64).sum();
-    assert_eq!(
-        serial.counter(Counter::BlockSolves) + serial.counter(Counter::BlockSkips),
-        6 * committed,
-        "block_solves + block_skips = blocks x committed sub-steps"
-    );
-}
-
-#[test]
 fn report_json_matches_schema_shape() {
     let _g = locked();
     mcml_char::cache::clear();
@@ -188,4 +126,96 @@ fn report_json_matches_schema_shape() {
     }
     // The stages that ran appear with calls/busy_ns fields.
     assert!(json.contains("\"characterize\": { \"calls\":"));
+}
+
+#[test]
+fn one_transient_opens_one_dc_op_span() {
+    use mcml_obs::Stage;
+    use mcml_spice::{Circuit, SourceWave, TranOptions};
+
+    let _g = locked();
+    let rc = || {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, 1.0, 1e-9));
+        c.resistor("R", vin, out, 1.0e3);
+        c.capacitor("C", out, Circuit::GND, 1.0e-12);
+        c
+    };
+    let opts = TranOptions::new(2e-9, 20e-12);
+    let on = instrumented("dc_op", 1, || {
+        rc().transient(&opts).expect("rc transient");
+    });
+    assert_eq!(on.stage(Stage::Transient).calls, 1);
+    assert_eq!(on.stage(Stage::DcOp).calls, 1);
+    assert_eq!(on.counter(Counter::DcSolves), 1);
+
+    // `MCML_OBS=off` records nothing.
+    mcml_obs::set_mode(Mode::Off);
+    mcml_obs::reset();
+    rc().transient(&opts).expect("rc transient");
+    let off = RunReport::capture("dc_op_off", 1);
+    mcml_obs::set_mode(Mode::Summary);
+    assert_eq!(off.stage(Stage::Transient).calls, 0);
+    assert_eq!(off.stage(Stage::DcOp).calls, 0);
+    assert_eq!(off.counter(Counter::DcSolves), 0);
+}
+
+#[test]
+fn power_model_counts_direct_and_flow_calls_once_each() {
+    use mcml_obs::Stage;
+
+    let _g = locked();
+    let mut bn = BoolNetwork::new();
+    let a = bn.input("a");
+    let b = bn.input("b");
+    let y = bn.xor(a, b);
+    bn.set_output("y", y);
+    let mut flow = DesignFlow::new(CellParams::default()).with_parallelism(Parallelism::Serial);
+    let nl = flow.map(&bn, LogicStyle::PgMcml);
+    let mut st = Stimulus::new();
+    st.at(0.0, "a", false);
+    st.at(0.0, "b", false);
+    st.at(1e-9, "a", true);
+    let trace = flow.simulate(&nl, &st, 3e-9).expect("simulate");
+
+    mcml_obs::set_mode(Mode::Summary);
+    mcml_obs::reset();
+    let calls = || {
+        RunReport::capture("power_model", 1)
+            .stage(Stage::PowerModel)
+            .calls
+    };
+    let _ = circuit_current(&nl, &trace, flow.library(), None, &flow.model);
+    assert_eq!(
+        calls(),
+        1,
+        "a direct circuit_current call is one power_model call"
+    );
+    flow.current(&nl, &trace, None).expect("flow current");
+    assert_eq!(calls(), 2, "DesignFlow::current adds one call, not two");
+}
+
+#[test]
+fn sequential_cmos_cell_reuses_the_cached_buffer_energy() {
+    // With the CMOS buffer cached, a sequential CMOS cell reads the
+    // buffer's toggle energy from the cache instead of re-running the
+    // buffer's FO1 transient.
+    let _g = locked();
+    let params = CellParams::default();
+    let report = instrumented("dff_cmos", 1, || {
+        characterize_cell(CellKind::Buffer, LogicStyle::Cmos, &params).expect("buffer");
+        mcml_obs::reset();
+        characterize_cell(CellKind::Dff, LogicStyle::Cmos, &params).expect("dff");
+    });
+    assert_eq!(report.counter(Counter::CellsCharacterized), 1);
+    assert_eq!(
+        report.counter(Counter::CacheHits),
+        1,
+        "the nested buffer lookup"
+    );
+    // FO1 and FO4 delay plus the static-power clock-edge settle; the
+    // buffer energy adds none.
+    assert_eq!(report.counter(Counter::Transients), 3);
 }
