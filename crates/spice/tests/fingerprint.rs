@@ -175,17 +175,21 @@ fn run(build: Build, opts: &TranOptions, copies: usize) -> u64 {
 fn policies() -> Vec<(&'static str, TranOptions, usize)> {
     let base = TranOptions::new(3e-9, 10e-12);
     let bypass = base.with_bypass(10e-6);
+    // The fig. 6 tier's adaptive settings.
+    let adaptive = |o: TranOptions| {
+        let mut o = o.adaptive_grid_aligned(1e-6, 100e-12);
+        if let Some(lte) = o.lte.as_mut() {
+            lte.abstol = 5e-6;
+        }
+        o
+    };
     vec![
         ("be", base, 1),
         ("bypass", bypass, 1),
         ("ensemble_x3", base, 3),
         ("bypass_x3", bypass, 3),
-        ("adaptive", base.adaptive_grid_aligned(1e-4, 100e-12), 1),
-        (
-            "adaptive_bypass_x3",
-            bypass.adaptive_grid_aligned(1e-4, 100e-12),
-            3,
-        ),
+        ("adaptive", adaptive(base), 1),
+        ("adaptive_bypass_x3", adaptive(bypass), 3),
     ]
 }
 
@@ -195,20 +199,20 @@ const EXPECTED: &[(&str, u64)] = &[
     ("rc_ladder/bypass", 0xa4c3_8b59_08d7_2f11),
     ("rc_ladder/ensemble_x3", 0x2f2b_5f01_a782_e6f5),
     ("rc_ladder/bypass_x3", 0x2f2b_5f01_a782_e6f5),
-    ("rc_ladder/adaptive", 0x2cc1_dddb_b59d_7305),
-    ("rc_ladder/adaptive_bypass_x3", 0x3d21_1641_d614_bf95),
+    ("rc_ladder/adaptive", 0xa43e_b159_0866_0be2),
+    ("rc_ladder/adaptive_bypass_x3", 0xfb2f_bd67_3d17_9fe2),
     ("mos_inverter/be", 0xb507_0e19_4089_d584),
     ("mos_inverter/bypass", 0xa99a_1128_3093_bf25),
     ("mos_inverter/ensemble_x3", 0xc3a1_7f14_b219_60f1),
     ("mos_inverter/bypass_x3", 0xa134_6fe4_5d90_abb1),
-    ("mos_inverter/adaptive", 0x6378_d0ef_146c_bd36),
-    ("mos_inverter/adaptive_bypass_x3", 0x0e26_e25a_fa2b_403c),
+    ("mos_inverter/adaptive", 0xf30a_8c11_a9b4_36f6),
+    ("mos_inverter/adaptive_bypass_x3", 0x97da_c200_b928_82dc),
     ("two_islands/be", 0x2f36_bc08_6120_7fb1),
     ("two_islands/bypass", 0x2b3b_95bb_7f17_7421),
     ("two_islands/ensemble_x3", 0xf630_255a_3533_9901),
     ("two_islands/bypass_x3", 0xee49_f4dd_f713_ae68),
-    ("two_islands/adaptive", 0x2e5b_4938_fc6e_8c97),
-    ("two_islands/adaptive_bypass_x3", 0x7f34_80d9_792f_bf43),
+    ("two_islands/adaptive", 0x786b_4401_1ca6_7e8a),
+    ("two_islands/adaptive_bypass_x3", 0x2f3d_8f9a_45b5_b87a),
     ("long_chain/be", 0x0b73_cc8c_6f85_1e24),
     ("long_chain/bypass", 0xa5b7_1cb3_c5d5_f545),
     ("long_chain/ensemble_x3", 0x0840_edb7_b552_efcd),
