@@ -17,6 +17,7 @@
 
 use mcml_bench::fmt_current;
 use mcml_cells::{CellKind, LogicStyle};
+use mcml_obs::json_escape;
 use mcml_opt::{Budget, CmaEs, ParticleSwarm, SizingMetric, SizingObjective, Solver};
 use pg_mcml::Parallelism;
 
@@ -30,10 +31,6 @@ struct OptRow {
     cost: f64,
     evals: u64,
     lint_clean: bool,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn opt_field(name: &str, v: Option<f64>) -> String {

@@ -32,12 +32,12 @@
 //!   LU, MOS bypass cache) is freshly built inside the timed region —
 //!   that construction cost is part of what the tier measures.
 //! - `fig6_ensemble` — the campaign's acquisition of all 16 plaintexts,
-//!   one transient each with the `fig6_tran` options, traces streamed
-//!   into the online CPA accumulator. Identical cold-cache state and
-//!   options to `fig6_tran`; only the plaintext set (16 against 6) and
-//!   the streaming attack differ. The tier keeps the name it had when
-//!   the 16 plaintexts marched as one lockstep ensemble, so the
-//!   trajectory stays comparable.
+//!   one transient each with the `fig6_tran` options, then the two-pass
+//!   CPA over the 16 traces. Identical cold-cache state, options and
+//!   attack to `fig6_tran`; only the plaintext set (16 against 6)
+//!   differs. The tier keeps the name it had when the 16 plaintexts
+//!   marched as one lockstep ensemble, so the trajectory stays
+//!   comparable.
 //! - `aes_tran_mono` — eight combinational reduced-AES S-box
 //!   transients on a fixed grid with the bypass, parasitics off. Same
 //!   cold-cache state as `fig6_tran`.
@@ -56,8 +56,7 @@
 use mcml_bench::perf::{measure_tier_reps, HostInfo, PerfPoint, TierPerf, Trajectory};
 use mcml_cells::{CellParams, LogicStyle};
 use pg_mcml::experiments::{
-    aes_tran_options, aes_tran_params, aes_tran_tier, fig3, fig6_transistor_ensemble,
-    fig6_transistor_par,
+    aes_tran_options, aes_tran_params, aes_tran_tier, fig3, fig6_transistor_par,
 };
 use pg_mcml::Parallelism;
 
@@ -129,12 +128,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Tier 1b: the campaign's real acquisition unit — all 16 plaintext
     // base waveforms, one transient each with the `fig6_tran` options,
-    // traces streamed into the online CPA accumulator. Same cold-cache
-    // state as `fig6_tran`.
+    // then the two-pass CPA over them. Same cold-cache state as
+    // `fig6_tran`.
     let ens_plaintexts: Vec<u8> = (0..16).collect();
     let (ens_tier, ens_res) =
         measure_tier_reps("fig6_ensemble", reps, mcml_char::cache::clear, || {
-            fig6_transistor_ensemble(
+            fig6_transistor_par(
                 &params,
                 0xb,
                 LogicStyle::PgMcml,

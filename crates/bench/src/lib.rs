@@ -12,8 +12,9 @@
 //! | `table3` | Table 3 — ISE area/delay/power in all three styles      |
 //! | `fig6`   | Fig. 6 — CPA verdicts (template + transistor tiers)     |
 //!
-//! The Criterion benches in `benches/experiments.rs` time the pipeline's
-//! computational kernels.
+//! The `spiceperf` binary times the solver-dominated tiers and appends a
+//! point to the perf trajectory (`BENCH_spice.json`); `perfcheck` gates
+//! a point against a baseline.
 //!
 //! The library part is the binaries' tiny shared formatting kit:
 //!

@@ -59,7 +59,7 @@
 //! assert_eq!(back.to_json(), json, "round-trips byte-identically");
 //! ```
 
-use mcml_obs::Counter;
+use mcml_obs::{json_escape, Counter};
 use std::time::Instant;
 
 /// Schema identifier written into every trajectory file.
@@ -328,17 +328,6 @@ pub fn measure_tier_reps<T>(
     tp.wall_max_s = walls[walls.len() - 1];
     tp.solves_per_sec = tp.matrix_solves as f64 / tp.wall_s.max(1e-9);
     (tp, out)
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 impl Trajectory {

@@ -431,181 +431,3 @@ mod tests {
         assert!(e > 1e-18 && e < 1e-12, "toggle energy {e} J");
     }
 }
-
-/// Measure the setup time of a flip-flop (s): the smallest D-to-clock
-/// lead time at which the flop still captures the new data, found by
-/// binary search over the data-edge position.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if called on a combinational cell.
-pub fn measure_setup_time(kind: CellKind, style: LogicStyle, params: &CellParams) -> Result<f64> {
-    assert!(kind.is_sequential(), "setup time is a flop property");
-    let names = kind.input_names();
-    let clk_idx = names.iter().position(|&n| n == "clk").expect("clk pin");
-    let d_idx = names.iter().position(|&n| n == "d").expect("d pin");
-    let t_edge = 2.0e-9;
-
-    // Capture check: does the flop latch a 1 when d rises `lead` before
-    // the clock edge?
-    let captures = |lead: f64| -> Result<bool> {
-        let mut tb = Testbench::new(kind, style, params);
-        tb.set_input_wave(
-            clk_idx,
-            LogicWave::script(false, vec![(0.5e-9, true), (1.2e-9, false), (t_edge, true)]),
-        );
-        tb.set_input_wave(d_idx, LogicWave::script(false, vec![(t_edge - lead, true)]));
-        if let Some(r) = names.iter().position(|&n| n == "rst") {
-            tb.set_input(r, false);
-        }
-        if let Some(e) = names.iter().position(|&n| n == "en") {
-            tb.set_input(e, true);
-        }
-        let (built, res) = tb.run(3.5e-9, 4.0e-12)?;
-        let q = built.signal(&res, "q");
-        let lvl = built.switch_level_for("q");
-        Ok(q.last_value() > lvl)
-    };
-
-    // Bracket: generous lead must capture; negative lead (d after clk)
-    // must not.
-    let mut pass = 0.8e-9;
-    let mut fail = -0.2e-9;
-    if !captures(pass)? {
-        return Err(SpiceError::InvalidCircuit(
-            "flop never captures — setup search has no bracket".to_owned(),
-        ));
-    }
-    if captures(fail)? {
-        // Captures even when d changes after the edge: effectively a
-        // transparent path; report zero setup.
-        return Ok(0.0);
-    }
-    for _ in 0..10 {
-        let mid = 0.5 * (pass + fail);
-        if captures(mid)? {
-            pass = mid;
-        } else {
-            fail = mid;
-        }
-    }
-    Ok(0.5 * (pass + fail))
-}
-
-#[cfg(test)]
-mod setup_tests {
-    use super::*;
-
-    #[test]
-    fn dff_setup_time_is_positive_and_small() {
-        let params = CellParams::default();
-        for style in [LogicStyle::PgMcml, LogicStyle::Cmos] {
-            let ts = measure_setup_time(CellKind::Dff, style, &params).unwrap();
-            assert!(
-                ts > -50e-12 && ts < 400e-12,
-                "{style}: setup {ts} s should be tens of ps"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "setup time is a flop property")]
-    fn setup_rejects_combinational() {
-        let _ = measure_setup_time(CellKind::And2, LogicStyle::PgMcml, &CellParams::default());
-    }
-}
-
-/// Measure the hold time of a flip-flop (s): the longest interval after
-/// the clock edge for which a data change still corrupts the captured
-/// value, found by binary search (negative values mean data may change
-/// before the edge without harm — a hold margin).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if called on a combinational cell.
-pub fn measure_hold_time(kind: CellKind, style: LogicStyle, params: &CellParams) -> Result<f64> {
-    assert!(kind.is_sequential(), "hold time is a flop property");
-    let names = kind.input_names();
-    let clk_idx = names.iter().position(|&n| n == "clk").expect("clk pin");
-    let d_idx = names.iter().position(|&n| n == "d").expect("d pin");
-    let t_edge = 2.0e-9;
-
-    // The flop should capture the 1 present at the edge; d then falls
-    // `lag` after the edge. If the capture survives, the lag is ≥ hold.
-    let survives = |lag: f64| -> Result<bool> {
-        let mut tb = Testbench::new(kind, style, params);
-        tb.set_input_wave(
-            clk_idx,
-            LogicWave::script(false, vec![(0.5e-9, true), (1.2e-9, false), (t_edge, true)]),
-        );
-        tb.set_input_wave(
-            d_idx,
-            LogicWave::script(false, vec![(t_edge - 0.8e-9, true), (t_edge + lag, false)]),
-        );
-        if let Some(r) = names.iter().position(|&n| n == "rst") {
-            tb.set_input(r, false);
-        }
-        if let Some(e) = names.iter().position(|&n| n == "en") {
-            tb.set_input(e, true);
-        }
-        let (built, res) = tb.run(3.5e-9, 4.0e-12)?;
-        let q = built.signal(&res, "q");
-        Ok(q.last_value() > built.switch_level_for("q"))
-    };
-
-    let mut ok = 0.6e-9;
-    let mut bad = -0.3e-9;
-    if !survives(ok)? {
-        return Err(SpiceError::InvalidCircuit(
-            "flop loses data even with generous hold — no bracket".to_owned(),
-        ));
-    }
-    if survives(bad)? {
-        // Captures even when d falls before the edge: the master latched
-        // early; hold is effectively very negative. Report the bracket.
-        return Ok(bad);
-    }
-    for _ in 0..10 {
-        let mid = 0.5 * (ok + bad);
-        if survives(mid)? {
-            ok = mid;
-        } else {
-            bad = mid;
-        }
-    }
-    Ok(0.5 * (ok + bad))
-}
-
-#[cfg(test)]
-mod hold_tests {
-    use super::*;
-
-    #[test]
-    fn dff_hold_time_is_bounded() {
-        let params = CellParams::default();
-        let th = measure_hold_time(CellKind::Dff, LogicStyle::PgMcml, &params).unwrap();
-        assert!(
-            th > -400e-12 && th < 400e-12,
-            "hold {th} s should be within a few hundred ps of the edge"
-        );
-    }
-
-    #[test]
-    fn setup_plus_hold_window_is_positive() {
-        // The capture window (setup + hold) must have positive width —
-        // data cannot be allowed to change arbitrarily close on both
-        // sides of the edge.
-        let params = CellParams::default();
-        let ts = measure_setup_time(CellKind::Dff, LogicStyle::PgMcml, &params).unwrap();
-        let th = measure_hold_time(CellKind::Dff, LogicStyle::PgMcml, &params).unwrap();
-        assert!(ts + th > -100e-12, "window {ts} + {th}");
-    }
-}

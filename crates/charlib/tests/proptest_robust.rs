@@ -1,5 +1,5 @@
 //! Property test: characterization is panic-free on arbitrary — including
-//! deliberately pathological — cell parameters.
+//! deliberately pathological — cell parameters and testbench grids.
 //!
 //! The optimizer feeds machine-generated sizings straight into
 //! `characterize_cell` and `bias_sweep_par`; a degenerate candidate must
@@ -24,6 +24,20 @@ fn hostile(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
         Just(-f64::INFINITY).boxed(),
         Just(1.0e3).boxed(),
         Just(f64::MIN_POSITIVE).boxed(),
+    ]
+}
+
+/// A transient time (s): a sane value in `lo..hi` or one of the poison
+/// cases. Never a huge but countable grid, which would march for hours
+/// instead of failing.
+fn hostile_time(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (lo..hi).boxed(),
+        Just(0.0).boxed(),
+        Just(-1.0e-9).boxed(),
+        Just(f64::NAN).boxed(),
+        Just(f64::INFINITY).boxed(),
+        Just(-f64::INFINITY).boxed(),
     ]
 }
 
@@ -52,12 +66,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `Testbench::run` and the full characterization return `Ok` or a
-    /// typed `Err` for every generated sizing — no panics, no NaN smuggled
-    /// into an `Ok`.
+    /// typed `Err` for every generated sizing and grid — no panics, no
+    /// NaN smuggled into an `Ok`. A grid that cannot be marched (a step
+    /// that is not positive, longer than the window or not finite, or a
+    /// window without end) is always an `Err`.
     #[test]
-    fn characterization_never_panics(params in hostile_params()) {
-        let tb = Testbench::new(CellKind::Buffer, LogicStyle::PgMcml, &params);
-        let _ = tb.run(2.0e-9, 1.0e-12);
+    fn characterization_never_panics(
+        params in hostile_params(),
+        t_stop in hostile_time(1.0e-9, 3.0e-9),
+        dt in prop_oneof![hostile_time(1.0e-12, 10.0e-12).boxed(), Just(1.0e-6).boxed()],
+    ) {
+        // The default sizing builds, so its run reaches the grid check
+        // whatever the hostile sizing does.
+        for p in [&params, &CellParams::default()] {
+            let run = Testbench::new(CellKind::Buffer, LogicStyle::PgMcml, p).run(t_stop, dt);
+            if !(dt > 0.0 && t_stop >= dt && (t_stop / dt).is_finite()) {
+                prop_assert!(run.is_err(), "t_stop = {t_stop:e}, dt = {dt:e} marched");
+            }
+        }
         if let Ok(t) = characterize_cell_uncached(CellKind::Buffer, LogicStyle::PgMcml, &params) {
             prop_assert!(t.delay_fo4_ps.is_finite(), "Ok result with non-finite delay");
         }

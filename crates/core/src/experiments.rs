@@ -567,27 +567,6 @@ const FIG6_T_EDGE: f64 = 2.0e-9;
 const FIG6_T_STOP: f64 = 3.6e-9;
 const FIG6_N_SAMPLES: usize = 60;
 
-/// Adaptive-stepping knobs of the fig. 6 transient (see
-/// [`fig6_plaintext_trace`]): tight enough that the golden supply-trace
-/// samples stay within their 1e-4 relative pin, loose enough that the
-/// quiet pre-edge window collapses into a handful of steps.
-const FIG6_RELTOL: f64 = 1e-6;
-const FIG6_H_MAX: f64 = 100e-12;
-/// LTE absolute floor (V). Must sit clearly above the Newton `vtol`
-/// (1 µV): at the default 1 µV floor the divided differences see pure
-/// solver noise in the electrically static windows, the error ratio
-/// hovers near 1, and the controller never opens the step up.
-const FIG6_ABSTOL: f64 = 5e-6;
-/// Quiescent-MOS bypass tolerance (V) for the fig. 6 transient. Most of
-/// the reduced-AES testbench is electrically idle at any given step (one
-/// byte toggles per clock edge), so the bypass removes the bulk of the
-/// device-model calls. 10 µV is an order of magnitude above the Newton
-/// `vtol` (so converged quiescent nodes actually qualify) while the
-/// linear extrapolation keeps the waveform perturbation second order in
-/// the tolerance — orders of magnitude below the golden trace's 1e-4
-/// relative pin.
-const FIG6_BYPASS_VTOL: f64 = 10e-6;
-
 /// The transient options the fig. 6 transistor tier runs with: the
 /// 10 ps recording grid of the golden trace plus *grid-aligned*
 /// LTE-controlled adaptive stepping. The aligned flavour leaps
@@ -596,18 +575,15 @@ const FIG6_BYPASS_VTOL: f64 = 10e-6;
 /// what keeps the golden supply-trace samples inside their 1e-4 pin — a
 /// free-running step size would discretise the stiff edge differently
 /// and drift by the fixed reference's own local truncation error there.
-/// The quiescent-MOS bypass is enabled on top (SPICE3's `bypass`): idle
-/// devices reuse their cached linearization instead of re-running the
-/// model.
+/// The quiescent-MOS bypass is enabled on top (SPICE3's `bypass`): most
+/// of the reduced-AES testbench is electrically idle at any given step
+/// (one byte toggles per clock edge), so idle devices reuse their cached
+/// linearization instead of re-running the model. Both tolerances are
+/// `mcml-spice`'s constants ([`mcml_spice::LTE_RELTOL`] and its
+/// siblings, [`mcml_spice::BYPASS_VTOL`]).
 #[must_use]
 pub fn fig6_tran_options() -> TranOptions {
-    let mut opts = TranOptions::new(FIG6_T_STOP, 10e-12)
-        .adaptive_grid_aligned(FIG6_RELTOL, FIG6_H_MAX)
-        .with_bypass(FIG6_BYPASS_VTOL);
-    if let Some(lte) = opts.lte.as_mut() {
-        lte.abstol = FIG6_ABSTOL;
-    }
-    opts
+    TranOptions::new(FIG6_T_STOP, 10e-12).adaptive().bypass()
 }
 
 /// The elaborated fig. 6 testbench and the levels its input rails
@@ -766,10 +742,6 @@ pub fn fig6_supply_trace_with(
     fig6_plaintext_trace(&bench, key, plaintext, tran_opts)
 }
 
-/// Quiescent-MOS bypass tolerance (V) of the `aes_tran` tier — same
-/// rationale as [`FIG6_BYPASS_VTOL`].
-const AES_TRAN_BYPASS_VTOL: f64 = 10e-6;
-
 /// The transient options of the `aes_tran` multi-cell tier: the fig. 6
 /// acquisition window on a plain 10 ps **fixed** grid plus the
 /// quiescent-MOS bypass.
@@ -780,7 +752,7 @@ const AES_TRAN_BYPASS_VTOL: f64 = 10e-6;
 /// passes it.
 #[must_use]
 pub fn aes_tran_options(_partition: bool) -> TranOptions {
-    TranOptions::new(FIG6_T_STOP, 10e-12).with_bypass(AES_TRAN_BYPASS_VTOL)
+    TranOptions::new(FIG6_T_STOP, 10e-12).bypass()
 }
 
 /// Cell parameters of the `aes_tran` tier: the defaults with the
@@ -853,60 +825,6 @@ pub fn aes_tran_tier(
             fig6_extract_supply(&res, &el)
         })
         .collect()
-}
-
-/// [`fig6_transistor_par`]'s streaming sibling: each plaintext's
-/// registered-netlist transient runs alone with [`fig6_tran_options`],
-/// plaintexts fan across the worker pool, and completed traces stream
-/// — in plaintext order — into the online CPA accumulator. The full
-/// trace matrix is never materialised: peak memory is one transient per
-/// worker plus the `O(guesses × samples)` accumulator, regardless of
-/// how many plaintexts the campaign sweeps.
-///
-/// Verdict contract: every trace is bit for bit the one
-/// [`fig6_transistor_par`] acquires, and the streamed accumulator folds
-/// them in the same plaintext order as it pushes them, so reruns with
-/// the same arguments are bit-identical, and verdicts (key rank,
-/// margin) match the trace-per-task path up to the rounding of the
-/// one-pass correlation (the regression tests pin both).
-///
-/// # Errors
-///
-/// As [`fig6_transistor`].
-pub fn fig6_transistor_ensemble(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintexts: &[u8],
-    par: Parallelism,
-) -> Result<(Fig6Row, CpaResult)> {
-    let bench = fig6_bench(params, key, style, plaintexts, true)?;
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options();
-    let reduced = ReducedAes::new(4);
-    let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
-    let (acc, first_err) = mcml_exec::parallel_fold_ordered(
-        par,
-        plaintexts.len(),
-        (acc, None),
-        |i| fig6_plaintext_trace(&bench, key, plaintexts[i], &tran_opts),
-        |(acc, first_err), i, row| match row {
-            Ok(row) => {
-                mcml_obs::incr(mcml_obs::Counter::TracesAcquired);
-                acc.push(plaintexts[i], &row);
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    *first_err = Some(e);
-                }
-            }
-        },
-    );
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let r = acc.finish();
-    Ok((verdict(style, usize::from(key), &r, plaintexts.len()), r))
 }
 
 /// The 16 distinct base supply-current waveforms of the 4-bit fig. 6
@@ -1114,46 +1032,6 @@ mod tests {
         assert_eq!(rows[0].cell, "BUFX1");
     }
 
-    /// The streaming acquisition path is a drop-in replacement for the
-    /// trace-per-task tier: same plaintexts, key and transient options,
-    /// so both see the same traces bit for bit. What differs is the
-    /// attack: the streaming path folds the traces into the one-pass
-    /// accumulator, the trace-per-task tier runs the two-pass CPA. The
-    /// verdict (key rank) must match and the correlation peaks must
-    /// agree within the tolerance below. CMOS is the style with a *real*
-    /// leak, so the peaks compared are signal; on PG-MCML a 6-trace
-    /// Pearson correlates solver residue. Six plaintexts stay cheap
-    /// enough for the tier-1 suite.
-    #[test]
-    fn fig6_ensemble_verdict_matches_trace_per_task() {
-        let params = CellParams::default();
-        let plaintexts: Vec<u8> = (0..6).collect();
-        let (serial_row, serial_r) = fig6_transistor_par(
-            &params,
-            0xb,
-            LogicStyle::Cmos,
-            &plaintexts,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        let (ens_row, ens_r) = fig6_transistor_ensemble(
-            &params,
-            0xb,
-            LogicStyle::Cmos,
-            &plaintexts,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        assert_eq!(ens_row.rank, serial_row.rank, "verdicts must agree");
-        assert_eq!(ens_row.traces, serial_row.traces);
-        for (g, (e, s)) in ens_r.peak.iter().zip(&serial_r.peak).enumerate() {
-            assert!(
-                (e - s).abs() <= 1e-3 + 1e-3 * s.abs(),
-                "guess {g}: streamed peak {e} vs serial {s}"
-            );
-        }
-    }
-
     /// The streaming campaign is deterministic: identical arguments give
     /// bit-identical correlations. At campaign scale PG-MCML still
     /// resists the attack.
@@ -1216,8 +1094,6 @@ mod tests {
             (0xb, &[][..]),
         ] {
             let err = fig6_transistor_par(&params, key, style, plaintexts, par);
-            rejected(err.expect_err("hostile input must err"), tier);
-            let err = fig6_transistor_ensemble(&params, key, style, plaintexts, par);
             rejected(err.expect_err("hostile input must err"), tier);
         }
         for (key, plaintext) in [(0x1f, 0x3), (0xb, 0x13)] {

@@ -75,7 +75,7 @@ fn fig6_pg_mcml_dc_basin_sensitive_trace_matches_golden() {
 /// 0.01 % from the fixed-step reference at *every* one of the 60
 /// samples — not just the ten pinned above — so the golden values did
 /// not need re-pinning when adaptive stepping was enabled.
-/// The quiescent-device bypass (enabled at 10 µV in
+/// The quiescent-device bypass (enabled at `BYPASS_VTOL` = 10 µV in
 /// `fig6_tran_options`) must be an *optimisation*, not a physics
 /// change: re-running the tier with the bypass disabled has to land
 /// within the pin tolerance at every sample, and the enabled run has
@@ -90,7 +90,7 @@ fn fig6_bypass_drift_vs_exact_below_pin_tolerance() {
         0xb,
         LogicStyle::PgMcml,
         0x3,
-        &fig6_tran_options().with_bypass(0.0),
+        &TranOptions::new(3.6e-9, 10e-12).adaptive(),
     )
     .expect("bypass-off trace");
     let bypassed_before = mcml_obs::total(Counter::MosBypassed);

@@ -344,12 +344,6 @@ impl Mosfet {
     pub fn sb_cap(&self, tech: &Technology) -> f64 {
         self.cdb(tech)
     }
-
-    /// Total gate capacitance estimate (F), the load a driving stage sees.
-    #[must_use]
-    pub fn gate_cap(&self, tech: &Technology) -> f64 {
-        self.geom.w * self.geom.l * self.params.cox + 2.0 * self.geom.w * tech.c_overlap
-    }
 }
 
 #[cfg(test)]
@@ -585,7 +579,7 @@ mod tests {
         for c in [m1.cgs(&t), m1.cgd(&t), m1.cdb(&t), m1.sb_cap(&t)] {
             assert!(c > 0.0);
         }
-        assert!(m2.gate_cap(&t) > 1.5 * m1.gate_cap(&t));
+        assert!(m2.cgs(&t) > 1.5 * m1.cgs(&t));
     }
 
     #[test]

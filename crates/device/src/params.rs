@@ -233,21 +233,6 @@ impl MosParams {
             ..self.clone()
         }
     }
-
-    /// Return a copy of these parameters retargeted to temperature
-    /// `t_kelvin`: mobility degrades as `(T/T0)^-1.5`, |Vt| drops by
-    /// ≈ 1 mV/K.
-    #[must_use]
-    pub fn at_temperature(&self, t_kelvin: f64) -> Self {
-        assert!(t_kelvin > 0.0, "temperature must be positive");
-        let t0 = self.temp;
-        Self {
-            mu_cox: self.mu_cox * (t_kelvin / t0).powf(-1.5),
-            vt0: (self.vt0 - 1.0e-3 * (t_kelvin - t0)).max(0.0),
-            temp: t_kelvin,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,21 +282,6 @@ mod tests {
     fn tt_corner_is_identity() {
         let nom = MosParams::nmos_hvt_90();
         assert_eq!(nom.at_corner(Corner::Tt), nom);
-    }
-
-    #[test]
-    fn hot_device_is_slower_and_leakier_threshold() {
-        let nom = MosParams::nmos_hvt_90();
-        let hot = nom.at_temperature(400.0);
-        assert!(hot.mu_cox < nom.mu_cox, "mobility degrades with T");
-        assert!(hot.vt0 < nom.vt0, "Vt drops with T");
-        assert_eq!(hot.temp, 400.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature must be positive")]
-    fn negative_temperature_rejected() {
-        let _ = MosParams::nmos_hvt_90().at_temperature(-1.0);
     }
 
     #[test]

@@ -53,7 +53,6 @@ impl Technology {
     /// ```
     /// let t = mcml_device::Technology::cmos90();
     /// assert_eq!(t.vdd, 1.2);
-    /// assert!((t.cell_height_um() - 2.8).abs() < 1e-9);
     /// ```
     #[must_use]
     pub fn cmos90() -> Self {
@@ -74,13 +73,6 @@ impl Technology {
             cell_height_tracks: 10,
             temp: 300.15,
         }
-    }
-
-    /// Standard-cell row height in micrometres
-    /// (`cell_height_tracks × m1_pitch`).
-    #[must_use]
-    pub fn cell_height_um(&self) -> f64 {
-        f64::from(self.cell_height_tracks) * self.m1_pitch * 1e6
     }
 
     /// Thermal voltage `kT/q` (V) at this technology's nominal temperature.

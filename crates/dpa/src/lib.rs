@@ -1,21 +1,21 @@
 //! # mcml-dpa — power-analysis attack framework
 //!
 //! The evaluation instrument of the paper's Fig. 6: correlation power
-//! analysis (Brier–Clavier–Olivier CPA) and classical difference-of-means
-//! DPA against recorded power traces, using the Hamming weight of the
-//! S-box output as the leakage model — *"we repeatedly attacked all the
-//! implementation using as power model the Hamming weight of the S-box
-//! output"*.
+//! analysis (Brier–Clavier–Olivier CPA) against recorded power traces,
+//! using the Hamming weight of the S-box output as the leakage model —
+//! *"we repeatedly attacked all the implementation using as power model
+//! the Hamming weight of the S-box output"* — plus the TVLA Welch t-test
+//! as a model-free leakage check.
 //!
 //! * [`trace`] — the trace matrix (one row per plaintext, columns are
 //!   time samples);
-//! * [`model`] — leakage hypotheses (Hamming weight / Hamming distance of
-//!   an arbitrary intermediate);
+//! * [`model`] — the leakage hypothesis (Hamming weight of an arbitrary
+//!   intermediate);
 //! * [`cpa`] — Pearson-correlation attack over all key guesses, with the
 //!   correlation-vs-time curves Fig. 6 plots;
-//! * [`dpa`] — single-bit difference-of-means (Kocher-style) attack;
-//! * [`stream`] — online CPA/TVLA accumulators for campaigns that stream
+//! * [`stream`] — the online CPA accumulator for campaigns that stream
 //!   traces in acquisition order instead of materialising the matrix;
+//! * [`tvla`] — fixed-vs-random Welch t-test;
 //! * [`metrics`] — key rank, distinguishability margin, and
 //!   measurements-to-disclosure (MTD).
 //!
@@ -40,7 +40,6 @@
 #![deny(missing_docs)]
 
 pub mod cpa;
-pub mod dpa;
 pub mod metrics;
 pub mod model;
 pub mod stream;
@@ -48,9 +47,8 @@ pub mod trace;
 pub mod tvla;
 
 pub use cpa::{cpa_attack, cpa_attack_par, CpaResult};
-pub use dpa::{dpa_attack, DpaResult};
 pub use metrics::{distinguishability_margin, key_rank, measurements_to_disclosure};
-pub use model::{HammingDistance, HammingWeight, LeakageModel};
-pub use stream::{CpaAccumulator, WelchAccumulator};
+pub use model::{HammingWeight, LeakageModel};
+pub use stream::CpaAccumulator;
 pub use trace::TraceSet;
 pub use tvla::{welch_t_test, welch_t_test_par, TvlaResult, TVLA_THRESHOLD};

@@ -43,82 +43,6 @@ impl<F: Fn(u8) -> u8> LeakageModel for HammingWeight<F> {
     }
 }
 
-/// Hamming distance between `target(input ⊕ key)` and a fixed reference
-/// state (e.g. the register's previous value).
-pub struct HammingDistance<F: Fn(u8) -> u8> {
-    target: F,
-    reference: u8,
-    key_bits: u32,
-}
-
-impl<F: Fn(u8) -> u8> HammingDistance<F> {
-    /// Hamming-distance model against the given reference byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ key_bits ≤ 8`.
-    #[must_use]
-    pub fn new(target: F, reference: u8, key_bits: u32) -> Self {
-        assert!((1..=8).contains(&key_bits), "key_bits in 1..=8");
-        Self {
-            target,
-            reference,
-            key_bits,
-        }
-    }
-}
-
-impl<F: Fn(u8) -> u8> LeakageModel for HammingDistance<F> {
-    fn hypothesis(&self, input: u8, key_guess: u8) -> f64 {
-        let mask = ((1u16 << self.key_bits) - 1) as u8;
-        let v = (self.target)((input ^ key_guess) & mask);
-        f64::from((v ^ self.reference).count_ones())
-    }
-
-    fn key_space(&self) -> usize {
-        1 << self.key_bits
-    }
-}
-
-/// A single-bit selector for classical DPA: the value of bit `bit` of
-/// `target(input ⊕ key)`.
-pub struct BitSelector<F: Fn(u8) -> u8> {
-    target: F,
-    bit: u32,
-    key_bits: u32,
-}
-
-impl<F: Fn(u8) -> u8> BitSelector<F> {
-    /// Select bit `bit` of the target intermediate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bit < 8` and `1 ≤ key_bits ≤ 8`.
-    #[must_use]
-    pub fn new(target: F, bit: u32, key_bits: u32) -> Self {
-        assert!(bit < 8, "bit index");
-        assert!((1..=8).contains(&key_bits), "key_bits in 1..=8");
-        Self {
-            target,
-            bit,
-            key_bits,
-        }
-    }
-
-    /// The selection bit for `(input, guess)`.
-    #[must_use]
-    pub fn select(&self, input: u8, key_guess: u8) -> bool {
-        let mask = ((1u16 << self.key_bits) - 1) as u8;
-        ((self.target)((input ^ key_guess) & mask) >> self.bit) & 1 == 1
-    }
-
-    /// Key space size.
-    #[must_use]
-    pub fn key_space(&self) -> usize {
-        1 << self.key_bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,21 +65,6 @@ mod tests {
         let m = HammingWeight::new(ident, 4);
         assert_eq!(m.key_space(), 16);
         assert_eq!(m.hypothesis(0xff, 0x0), 4.0, "upper nibble masked");
-    }
-
-    #[test]
-    fn hd_measures_distance() {
-        let m = HammingDistance::new(ident, 0xf0, 8);
-        assert_eq!(m.hypothesis(0xf0, 0), 0.0);
-        assert_eq!(m.hypothesis(0x0f, 0), 8.0);
-    }
-
-    #[test]
-    fn bit_selector_extracts_bit() {
-        let s = BitSelector::new(ident, 3, 8);
-        assert!(s.select(0b1000, 0));
-        assert!(!s.select(0b0111, 0));
-        assert!(s.select(0, 0b1000), "key guess xored in");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Streaming (online) attack accumulators for trace campaigns that never
-//! materialise the trace matrix.
+//! Streaming (online) CPA for trace campaigns that never materialise the
+//! trace matrix.
 //!
-//! The classic [`cpa_attack`](crate::cpa_attack) /
-//! [`welch_t_test`](crate::tvla::welch_t_test) entry points are two-pass:
-//! they need the whole [`TraceSet`](crate::TraceSet) in memory to compute
-//! per-sample means first and centred cross-products second. A 10⁵-trace
-//! fig. 6 campaign at 60 samples is still only ~48 MB, but the point of
-//! the streaming acquisition path is that completed traces flow
-//! straight into the attack statistics — so these accumulators keep
+//! The classic [`cpa_attack`](crate::cpa_attack) entry point is
+//! two-pass: it needs the whole [`TraceSet`](crate::TraceSet) in memory
+//! to compute per-sample means first and centred cross-products second.
+//! A 10⁵-trace fig. 6 campaign at 60 samples is still only ~48 MB, but
+//! the point of the streaming campaign is that completed traces flow
+//! straight into the attack statistics — so the accumulator keeps
 //! **O(guesses × samples)** state regardless of how many traces pass
 //! through, using raw-moment sums:
 //!
@@ -17,12 +16,11 @@
 //!
 //! Determinism contract: a fold is a *sequence*, so two accumulators fed
 //! the same traces **in the same order** produce bit-identical results —
-//! the streaming acquisition path preserves trace order end-to-end (see
-//! `parallel_fold_ordered` in `mcml-exec`), which is what makes a
-//! parallel campaign's verdicts bit-reproducible against a serial run.
-//! Against the two-pass functions the raw-moment rounding differs in the
-//! last few ulps, so campaigns compare *verdicts* (best guess, ranking,
-//! leak flags) exactly and correlations to a tolerance; the regression
+//! the fig. 6 campaign folds its traces in index order, which is what
+//! makes its verdicts bit-reproducible whatever the worker count.
+//! Against the two-pass attack the raw-moment rounding differs in the
+//! last few ulps, so campaigns compare *verdicts* (best guess, ranking)
+//! exactly and correlations to a tolerance; the regression
 //! tests in this module pin both properties. Zero-variance guards match
 //! the two-pass code: a constant hypothesis column or a constant time
 //! sample yields correlation `0.0` (counted in
@@ -30,7 +28,6 @@
 
 use crate::cpa::CpaResult;
 use crate::model::LeakageModel;
-use crate::tvla::TvlaResult;
 
 /// Online CPA accumulator: push traces one at a time, in acquisition
 /// order, then [`finish`](CpaAccumulator::finish) into the same
@@ -187,137 +184,12 @@ fn centered_ss(n: f64, sum_sq: f64, sum: f64) -> f64 {
     }
 }
 
-/// Per-population running sums for [`WelchAccumulator`].
-#[derive(Debug, Clone)]
-struct PopSums {
-    n: u64,
-    sum: Vec<f64>,
-    sumsq: Vec<f64>,
-}
-
-impl PopSums {
-    fn new(s: usize) -> Self {
-        Self {
-            n: 0,
-            sum: vec![0.0; s],
-            sumsq: vec![0.0; s],
-        }
-    }
-
-    fn push(&mut self, samples: &[f64]) {
-        self.n += 1;
-        for (j, &x) in samples.iter().enumerate() {
-            self.sum[j] += x;
-            self.sumsq[j] += x * x;
-        }
-    }
-
-    /// Sample mean and unbiased variance at sample `j`, with the same
-    /// cancellation floor as [`centered_ss`].
-    fn mean_var(&self, j: usize) -> (f64, f64) {
-        let n = self.n as f64;
-        let mean = self.sum[j] / n;
-        let var = centered_ss(n, self.sumsq[j], self.sum[j]) / (n * (n - 1.0).max(1.0));
-        (mean, var)
-    }
-}
-
-/// Online Welch's t-test accumulator: stream the fixed-input and
-/// random-input populations trace by trace, then
-/// [`finish`](WelchAccumulator::finish) into a [`TvlaResult`].
-///
-/// Memory is `O(n_samples)` per population, independent of trace count.
-/// Same verdict semantics as [`welch_t_test`](crate::tvla::welch_t_test):
-/// zero pooled variance gives `t = 0`, and `leaks()` compares the peak
-/// |t| against [`TVLA_THRESHOLD`](crate::TVLA_THRESHOLD).
-///
-/// ```
-/// use mcml_dpa::WelchAccumulator;
-///
-/// let mut acc = WelchAccumulator::new(3);
-/// for i in 0..50 {
-///     let dither = f64::from(i % 2) * 1e-3;
-///     acc.push_fixed(&[1.0, 2.0 + dither, 3.0]);
-///     acc.push_random(&[1.0, 2.0 + dither, 3.0]); // same distribution
-/// }
-/// assert!(!acc.finish().leaks());
-/// ```
-#[derive(Debug, Clone)]
-pub struct WelchAccumulator {
-    n_samples: usize,
-    fixed: PopSums,
-    random: PopSums,
-}
-
-impl WelchAccumulator {
-    /// A fresh accumulator for `n_samples`-sample traces.
-    #[must_use]
-    pub fn new(n_samples: usize) -> Self {
-        Self {
-            n_samples,
-            fixed: PopSums::new(n_samples),
-            random: PopSums::new(n_samples),
-        }
-    }
-
-    /// Fold one fixed-input trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `samples` has the wrong length.
-    pub fn push_fixed(&mut self, samples: &[f64]) {
-        assert_eq!(samples.len(), self.n_samples, "trace length mismatch");
-        self.fixed.push(samples);
-    }
-
-    /// Fold one random-input trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `samples` has the wrong length.
-    pub fn push_random(&mut self, samples: &[f64]) {
-        assert_eq!(samples.len(), self.n_samples, "trace length mismatch");
-        self.random.push(samples);
-    }
-
-    /// Close the accumulation and compute the t statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either population holds fewer than two traces — the
-    /// same contract as the two-pass test.
-    #[must_use]
-    pub fn finish(&self) -> TvlaResult {
-        assert!(
-            self.fixed.n >= 2 && self.random.n >= 2,
-            "need at least two traces per population"
-        );
-        let _span = mcml_obs::span(mcml_obs::Stage::Tvla);
-        let (n1, n2) = (self.fixed.n as f64, self.random.n as f64);
-        let mut t = Vec::with_capacity(self.n_samples);
-        let mut max_abs: f64 = 0.0;
-        for j in 0..self.n_samples {
-            let (m1, v1) = self.fixed.mean_var(j);
-            let (m2, v2) = self.random.mean_var(j);
-            let denom = (v1 / n1 + v2 / n2).sqrt();
-            let tj = if denom > 0.0 { (m1 - m2) / denom } else { 0.0 };
-            max_abs = max_abs.max(tj.abs());
-            t.push(tj);
-        }
-        TvlaResult {
-            t,
-            max_abs_t: max_abs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpa::cpa_attack_par;
     use crate::model::HammingWeight;
     use crate::trace::TraceSet;
-    use crate::tvla::welch_t_test_par;
     use mcml_exec::Parallelism;
 
     fn toy_sbox(x: u8) -> u8 {
@@ -404,49 +276,5 @@ mod tests {
     fn wrong_length_rejected() {
         let mut acc = CpaAccumulator::new(HammingWeight::new(toy_sbox, 8), 4);
         acc.push(0, &[0.0; 5]);
-    }
-
-    #[test]
-    fn welch_streaming_matches_two_pass() {
-        let fixed = leaky_traces(0x3c, 0.4, 150);
-        let random = leaky_traces(0x7d, 0.4, 140);
-        let classic = welch_t_test_par(&fixed, &random, Parallelism::Serial);
-        let mut acc = WelchAccumulator::new(fixed.n_samples());
-        for i in 0..fixed.n_traces() {
-            acc.push_fixed(fixed.trace(i));
-        }
-        for i in 0..random.n_traces() {
-            acc.push_random(random.trace(i));
-        }
-        let streamed = acc.finish();
-        assert_eq!(streamed.leaks(), classic.leaks());
-        for (a, b) in classic.t.iter().zip(streamed.t.iter()) {
-            assert!(
-                (a - b).abs() < 1e-6 * a.abs().max(1.0),
-                "t drifted: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn welch_constant_traces_zero_t() {
-        let mut acc = WelchAccumulator::new(3);
-        for _ in 0..10 {
-            acc.push_fixed(&[1.0, 1.0, 1.0]);
-            acc.push_random(&[1.0, 1.0, 1.0]);
-        }
-        let r = acc.finish();
-        assert_eq!(r.max_abs_t, 0.0);
-        assert!(!r.leaks());
-    }
-
-    #[test]
-    #[should_panic(expected = "two traces per population")]
-    fn underfed_welch_rejected() {
-        let mut acc = WelchAccumulator::new(2);
-        acc.push_fixed(&[0.0; 2]);
-        acc.push_fixed(&[0.0; 2]);
-        acc.push_random(&[0.0; 2]);
-        let _ = acc.finish();
     }
 }

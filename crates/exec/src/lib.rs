@@ -93,12 +93,6 @@ impl Parallelism {
             }
         }
     }
-
-    /// True when this setting resolves to more than one worker.
-    #[must_use]
-    pub fn is_parallel(self) -> bool {
-        self.worker_count() > 1
-    }
 }
 
 /// Map `f` over `0..n`, fanning across threads, returning results in index
@@ -439,7 +433,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).worker_count(), 1);
         assert_eq!(Parallelism::Threads(6).worker_count(), 6);
         assert!(Parallelism::Auto.worker_count() >= 1);
-        assert!(!Parallelism::Serial.is_parallel());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use mcml_obs::json_escape;
+
 use crate::diag::{Diagnostic, Severity};
 
 /// Schema identifier stamped into every report.
@@ -124,7 +126,7 @@ impl LintReport {
         let pad = "  ".repeat(indent);
         let _ = writeln!(out, "{pad}{{");
         let _ = writeln!(out, "{pad}  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "{pad}  \"target\": \"{}\",", escape(&self.target));
+        let _ = writeln!(out, "{pad}  \"target\": \"{}\",", json_escape(&self.target));
         let _ = writeln!(out, "{pad}  \"rules_run\": {},", self.rules_run);
         let _ = writeln!(out, "{pad}  \"deny\": {},", self.deny_count());
         let _ = writeln!(out, "{pad}  \"warn\": {},", self.warn_count());
@@ -142,10 +144,10 @@ impl LintReport {
                 let _ = writeln!(
                     out,
                     "{pad}    {{ \"rule\": \"{}\", \"severity\": \"{}\", \"location\": \"{}\", \"message\": \"{}\" }}{comma}",
-                    escape(d.rule_id),
+                    json_escape(d.rule_id),
                     d.severity.name(),
-                    escape(&d.location.to_string()),
-                    escape(&d.message),
+                    json_escape(&d.location.to_string()),
+                    json_escape(&d.message),
                 );
             }
             let _ = writeln!(out, "{pad}  ],");
@@ -161,11 +163,11 @@ impl LintReport {
                 let _ = writeln!(
                     out,
                     "{pad}    {{ \"rule\": \"{}\", \"severity\": \"{}\", \"location\": \"{}\", \"message\": \"{}\", \"justification\": \"{}\" }}{comma}",
-                    escape(d.rule_id),
+                    json_escape(d.rule_id),
                     d.severity.name(),
-                    escape(&d.location.to_string()),
-                    escape(&d.message),
-                    escape(&w.justification),
+                    json_escape(&d.location.to_string()),
+                    json_escape(&d.message),
+                    json_escape(&w.justification),
                 );
             }
             let _ = writeln!(out, "{pad}  ]{dataflow_comma}");
@@ -188,7 +190,7 @@ impl LintReport {
                     let _ = writeln!(
                         out,
                         "{pad}      {{ \"net\": \"{}\", \"toggle_bound\": {}, \"score_j\": \"{:.3e}\" }}{comma}",
-                        escape(&s.net),
+                        json_escape(&s.net),
                         s.toggle_bound,
                         s.score_j,
                     );
@@ -211,7 +213,7 @@ pub fn combined_json(run: &str, reports: &[LintReport]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"run\": \"{}\",", escape(run));
+    let _ = writeln!(out, "  \"run\": \"{}\",", json_escape(run));
     let _ = writeln!(out, "  \"targets_linted\": {},", reports.len());
     let _ = writeln!(out, "  \"deny\": {deny},");
     let _ = writeln!(out, "  \"warn\": {warn},");
@@ -227,25 +229,6 @@ pub fn combined_json(run: &str, reports: &[LintReport]) -> String {
         out.push_str("  ]\n");
     }
     out.push_str("}\n");
-    out
-}
-
-/// Minimal JSON string escape (mirrors the one in `mcml-obs`).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -344,11 +327,5 @@ mod tests {
         assert!(doc.contains("\"deny\": 2"));
         assert!(doc.contains("\"run\": \"bench\""));
         assert!(doc.contains("\"waived\": 0"));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -292,13 +292,6 @@ impl Netlist {
         self.port_classes.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Whether any port carries a non-default security class (i.e. the
-    /// taint analysis has at least one source or clock to work from).
-    #[must_use]
-    pub fn has_port_classes(&self) -> bool {
-        !self.port_classes.is_empty()
-    }
-
     /// Histogram of gate kinds.
     #[must_use]
     pub fn cell_histogram(&self) -> HashMap<GateKind, usize> {
@@ -678,11 +671,10 @@ mod tests {
     fn port_classes_default_public_and_annotate() {
         let mut nl = xor_and_netlist(LogicStyle::PgMcml);
         assert_eq!(nl.port_class("a"), PortClass::Public);
-        assert!(!nl.has_port_classes());
+        assert_eq!(nl.port_classes().count(), 0);
         nl.set_port_class("a", PortClass::Secret);
         nl.set_port_class("q", PortClass::Public);
         assert_eq!(nl.port_class("a"), PortClass::Secret);
-        assert!(nl.has_port_classes());
         let annotated: Vec<(&str, PortClass)> = nl.port_classes().collect();
         assert_eq!(
             annotated,

@@ -54,7 +54,7 @@ mod span;
 mod warn;
 
 pub use counters::{add, incr, total, Counter};
-pub use report::{write_json, RunReport, StageSnapshot};
+pub use report::{json_escape, write_json, RunReport, StageSnapshot};
 pub use span::{span, time, SpanGuard, Stage};
 pub use warn::{warn_once, warnings};
 

@@ -104,7 +104,7 @@ impl RunReport {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"run\": \"{}\",", escape(&self.run));
+        let _ = writeln!(out, "  \"run\": \"{}\",", json_escape(&self.run));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"elapsed_ns\": {},", self.elapsed_ns);
         out.push_str("  \"counters\": {\n");
@@ -213,8 +213,10 @@ pub fn write_json(run: &str, threads: usize, path: &str) -> std::io::Result<RunR
     Ok(report)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars):
+/// the one escaper every JSON writer in the workspace uses.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -299,7 +301,9 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t"), "\\r\\t");
+        assert_eq!(json_escape("\u{1}\u{1f}"), "\\u0001\\u001f");
+        assert_eq!(json_escape("µ ps"), "µ ps");
     }
 }

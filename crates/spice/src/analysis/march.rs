@@ -8,10 +8,10 @@
 //! * **the grid**: the caller's uniform `dt` grid, whose last cell is
 //!   clamped to `t_stop`;
 //! * **the controller**: fixed-step is the grid-aligned controller with
-//!   the leap pinned to one cell. With
-//!   [`TranOptions::adaptive_grid_aligned`] a macro step leaps `k`
-//!   cells through quiet regions, judged by the LTE estimate of
-//!   [`lte_ratio`]; an LTE reject or a Newton failure halves `k`;
+//!   the leap pinned to one cell. With [`TranOptions::adaptive`] a macro
+//!   step leaps `k` cells through quiet regions, judged by the LTE
+//!   estimate of [`lte_ratio`]; an LTE reject or a Newton failure halves
+//!   `k`;
 //! * **the Newton-failure subdivision**: a one-cell step ([`cell`])
 //!   halves `h` on failure, up to [`MAX_SUBDIV`] times;
 //! * **recording**: a grid point the march landed on records the solved
@@ -21,7 +21,9 @@ use crate::analysis::dc::{branch_map, OpPoint};
 use crate::analysis::engine::{
     init_cap_states, v_node, CapState, CompanionCtx, Engine, MAX_SUBDIV,
 };
-use crate::analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
+use crate::analysis::tran::{
+    TranOptions, TranResult, BYPASS_VTOL, LTE_ABSTOL, LTE_H_MAX, LTE_RELTOL,
+};
 use crate::circuit::{Circuit, NodeId};
 use crate::element::Element;
 use crate::error::SpiceError;
@@ -44,7 +46,7 @@ impl<'c> MonoLane<'c> {
         let ckt = engine.ckt;
         Self {
             engine,
-            bypass_tol: opts.bypass_vtol,
+            bypass_tol: if opts.bypass { BYPASS_VTOL } else { 0.0 },
             x: x0.to_vec(),
             x_try: vec![0.0; x0.len()],
             caps: init_cap_states(ckt, x0),
@@ -137,8 +139,8 @@ fn march(
     };
 
     let mut ctl = opts
-        .lte
-        .map(|lte| Controller::new(ckt, opts, lte, n_steps, lane.state()));
+        .adaptive
+        .then(|| Controller::new(ckt, opts, n_steps, lane.state()));
     let mut times = Vec::with_capacity(n_steps + 1);
     times.push(0.0);
     let mut states = Vec::with_capacity(n_steps + 1);
@@ -261,7 +263,6 @@ fn retag_tran(e: SpiceError, time: f64) -> SpiceError {
 /// first grid point at-or-after a source breakpoint, so a discontinuity
 /// can't fall unseen inside a leap.
 struct Controller {
-    lte: AdaptiveOptions,
     /// Capacitor terminal pairs.
     pairs: Vec<(NodeId, NodeId)>,
     /// Divided-difference history.
@@ -275,13 +276,7 @@ struct Controller {
 }
 
 impl Controller {
-    fn new(
-        ckt: &Circuit,
-        opts: &TranOptions,
-        lte: AdaptiveOptions,
-        n_steps: usize,
-        x0: &[f64],
-    ) -> Self {
+    fn new(ckt: &Circuit, opts: &TranOptions, n_steps: usize, x0: &[f64]) -> Self {
         let mut bps: Vec<f64> = Vec::new();
         let mut hint = f64::INFINITY;
         for (_, _, e) in ckt.elements() {
@@ -325,12 +320,11 @@ impl Controller {
         let mut hist = CapHistory::new(pairs.len());
         hist.push(0.0, &pairs, x0);
         Self {
-            lte,
             pairs,
             hist,
             barriers,
             bar_idx: 0,
-            k_max: ((lte.h_max / opts.dt).floor() as usize).max(1).min(k_hint),
+            k_max: ((LTE_H_MAX / opts.dt).floor() as usize).max(1).min(k_hint),
             k_next: 1,
         }
     }
@@ -350,7 +344,7 @@ impl Controller {
     /// The LTE ratio for a candidate step of size `h` to
     /// `(t_new, x_new)`.
     fn ratio(&self, x_new: &[f64], t_new: f64, h: f64) -> Option<f64> {
-        lte_ratio(&self.hist, &self.pairs, x_new, t_new, h, self.lte)
+        lte_ratio(&self.hist, &self.pairs, x_new, t_new, h)
     }
 
     /// Update the proposal after a `k`-cell macro step landed on grid
@@ -427,7 +421,7 @@ impl CapHistory {
     }
 }
 
-/// Worst per-capacitor `LTE / (reltol·|v| + abstol)` ratio for a
+/// Worst per-capacitor `LTE / (LTE_RELTOL·|v| + LTE_ABSTOL)` ratio for a
 /// candidate step to `(t_new, x_new)`, or `None` when the history is
 /// still too short to form the divided difference (such steps are
 /// accepted without growing the leap). The backward-Euler (order 1)
@@ -438,7 +432,6 @@ fn lte_ratio(
     x_new: &[f64],
     t_new: f64,
     h: f64,
-    lte: AdaptiveOptions,
 ) -> Option<f64> {
     if pairs.is_empty() {
         // No dynamic state: the solution is quasi-static between source
@@ -458,7 +451,7 @@ fn lte_ratio(
         let dd2 = (dd1b - dd1a) / (t_new - t1);
         // LTE ≈ h²/2·|v″|, with v″ ≈ 2·f[t_{n-1},t_n,t_{n+1}].
         let err = h * h * dd2.abs();
-        let tol = lte.reltol * v_new.abs().max(v2.abs()) + lte.abstol;
+        let tol = LTE_RELTOL * v_new.abs().max(v2.abs()) + LTE_ABSTOL;
         r_max = r_max.max(err / tol);
     }
     Some(r_max)

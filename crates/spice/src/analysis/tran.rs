@@ -10,37 +10,56 @@
 //! * **Fixed-step** (the default): march one grid cell at a time,
 //!   subdividing a cell only when Newton fails. This is the reference
 //!   path the goldens pin.
-//! * **Grid-aligned adaptive** (opt-in via
-//!   [`TranOptions::adaptive_grid_aligned`]): leap several whole cells
-//!   at once through quiet regions, judged by a local-truncation-error
-//!   (LTE) estimate from the capacitor history, and fall back to the
-//!   fixed-step cell wherever the estimate objects. Grid points inside a
-//!   leap are filled by linear interpolation, so downstream consumers
-//!   see the same interface either way.
+//! * **Grid-aligned adaptive** (opt-in via [`TranOptions::adaptive`]):
+//!   leap several whole cells at once through quiet regions, judged by a
+//!   local-truncation-error (LTE) estimate from the capacitor history,
+//!   and fall back to the fixed-step cell wherever the estimate objects.
+//!   Grid points inside a leap are filled by linear interpolation, so
+//!   downstream consumers see the same interface either way.
+//!
+//! Either policy can add the quiescent-MOS bypass
+//! ([`TranOptions::bypass`]). The tolerances of both fast paths are the
+//! crate constants below, the values the fig. 6 transistor tier was
+//! tuned to.
 
 use crate::circuit::{Circuit, ElementId, NodeId};
+use crate::error::SpiceError;
 use crate::waveform::Waveform;
 use crate::Result;
 
-/// LTE controller settings for grid-aligned adaptive stepping.
-///
-/// Built by [`TranOptions::adaptive_grid_aligned`]; the estimate and
-/// the leap policy are documented on [`transient`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Relative LTE tolerance against the capacitor voltage magnitude.
-    pub reltol: f64,
-    /// Absolute LTE floor (V), so tolerances stay finite near 0 V.
-    pub abstol: f64,
-    /// Largest leap (s), the quiet-region ceiling; rounded down to whole
-    /// grid cells.
-    pub h_max: f64,
-}
+/// Relative LTE tolerance of [`TranOptions::adaptive`], against the
+/// capacitor voltage magnitude. Tight enough, with [`LTE_H_MAX`], that
+/// the fig. 6 golden supply-trace samples stay within their 1e-4
+/// relative pin; loose enough that the quiet pre-edge window collapses
+/// into a handful of steps.
+pub const LTE_RELTOL: f64 = 1e-6;
 
-/// Options for [`Circuit::transient`].
+/// Absolute LTE floor (V) of [`TranOptions::adaptive`], so tolerances
+/// stay finite near 0 V. It sits clearly above the Newton voltage
+/// tolerance (1 µV): at a 1 µV floor the divided differences see pure
+/// solver noise in electrically static windows, the error ratio hovers
+/// near 1, and the controller never opens the step up.
+pub const LTE_ABSTOL: f64 = 5e-6;
+
+/// Longest adaptive leap (s), the quiet-region ceiling of
+/// [`TranOptions::adaptive`]; rounded down to whole grid cells, and at
+/// least one cell, so a grid coarser than this never leaps.
+pub const LTE_H_MAX: f64 = 100e-12;
+
+/// Quiescent-MOS bypass tolerance (V) of [`TranOptions::bypass`]. Ten
+/// times the Newton voltage tolerance (1 µV), so converged quiescent
+/// nodes actually qualify. The current is extrapolated with the exact
+/// cached derivatives, so the waveform perturbation is second order in
+/// the tolerance: orders of magnitude below the fig. 6 golden trace's
+/// 1e-4 relative pin.
+pub const BYPASS_VTOL: f64 = 10e-6;
+
+/// Options for [`Circuit::transient`]: the end time, the base step and
+/// two switches, [`adaptive`](TranOptions::adaptive) and
+/// [`bypass`](TranOptions::bypass).
 ///
-/// The end time and the base step are fixed by [`TranOptions::new`],
-/// which checks them, and cannot be changed afterwards:
+/// The end time and the base step are fixed by [`TranOptions::new`] and
+/// cannot be changed afterwards; [`transient`] checks them:
 ///
 /// ```compile_fail,E0616
 /// use mcml_spice::TranOptions;
@@ -57,22 +76,17 @@ pub struct TranOptions {
     /// when Newton fails); the adaptive controller leaps whole multiples
     /// of it.
     pub(crate) dt: f64,
-    /// Grid-aligned LTE-controlled stepping; `None` (the default) keeps
-    /// the fixed-step reference behaviour.
-    pub lte: Option<AdaptiveOptions>,
-    /// Quiescent-MOS bypass tolerance (V): when every terminal voltage of
-    /// a MOSFET is within this distance of the point it was last
-    /// evaluated at, the cached linearization is reused instead of
-    /// calling the device model (SPICE3's `bypass` option). `0.0` (the
-    /// default) disables the bypass. The current is extrapolated with
-    /// the exact cached derivatives, so the waveform perturbation is
-    /// second order in the tolerance (see `spice.mos_bypassed` in
-    /// `docs/OBSERVABILITY.md`).
-    pub bypass_vtol: f64,
+    /// Grid-aligned LTE-controlled stepping; off (the default) keeps the
+    /// fixed-step reference behaviour.
+    pub(crate) adaptive: bool,
+    /// Quiescent-MOS bypass at [`BYPASS_VTOL`]; off by default.
+    pub(crate) bypass: bool,
 }
 
 impl TranOptions {
-    /// Options with the given end time and base step, defaults elsewhere.
+    /// Options with the given end time and base step, both switches off.
+    /// [`transient`] checks the grid: it needs `0 < dt <= t_stop` and a
+    /// countable number of cells.
     ///
     /// # Examples
     ///
@@ -90,38 +104,26 @@ impl TranOptions {
     /// let res = c.transient(&TranOptions::new(10e-9, 10e-12)).unwrap();
     /// assert_eq!(res.times().len(), 1001);
     /// assert!((res.voltage(out).last_value() - 1.0).abs() < 1e-6);
+    ///
+    /// // A zero step is not a grid.
+    /// assert!(c.transient(&TranOptions::new(10e-9, 0.0)).is_err());
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < dt <= t_stop` and the grid has a countable
-    /// number of cells: `t_stop / dt` must be finite and fit in a
-    /// `usize` (so `t_stop = f64::INFINITY` or `1e300` with a
-    /// picosecond step is rejected instead of marching forever).
     #[must_use]
     pub fn new(t_stop: f64, dt: f64) -> Self {
-        assert!(dt > 0.0 && t_stop >= dt, "need 0 < dt <= t_stop");
-        let cells = t_stop / dt;
-        assert!(
-            cells.is_finite() && cells < usize::MAX as f64,
-            "need a finite t_stop / dt that fits in usize, got {cells:e}"
-        );
         Self {
             t_stop,
             dt,
-            lte: None,
-            bypass_vtol: 0.0,
+            adaptive: false,
+            bypass: false,
         }
     }
 
     /// Enable grid-aligned adaptive stepping (see [`transient`]): every
     /// internal step is a whole number of `dt` grid cells, at most
-    /// `h_max` long, and `reltol` bounds each step's LTE relative to the
-    /// capacitor voltage magnitude. Wherever the controller drops back
-    /// to single-cell steps the solution is exactly the fixed-step
-    /// reference. The absolute tolerance floor defaults to 1 µV
-    /// ([`AdaptiveOptions::abstol`] can be adjusted on the stored
-    /// options afterwards).
+    /// [`LTE_H_MAX`] long, and each step's LTE stays below
+    /// `LTE_RELTOL·|v| + LTE_ABSTOL` on every capacitor. Wherever the
+    /// controller drops back to single-cell steps the solution is
+    /// exactly the fixed-step reference.
     ///
     /// # Examples
     ///
@@ -135,59 +137,65 @@ impl TranOptions {
     /// c.resistor("R", vin, out, 1.0e3);
     /// c.capacitor("C", out, Circuit::GND, 1.0e-12);
     ///
-    /// let base = TranOptions::new(8e-9, 5e-12);
-    /// // With h_max == dt every step is a single grid cell, so the
-    /// // aligned march reproduces the fixed-step reference bitwise.
-    /// let aligned = c
-    ///     .transient(&base.adaptive_grid_aligned(1e-6, 5e-12))
-    ///     .unwrap();
+    /// let base = TranOptions::new(50e-9, 10e-12);
     /// let fixed = c.transient(&base).unwrap();
-    /// assert_eq!(fixed.times(), aligned.times());
+    /// let adaptive = c.transient(&base.adaptive()).unwrap();
+    /// // Same recorded grid, far fewer solves through the settled tail.
+    /// assert_eq!(fixed.times(), adaptive.times());
+    /// assert!(adaptive.steps_taken() < fixed.steps_taken());
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `reltol > 0` and `h_max >= dt`.
     #[must_use]
-    pub fn adaptive_grid_aligned(mut self, reltol: f64, h_max: f64) -> Self {
-        assert!(reltol > 0.0, "need reltol > 0");
-        assert!(
-            h_max >= self.dt,
-            "need h_max >= dt for grid-aligned adaptive stepping"
-        );
-        self.lte = Some(AdaptiveOptions {
-            reltol,
-            abstol: 1e-6,
-            h_max,
-        });
+    pub fn adaptive(mut self) -> Self {
+        self.adaptive = true;
         self
     }
 
-    /// Builder-style quiescent-MOS bypass tolerance (V); `0.0` disables.
+    /// Enable the quiescent-MOS bypass (SPICE3's `bypass` option): when
+    /// every terminal voltage of a MOSFET is within [`BYPASS_VTOL`] of
+    /// the point it was last evaluated at, the cached linearization is
+    /// reused instead of calling the device model (see
+    /// `spice.mos_bypassed` in `docs/OBSERVABILITY.md`).
     ///
     /// # Examples
     ///
     /// ```
-    /// use mcml_spice::TranOptions;
+    /// use mcml_spice::{Circuit, SourceWave, TranOptions};
     ///
-    /// // Reuse cached MOS linearizations while every terminal stays
-    /// // within 10 µV of its last evaluated point. The waveform
-    /// // perturbation is second order in the tolerance.
-    /// let opts = TranOptions::new(3.6e-9, 10e-12).with_bypass(10e-6);
-    /// assert_eq!(opts.bypass_vtol, 10e-6);
+    /// let mut c = Circuit::new();
+    /// let vin = c.node("in");
+    /// c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, 1.0, 1e-9));
+    /// c.resistor("R", vin, Circuit::GND, 1.0e3);
+    ///
+    /// // The fig. 6 transistor tier's options: adaptive leaps plus the
+    /// // bypass, recorded on a 10 ps grid.
+    /// let opts = TranOptions::new(3.6e-9, 10e-12).adaptive().bypass();
+    /// assert_eq!(c.transient(&opts).unwrap().len(), 361);
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tol` is negative or not finite.
     #[must_use]
-    pub fn with_bypass(mut self, tol: f64) -> Self {
-        assert!(
-            tol.is_finite() && tol >= 0.0,
-            "need a finite bypass tolerance >= 0"
-        );
-        self.bypass_vtol = tol;
+    pub fn bypass(mut self) -> Self {
+        self.bypass = true;
         self
+    }
+
+    /// Why the grid cannot be marched, if it cannot: it needs
+    /// `0 < dt <= t_stop` and a countable number of cells, so that
+    /// `t_stop / dt` is finite and fits in a `usize` (`t_stop =
+    /// f64::INFINITY` or `1e300` with a picosecond step would otherwise
+    /// march forever).
+    fn grid_fault(&self) -> Option<String> {
+        let (t_stop, dt) = (self.t_stop, self.dt);
+        if !(dt > 0.0 && t_stop >= dt) {
+            return Some(format!(
+                "need 0 < dt <= t_stop, got dt = {dt:e}, t_stop = {t_stop:e}"
+            ));
+        }
+        let cells = t_stop / dt;
+        if !(cells.is_finite() && cells < usize::MAX as f64) {
+            return Some(format!(
+                "need a finite t_stop / dt that fits in usize, got {cells:e}"
+            ));
+        }
+        None
     }
 }
 
@@ -284,24 +292,32 @@ impl TranResult {
 /// (first order, L-stable). The march steps the caller's `dt` grid; when
 /// a step fails to converge it is halved, up to 8 times.
 ///
-/// With [`TranOptions::adaptive_grid_aligned`] set, a macro step may leap
-/// several grid cells: after each converged step the per-capacitor LTE
-/// is estimated from the second divided difference of the capacitor
+/// With [`TranOptions::adaptive`] set, a macro step may leap several
+/// grid cells: after each converged step the per-capacitor LTE is
+/// estimated from the second divided difference of the capacitor
 /// history, `h²·|f[t_{n-1},t_n,t_{n+1}]|`, and a leap is rejected and
-/// halved when the worst ratio against `reltol·|v| + abstol` exceeds 1.
-/// The leap doubles (up to `h_max`) while the ratio is small and drops
-/// to one cell when it exceeds 1. A leap never jumps past the first grid
-/// point at-or-after a source breakpoint (pulse corners, PWL knots, sine
-/// onsets), where the history is reset. Grid points the march lands on
-/// record the solved state; points inside a leap are linearly
-/// interpolated.
+/// halved when the worst ratio against `LTE_RELTOL·|v| + LTE_ABSTOL`
+/// exceeds 1. The leap doubles (up to [`LTE_H_MAX`]) while the ratio is
+/// small and drops to one cell when it exceeds 1. A leap never jumps
+/// past the first grid point at-or-after a source breakpoint (pulse
+/// corners, PWL knots, sine onsets), where the history is reset. Grid
+/// points the march lands on record the solved state; points inside a
+/// leap are linearly interpolated.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::NoConvergence`](crate::SpiceError::NoConvergence)
-/// when a step fails at the smallest subdivision, or the DC errors for
-/// the initial point.
+/// Returns [`SpiceError::InvalidParameter`] for element `"transient
+/// options"` before the DC when the grid cannot be marched (see
+/// [`TranOptions::new`]); [`SpiceError::NoConvergence`] when a step
+/// fails at the smallest subdivision; or the DC errors for the initial
+/// point.
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
+    if let Some(reason) = opts.grid_fault() {
+        return Err(SpiceError::InvalidParameter {
+            element: "transient options".to_owned(),
+            reason,
+        });
+    }
     let _span = mcml_obs::span(mcml_obs::Stage::Transient);
     mcml_obs::incr(mcml_obs::Counter::Transients);
     crate::analysis::march::run(ckt, opts)
@@ -398,7 +414,7 @@ mod tests {
 
     #[test]
     fn adaptive_resistive_only_circuit_is_exact() {
-        // No capacitors: LTE is zero and the leap opens to h_max, yet
+        // No capacitors: LTE is zero and the leap opens to LTE_H_MAX, yet
         // leaps end on the PWL knots, so the divider output — solved at
         // the leap ends, interpolated inside — is exact at every grid
         // point.
@@ -414,7 +430,7 @@ mod tests {
         c.resistor("R1", vin, mid, 1e3);
         c.resistor("R2", mid, Circuit::GND, 1e3);
         let res = c
-            .transient(&TranOptions::new(3e-9, 50e-12).adaptive_grid_aligned(1e-4, 1e-9))
+            .transient(&TranOptions::new(3e-9, 10e-12).adaptive())
             .unwrap();
         assert!(
             res.steps_taken() * 2 < res.len(),
@@ -435,18 +451,19 @@ mod tests {
 
     #[test]
     fn aligned_with_unit_ceiling_is_bitwise_fixed() {
-        // h_max = dt forces k = 1 everywhere: the aligned controller must
-        // reproduce the fixed-step reference bitwise, not just closely.
+        // A grid cell as long as LTE_H_MAX, or longer, forces k = 1
+        // everywhere: the aligned controller must reproduce the
+        // fixed-step reference bitwise, not just closely.
         let (c, out, _) = rc_circuit();
-        let base = TranOptions::new(8e-9, 5e-12);
-        let fixed = c.transient(&base).unwrap();
-        let aligned = c
-            .transient(&base.adaptive_grid_aligned(1e-6, 5e-12))
-            .unwrap();
-        assert_eq!(fixed.times(), aligned.times());
-        let (wf, wa) = (fixed.voltage(out), aligned.voltage(out));
-        for ((t, a), (_, b)) in wf.iter().zip(wa.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "t={t}: {a} vs {b}");
+        for dt in [LTE_H_MAX, 3.0 * LTE_H_MAX] {
+            let base = TranOptions::new(8e-9, dt);
+            let fixed = c.transient(&base).unwrap();
+            let aligned = c.transient(&base.adaptive()).unwrap();
+            assert_eq!(fixed.times(), aligned.times());
+            let (wf, wa) = (fixed.voltage(out), aligned.voltage(out));
+            for ((t, a), (_, b)) in wf.iter().zip(wa.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "dt={dt}, t={t}: {a} vs {b}");
+            }
         }
     }
 
@@ -463,9 +480,7 @@ mod tests {
         c.capacitor("C", out, Circuit::GND, 1.0e-12);
         let opts = TranOptions::new(50e-9, 10e-12);
         let fixed = c.transient(&opts).unwrap();
-        let aligned = c
-            .transient(&opts.adaptive_grid_aligned(1e-5, 1e-9))
-            .unwrap();
+        let aligned = c.transient(&opts.adaptive()).unwrap();
         assert_eq!(fixed.times(), aligned.times());
         assert!(
             aligned.steps_taken() * 3 < fixed.steps_taken(),
@@ -480,12 +495,6 @@ mod tests {
             .map(|((_, a), (_, b))| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(worst < 1e-4, "worst deviation vs fixed reference {worst}");
-    }
-
-    #[test]
-    #[should_panic(expected = "need h_max >= dt")]
-    fn aligned_rejects_ceiling_below_dt() {
-        let _ = TranOptions::new(1e-9, 1e-12).adaptive_grid_aligned(1e-4, 1e-13);
     }
 
     #[test]
@@ -536,21 +545,40 @@ mod tests {
         assert_eq!(*res.times().last().unwrap(), 2e-9);
     }
 
-    #[test]
-    #[should_panic(expected = "need 0 < dt <= t_stop")]
-    fn bad_options_panic() {
-        let _ = TranOptions::new(1e-9, 0.0);
+    /// The typed error a grid that cannot be marched returns.
+    fn grid_error(t_stop: f64, dt: f64) -> String {
+        let (c, _, _) = rc_circuit();
+        match c.transient(&TranOptions::new(t_stop, dt).adaptive().bypass()) {
+            Err(SpiceError::InvalidParameter { element, reason }) => {
+                assert_eq!(element, "transient options");
+                reason
+            }
+            other => panic!("t_stop={t_stop:e}, dt={dt:e}: {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "need a finite t_stop / dt that fits in usize")]
-    fn infinite_stop_time_panics() {
-        let _ = TranOptions::new(f64::INFINITY, 1e-12);
+    fn bad_options_are_typed_errors() {
+        for (t_stop, dt) in [
+            (1e-9, 0.0),
+            (1e-9, -1e-12),
+            (1e-12, 1e-9),
+            (1e-9, f64::NAN),
+            (f64::NAN, 1e-12),
+        ] {
+            assert!(grid_error(t_stop, dt).starts_with("need 0 < dt <= t_stop"));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "need a finite t_stop / dt that fits in usize")]
-    fn uncountable_grid_panics() {
-        let _ = TranOptions::new(1e300, 1e-12);
+    fn infinite_stop_time_is_a_typed_error() {
+        let reason = grid_error(f64::INFINITY, 1e-12);
+        assert!(reason.starts_with("need a finite t_stop / dt that fits in usize"));
+    }
+
+    #[test]
+    fn uncountable_grid_is_a_typed_error() {
+        let reason = grid_error(1e300, 1e-12);
+        assert!(reason.starts_with("need a finite t_stop / dt that fits in usize"));
     }
 }

@@ -46,7 +46,7 @@ pub mod source;
 pub mod waveform;
 
 pub use analysis::dc::OpPoint;
-pub use analysis::tran::{AdaptiveOptions, TranOptions, TranResult};
+pub use analysis::tran::{TranOptions, TranResult, BYPASS_VTOL, LTE_ABSTOL, LTE_H_MAX, LTE_RELTOL};
 pub use circuit::{Circuit, ElementId, NodeId};
 pub use element::Element;
 pub use error::SpiceError;
@@ -87,11 +87,5 @@ pub mod testing {
             }
             None => engine.assemble_both_dense(x, t, None, gmin, src_scale),
         }
-    }
-
-    /// Number of unknowns (nodes + branches) the MNA system has.
-    #[must_use]
-    pub fn n_unknowns(ckt: &Circuit) -> usize {
-        ckt.node_count() - 1 + ckt.branch_count()
     }
 }

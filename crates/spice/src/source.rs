@@ -144,12 +144,6 @@ impl SourceWave {
         }
     }
 
-    /// The value at `t = 0`, used by the DC operating-point analysis.
-    #[must_use]
-    pub fn dc_value(&self) -> f64 {
-        self.value(0.0)
-    }
-
     /// Append the waveform's discontinuity times in `(0, t_stop]` to `out`.
     ///
     /// Breakpoints are the instants where the waveform's slope changes
@@ -236,7 +230,6 @@ mod tests {
         let s = SourceWave::dc(1.2);
         assert_eq!(s.value(0.0), 1.2);
         assert_eq!(s.value(1.0), 1.2);
-        assert_eq!(s.dc_value(), 1.2);
     }
 
     #[test]

@@ -281,25 +281,6 @@ impl Waveform {
             .find(|&t| t >= after)
     }
 
-    /// Propagation delay between this waveform (input) crossing its 50 %
-    /// level and `output` crossing its own 50 % level, both measured from
-    /// `after`; directions are given per signal. Returns `None` when either
-    /// crossing is missing.
-    #[must_use]
-    pub fn delay_to(
-        &self,
-        output: &Waveform,
-        in_rising: bool,
-        out_rising: bool,
-        after: f64,
-    ) -> Option<f64> {
-        let in_mid = 0.5 * (self.min() + self.max());
-        let out_mid = 0.5 * (output.min() + output.max());
-        let t_in = self.first_crossing_after(in_mid, in_rising, after)?;
-        let t_out = output.first_crossing_after(out_mid, out_rising, t_in)?;
-        Some(t_out - t_in)
-    }
-
     /// Pointwise sum with another waveform, sampled on the union grid of
     /// both waveforms' time points.
     #[must_use]
@@ -321,19 +302,6 @@ impl Waveform {
             t: self.t.clone(),
             v: self.v.iter().map(|x| x * k).collect(),
         }
-    }
-
-    /// Root-mean-square value over the full span.
-    #[must_use]
-    pub fn rms(&self) -> f64 {
-        if self.t.len() < 2 {
-            return self.last_value().abs();
-        }
-        let sq = Waveform {
-            t: self.t.clone(),
-            v: self.v.iter().map(|x| x * x).collect(),
-        };
-        sq.mean().sqrt()
     }
 
     /// Iterate over `(t, v)` pairs.
@@ -398,26 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn delay_between_shifted_edges() {
-        let a = Waveform::new(vec![0.0, 1.0, 2.0, 10.0], vec![0.0, 0.0, 1.0, 1.0]);
-        let b = Waveform::new(vec![0.0, 3.0, 4.0, 10.0], vec![0.0, 0.0, 1.0, 1.0]);
-        let d = a.delay_to(&b, true, true, 0.0).expect("both edges exist");
-        assert!((d - 2.0).abs() < 1e-9, "delay {d}");
-    }
-
-    #[test]
     fn add_merges_grids() {
         let a = Waveform::new(vec![0.0, 2.0], vec![1.0, 1.0]);
         let b = Waveform::new(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 0.0]);
         let s = a.add(&b);
         assert_eq!(s.len(), 3);
         assert_eq!(s.sample(1.0), 2.0);
-    }
-
-    #[test]
-    fn rms_of_constant() {
-        let w = Waveform::new(vec![0.0, 1.0], vec![3.0, 3.0]);
-        assert!((w.rms() - 3.0).abs() < 1e-12);
     }
 
     #[test]

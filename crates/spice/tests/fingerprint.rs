@@ -174,22 +174,14 @@ fn run(build: Build, opts: &TranOptions, copies: usize) -> u64 {
 /// `(name, options, copies)` for every pinned policy.
 fn policies() -> Vec<(&'static str, TranOptions, usize)> {
     let base = TranOptions::new(3e-9, 10e-12);
-    let bypass = base.with_bypass(10e-6);
-    // The fig. 6 tier's adaptive settings.
-    let adaptive = |o: TranOptions| {
-        let mut o = o.adaptive_grid_aligned(1e-6, 100e-12);
-        if let Some(lte) = o.lte.as_mut() {
-            lte.abstol = 5e-6;
-        }
-        o
-    };
+    let bypass = base.bypass();
     vec![
         ("be", base, 1),
         ("bypass", bypass, 1),
         ("ensemble_x3", base, 3),
         ("bypass_x3", bypass, 3),
-        ("adaptive", adaptive(base), 1),
-        ("adaptive_bypass_x3", adaptive(bypass), 3),
+        ("adaptive", base.adaptive(), 1),
+        ("adaptive_bypass_x3", bypass.adaptive(), 3),
     ]
 }
 

@@ -62,11 +62,11 @@ proptest! {
         let (c, taps) = rc_ladder(stages, &rs, &cs, wave);
         let base = TranOptions::new(10e-9, 10e-12);
         let fixed = c.transient(&base).unwrap();
-        let adap = c.transient(&base.adaptive_grid_aligned(1e-4, 1e-9)).unwrap();
+        let adap = c.transient(&base.adaptive()).unwrap();
         prop_assert_eq!(fixed.times(), adap.times(), "leaps keep the grid");
         for &tap in &taps {
             let dev = worst_dev(&fixed, &adap, tap);
-            // Per-step LTE reltol 1e-4 against a <=1.5 V swing; the global
+            // Per-step LTE reltol 1e-6 against a <=1.5 V swing; the global
             // budget accumulated over the trace stays well under 1 %.
             prop_assert!(dev < 0.01 * v_hi, "tap deviates by {dev}");
         }
@@ -111,7 +111,7 @@ proptest! {
         c.capacitor("CL", out, Circuit::GND, c_load);
         let base = TranOptions::new(4e-9, 5e-12);
         let fixed = c.transient(&base).unwrap();
-        let adap = c.transient(&base.adaptive_grid_aligned(1e-4, 200e-12)).unwrap();
+        let adap = c.transient(&base.adaptive()).unwrap();
         prop_assert_eq!(fixed.times(), adap.times());
         // Around the switching instant a leap that lands just before
         // the output moves shifts the edge by a fraction of a cell, which

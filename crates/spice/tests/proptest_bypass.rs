@@ -1,7 +1,7 @@
 //! Property-based equivalence of the quiescent-device bypass.
 //!
 //! With the bypass enabled, a converged MOSFET whose terminal voltages
-//! stay within the tolerance of the cached evaluation point reuses the
+//! stay within `BYPASS_VTOL` of the cached evaluation point reuses the
 //! cached linearization instead of calling the device model. That reuse
 //! must be invisible in the waveforms: over random MOS inverter chains
 //! and random load/drive conditions, the bypassed transient has to
@@ -72,12 +72,11 @@ proptest! {
         w_n in 0.5e-6f64..4e-6,
         c_load in 2e-15f64..50e-15,
         edge_at in 0.5e-9f64..1.5e-9,
-        tol_uv in 1.0f64..50.0,
     ) {
         let (c, outs) = inverter_chain(stages, w_n, c_load, edge_at);
         let base = TranOptions::new(4e-9, 5e-12);
         let exact = c.transient(&base).unwrap();
-        let fast = c.transient(&base.with_bypass(tol_uv * 1e-6)).unwrap();
+        let fast = c.transient(&base.bypass()).unwrap();
         prop_assert_eq!(exact.times(), fast.times(), "bypass must not change the grid");
         for &out in &outs {
             let (we, wf) = (exact.voltage(out), fast.voltage(out));
@@ -87,7 +86,7 @@ proptest! {
                 .map(|((_, x), (_, y))| (x - y).abs())
                 .fold(0.0f64, f64::max);
             // The reused linearization is exact to second order in the
-            // bypass tolerance; at <=50 µV that is sub-nV. What survives
+            // bypass tolerance; at 10 µV that is sub-nV. What survives
             // into the solution is bounded by Newton's own vtol, so a
             // 10 µV ceiling proves the bypass adds nothing observable.
             prop_assert!(dev <= 10e-6, "output deviates by {dev}");
@@ -97,24 +96,5 @@ proptest! {
             exact.steps_taken(),
             "bypass must not change the accepted step count"
         );
-    }
-
-    /// A zero tolerance is the documented hard-off: the bypassed path
-    /// must be bit-identical to the default.
-    #[test]
-    fn zero_tolerance_is_bitwise_off(
-        w_n in 0.5e-6f64..4e-6,
-        c_load in 2e-15f64..50e-15,
-    ) {
-        let (c, outs) = inverter_chain(2, w_n, c_load, 1e-9);
-        let base = TranOptions::new(3e-9, 5e-12);
-        let a = c.transient(&base).unwrap();
-        let b = c.transient(&base.with_bypass(0.0)).unwrap();
-        for &out in &outs {
-            let (wa, wb) = (a.voltage(out), b.voltage(out));
-            for ((_, x), (_, y)) in wa.iter().zip(wb.iter()) {
-                prop_assert!(x.to_bits() == y.to_bits(), "{x} != {y}");
-            }
-        }
     }
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use mcml_device::{MosParams, Mosfet};
-use mcml_spice::testing::{assemble_both_dense, n_unknowns};
+use mcml_spice::testing::assemble_both_dense;
 use mcml_spice::{Circuit, SourceWave};
 
 /// One randomly generated element, with node picks as indices into the
@@ -101,7 +101,7 @@ fn check_equivalence(
     src_scale: f64,
 ) -> Result<(), String> {
     let ckt = build_circuit(n_nodes, specs);
-    let n = n_unknowns(&ckt);
+    let n = ckt.unknown_count();
     prop_assume!(n > 0);
     let x: Vec<f64> = (0..n).map(|i| raw_x[i % raw_x.len()]).collect();
     let comp = companion.map(|h| (h, x.as_slice()));
