@@ -161,8 +161,9 @@ fn run(params: &CellParams) {
     );
     println!("\n== ablation 4: process corners (bias compensation) ==\n");
     println!("{:<8} {:>16} {:>16}", "corner", "PG-MCML FO4", "CMOS FO4");
-    let pg = mcml_char::sweep::corner_sweep(&params, LogicStyle::PgMcml).unwrap();
-    let cm = mcml_char::sweep::corner_sweep(&params, LogicStyle::Cmos).unwrap();
+    let par = pg_mcml::Parallelism::from_env();
+    let pg = mcml_char::corner_sweep_par(&params, LogicStyle::PgMcml, par).unwrap();
+    let cm = mcml_char::corner_sweep_par(&params, LogicStyle::Cmos, par).unwrap();
     for ((c, dpg, _), (_, dcm, _)) in pg.iter().zip(&cm) {
         println!("{:<8} {:>13.1} ps {:>13.1} ps", c.to_string(), dpg, dcm);
     }

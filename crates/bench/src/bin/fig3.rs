@@ -14,7 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Fig. 3 — bias-current design space (sweeping {} points)\n",
         currents.len()
     );
-    let pts = fig3(&params, &currents)?;
+    let par = pg_mcml::Parallelism::from_env();
+    let pts = fig3(&params, &currents, par)?;
 
     println!(
         "{:>9} {:>12} {:>12} {:>12} {:>14} {:>16}",
@@ -45,6 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\narea–delay optimum at Iss = {:.0} µA (paper: 50 µA); delay saturates above ≈250 µA",
         best.iss * 1e6
     );
-    mcml_obs::finish("fig3", pg_mcml::Parallelism::from_env().worker_count());
+    mcml_obs::finish("fig3", par.worker_count());
     Ok(())
 }

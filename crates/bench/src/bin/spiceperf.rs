@@ -180,7 +180,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // dense LU). The cache clear runs before *every* repetition, outside
     // the timed window, so each repetition re-does the full SPICE work.
     let (char_tier, lib) = measure_tier_reps("table3_char", reps, mcml_char::cache::clear, || {
-        mcml_char::build_library(&params, &[LogicStyle::PgMcml])
+        mcml_char::build_library_par(&params, &[LogicStyle::PgMcml], Parallelism::from_env())
     });
     let lib = lib?;
     print_tier(&char_tier, &format!("({} cells)", lib.len()));
@@ -188,7 +188,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tier 3: the fig. 3 tail-current design-space sweep (DC-heavy; cold
     // characterisation cache by construction, same as fig6_tran).
     let (fig3_tier, sweep) = measure_tier_reps("fig3_sweep", reps, mcml_char::cache::clear, || {
-        fig3(&params, &[10e-6, 50e-6, 150e-6])
+        fig3(&params, &[10e-6, 50e-6, 150e-6], Parallelism::from_env())
     });
     let sweep = sweep?;
     print_tier(&fig3_tier, &format!("({} points)", sweep.len()));

@@ -230,9 +230,9 @@ impl CellKind {
     /// MCML / PG-MCML implementation of the cell.
     ///
     /// Each stage draws one `Iss` from the supply whether or not it
-    /// switches, so this is the per-cell static-current weight used by
-    /// the `iss-budget` lint rule; it is cross-checked against the
-    /// transistor-level generator's stage count in the cell tests.
+    /// switches, so this is the per-cell static-current weight; it is
+    /// cross-checked against the transistor-level generator's stage
+    /// count in the cell tests.
     #[must_use]
     pub fn mcml_stage_count(self) -> usize {
         self.spec().mcml_stages

@@ -49,7 +49,7 @@ pub use area::{cell_area_um2, mcml_to_cmos_ratio};
 pub use bias::{solve_bias, try_solve_bias, BiasError, BiasPoint};
 pub use cellnet::CellNetlist;
 pub use kind::{CellKind, DriveStrength};
-pub use mcml_device::Corner;
+pub use mcml_device::{Corner, Technology};
 pub use params::CellParams;
 pub use style::{LogicStyle, SleepTopology};
 

@@ -43,14 +43,10 @@ pub use cache::CacheStats;
 pub use harness::Testbench;
 pub use liberty::to_liberty;
 pub use library::{
-    build_library, build_library_par, characterize_cell, characterize_cell_uncached, CellTiming,
-    TimingLibrary,
+    build_library_par, characterize_cell, characterize_cell_uncached, CellTiming, TimingLibrary,
 };
 pub use measure::{measure_delay, measure_static_power, measure_wakeup, DelayMeasurement};
-pub use sweep::{
-    bias_sweep, bias_sweep_par, corner_sweep, corner_sweep_par, default_sweep_currents,
-    BiasSweepPoint,
-};
+pub use sweep::{bias_sweep_par, corner_sweep_par, default_sweep_currents, BiasSweepPoint};
 
 /// Crate-level result alias (errors bubble up from the simulator).
 pub type Result<T> = std::result::Result<T, mcml_spice::SpiceError>;

@@ -215,29 +215,18 @@ pub fn characterize_cell_uncached(
     })
 }
 
-/// Characterise the full library: every cell in every requested style.
+/// Characterise the full library: every cell in every requested style,
+/// fanning independent cells across `par`'s worker pool.
 ///
-/// Uses the thread count from `MCML_THREADS` (all cores when unset); see
-/// [`build_library_par`] for an explicit knob.
+/// Each `(style, cell)` pair is an independent set of SPICE runs, so they
+/// are distributed over the worker pool; results are merged back in the
+/// serial loop's style-major order, so the resulting [`TimingLibrary`] is
+/// identical for any thread count.
 ///
 /// # Errors
 ///
 /// Propagates the first measurement failure (in deterministic
 /// style-major, cell-minor order, matching the serial loop).
-pub fn build_library(params: &CellParams, styles: &[LogicStyle]) -> Result<TimingLibrary> {
-    build_library_par(params, styles, Parallelism::from_env())
-}
-
-/// Characterise the full library, fanning independent cells across threads.
-///
-/// Each `(style, cell)` pair is an independent set of SPICE runs, so they
-/// are distributed over the worker pool; results are merged back in the
-/// serial loop's style-major order, so the resulting [`TimingLibrary`] is
-/// identical to [`build_library`]'s regardless of thread count.
-///
-/// # Errors
-///
-/// Propagates the first measurement failure.
 pub fn build_library_par(
     params: &CellParams,
     styles: &[LogicStyle],

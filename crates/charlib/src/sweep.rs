@@ -40,19 +40,10 @@ pub fn area_vs_iss_um2(iss: f64) -> f64 {
     base * (0.75 + 0.25 * iss / 50e-6)
 }
 
-/// Run the Fig. 3 sweep at the given tail currents.
-///
-/// # Errors
-///
-/// Propagates simulator errors from the delay measurements.
-pub fn bias_sweep(params: &CellParams, currents: &[f64]) -> Result<Vec<BiasSweepPoint>> {
-    bias_sweep_par(params, currents, Parallelism::from_env())
-}
-
-/// [`bias_sweep`] with an explicit thread-count knob. Each bias point is an
-/// independent pair of delay transients; points are computed across the
-/// worker pool and returned in the input current order, identical to the
-/// serial loop.
+/// Run the Fig. 3 sweep at the given tail currents. Each bias point is an
+/// independent pair of delay transients; points are computed across
+/// `par`'s worker pool and returned in the input current order, identical
+/// to the serial loop.
 ///
 /// # Errors
 ///
@@ -108,7 +99,12 @@ mod tests {
     #[test]
     fn delay_decreases_with_iss_and_saturates() {
         let params = CellParams::default();
-        let pts = bias_sweep(&params, &[10e-6, 50e-6, 250e-6, 400e-6]).unwrap();
+        let pts = bias_sweep_par(
+            &params,
+            &[10e-6, 50e-6, 250e-6, 400e-6],
+            Parallelism::from_env(),
+        )
+        .unwrap();
         // Monotone decreasing FO4 delay.
         for w in pts.windows(2) {
             assert!(
@@ -131,7 +127,7 @@ mod tests {
     #[test]
     fn fo4_slower_than_fo1_everywhere() {
         let params = CellParams::default();
-        let pts = bias_sweep(&params, &[20e-6, 100e-6]).unwrap();
+        let pts = bias_sweep_par(&params, &[20e-6, 100e-6], Parallelism::from_env()).unwrap();
         for p in &pts {
             assert!(p.delay_fo4_ps > p.delay_fo1_ps);
         }
@@ -141,7 +137,7 @@ mod tests {
     fn adp_has_interior_minimum_near_50ua() {
         let params = CellParams::default();
         let currents = [10e-6, 25e-6, 50e-6, 100e-6, 250e-6];
-        let pts = bias_sweep(&params, &currents).unwrap();
+        let pts = bias_sweep_par(&params, &currents, Parallelism::from_env()).unwrap();
         let min_idx = pts
             .iter()
             .enumerate()
@@ -170,21 +166,9 @@ mod tests {
 }
 
 /// Characterise the buffer across global process corners in the given
-/// style: returns `(corner, FO4 delay ps, static power W)` rows.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn corner_sweep(
-    params: &CellParams,
-    style: LogicStyle,
-) -> Result<Vec<(mcml_cells::Corner, f64, f64)>> {
-    corner_sweep_par(params, style, Parallelism::from_env())
-}
-
-/// [`corner_sweep`] with an explicit thread-count knob. Corners are
-/// independent bias solves + transients; rows come back in `Corner::ALL`
-/// order regardless of scheduling.
+/// style: returns `(corner, FO4 delay ps, static power W)` rows. Corners
+/// are independent bias solves + transients on `par`'s worker pool; rows
+/// come back in `Corner::ALL` order regardless of scheduling.
 ///
 /// # Errors
 ///
@@ -218,7 +202,12 @@ mod corner_tests {
 
     #[test]
     fn cmos_corners_order_ff_fastest_ss_slowest() {
-        let rows = corner_sweep(&CellParams::default(), LogicStyle::Cmos).unwrap();
+        let rows = corner_sweep_par(
+            &CellParams::default(),
+            LogicStyle::Cmos,
+            Parallelism::from_env(),
+        )
+        .unwrap();
         let get = |c: Corner| rows.iter().find(|r| r.0 == c).unwrap().1;
         let (ff, tt, ss) = (get(Corner::Ff), get(Corner::Tt), get(Corner::Ss));
         assert!(ff < tt && tt < ss, "CMOS: FF {ff} < TT {tt} < SS {ss}");
@@ -230,7 +219,12 @@ mod corner_tests {
         // cited by the paper): re-solving Vn/Vp per corner pins the tail
         // current, so delay barely moves across corners while the CMOS
         // baseline swings much further.
-        let pg = corner_sweep(&CellParams::default(), LogicStyle::PgMcml).unwrap();
+        let pg = corner_sweep_par(
+            &CellParams::default(),
+            LogicStyle::PgMcml,
+            Parallelism::from_env(),
+        )
+        .unwrap();
         let spread = |rows: &[(Corner, f64, f64)]| {
             let d: Vec<f64> = rows.iter().map(|r| r.1).collect();
             let max = d.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -239,7 +233,12 @@ mod corner_tests {
         };
         let pg_spread = spread(&pg);
         assert!(pg_spread < 0.15, "PG-MCML corner spread {pg_spread}");
-        let cmos = corner_sweep(&CellParams::default(), LogicStyle::Cmos).unwrap();
+        let cmos = corner_sweep_par(
+            &CellParams::default(),
+            LogicStyle::Cmos,
+            Parallelism::from_env(),
+        )
+        .unwrap();
         assert!(
             spread(&cmos) > pg_spread,
             "CMOS spreads wider: {} vs {}",

@@ -9,7 +9,7 @@ use mcml_aes::{ReducedAes, SBOX};
 use mcml_cells::{
     cell_area_um2, mcml_to_cmos_ratio, CellKind, CellParams, DriveStrength, LogicStyle,
 };
-use mcml_char::{bias_sweep, BiasSweepPoint};
+use mcml_char::{bias_sweep_par, BiasSweepPoint};
 use mcml_dpa::{
     cpa_attack_par, distinguishability_margin, key_rank, CpaAccumulator, CpaResult, HammingWeight,
     TraceSet,
@@ -119,13 +119,17 @@ pub fn table2(flow: &mut DesignFlow) -> Result<Vec<Table2Row>> {
 // ------------------------------------------------------------------ Fig 3
 
 /// Regenerate Fig. 3: buffer delay and power/area–delay products vs tail
-/// current.
+/// current, one bias point per work item on `par`'s worker pool.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig3(params: &CellParams, currents: &[f64]) -> Result<Vec<BiasSweepPoint>> {
-    bias_sweep(params, currents)
+pub fn fig3(
+    params: &CellParams,
+    currents: &[f64],
+    par: Parallelism,
+) -> Result<Vec<BiasSweepPoint>> {
+    bias_sweep_par(params, currents, par)
 }
 
 // ------------------------------------------------------------------ Fig 5
@@ -295,7 +299,6 @@ pub fn table3(
             })
             .collect();
         let lib = flow.library();
-        let model = &flow.model;
         let sim = EventSim::new(&nl, lib);
         let energies: Vec<f64> =
             mcml_exec::parallel_map_items(flow.parallelism, &jobs, |&(prev, input)| {
@@ -318,7 +321,7 @@ pub fn table3(
                 } else {
                     None
                 };
-                let i_op = circuit_current(&nl, &tr, lib, sleep, model);
+                let i_op = circuit_current(&nl, &tr, lib, sleep);
                 let e_window = vdd * i_op.integral_between(2.0 * period, window);
                 let e_idle = p_idle * (window - 2.0 * period);
                 (e_window - e_idle).max(0.0)
@@ -450,7 +453,6 @@ pub fn acquire_template_traces(
     flow.library_for(&nl)?;
     let _span = mcml_obs::span(mcml_obs::Stage::TraceAcquisition);
     let lib = flow.library();
-    let model = &flow.model;
     let sim = EventSim::new(&nl, lib);
     let t_edge = 2.2e-9;
     let n_samples = 60;
@@ -473,7 +475,7 @@ pub fn acquire_template_traces(
                 st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
             }
             let trace = sim.run(&st, 3.6e-9);
-            let iw = circuit_current(&nl, &trace, lib, None, model);
+            let iw = circuit_current(&nl, &trace, lib, None);
             let mean = iw.mean().abs().max(1e-12);
             let w = iw.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);
             w.values()
@@ -486,7 +488,8 @@ pub fn acquire_template_traces(
 
 /// Measurements-to-disclosure for one style: the smallest trace count at
 /// which CPA stably ranks the correct key first (`None` when the attack
-/// never stabilises — the expected verdict for the MCML styles).
+/// never stabilises — the expected verdict for the MCML styles). Every
+/// CPA of the ladder runs on the flow's worker pool.
 ///
 /// # Errors
 ///
@@ -506,6 +509,7 @@ pub fn fig6_mtd(
         &model,
         usize::from(key),
         ladder,
+        flow.parallelism,
     ))
 }
 
@@ -514,28 +518,16 @@ pub fn fig6_mtd(
 /// transistor-level leg of the security claim; the paper's 1 µA / 1 ps
 /// acquisition translates to the simulator's native resolution.
 ///
+/// Each plaintext's full SPICE transient is an independent work item on
+/// `par`'s worker pool; traces assemble in plaintext order, so the result
+/// is identical for any thread count.
+///
 /// # Errors
 ///
 /// Returns [`SpiceError::InvalidParameter`](mcml_spice::SpiceError::InvalidParameter)
 /// before any simulation runs when `key` or a plaintext is not a nibble
 /// or fewer than two plaintexts are given; otherwise propagates
 /// simulator errors.
-pub fn fig6_transistor(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintexts: &[u8],
-) -> Result<(Fig6Row, CpaResult)> {
-    fig6_transistor_par(params, key, style, plaintexts, Parallelism::from_env())
-}
-
-/// [`fig6_transistor`] with an explicit thread-count knob: each plaintext's
-/// full SPICE transient is an independent work item; traces assemble in
-/// plaintext order, so the result is identical for any thread count.
-///
-/// # Errors
-///
-/// As [`fig6_transistor`].
 pub fn fig6_transistor_par(
     params: &CellParams,
     key: u8,
@@ -955,7 +947,6 @@ pub fn tvla_assessment(
     let nl = ReducedAes::new(8).build_registered_netlist(style);
     flow.library_for(&nl)?;
     let lib = flow.library();
-    let model = &flow.model;
     let sim = EventSim::new(&nl, lib);
     let t_edge = 2.2e-9;
     let n_samples = 60;
@@ -985,7 +976,7 @@ pub fn tvla_assessment(
                 st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
             }
             let trace = sim.run(&st, 3.6e-9);
-            let i_wave = circuit_current(&nl, &trace, lib, None, model);
+            let i_wave = circuit_current(&nl, &trace, lib, None);
             let mean = i_wave.mean().abs().max(1e-12);
             let w = i_wave.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);
             let noisy: Vec<f64> = w

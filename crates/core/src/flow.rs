@@ -9,7 +9,7 @@ use mcml_netlist::{
     SleepPlan, SleepTree, TechmapOptions,
 };
 use mcml_sim::power::SleepWave;
-use mcml_sim::{circuit_current, CurrentModel, EventSim, SimTrace, Stimulus};
+use mcml_sim::{circuit_current, EventSim, SimTrace, Stimulus};
 use mcml_spice::Waveform;
 
 /// Crate-level result alias.
@@ -24,16 +24,12 @@ pub type Result<T> = std::result::Result<T, mcml_spice::SpiceError>;
 pub struct DesignFlow {
     /// Electrical parameters for every generated cell.
     pub params: CellParams,
-    /// Power-template model parameters.
-    pub model: CurrentModel,
-    /// Technology-mapper options.
-    pub techmap: TechmapOptions,
     /// Worker-pool size for characterisation and trace acquisition.
     /// Defaults to the `MCML_THREADS` environment setting (all cores when
     /// unset); every result is bit-identical whatever the value.
     pub parallelism: Parallelism,
-    /// Static-analysis engine gating elaboration (reconfigure its
-    /// `config` to tune thresholds or waive rules).
+    /// Static-analysis engine gating elaboration (set its `config`'s
+    /// fan-out envelope or add waivers).
     pub lint: LintEngine,
     lib: TimingLibrary,
 }
@@ -44,8 +40,6 @@ impl DesignFlow {
     pub fn new(params: CellParams) -> Self {
         Self {
             params,
-            model: CurrentModel::default(),
-            techmap: TechmapOptions::default(),
             parallelism: Parallelism::from_env(),
             lint: LintEngine::with_default_rules(),
             lib: TimingLibrary::new(),
@@ -120,10 +114,11 @@ impl DesignFlow {
         &self.lib
     }
 
-    /// Map a boolean network onto the library in the given style.
+    /// Map a boolean network onto the library in the given style, with
+    /// the default mapper options.
     #[must_use]
     pub fn map(&self, bn: &BoolNetwork, style: LogicStyle) -> Netlist {
-        map_network(bn, style, &self.techmap)
+        map_network(bn, style, &TechmapOptions::default())
     }
 
     /// Lint a netlist with the flow's engine (pass the sleep plan when
@@ -178,7 +173,7 @@ impl DesignFlow {
         sleep: Option<&SleepWave>,
     ) -> Result<Waveform> {
         self.library_for(nl)?;
-        Ok(circuit_current(nl, trace, &self.lib, sleep, &self.model))
+        Ok(circuit_current(nl, trace, &self.lib, sleep))
     }
 
     /// Synthesise the sleep distribution tree for a PG-MCML netlist.

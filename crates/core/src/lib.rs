@@ -43,9 +43,9 @@ pub mod prelude {
         SleepTopology,
     };
     pub use mcml_char::{characterize_cell, CellTiming, TimingLibrary};
-    pub use mcml_dpa::{cpa_attack, key_rank, HammingWeight, TraceSet};
+    pub use mcml_dpa::{cpa_attack_par, key_rank, HammingWeight, TraceSet};
     pub use mcml_netlist::{map_network, BoolNetwork, Netlist, TechmapOptions};
-    pub use mcml_sim::{circuit_current, CurrentModel, EventSim, Stimulus};
+    pub use mcml_sim::{circuit_current, EventSim, Stimulus};
     pub use mcml_spice::{Circuit, SourceWave, TranOptions, Waveform};
 
     pub use crate::elaborate::{checked_elaborate, elaborate};

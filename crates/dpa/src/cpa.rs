@@ -45,21 +45,8 @@ impl CpaResult {
 }
 
 /// Run a CPA attack: correlate the model's hypothesis against every time
-/// sample for every key guess.
-///
-/// Thread count comes from `MCML_THREADS` (all cores when unset); see
-/// [`cpa_attack_par`] for the explicit knob. Results are identical for any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics on an empty trace set (nothing to correlate).
-#[must_use]
-pub fn cpa_attack(traces: &TraceSet, model: &(impl LeakageModel + Sync)) -> CpaResult {
-    cpa_attack_par(traces, model, Parallelism::from_env())
-}
-
-/// [`cpa_attack`] with an explicit thread-count knob.
+/// sample for every key guess, on `par`'s worker pool. Results are
+/// identical for any thread count.
 ///
 /// Key guesses are independent, so each guess's correlation row is one work
 /// item; within a row the cross-product accumulation walks the trace matrix
@@ -195,7 +182,7 @@ mod tests {
     fn recovers_key_from_leaky_traces() {
         let ts = leaky_traces(0x3c, 0.5, 200, toy_sbox);
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         assert_eq!(r.best_guess(), 0x3c, "peaks: {:?}", &r.peak[0x3a..0x3e]);
         assert!(r.peak[0x3c] > 0.8, "correct-key corr {}", r.peak[0x3c]);
     }
@@ -208,7 +195,7 @@ mod tests {
             ts.push((i * 31 % 256) as u8, &[1.0, 1.0, 1.0, 1.0]);
         }
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         assert!(r.peak.iter().all(|&p| p < 1e-9), "all correlations ~0");
     }
 
@@ -216,7 +203,7 @@ mod tests {
     fn fails_on_pure_noise() {
         let ts = leaky_traces(0x3c, 1.0, 60, |_| 0x42); // constant target
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         // The correct key has no special status.
         let rank = r.ranking().iter().position(|&g| g == 0x3c).unwrap();
         assert!(rank > 2, "key should not be top-ranked, rank {rank}");
@@ -226,7 +213,7 @@ mod tests {
     fn correlation_peaks_at_leak_sample() {
         let ts = leaky_traces(0x11, 0.1, 150, toy_sbox);
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         let row = &r.corr[0x11];
         let best_sample = row
             .iter()
@@ -241,7 +228,7 @@ mod tests {
     fn ranking_is_a_permutation() {
         let ts = leaky_traces(0x77, 1.0, 50, toy_sbox);
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         let mut rk = r.ranking();
         rk.sort_unstable();
         assert_eq!(rk, (0..256).collect::<Vec<_>>());
@@ -252,7 +239,7 @@ mod tests {
     fn empty_traces_rejected() {
         let ts = TraceSet::new(4);
         let model = HammingWeight::new(toy_sbox, 8);
-        let _ = cpa_attack(&ts, &model);
+        let _ = cpa_attack_par(&ts, &model, Parallelism::from_env());
     }
 
     #[test]
@@ -281,7 +268,7 @@ mod tests {
             ts.push((i * 5 % 256) as u8, &[4.2e-5; 8]);
         }
         let model = HammingWeight::new(toy_sbox, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         assert!(
             r.corr.iter().flatten().all(|c| c.is_finite()),
             "no NaN/inf correlations"

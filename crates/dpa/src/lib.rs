@@ -23,7 +23,8 @@
 //! of a 4-bit S-box output:
 //!
 //! ```
-//! use mcml_dpa::{cpa_attack, key_rank, HammingWeight, TraceSet};
+//! use mcml_dpa::{cpa_attack_par, key_rank, HammingWeight, TraceSet};
+//! use mcml_exec::Parallelism;
 //!
 //! let sbox = |x: u8| x.wrapping_mul(7) & 0xF; // toy 4-bit S-box
 //! let key = 0xB;
@@ -32,7 +33,7 @@
 //!     let hw = f64::from(sbox(p ^ key).count_ones());
 //!     traces.push(p, &[0.5, hw * 1e-3, 0.1, hw * 2e-3]);
 //! }
-//! let result = cpa_attack(&traces, &HammingWeight::new(sbox, 4));
+//! let result = cpa_attack_par(&traces, &HammingWeight::new(sbox, 4), Parallelism::Serial);
 //! assert_eq!(key_rank(&result.peak, key as usize), 0); // key recovered
 //! ```
 
@@ -46,9 +47,9 @@ pub mod stream;
 pub mod trace;
 pub mod tvla;
 
-pub use cpa::{cpa_attack, cpa_attack_par, CpaResult};
+pub use cpa::{cpa_attack_par, CpaResult};
 pub use metrics::{distinguishability_margin, key_rank, measurements_to_disclosure};
 pub use model::{HammingWeight, LeakageModel};
 pub use stream::CpaAccumulator;
 pub use trace::TraceSet;
-pub use tvla::{welch_t_test, welch_t_test_par, TvlaResult, TVLA_THRESHOLD};
+pub use tvla::{welch_t_test_par, TvlaResult, TVLA_THRESHOLD};

@@ -1,7 +1,9 @@
 //! Attack-quality metrics: key rank, distinguishability margin, and
 //! measurements-to-disclosure.
 
-use crate::cpa::cpa_attack;
+use mcml_exec::Parallelism;
+
+use crate::cpa::cpa_attack_par;
 use crate::model::LeakageModel;
 use crate::trace::TraceSet;
 
@@ -55,13 +57,14 @@ pub fn distinguishability_margin(peaks: &[f64], correct_key: usize) -> f64 {
 /// Measurements to disclosure: the smallest trace count (from the given
 /// ladder) at which CPA ranks the correct key first **and** keeps it
 /// first for every larger count in the ladder. `None` if the attack
-/// never stabilises on the key.
+/// never stabilises on the key. Each CPA runs on `par`'s worker pool.
 #[must_use]
 pub fn measurements_to_disclosure(
     traces: &TraceSet,
     model: &(impl LeakageModel + Sync),
     correct_key: usize,
     ladder: &[usize],
+    par: Parallelism,
 ) -> Option<usize> {
     let mut successes: Vec<(usize, bool)> = Vec::new();
     for &n in ladder {
@@ -69,7 +72,7 @@ pub fn measurements_to_disclosure(
             continue;
         }
         let sub = traces.truncated(n);
-        let r = cpa_attack(&sub, model);
+        let r = cpa_attack_par(&sub, model, par);
         successes.push((n, r.best_guess() == correct_key));
     }
     // Find the first n from which every later entry succeeds.
@@ -133,10 +136,17 @@ mod tests {
         let key = 0xa7;
         let ladder: Vec<usize> = vec![8, 16, 32, 64, 128, 256];
         let model = HammingWeight::new(toy_sbox, 8);
-        let quiet =
-            measurements_to_disclosure(&leaky(key, 256, 0.2), &model, key as usize, &ladder);
-        let noisy =
-            measurements_to_disclosure(&leaky(key, 256, 3.0), &model, key as usize, &ladder);
+        let mtd = |noise| {
+            measurements_to_disclosure(
+                &leaky(key, 256, noise),
+                &model,
+                key as usize,
+                &ladder,
+                Parallelism::from_env(),
+            )
+        };
+        let quiet = mtd(0.2);
+        let noisy = mtd(3.0);
         let q = quiet.expect("quiet attack succeeds");
         // `None` is even better: never disclosed.
         if let Some(n) = noisy {
@@ -152,7 +162,13 @@ mod tests {
         }
         let model = HammingWeight::new(toy_sbox, 8);
         assert_eq!(
-            measurements_to_disclosure(&ts, &model, 0x42, &[8, 16, 32, 64]),
+            measurements_to_disclosure(
+                &ts,
+                &model,
+                0x42,
+                &[8, 16, 32, 64],
+                Parallelism::from_env()
+            ),
             None
         );
     }

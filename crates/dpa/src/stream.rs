@@ -1,7 +1,7 @@
 //! Streaming (online) CPA for trace campaigns that never materialise the
 //! trace matrix.
 //!
-//! The classic [`cpa_attack`](crate::cpa_attack) entry point is
+//! The classic [`cpa_attack_par`](crate::cpa_attack_par) entry point is
 //! two-pass: it needs the whole [`TraceSet`](crate::TraceSet) in memory
 //! to compute per-sample means first and centred cross-products second.
 //! A 10⁵-trace fig. 6 campaign at 60 samples is still only ~48 MB, but

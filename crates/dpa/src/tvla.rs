@@ -65,19 +65,8 @@ fn stats(ts: &TraceSet, par: Parallelism) -> (Vec<f64>, Vec<f64>) {
     (mean, var)
 }
 
-/// Welch's t-test between two trace populations (same sample count).
-///
-/// # Panics
-///
-/// Panics if the populations differ in sample count or either holds
-/// fewer than two traces.
-#[must_use]
-pub fn welch_t_test(fixed: &TraceSet, random: &TraceSet) -> TvlaResult {
-    welch_t_test_par(fixed, random, Parallelism::from_env())
-}
-
-/// [`welch_t_test`] with an explicit thread-count knob; results are
-/// bit-identical to the serial path. A zero pooled variance at a sample
+/// Welch's t-test between two trace populations (same sample count), on
+/// `par`'s worker pool; results are bit-identical to the serial path. A zero pooled variance at a sample
 /// (constant traces in both populations, the flat MCML case) gives `t = 0`,
 /// never `NaN`.
 ///
@@ -146,7 +135,7 @@ mod tests {
     fn separated_populations_flagged() {
         let fixed = population(1.0, 0.0, 200, 3);
         let random = population(0.0, 0.0, 200, 7);
-        let r = welch_t_test(&fixed, &random);
+        let r = welch_t_test_par(&fixed, &random, Parallelism::from_env());
         assert!(r.leaks(), "max |t| = {}", r.max_abs_t);
         // The leak is at sample 2.
         let peak =
@@ -162,7 +151,7 @@ mod tests {
     fn identical_distributions_pass() {
         let fixed = population(0.0, 0.5, 200, 11);
         let random = population(0.0, 0.5, 200, 13);
-        let r = welch_t_test(&fixed, &random);
+        let r = welch_t_test_par(&fixed, &random, Parallelism::from_env());
         assert!(!r.leaks(), "max |t| = {}", r.max_abs_t);
     }
 
@@ -174,7 +163,7 @@ mod tests {
             a.push(i, &[1.0, 1.0, 1.0]);
             b.push(i, &[1.0, 1.0, 1.0]);
         }
-        let r = welch_t_test(&a, &b);
+        let r = welch_t_test_par(&a, &b, Parallelism::from_env());
         assert_eq!(r.max_abs_t, 0.0);
         assert!(!r.leaks());
     }
@@ -200,6 +189,6 @@ mod tests {
         let mut b = TraceSet::new(3);
         b.push(0, &[0.0; 3]);
         b.push(1, &[0.0; 3]);
-        let _ = welch_t_test(&a, &b);
+        let _ = welch_t_test_par(&a, &b, Parallelism::from_env());
     }
 }

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use mcml_dpa::{cpa_attack, distinguishability_margin, key_rank, HammingWeight, TraceSet};
+use mcml_dpa::{cpa_attack_par, distinguishability_margin, key_rank, HammingWeight, TraceSet};
+use mcml_exec::Parallelism;
 
 /// A strongly nonlinear 8-bit mapping (Murmur-style avalanche).
 fn avalanche(x: u8) -> u8 {
@@ -45,7 +46,7 @@ proptest! {
     fn cpa_finds_any_planted_key(key in any::<u8>(), seed in any::<u64>()) {
         let ts = leaky_traces(key, 0.4, 220, seed, 1.0);
         let model = HammingWeight::new(avalanche, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         prop_assert_eq!(r.best_guess(), usize::from(key), "peaks near key: {:?}", r.peak[usize::from(key)]);
         prop_assert_eq!(key_rank(&r.peak, usize::from(key)), 0);
         prop_assert!(distinguishability_margin(&r.peak, usize::from(key)) > 1.0);
@@ -57,7 +58,7 @@ proptest! {
     fn cpa_does_not_hallucinate(key in any::<u8>(), seed in any::<u64>()) {
         let ts = leaky_traces(key, 1.0, 200, seed, 0.0);
         let model = HammingWeight::new(avalanche, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         prop_assert!(
             distinguishability_margin(&r.peak, usize::from(key)) < 1.5,
             "no leak, yet margin {}",
@@ -71,8 +72,16 @@ proptest! {
     #[test]
     fn noise_degrades_correlation(key in any::<u8>(), seed in any::<u64>()) {
         let model = HammingWeight::new(avalanche, 8);
-        let quiet = cpa_attack(&leaky_traces(key, 0.1, 128, seed, 1.0), &model);
-        let noisy = cpa_attack(&leaky_traces(key, 4.0, 128, seed, 1.0), &model);
+        let quiet = cpa_attack_par(
+            &leaky_traces(key, 0.1, 128, seed, 1.0),
+            &model,
+            Parallelism::from_env(),
+        );
+        let noisy = cpa_attack_par(
+            &leaky_traces(key, 4.0, 128, seed, 1.0),
+            &model,
+            Parallelism::from_env(),
+        );
         prop_assert!(
             noisy.peak[usize::from(key)] < quiet.peak[usize::from(key)] + 0.05,
             "noise must not sharpen the key peak: {} vs {}",
@@ -87,7 +96,7 @@ proptest! {
     fn cpa_output_invariants(key in any::<u8>(), seed in any::<u64>(), noise in 0.0f64..3.0) {
         let ts = leaky_traces(key, noise, 64, seed, 0.7);
         let model = HammingWeight::new(avalanche, 8);
-        let r = cpa_attack(&ts, &model);
+        let r = cpa_attack_par(&ts, &model, Parallelism::from_env());
         for row in &r.corr {
             for &c in row {
                 prop_assert!((-1.0..=1.0).contains(&c), "corr {c}");

@@ -1,8 +1,6 @@
-//! Per-rule severity overrides and rule thresholds.
+//! The engine's configuration: the fan-out envelope and the waivers.
 
-use std::collections::BTreeMap;
-
-use crate::diag::{Location, Severity};
+use crate::diag::Location;
 
 /// A per-instance suppression: one rule id at (optionally) one
 /// location, with a mandatory human justification.
@@ -22,38 +20,23 @@ pub struct Waiver {
     pub justification: String,
 }
 
-/// Engine configuration: severity overrides plus the numeric envelopes
-/// the threshold rules check against.
+/// Engine configuration: the fan-out envelope and the waivers.
 ///
-/// Defaults encode the paper's operating point: the characterisation
-/// envelope ends at fan-out 4 (delay beyond FO4 is extrapolated), the
-/// sleep tree targets ≈1 ns insertion delay (§5 / Fig. 5), and each
-/// current-mode stage draws 50 µA of tail current (Fig. 3b).
+/// The default fan-out envelope is the paper's: the characterisation
+/// envelope ends at fan-out 4 (delay beyond FO4 is extrapolated). The
+/// other thresholds have one value in use and are constants of the
+/// rules that read them: the sleep tree's ≈1 ns insertion-delay budget
+/// ([`INSERTION_DELAY_BUDGET`](crate::rules::gate::INSERTION_DELAY_BUDGET),
+/// §5 / Fig. 5) and the glitch toggle bound
+/// ([`GLITCH_TOGGLE_LIMIT`](crate::rules::dataflow::GLITCH_TOGGLE_LIMIT)).
+/// A finding is suppressed only by a [`Waiver`], which keeps it on the
+/// record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintConfig {
-    /// Per-rule severity overrides (`rule id → severity`); a `Severity::Allow`
-    /// entry waives the rule entirely.
-    overrides: BTreeMap<String, Severity>,
     /// Largest fan-out inside the characterisation envelope
     /// (`fanout-envelope` rule). The library is characterised FO1–FO4,
     /// so delays above this are extrapolations.
     pub max_fanout: usize,
-    /// Sleep-tree insertion-delay budget in seconds
-    /// (`sleep-insertion-delay` rule).
-    pub insertion_delay_budget: f64,
-    /// Tail current per current-mode stage in amperes (`iss-budget`
-    /// rule's per-stage weight).
-    pub iss_per_stage: f64,
-    /// Aggregate tail-current budget in amperes (`iss-budget` rule);
-    /// `None` disables the rule.
-    pub iss_budget: Option<f64>,
-    /// Toggle bound above which a tainted CMOS net counts as
-    /// glitch-prone (`dataflow-glitch` rule). The default of 1 flags
-    /// any net that can transition more than once per evaluation.
-    pub glitch_toggle_limit: u32,
-    /// Static leakage score budget in joules (`dataflow-leakage-score`
-    /// rule); `None` disables the rule.
-    pub max_leakage_score_j: Option<f64>,
     /// Per-instance suppressions (see [`Waiver`]).
     waivers: Vec<Waiver>,
 }
@@ -61,36 +44,13 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         Self {
-            overrides: BTreeMap::new(),
             max_fanout: 4,
-            insertion_delay_budget: 1.0e-9,
-            iss_per_stage: 50e-6,
-            iss_budget: None,
-            glitch_toggle_limit: 1,
-            max_leakage_score_j: None,
             waivers: Vec::new(),
         }
     }
 }
 
 impl LintConfig {
-    /// Override one rule's severity (`Severity::Allow` waives it).
-    pub fn set_severity(&mut self, rule_id: &str, severity: Severity) -> &mut Self {
-        self.overrides.insert(rule_id.to_owned(), severity);
-        self
-    }
-
-    /// Resolve the severity of a rule given its default.
-    #[must_use]
-    pub fn severity_for(&self, rule_id: &str, default: Severity) -> Severity {
-        self.overrides.get(rule_id).copied().unwrap_or(default)
-    }
-
-    /// The configured overrides, in rule-id order.
-    pub fn overrides(&self) -> impl Iterator<Item = (&str, Severity)> {
-        self.overrides.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Register a per-instance waiver. `location` is the rendered
     /// diagnostic location (`"net q"`, `"gate u1"`, …); `None` matches
     /// every location. The justification must be non-empty — a waiver
@@ -137,29 +97,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn override_wins_over_default() {
-        let mut cfg = LintConfig::default();
-        assert_eq!(
-            cfg.severity_for("comb-loop", Severity::Deny),
-            Severity::Deny
-        );
-        cfg.set_severity("comb-loop", Severity::Allow);
-        assert_eq!(
-            cfg.severity_for("comb-loop", Severity::Deny),
-            Severity::Allow
-        );
-    }
-
-    #[test]
     fn defaults_match_paper_envelopes() {
         let cfg = LintConfig::default();
         assert_eq!(cfg.max_fanout, 4);
-        assert!((cfg.insertion_delay_budget - 1.0e-9).abs() < 1e-15);
-        assert!((cfg.iss_per_stage - 50e-6).abs() < 1e-12);
-        assert!(cfg.iss_budget.is_none());
-        assert_eq!(cfg.glitch_toggle_limit, 1);
-        assert!(cfg.max_leakage_score_j.is_none());
         assert_eq!(cfg.waivers().count(), 0);
+        assert!((crate::rules::gate::INSERTION_DELAY_BUDGET - 1.0e-9).abs() < 1e-15);
+        assert_eq!(crate::rules::dataflow::GLITCH_TOGGLE_LIMIT, 1);
     }
 
     #[test]

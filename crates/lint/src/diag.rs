@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-/// How a diagnostic from a rule is treated.
-///
-/// Resolution order: a per-rule override in
-/// [`LintConfig`](crate::LintConfig) wins over the rule's default.
-/// `Allow`-resolved diagnostics are dropped before they reach the
-/// report.
+/// How a diagnostic from a rule is treated: each rule reports at its
+/// own fixed severity. A finding is suppressed only by a
+/// [`Waiver`](crate::Waiver), which keeps it in the report's waived
+/// section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Suppressed: the diagnostic is discarded (the waive mechanism).
-    Allow,
     /// Reported, but does not fail the flow gate.
     Warn,
     /// Reported and fails [`LintReport::is_clean`](crate::LintReport::is_clean)
@@ -20,24 +16,12 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Stable report string (`allow` / `warn` / `deny`).
+    /// Stable report string (`warn` / `deny`).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            Severity::Allow => "allow",
             Severity::Warn => "warn",
             Severity::Deny => "deny",
-        }
-    }
-
-    /// Parse the `allow|warn|deny` configuration syntax.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim() {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
         }
     }
 }
@@ -51,7 +35,8 @@ impl fmt::Display for Severity {
 /// Where in the design a diagnostic points.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Location {
-    /// The design as a whole (aggregate rules like the `Iss` budget).
+    /// The design as a whole (aggregate findings like a sleep domain's
+    /// insertion delay).
     Design,
     /// A gate-level net, by name.
     Net(String),
@@ -83,7 +68,7 @@ impl fmt::Display for Location {
 pub struct Diagnostic {
     /// Stable rule identifier (see `docs/LINTING.md` for the registry).
     pub rule_id: &'static str,
-    /// Resolved severity (per-rule default, then config override).
+    /// Severity, the reporting rule's own.
     pub severity: Severity,
     /// Human-readable description of the violation.
     pub message: String,
@@ -104,14 +89,6 @@ impl fmt::Display for Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn severity_roundtrip() {
-        for s in [Severity::Allow, Severity::Warn, Severity::Deny] {
-            assert_eq!(Severity::parse(s.name()), Some(s));
-        }
-        assert_eq!(Severity::parse("nope"), None);
-    }
 
     #[test]
     fn diagnostic_display() {

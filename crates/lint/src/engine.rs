@@ -66,7 +66,7 @@ impl LintTarget<'_> {
 pub struct LintContext<'a> {
     /// The target under check.
     pub target: &'a LintTarget<'a>,
-    /// Thresholds and severity overrides for this run.
+    /// Fan-out envelope and waivers for this run.
     pub config: &'a LintConfig,
     dataflow: OnceCell<Option<DataflowResults>>,
 }
@@ -98,15 +98,13 @@ impl<'a> LintContext<'a> {
 /// A static-analysis rule.
 ///
 /// A rule is pure: it inspects the context and returns diagnostics at
-/// its **default** severity; the engine resolves the final severity
-/// against the [`LintConfig`] overrides, drops `allow`-resolved
-/// findings, and diverts waived findings into the report's waived
-/// section.
+/// its own severity; the engine diverts waived findings into the
+/// report's waived section.
 pub trait Rule {
-    /// Stable identifier (the key used in config overrides, reports and
+    /// Stable identifier (the key used in waivers, reports and
     /// `docs/LINTING.md`).
     fn id(&self) -> &'static str;
-    /// Severity when no override is configured.
+    /// Severity of every finding the rule reports.
     fn default_severity(&self) -> Severity;
     /// One-line description for documentation and `--list-rules` style
     /// output.
@@ -118,7 +116,7 @@ pub trait Rule {
 /// The rule registry plus its configuration.
 pub struct LintEngine {
     rules: Vec<Box<dyn Rule>>,
-    /// Thresholds and severity overrides applied at run time.
+    /// Fan-out envelope and waivers applied at run time.
     pub config: LintConfig,
 }
 
@@ -225,11 +223,7 @@ impl LintEngine {
         let mut waived: Vec<WaivedDiagnostic> = Vec::new();
         for rule in &self.rules {
             mcml_obs::incr(mcml_obs::Counter::LintRulesRun);
-            for mut d in rule.check(&ctx) {
-                d.severity = self.config.severity_for(d.rule_id, d.severity);
-                if d.severity == Severity::Allow {
-                    continue;
-                }
+            for d in rule.check(&ctx) {
                 if let Some(w) = self.config.waiver_for(d.rule_id, &d.location) {
                     mcml_obs::incr(mcml_obs::Counter::LintWaived);
                     waived.push(WaivedDiagnostic {
@@ -315,34 +309,6 @@ mod tests {
         let before = ids.len();
         ids.dedup();
         assert_eq!(before, ids.len(), "duplicate rule id");
-    }
-
-    #[test]
-    fn allow_override_waives_a_rule() {
-        let mut nl = Netlist::new("t", LogicStyle::Mcml);
-        let a = nl.add_input("a");
-        let q = nl.add_net("q");
-        nl.add_gate(
-            "u_inv",
-            mcml_netlist::GateKind::Inv,
-            vec![mcml_netlist::Conn::plain(a)],
-            vec![q],
-        );
-        nl.set_output("q", mcml_netlist::Conn::plain(q));
-        let engine = LintEngine::with_default_rules();
-        assert!(!engine.lint_netlist(&nl, None).is_clean());
-
-        let mut cfg = LintConfig::default();
-        cfg.set_severity("diff-illegal-inverter", Severity::Allow);
-        let waived = LintEngine::new(cfg);
-        let report = waived.lint_netlist(&nl, None);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .all(|d| d.rule_id != "diff-illegal-inverter"),
-            "{report:?}"
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * **gate level** — structural ERC on the [`mcml_netlist`] IR
 //!   (undriven / multiply-driven / dangling nets, combinational loops,
 //!   inverted connections that escaped CMOS legalisation), the
-//!   characterisation fan-out envelope, sleep-domain coverage and
-//!   wake-up latency, and an aggregate tail-current budget;
+//!   characterisation fan-out envelope, and sleep-domain coverage and
+//!   wake-up latency;
 //! * **dataflow** — a forward fixpoint engine ([`dataflow`]) over the
 //!   gate graph: secret-taint propagation from
 //!   [`mcml_netlist::PortClass::Secret`] ports (with exact kill on
@@ -15,7 +15,8 @@
 //!   per-net static leakage score built from the characterised
 //!   per-cell energy asymmetry — feeding the `dataflow-*` rule pack
 //!   (secret-on-CMOS, secret-gated clocks, unbalanced domain
-//!   crossings, glitch-prone tainted nets, score budgets);
+//!   crossings, glitch-prone tainted nets) and the report's score
+//!   table;
 //! * **transistor level** — electrical checks on a
 //!   [`mcml_spice::Circuit`] (floating MOS gate/bulk nodes, nodes with
 //!   no DC path, voltage-source loops) and the PG-MCML cell-topology
@@ -23,9 +24,9 @@
 //!   invariant) and series-sleep presence/position (the paper's
 //!   topology (d)).
 //!
-//! Every rule has a stable id and a default severity; a [`LintConfig`]
-//! maps any rule to `allow` / `warn` / `deny` and can waive individual
-//! findings per location ([`Waiver`], justification required). Deny
+//! Every rule has a stable id and a fixed `warn` or `deny` severity; a
+//! [`LintConfig`] sets the fan-out envelope and waives findings per rule
+//! and location ([`Waiver`], justification required). Deny
 //! findings fail [`LintReport::is_clean`], which the `pg-mcml` design
 //! flow uses to refuse elaboration before any SPICE is run. Reports
 //! render to a deterministic `mcml-lint/3` JSON schema (same

@@ -7,7 +7,7 @@
 //! reaching a clock/enable/reset pin modulates *when* power is drawn,
 //! which no logic style hides; and a single-ended crossing out of the
 //! differential domain re-creates the unbalanced signature PG-MCML
-//! exists to remove. All five rules are no-ops on circuit targets and
+//! exists to remove. All four rules are no-ops on circuit targets and
 //! on netlists with combinational cycles (no dataflow results — the
 //! `comb-loop` rule already denies those).
 
@@ -26,7 +26,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(SecretControl),
         Box::new(UnbalancedCrossing),
         Box::new(Glitch),
-        Box::new(LeakageScore),
     ]
 }
 
@@ -55,9 +54,9 @@ fn control_pins(kind: CellKind) -> impl Iterator<Item = (usize, &'static str)> {
 }
 
 /// `dataflow-secret-cmos`: a secret-tainted net implemented in plain
-/// CMOS. Warn (not deny) by default: the CMOS attack baselines this
-/// repo ships exist precisely to exhibit the leak, and the severity
-/// override / waiver machinery marks them as intentional.
+/// CMOS. Warn (not deny): the CMOS attack baselines this repo ships
+/// exist precisely to exhibit the leak, and waivers mark them as
+/// intentional.
 pub struct SecretCmos;
 
 impl Rule for SecretCmos {
@@ -186,10 +185,15 @@ impl Rule for UnbalancedCrossing {
     }
 }
 
+/// Toggle bound above which a tainted CMOS net counts as glitch-prone
+/// (`dataflow-glitch` rule): 1 flags any net that can transition more
+/// than once per evaluation.
+pub const GLITCH_TOGGLE_LIMIT: u32 = 1;
+
 /// `dataflow-glitch`: a secret-tainted CMOS net whose static toggle
-/// bound exceeds [`glitch_toggle_limit`](crate::LintConfig): every
-/// spurious transition is an extra data-dependent charge packet on the
-/// supply rail. Differential styles are exempt — their tail current is
+/// bound exceeds [`GLITCH_TOGGLE_LIMIT`]: every spurious transition is
+/// an extra data-dependent charge packet on the supply rail.
+/// Differential styles are exempt — their tail current is
 /// glitch-independent.
 pub struct Glitch;
 
@@ -201,7 +205,7 @@ impl Rule for Glitch {
         Severity::Warn
     }
     fn description(&self) -> &'static str {
-        "secret-tainted CMOS net is glitch-prone (toggle bound above the configured limit)"
+        "secret-tainted CMOS net is glitch-prone (toggle bound above the limit)"
     }
     fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
         let Some((nl, r)) = netlist_dataflow(ctx) else {
@@ -210,17 +214,16 @@ impl Rule for Glitch {
         if nl.style != LogicStyle::Cmos {
             return Vec::new();
         }
-        let limit = ctx.config.glitch_toggle_limit;
         (0..nl.net_count())
-            .filter(|&ni| r.taint[ni] && r.activity[ni].toggles > limit)
+            .filter(|&ni| r.taint[ni] && r.activity[ni].toggles > GLITCH_TOGGLE_LIMIT)
             .map(|ni| {
                 let a = r.activity[ni];
                 Diagnostic {
                     rule_id: self.id(),
                     severity: self.default_severity(),
                     message: format!(
-                        "toggle bound {} exceeds the limit of {limit} (arrival window \
-                         [{}, {}] gate levels)",
+                        "toggle bound {} exceeds the limit of {GLITCH_TOGGLE_LIMIT} (arrival \
+                         window [{}, {}] gate levels)",
                         a.toggles, a.min_arrival, a.max_arrival
                     ),
                     location: Location::Net(
@@ -232,50 +235,9 @@ impl Rule for Glitch {
     }
 }
 
-/// `dataflow-leakage-score`: a net whose static leakage score exceeds
-/// the configured budget. Disabled until
-/// [`LintConfig::max_leakage_score_j`](crate::LintConfig) is set,
-/// mirroring the `iss-budget` rule.
-pub struct LeakageScore;
-
-impl Rule for LeakageScore {
-    fn id(&self) -> &'static str {
-        "dataflow-leakage-score"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "net's static leakage score exceeds the configured budget"
-    }
-    fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let Some((nl, r)) = netlist_dataflow(ctx) else {
-            return Vec::new();
-        };
-        let Some(budget) = ctx.config.max_leakage_score_j else {
-            return Vec::new();
-        };
-        (0..nl.net_count())
-            .filter(|&ni| r.score_j[ni] > budget)
-            .map(|ni| Diagnostic {
-                rule_id: self.id(),
-                severity: self.default_severity(),
-                message: format!(
-                    "static leakage score {:.3e} J exceeds the {budget:.3e} J budget",
-                    r.score_j[ni]
-                ),
-                location: Location::Net(
-                    nl.net_name(mcml_netlist::NetId::from_index(ni)).to_owned(),
-                ),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LintConfig;
     use crate::engine::LintEngine;
     use mcml_netlist::{Conn, PortClass};
 
@@ -417,24 +379,5 @@ mod tests {
         // Same structure in PG-MCML: constant tail current, no rule.
         let report = engine.lint_netlist(&build(LogicStyle::PgMcml), None);
         assert_eq!(report.by_rule("dataflow-glitch").count(), 0);
-        // Raising the limit silences the CMOS warn.
-        let mut cfg = LintConfig::default();
-        cfg.glitch_toggle_limit = 8;
-        let report = LintEngine::new(cfg).lint_netlist(&build(LogicStyle::Cmos), None);
-        assert_eq!(report.by_rule("dataflow-glitch").count(), 0);
-    }
-
-    #[test]
-    fn leakage_score_rule_is_off_until_budgeted() {
-        let nl = cmos_secret_path();
-        let engine = LintEngine::with_default_rules();
-        let report = engine.lint_netlist(&nl, None);
-        assert_eq!(report.by_rule("dataflow-leakage-score").count(), 0);
-
-        let mut cfg = LintConfig::default();
-        cfg.max_leakage_score_j = Some(0.0);
-        let report = LintEngine::new(cfg).lint_netlist(&nl, None);
-        // Every tainted driven net has a positive area-proxy score.
-        assert!(report.by_rule("dataflow-leakage-score").count() >= 2);
     }
 }

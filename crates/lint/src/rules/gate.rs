@@ -1,8 +1,8 @@
 //! Gate-level rule pack: structural ERC over the [`mcml_netlist`] IR
-//! plus the power/characterisation envelope checks.
+//! plus the characterisation and sleep-tree envelope checks.
 
 use mcml_cells::LogicStyle;
-use mcml_netlist::{structural_issues, GateKind, NetId, Netlist, SleepPlan, StructuralIssue};
+use mcml_netlist::{structural_issues, NetId, Netlist, SleepPlan, StructuralIssue};
 
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::engine::{LintContext, LintTarget, Rule};
@@ -21,7 +21,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(CmosInvertedConn),
         Box::new(SleepDomainOrphan),
         Box::new(SleepInsertionDelay),
-        Box::new(IssBudget),
     ]
 }
 
@@ -387,8 +386,13 @@ impl Rule for SleepDomainOrphan {
     }
 }
 
+/// Sleep-tree insertion-delay budget in seconds
+/// (`sleep-insertion-delay` rule): the paper's ≈1 ns wake-up (§5 /
+/// Fig. 5).
+pub const INSERTION_DELAY_BUDGET: f64 = 1.0e-9;
+
 /// `sleep-insertion-delay`: a domain's sleep tree wakes up slower than
-/// the insertion-delay budget (≈1 ns in the paper's §5).
+/// [`INSERTION_DELAY_BUDGET`].
 pub struct SleepInsertionDelay;
 
 impl Rule for SleepInsertionDelay {
@@ -408,10 +412,9 @@ impl Rule for SleepInsertionDelay {
         else {
             return Vec::new();
         };
-        let cfg = ctx.config;
         plan.domains
             .iter()
-            .filter(|d| d.tree.insertion_delay > cfg.insertion_delay_budget)
+            .filter(|d| d.tree.insertion_delay > INSERTION_DELAY_BUDGET)
             .map(|d| Diagnostic {
                 rule_id: self.id(),
                 severity: self.default_severity(),
@@ -420,64 +423,10 @@ impl Rule for SleepInsertionDelay {
                      wake-up budget",
                     d.name,
                     d.tree.insertion_delay * 1e9,
-                    cfg.insertion_delay_budget * 1e9
+                    INSERTION_DELAY_BUDGET * 1e9
                 ),
                 location: Location::Design,
             })
             .collect()
-    }
-}
-
-/// `iss-budget`: aggregate tail current of all current-mode stages
-/// against a configured budget. Disabled until
-/// [`LintConfig::iss_budget`](crate::LintConfig::iss_budget) is set.
-pub struct IssBudget;
-
-impl Rule for IssBudget {
-    fn id(&self) -> &'static str {
-        "iss-budget"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "aggregate tail current of all current-mode stages exceeds the configured budget"
-    }
-    fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let LintTarget::Netlist { nl, .. } = ctx.target else {
-            return Vec::new();
-        };
-        let cfg = ctx.config;
-        let Some(budget) = cfg.iss_budget else {
-            return Vec::new();
-        };
-        if !nl.style.is_differential() {
-            return Vec::new();
-        }
-        let stages: usize = nl
-            .gates()
-            .iter()
-            .map(|g| match g.kind {
-                GateKind::Lib(k) => k.mcml_stage_count(),
-                GateKind::Inv => 0,
-            })
-            .sum();
-        #[allow(clippy::cast_precision_loss)]
-        let total = stages as f64 * cfg.iss_per_stage;
-        if total <= budget {
-            return Vec::new();
-        }
-        vec![Diagnostic {
-            rule_id: self.id(),
-            severity: self.default_severity(),
-            message: format!(
-                "aggregate tail current {:.1} µA ({stages} stages at {:.1} µA) exceeds the \
-                 {:.1} µA budget",
-                total * 1e6,
-                cfg.iss_per_stage * 1e6,
-                budget * 1e6
-            ),
-            location: Location::Design,
-        }]
     }
 }

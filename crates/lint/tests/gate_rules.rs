@@ -302,47 +302,3 @@ fn sleep_insertion_delay_is_reported() {
         d.message
     );
 }
-
-#[test]
-fn iss_budget_is_reported_when_configured() {
-    let mut nl = Netlist::new("t", LogicStyle::Mcml);
-    let a = nl.add_input("a");
-    let b = nl.add_input("b");
-    let ci = nl.add_input("ci");
-    let s = nl.add_net("s");
-    let co = nl.add_net("co");
-    nl.add_gate(
-        "fa",
-        GateKind::Lib(CellKind::FullAdder),
-        vec![Conn::plain(a), Conn::plain(b), Conn::plain(ci)],
-        vec![s, co],
-    );
-    nl.set_output("s", Conn::plain(s));
-    nl.set_output("co", Conn::plain(co));
-
-    // Disabled by default.
-    assert_eq!(lint(&nl).by_rule("iss-budget").count(), 0);
-
-    // 5 stages × 50 µA = 250 µA > 200 µA budget.
-    let mut cfg = LintConfig::default();
-    cfg.iss_budget = Some(200e-6);
-    let report = LintEngine::new(cfg).lint_netlist(&nl, None);
-    assert_rule(&report, "iss-budget", Severity::Warn);
-    let d = report.by_rule("iss-budget").next().unwrap();
-    assert!(
-        d.message.contains("250.0 µA") && d.message.contains("5 stages"),
-        "{}",
-        d.message
-    );
-
-    // A generous budget stays quiet.
-    let mut cfg = LintConfig::default();
-    cfg.iss_budget = Some(1e-3);
-    assert_eq!(
-        LintEngine::new(cfg)
-            .lint_netlist(&nl, None)
-            .by_rule("iss-budget")
-            .count(),
-        0
-    );
-}

@@ -8,22 +8,13 @@
 
 use mcml_cells::{build_cell, CellKind, CellNetlist, CellParams, LogicStyle};
 use mcml_device::{MosParams, MosPolarity, Mosfet};
-use mcml_lint::{LintConfig, LintEngine, LintReport, Rule};
+use mcml_lint::{LintEngine, LintReport, Rule};
 use mcml_netlist::sleep_tree::SleepTree;
 use mcml_netlist::{Conn, GateKind, Netlist, PortClass, SleepDomain, SleepPlan};
 use mcml_spice::{Circuit, Element, SourceWave};
 
-/// Engine whose thresholds arm the off-by-default budget rules, so the
-/// corpus can trip them.
-fn armed_engine() -> LintEngine {
-    let mut cfg = LintConfig::default();
-    cfg.iss_budget = Some(1e-9);
-    cfg.max_leakage_score_j = Some(0.0);
-    LintEngine::new(cfg)
-}
-
 /// `k XOR p` into a DFF in CMOS, with a skewed reconvergent side path:
-/// trips secret-cmos, glitch and (with a zero budget) leakage-score.
+/// trips secret-cmos and glitch.
 fn leaky_cmos() -> Netlist {
     let mut nl = Netlist::new("leaky", LogicStyle::Cmos);
     let clk = nl.add_input("clk");
@@ -134,8 +125,8 @@ fn comb_loop() -> Netlist {
 }
 
 /// Style faults: an explicit inverter in MCML; an inverted connection
-/// in CMOS; an ISS-hungry full adder; a tainted secret-gated clock and
-/// a tainted single-ended crossing in PG-MCML.
+/// in CMOS; a tainted secret-gated clock and a tainted single-ended
+/// crossing in PG-MCML.
 fn style_faults() -> Vec<Netlist> {
     let mut inv = Netlist::new("inv", LogicStyle::Mcml);
     let a = inv.add_input("a");
@@ -153,21 +144,6 @@ fn style_faults() -> Vec<Netlist> {
         vec![q],
     );
     cmos.set_output("q", Conn::plain(q));
-
-    let mut iss = Netlist::new("iss_hungry", LogicStyle::Mcml);
-    let a = iss.add_input("a");
-    let b = iss.add_input("b");
-    let ci = iss.add_input("ci");
-    let s = iss.add_net("s");
-    let co = iss.add_net("co");
-    iss.add_gate(
-        "fa",
-        GateKind::Lib(CellKind::FullAdder),
-        vec![Conn::plain(a), Conn::plain(b), Conn::plain(ci)],
-        vec![s, co],
-    );
-    iss.set_output("s", Conn::plain(s));
-    iss.set_output("co", Conn::plain(co));
 
     let mut ctl = Netlist::new("clkgate", LogicStyle::PgMcml);
     let clk = ctl.add_input("clk");
@@ -203,7 +179,7 @@ fn style_faults() -> Vec<Netlist> {
     cross.set_output("out", Conn::plain(single));
     cross.set_port_class("k", PortClass::Secret);
 
-    vec![inv, cmos, iss, ctl, cross]
+    vec![inv, cmos, ctl, cross]
 }
 
 /// Broken sleep plans over a two-buffer PG netlist.
@@ -358,7 +334,7 @@ fn broken_cells() -> Vec<CellNetlist> {
 
 #[test]
 fn every_registered_rule_fires() {
-    let engine = armed_engine();
+    let engine = LintEngine::with_default_rules();
     let mut reports: Vec<LintReport> = Vec::new();
 
     reports.push(engine.lint_netlist(&leaky_cmos(), None));

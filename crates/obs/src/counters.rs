@@ -87,7 +87,7 @@ pub enum Counter {
     CellsCharacterized,
     /// Bias/corner sweep points measured (`mcml-char`).
     SweepPoints,
-    /// `parallel_map`/`chunked_sum` batches dispatched (`mcml-exec`).
+    /// `parallel_map` batches dispatched (`mcml-exec`).
     ParallelBatches,
     /// Work items executed by the runner, serial or parallel (`mcml-exec`).
     TasksRun,

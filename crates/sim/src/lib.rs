@@ -52,4 +52,4 @@ pub mod event;
 pub mod power;
 
 pub use event::{EventSim, Logic, SimTrace, Stimulus};
-pub use power::{circuit_current, CurrentModel};
+pub use power::circuit_current;

@@ -26,7 +26,7 @@
 //! return [`mcml_spice::SpiceError::EmptyWaveform`] instead of
 //! panicking when the selection comes up empty.
 
-use mcml_cells::{CellKind, LogicStyle};
+use mcml_cells::{CellKind, LogicStyle, Technology};
 use mcml_char::{CellTiming, TimingLibrary};
 use mcml_netlist::{GateKind, Netlist};
 use mcml_spice::Waveform;
@@ -83,43 +83,28 @@ impl SleepWave {
     }
 }
 
-/// Current-template model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CurrentModel {
-    /// Supply voltage (V).
-    pub vdd: f64,
-    /// Output sample interval (s).
-    pub dt: f64,
-    /// Width of CMOS switching-current pulses (s).
-    pub cmos_pulse_width: f64,
-    /// Fraction of a rising-edge charge drawn as short-circuit current on
-    /// falling edges.
-    pub cmos_short_circuit: f64,
-    /// MCML toggle ripple, relative to the gate's bias current.
-    pub mcml_ripple: f64,
-    /// MCML residual data-dependent asymmetry (mismatch), relative to the
-    /// gate's bias current. Orders of magnitude below the CMOS signal.
-    pub mcml_imbalance: f64,
-    /// PG-MCML wake-up settling time constant (s).
-    pub wake_tau: f64,
-    /// PG-MCML wake-up inrush charge, in units of `Iss · wake_tau`.
-    pub inrush: f64,
-}
+/// Output sample interval of the composed current waveform (s).
+pub const SAMPLE_DT: f64 = 10e-12;
 
-impl Default for CurrentModel {
-    fn default() -> Self {
-        Self {
-            vdd: 1.2,
-            dt: 10e-12,
-            cmos_pulse_width: 60e-12,
-            cmos_short_circuit: 0.15,
-            mcml_ripple: 0.02,
-            mcml_imbalance: 0.002,
-            wake_tau: 0.25e-9,
-            inrush: 0.8,
-        }
-    }
-}
+/// Width of CMOS switching-current pulses (s).
+pub const CMOS_PULSE_WIDTH: f64 = 60e-12;
+
+/// Fraction of a rising-edge charge drawn as short-circuit current on
+/// falling edges (CMOS).
+pub const CMOS_SHORT_CIRCUIT: f64 = 0.15;
+
+/// MCML toggle ripple, relative to the gate's bias current.
+pub const MCML_RIPPLE: f64 = 0.02;
+
+/// MCML residual data-dependent asymmetry (mismatch), relative to the
+/// gate's bias current. Orders of magnitude below the CMOS signal.
+pub const MCML_IMBALANCE: f64 = 0.002;
+
+/// PG-MCML wake-up settling time constant (s).
+pub const WAKE_TAU: f64 = 0.25e-9;
+
+/// PG-MCML wake-up inrush charge, in units of `Iss · WAKE_TAU`.
+pub const INRUSH: f64 = 0.8;
 
 /// Slots of a per-gate-kind table: the 16 cells by discriminant, then
 /// [`GateKind::Inv`].
@@ -157,9 +142,10 @@ impl<'l> KindTimings<'l> {
 /// activity trace.
 ///
 /// `sleep` applies only to PG-MCML netlists (ignored otherwise); `None`
-/// means always awake.
+/// means always awake. Characterised powers and energies become currents
+/// over the 90 nm supply, [`Technology::cmos90`]'s `vdd`.
 ///
-/// The result spans `[0, trace.t_stop)` on a uniform `model.dt` grid
+/// The result spans `[0, trace.t_stop)` on a uniform [`SAMPLE_DT`] grid
 /// with at least two samples, so the infallible [`Waveform`]
 /// measurements can be applied to it directly; derived selections
 /// (resampling, windowed integrals over possibly-empty ranges) should
@@ -175,11 +161,11 @@ pub fn circuit_current(
     trace: &SimTrace,
     lib: &TimingLibrary,
     sleep: Option<&SleepWave>,
-    model: &CurrentModel,
 ) -> Waveform {
     let _span = mcml_obs::span(mcml_obs::Stage::PowerModel);
-    let n = ((trace.t_stop / model.dt).ceil() as usize).max(2);
-    let times: Vec<f64> = (0..n).map(|i| i as f64 * model.dt).collect();
+    let vdd = Technology::cmos90().vdd;
+    let n = ((trace.t_stop / SAMPLE_DT).ceil() as usize).max(2);
+    let times: Vec<f64> = (0..n).map(|i| i as f64 * SAMPLE_DT).collect();
     let mut samples = vec![0.0f64; n];
     let style = nl.style;
 
@@ -191,8 +177,8 @@ pub fn circuit_current(
         let t = timings
             .get(g.kind)
             .unwrap_or_else(|| panic!("library misses {} in {style}", g.kind));
-        static_current += t.static_power_w / model.vdd;
-        leak_current += t.leakage_sleep_w / model.vdd;
+        static_current += t.static_power_w / vdd;
+        leak_current += t.leakage_sleep_w / vdd;
     }
 
     let default_sleep = SleepWave::always_on();
@@ -211,7 +197,7 @@ pub fn circuit_current(
         };
         let mut target = level;
         let mut next_tr = 0usize;
-        let alpha = 1.0 - (-model.dt / model.wake_tau).exp();
+        let alpha = 1.0 - (-SAMPLE_DT / WAKE_TAU).exp();
         for (i, &t) in times.iter().enumerate() {
             while next_tr < sleep.transitions.len() && sleep.transitions[next_tr].0 <= t {
                 target = if sleep.transitions[next_tr].1 {
@@ -227,8 +213,8 @@ pub fn circuit_current(
         // Inrush pulses at wake edges.
         for &(tw, on) in &sleep.transitions {
             if on {
-                let charge = model.inrush * static_current * model.wake_tau;
-                add_pulse(&mut samples, model.dt, tw, 2.0 * model.wake_tau, charge);
+                let charge = INRUSH * static_current * WAKE_TAU;
+                add_pulse(&mut samples, SAMPLE_DT, tw, 2.0 * WAKE_TAU, charge);
             }
         }
     } else {
@@ -257,34 +243,28 @@ pub fn circuit_current(
         let timing = timings.get(nl.gates()[gi].kind).expect("checked above");
         match style {
             LogicStyle::Cmos => {
-                let q_rise = timing.toggle_energy_j / model.vdd;
+                let q_rise = timing.toggle_energy_j / vdd;
                 let charge = if new_b {
                     q_rise
                 } else {
-                    q_rise * model.cmos_short_circuit
+                    q_rise * CMOS_SHORT_CIRCUIT
                 };
-                add_pulse(
-                    &mut samples,
-                    model.dt,
-                    tr.time,
-                    model.cmos_pulse_width,
-                    charge,
-                );
+                add_pulse(&mut samples, SAMPLE_DT, tr.time, CMOS_PULSE_WIDTH, charge);
             }
             LogicStyle::Mcml | LogicStyle::PgMcml => {
                 // Skip switching detail while asleep — no bias current.
                 if style == LogicStyle::PgMcml && !sleep.value_at(tr.time) {
                     continue;
                 }
-                let i_gate = timing.static_power_w / model.vdd;
-                let width = (timing.delay_fo1_ps * 1e-12).max(model.dt);
+                let i_gate = timing.static_power_w / vdd;
+                let width = (timing.delay_fo1_ps * 1e-12).max(SAMPLE_DT);
                 // Data-independent ripple plus the tiny mismatch
                 // asymmetry signed by the toggle direction.
-                let ripple = model.mcml_ripple * i_gate;
-                let imbalance = model.mcml_imbalance * i_gate * if new_b { 1.0 } else { -1.0 };
+                let ripple = MCML_RIPPLE * i_gate;
+                let imbalance = MCML_IMBALANCE * i_gate * if new_b { 1.0 } else { -1.0 };
                 add_pulse(
                     &mut samples,
-                    model.dt,
+                    SAMPLE_DT,
                     tr.time,
                     width,
                     (ripple + imbalance) * width,
@@ -391,8 +371,7 @@ mod tests {
     #[test]
     fn cmos_pulses_on_toggles() {
         let (nl, trace, lib) = toggling_trace(LogicStyle::Cmos, 4);
-        let model = CurrentModel::default();
-        let i = circuit_current(&nl, &trace, &lib, None, &model);
+        let i = circuit_current(&nl, &trace, &lib, None);
         // Quiet baseline ≈ leakage.
         let leak = 2e-9 / 1.2;
         assert!((i.sample(0.5e-9) - leak).abs() < leak, "baseline near leak");
@@ -402,19 +381,17 @@ mod tests {
 
     #[test]
     fn cmos_average_scales_with_activity() {
-        let model = CurrentModel::default();
         let (nl, t2, lib) = toggling_trace(LogicStyle::Cmos, 2);
         let (_, t8, _) = toggling_trace(LogicStyle::Cmos, 8);
-        let i2 = circuit_current(&nl, &t2, &lib, None, &model).mean();
-        let i8 = circuit_current(&nl, &t8, &lib, None, &model).mean();
+        let i2 = circuit_current(&nl, &t2, &lib, None).mean();
+        let i8 = circuit_current(&nl, &t8, &lib, None).mean();
         assert!(i8 > 2.0 * i2, "more toggles, more average current");
     }
 
     #[test]
     fn mcml_current_is_nearly_flat() {
         let (nl, trace, lib) = toggling_trace(LogicStyle::Mcml, 6);
-        let model = CurrentModel::default();
-        let i = circuit_current(&nl, &trace, &lib, None, &model);
+        let i = circuit_current(&nl, &trace, &lib, None);
         let mean = i.mean();
         let expect = 60e-6 / 1.2;
         assert!(
@@ -433,9 +410,8 @@ mod tests {
     #[test]
     fn pg_mcml_sleeps_and_wakes() {
         let (nl, trace, lib) = toggling_trace(LogicStyle::PgMcml, 4);
-        let model = CurrentModel::default();
         let sleep = SleepWave::awake_windows(&[(4e-9, 7e-9)]);
-        let i = circuit_current(&nl, &trace, &lib, Some(&sleep), &model);
+        let i = circuit_current(&nl, &trace, &lib, Some(&sleep));
         let awake = 60e-6 / 1.2;
         let asleep = 5e-9 / 1.2;
         assert!(i.sample(2e-9) < 20.0 * asleep, "asleep: {}", i.sample(2e-9));
@@ -458,7 +434,6 @@ mod tests {
         // The defining property: CMOS current depends on the data,
         // MCML's barely does. Compare current when the XOR toggles
         // against when it stays put.
-        let model = CurrentModel::default();
         for (style, expect_ratio) in [(LogicStyle::Cmos, 5.0), (LogicStyle::Mcml, 1.05)] {
             let nl = xor_netlist(style);
             let lib = test_lib(style);
@@ -473,10 +448,8 @@ mod tests {
             let mut st2 = Stimulus::new();
             st2.at(0.0, "a", false).at(0.0, "b", false);
             let tr2 = sim.run(&st2, 4e-9);
-            let e1 =
-                circuit_current(&nl, &tr1, &lib, None, &model).integral_between(1.9e-9, 2.5e-9);
-            let e2 =
-                circuit_current(&nl, &tr2, &lib, None, &model).integral_between(1.9e-9, 2.5e-9);
+            let e1 = circuit_current(&nl, &tr1, &lib, None).integral_between(1.9e-9, 2.5e-9);
+            let e2 = circuit_current(&nl, &tr2, &lib, None).integral_between(1.9e-9, 2.5e-9);
             let ratio = e1 / e2.max(1e-18);
             if style == LogicStyle::Cmos {
                 assert!(ratio > expect_ratio, "{style}: ratio {ratio}");

@@ -4,7 +4,7 @@
 use mcml_cells::{CellKind, DriveStrength, LogicStyle};
 use mcml_char::{CellTiming, TimingLibrary};
 use mcml_netlist::{Conn, GateKind, Netlist};
-use mcml_sim::power::{CurrentModel, SleepWave};
+use mcml_sim::power::SleepWave;
 use mcml_sim::{circuit_current, EventSim, Stimulus};
 
 fn lib_missing_xor(style: LogicStyle) -> TimingLibrary {
@@ -62,7 +62,7 @@ fn power_model_requires_characterised_cells() {
     let mut st = Stimulus::new();
     st.at(0.0, "a", false).at(0.0, "b", false);
     let trace = sim.run(&st, 1e-9);
-    let _ = circuit_current(&nl, &trace, &lib, None, &CurrentModel::default());
+    let _ = circuit_current(&nl, &trace, &lib, None);
 }
 
 #[test]
@@ -114,7 +114,7 @@ fn sleep_wave_ignored_for_non_pg_styles() {
     let trace = sim.run(&st, 2e-9);
     // Even with an "asleep" sleep wave, conventional MCML keeps burning.
     let asleep = SleepWave::awake_windows(&[]);
-    let i = circuit_current(&nl, &trace, &lib, Some(&asleep), &CurrentModel::default());
+    let i = circuit_current(&nl, &trace, &lib, Some(&asleep));
     assert!(
         i.mean() > 40e-6 / 1.2,
         "MCML has no sleep pin to honour: {}",

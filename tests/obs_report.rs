@@ -187,7 +187,7 @@ fn power_model_counts_direct_and_flow_calls_once_each() {
             .stage(Stage::PowerModel)
             .calls
     };
-    let _ = circuit_current(&nl, &trace, flow.library(), None, &flow.model);
+    let _ = circuit_current(&nl, &trace, flow.library(), None);
     assert_eq!(
         calls(),
         1,
@@ -218,4 +218,30 @@ fn sequential_cmos_cell_reuses_the_cached_buffer_energy() {
     // FO1 and FO4 delay plus the static-power clock-edge settle; the
     // buffer energy adds none.
     assert_eq!(report.counter(Counter::Transients), 3);
+}
+
+#[test]
+fn serial_flow_keeps_fig6_mtd_on_one_worker() {
+    // Every CPA of the disclosure ladder runs on the flow's worker pool:
+    // on a serial flow each batch opens exactly one `worker_busy` span,
+    // whatever `MCML_THREADS` says.
+    use mcml_obs::Stage;
+
+    let _g = locked();
+    let mut flow = DesignFlow::new(CellParams::default()).with_parallelism(Parallelism::Serial);
+    mcml_obs::set_mode(Mode::Summary);
+    mcml_obs::reset();
+    pg_mcml::experiments::fig6_mtd(&mut flow, LogicStyle::Cmos, 0x3b, 0.01, 0xFEED, &[16, 32])
+        .expect("fig6_mtd");
+    let report = RunReport::capture("fig6_mtd", 1);
+    let batches = report.counter(Counter::ParallelBatches);
+    assert!(
+        batches > 2,
+        "acquisition and two ladder CPAs dispatch batches: {batches}"
+    );
+    assert_eq!(
+        report.stage(Stage::WorkerBusy).calls,
+        batches,
+        "one busy span per batch: no batch fanned out"
+    );
 }

@@ -36,8 +36,8 @@ fn parallel_trace_acquisition_is_byte_identical_to_serial() {
 
     // The attack on identical traces is identical too.
     let model = HammingWeight::new(|x| mcml_aes::SBOX[x as usize], 8);
-    let rs = mcml_dpa::cpa_attack_par(&serial, &model, Parallelism::Serial);
-    let rp = mcml_dpa::cpa_attack_par(&parallel, &model, Parallelism::Threads(4));
+    let rs = cpa_attack_par(&serial, &model, Parallelism::Serial);
+    let rp = cpa_attack_par(&parallel, &model, Parallelism::Threads(4));
     assert_eq!(rs, rp, "CPA verdicts match");
 }
 
