@@ -66,9 +66,9 @@ fn stats(ts: &TraceSet, par: Parallelism) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Welch's t-test between two trace populations (same sample count), on
-/// `par`'s worker pool; results are bit-identical to the serial path. A zero pooled variance at a sample
-/// (constant traces in both populations, the flat MCML case) gives `t = 0`,
-/// never `NaN`.
+/// `par`'s worker pool; results are bit-identical to the serial path. A
+/// zero pooled variance at a sample (constant traces in both populations,
+/// the flat MCML case) gives `t = 0`, never `NaN`.
 ///
 /// # Panics
 ///

@@ -101,8 +101,6 @@ mod tests {
         let cfg = LintConfig::default();
         assert_eq!(cfg.max_fanout, 4);
         assert_eq!(cfg.waivers().count(), 0);
-        assert!((crate::rules::gate::INSERTION_DELAY_BUDGET - 1.0e-9).abs() < 1e-15);
-        assert_eq!(crate::rules::dataflow::GLITCH_TOGGLE_LIMIT, 1);
     }
 
     #[test]

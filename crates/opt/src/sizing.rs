@@ -18,9 +18,9 @@
 //! tail currents above the library budget, differential sizings whose
 //! bias network has no solution ([`mcml_cells::try_solve_bias`]), and
 //! netlists that trip any deny-severity `mcml-lint` rule (differential
-//! symmetry, output swing, Iss budget). Each rejection costs a
-//! deterministic [`INFEASIBLE_PENALTY`] scaled by the violation count and
-//! increments the `opt.infeasible` counter.
+//! symmetry, sleep-transistor topology, transistor-level ERC). Each
+//! rejection costs a deterministic [`INFEASIBLE_PENALTY`] scaled by the
+//! violation count and increments the `opt.infeasible` counter.
 
 use mcml_cells::{build_cell, cell_area_um2, try_solve_bias, CellKind, CellParams, LogicStyle};
 use mcml_char::characterize_cell;

@@ -87,24 +87,24 @@ impl SleepWave {
 pub const SAMPLE_DT: f64 = 10e-12;
 
 /// Width of CMOS switching-current pulses (s).
-pub const CMOS_PULSE_WIDTH: f64 = 60e-12;
+const CMOS_PULSE_WIDTH: f64 = 60e-12;
 
 /// Fraction of a rising-edge charge drawn as short-circuit current on
 /// falling edges (CMOS).
-pub const CMOS_SHORT_CIRCUIT: f64 = 0.15;
+const CMOS_SHORT_CIRCUIT: f64 = 0.15;
 
 /// MCML toggle ripple, relative to the gate's bias current.
-pub const MCML_RIPPLE: f64 = 0.02;
+const MCML_RIPPLE: f64 = 0.02;
 
 /// MCML residual data-dependent asymmetry (mismatch), relative to the
 /// gate's bias current. Orders of magnitude below the CMOS signal.
-pub const MCML_IMBALANCE: f64 = 0.002;
+const MCML_IMBALANCE: f64 = 0.002;
 
 /// PG-MCML wake-up settling time constant (s).
-pub const WAKE_TAU: f64 = 0.25e-9;
+const WAKE_TAU: f64 = 0.25e-9;
 
 /// PG-MCML wake-up inrush charge, in units of `Iss · WAKE_TAU`.
-pub const INRUSH: f64 = 0.8;
+const INRUSH: f64 = 0.8;
 
 /// Slots of a per-gate-kind table: the 16 cells by discriminant, then
 /// [`GateKind::Inv`].
