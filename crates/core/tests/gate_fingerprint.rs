@@ -16,14 +16,15 @@
 //!   third cycle);
 //! * the trace sets of `acquire_template_traces` at a fixed seed;
 //!
-//! and, across the styles, the `table3` rows and the `fig5` data.
+//! in CMOS and PG-MCML, every t value of `tvla_assessment` at a fixed
+//! seed; and, across the styles, the `table3` rows and the `fig5` data.
 
 use mcml_aes::sbox_ise::SboxIseOptions;
 use mcml_aes::ReducedAes;
 use mcml_cells::{CellParams, LogicStyle};
 use mcml_or1k::aes_prog::AesBenchParams;
 use mcml_sim::{Logic, SimTrace, Stimulus};
-use pg_mcml::experiments::{acquire_template_traces, fig5, table3};
+use pg_mcml::experiments::{acquire_template_traces, fig5, table3, tvla_assessment};
 use pg_mcml::DesignFlow;
 
 /// FNV-1a over 64-bit words.
@@ -137,6 +138,14 @@ fn fingerprints() -> Vec<(String, u64)> {
         got.push((format!("template_traces/{tag}"), h.0));
     }
 
+    for style in [LogicStyle::Cmos, LogicStyle::PgMcml] {
+        let tv = tvla_assessment(&mut flow, style, KEY, 20, 0.01, 11).expect("tvla");
+        let mut h = Fnv::new();
+        h.eat_f64s(&tv.t);
+        h.eat(tv.max_abs_t.to_bits());
+        got.push((format!("tvla/{}", style_tag(style)), h.0));
+    }
+
     let bench = AesBenchParams {
         blocks: 2,
         idle_loops: 1500,
@@ -178,6 +187,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ("aes8_reg/pg_mcml/pff", 0x8d07_e87a_2a41_de63),
     ("sbox_ise/pg_mcml/activation", 0x37fd_b661_2088_6c54),
     ("template_traces/pg_mcml", 0x5202_e72f_a3a9_6d85),
+    ("tvla/cmos", 0x491a_c610_08e8_0774),
+    ("tvla/pg_mcml", 0x32f2_50e2_6854_790b),
     ("table3/rows", 0x9de5_cbf8_5a65_75e0),
     ("fig5/data", 0x6110_5122_f5c1_45e3),
 ];
