@@ -1,12 +1,12 @@
 //! AES-128 (FIPS-197) — the software workload the augmented `OpenRISC`
 //! core executes in the paper's Table 3 experiment.
 
-use crate::sbox::{INV_SBOX, SBOX};
+use crate::sbox::SBOX;
 
 /// Number of rounds for a 128-bit key.
 pub const ROUNDS: usize = 10;
 
-/// An expanded AES-128 key ready for encryption/decryption.
+/// An expanded AES-128 key ready for encryption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; ROUNDS + 1],
@@ -83,23 +83,6 @@ impl Aes128 {
         add_round_key(&mut s, &self.round_keys[ROUNDS]);
         s
     }
-
-    /// Decrypt one 16-byte block.
-    #[must_use]
-    pub fn decrypt_block(&self, cipher: &[u8; 16]) -> [u8; 16] {
-        let mut s = *cipher;
-        add_round_key(&mut s, &self.round_keys[ROUNDS]);
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        for r in (1..ROUNDS).rev() {
-            add_round_key(&mut s, &self.round_keys[r]);
-            inv_mix_columns(&mut s);
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-        }
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 // State layout: byte `s[r + 4c]` is row r, column c (FIPS-197 §3.4).
@@ -116,26 +99,11 @@ fn sub_bytes(s: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 fn shift_rows(s: &mut [u8; 16]) {
     for r in 1..4 {
         let row: [u8; 4] = [s[r], s[r + 4], s[r + 8], s[r + 12]];
         for c in 0..4 {
             s[r + 4 * c] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row: [u8; 4] = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + 4 - r) % 4];
         }
     }
 }
@@ -147,16 +115,6 @@ fn mix_columns(s: &mut [u8; 16]) {
         s[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
         s[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
         s[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        s[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        s[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        s[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -177,7 +135,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(&plain), expect);
-        assert_eq!(aes.decrypt_block(&expect), plain);
     }
 
     #[test]
@@ -202,20 +159,6 @@ mod tests {
         let key = [7u8; 16];
         let aes = Aes128::new(&key);
         assert_eq!(aes.round_keys()[0], key);
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt_on_many_blocks() {
-        let aes = Aes128::new(&[0xA5; 16]);
-        let mut block = [0u8; 16];
-        for round in 0..64u8 {
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = b.wrapping_mul(31).wrapping_add(round).wrapping_add(i as u8);
-            }
-            let c = aes.encrypt_block(&block);
-            assert_eq!(aes.decrypt_block(&c), block);
-            assert_ne!(c, block, "ciphertext differs from plaintext");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The cryptographic workload of the paper's evaluation:
 //!
-//! * [`aes`] — a complete software AES-128 (FIPS-197) used as the program
+//! * [`aes`] — software AES-128 encryption (FIPS-197) used as the program
 //!   the `OpenRISC` core executes 5000 times for the Table 3 power study;
 //! * [`sbox`] — the AES S-box (plus a 4-bit mini S-box used for the
 //!   transistor-level CPA tier, where an 8-bit LUT would be too large to

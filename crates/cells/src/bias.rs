@@ -200,7 +200,10 @@ mod tests {
         // Widths and current both scale 4x, so the bias point barely
         // moves — that is what makes shared bias rails possible.
         let b1 = solve_bias(&CellParams::default());
-        let b4 = solve_bias(&CellParams::default().with_drive(DriveStrength::X4));
+        let b4 = solve_bias(&CellParams {
+            drive: DriveStrength::X4,
+            ..CellParams::default()
+        });
         assert!((b1.vn - b4.vn).abs() < 0.02, "{} vs {}", b1.vn, b4.vn);
         assert!((b1.vp - b4.vp).abs() < 0.02, "{} vs {}", b1.vp, b4.vp);
         assert_eq!(b4.iss, 4.0 * b1.iss);

@@ -96,9 +96,6 @@ pub struct CellSpec {
     pub inputs: &'static [&'static str],
     /// Output ports.
     pub outputs: &'static [&'static str],
-    /// Current-mode stages (= tail current sources) of the MCML and
-    /// PG-MCML implementations.
-    pub mcml_stages: usize,
     /// PG-MCML layout width at X1 drive, in
     /// [`PG_WIDTH_UNIT_UM2`](crate::area::PG_WIDTH_UNIT_UM2) quanta:
     /// the published cell areas (Tables 1 and 2) quantise exactly to it.
@@ -123,7 +120,6 @@ const fn row(
     stem: &'static str,
     inputs: &'static [&'static str],
     outputs: &'static [&'static str],
-    mcml_stages: usize,
     pg_width_units: u32,
     cmos_transistors: usize,
     cmos_counterpart: bool,
@@ -134,7 +130,6 @@ const fn row(
         stem,
         inputs,
         outputs,
-        mcml_stages,
         pg_width_units,
         cmos_transistors,
         cmos_counterpart,
@@ -158,23 +153,23 @@ const fn has_clk(pins: &[&str]) -> bool {
 static CATALOG: [CellSpec; 16] = {
     use CellKind::*;
     [
-        //  kind         Table 2        stem     inputs                                 outputs      stages width cmos  ratio
-        row(Buffer,      "Buffer",      "BUF",   &["a"],                                &["q"],        1,     5,    4, true),
-        row(Diff2Single, "Diff2Single", "D2S",   &["a"],                                &["q"],        1,     6,    4, false),
-        row(And2,        "AND2",        "AND2",  &["a", "b"],                           &["q"],        1,     6,    6, true),
-        row(And3,        "AND3",        "AND3",  &["a", "b", "c"],                      &["q"],        2,     9,    8, true),
-        row(And4,        "AND4",        "AND4",  &["a", "b", "c", "d"],                 &["q"],        3,    12,   10, true),
-        row(Mux2,        "MUX2",        "MUX2",  &["d0", "d1", "s"],                    &["q"],        1,     6,   12, true),
-        row(Mux4,        "MUX4",        "MUX4",  &["d0", "d1", "d2", "d3", "s0", "s1"], &["q"],        3,    14,   36, true),
-        row(Maj32,       "MAJ32",       "MAJ32", &["a", "b", "c"],                      &["q"],        3,    12,   14, false),
-        row(Xor2,        "XOR2",        "XOR2",  &["a", "b"],                           &["q"],        1,     6,   12, true),
-        row(Xor3,        "XOR3",        "XOR3",  &["a", "b", "c"],                      &["q"],        2,    12,   24, true),
-        row(Xor4,        "XOR4",        "XOR4",  &["a", "b", "c", "d"],                 &["q"],        3,    14,   36, true),
-        row(DLatch,      "D-Latch",     "DL",    &["d", "clk"],                         &["q"],        1,     6,   12, true),
-        row(Dff,         "DFF",         "DFF",   &["d", "clk"],                         &["q"],        2,    12,   26, true),
-        row(Dffr,        "DFFR",        "DFFR",  &["d", "clk", "rst"],                  &["q"],        3,    18,   34, true),
-        row(Edff,        "EDFF",        "EDFF",  &["d", "clk", "en"],                   &["q"],        3,    16,   38, false),
-        row(FullAdder,   "FA",          "FA",    &["a", "b", "ci"],                     &["s", "co"],  5,    24,   38, true),
+        //  kind         Table 2        stem     inputs                                 outputs       width cmos  ratio
+        row(Buffer,      "Buffer",      "BUF",   &["a"],                                &["q"],         5,    4, true),
+        row(Diff2Single, "Diff2Single", "D2S",   &["a"],                                &["q"],         6,    4, false),
+        row(And2,        "AND2",        "AND2",  &["a", "b"],                           &["q"],         6,    6, true),
+        row(And3,        "AND3",        "AND3",  &["a", "b", "c"],                      &["q"],         9,    8, true),
+        row(And4,        "AND4",        "AND4",  &["a", "b", "c", "d"],                 &["q"],        12,   10, true),
+        row(Mux2,        "MUX2",        "MUX2",  &["d0", "d1", "s"],                    &["q"],         6,   12, true),
+        row(Mux4,        "MUX4",        "MUX4",  &["d0", "d1", "d2", "d3", "s0", "s1"], &["q"],        14,   36, true),
+        row(Maj32,       "MAJ32",       "MAJ32", &["a", "b", "c"],                      &["q"],        12,   14, false),
+        row(Xor2,        "XOR2",        "XOR2",  &["a", "b"],                           &["q"],         6,   12, true),
+        row(Xor3,        "XOR3",        "XOR3",  &["a", "b", "c"],                      &["q"],        12,   24, true),
+        row(Xor4,        "XOR4",        "XOR4",  &["a", "b", "c", "d"],                 &["q"],        14,   36, true),
+        row(DLatch,      "D-Latch",     "DL",    &["d", "clk"],                         &["q"],         6,   12, true),
+        row(Dff,         "DFF",         "DFF",   &["d", "clk"],                         &["q"],        12,   26, true),
+        row(Dffr,        "DFFR",        "DFFR",  &["d", "clk", "rst"],                  &["q"],        18,   34, true),
+        row(Edff,        "EDFF",        "EDFF",  &["d", "clk", "en"],                   &["q"],        16,   38, false),
+        row(FullAdder,   "FA",          "FA",    &["a", "b", "ci"],                     &["s", "co"],  24,   38, true),
     ]
 };
 
@@ -224,18 +219,6 @@ impl CellKind {
     #[must_use]
     pub fn output_names(self) -> &'static [&'static str] {
         self.spec().outputs
-    }
-
-    /// Number of current-mode stages (= tail current sources) in the
-    /// MCML / PG-MCML implementation of the cell.
-    ///
-    /// Each stage draws one `Iss` from the supply whether or not it
-    /// switches, so this is the per-cell static-current weight; it is
-    /// cross-checked against the transistor-level generator's stage
-    /// count in the cell tests.
-    #[must_use]
-    pub fn mcml_stage_count(self) -> usize {
-        self.spec().mcml_stages
     }
 
     /// Whether the cell holds state (latch or flip-flop): the cells with

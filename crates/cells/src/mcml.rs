@@ -758,19 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_count_helper_matches_generator() {
-        let params = CellParams::default();
-        for kind in CellKind::ALL {
-            let cell = build_mcml_cell(kind, &params, None);
-            assert_eq!(
-                cell.stats.stages,
-                kind.spec().mcml_stages,
-                "{kind}: generator stages vs CATALOG"
-            );
-        }
-    }
-
-    #[test]
     fn pg_adds_one_transistor_per_stage_topology_d() {
         let params = CellParams::default();
         for kind in [CellKind::Buffer, CellKind::And3, CellKind::FullAdder] {

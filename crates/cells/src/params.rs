@@ -86,15 +86,6 @@ impl CellParams {
         }
     }
 
-    /// Same parameters at a different drive strength.
-    #[must_use]
-    pub fn with_drive(&self, drive: DriveStrength) -> Self {
-        Self {
-            drive,
-            ..self.clone()
-        }
-    }
-
     /// Effective width multiplier from the drive strength.
     #[must_use]
     pub fn drive_mult(&self) -> f64 {
@@ -184,7 +175,10 @@ mod tests {
 
     #[test]
     fn drive_scaling() {
-        let p = CellParams::default().with_drive(DriveStrength::X4);
+        let p = CellParams {
+            drive: DriveStrength::X4,
+            ..CellParams::default()
+        };
         assert_eq!(p.drive_mult(), 4.0);
         assert_eq!(p.iss_effective(), 200e-6);
     }

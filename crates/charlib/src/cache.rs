@@ -21,12 +21,11 @@
 //! the `mcml-obs` report-equality tests rely on (a racing duplicate
 //! compute would also inflate the `spice.*` counters).
 //!
-//! Hit/miss counters are exposed for tests and for the speedup reports in
-//! the `table2`/`table3`/`fig6` binaries; [`clear`] resets both the map and
-//! the counters so serial-vs-parallel timing comparisons start cold.
+//! Hits and misses count once, in `mcml-obs`'s [`Counter::CacheHits`] and
+//! [`Counter::CacheMisses`]; [`clear`] drops the map so serial-vs-parallel
+//! timing comparisons start cold.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use mcml_cells::{CellKind, CellParams, LogicStyle};
@@ -107,8 +106,6 @@ type CacheMap = Option<HashMap<CharKey, Slot>>;
 
 static CACHE: Mutex<CacheMap> = Mutex::new(None);
 static READY: Condvar = Condvar::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn lock() -> MutexGuard<'static, CacheMap> {
     CACHE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -136,7 +133,6 @@ pub fn get_or_characterize<E>(
         match guard.get_or_insert_with(HashMap::new).get(&key) {
             Some(Slot::Ready(timing)) => {
                 let timing = timing.clone();
-                HITS.fetch_add(1, Ordering::Relaxed);
                 mcml_obs::incr(Counter::CacheHits);
                 return Ok(timing);
             }
@@ -152,7 +148,6 @@ pub fn get_or_characterize<E>(
         .insert(key.clone(), Slot::InFlight);
     drop(guard);
 
-    MISSES.fetch_add(1, Ordering::Relaxed);
     mcml_obs::incr(Counter::CacheMisses);
     let result = compute();
 
@@ -172,37 +167,11 @@ pub fn get_or_characterize<E>(
     result
 }
 
-/// Cache hit/miss counters since the last [`clear`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache (including waits on an in-flight
-    /// compute of the same key).
-    pub hits: u64,
-    /// Lookups that ran the SPICE measurements.
-    pub misses: u64,
-    /// Distinct keys currently resident with a finished result.
-    pub entries: usize,
-}
-
-/// Snapshot the cache counters.
-#[must_use]
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        entries: lock().as_ref().map_or(0, |m| {
-            m.values().filter(|s| matches!(s, Slot::Ready(_))).count()
-        }),
-    }
-}
-
-/// Drop every cached entry and zero the counters.
+/// Drop every cached entry.
 ///
 /// The benchmark binaries call this between their serial and parallel runs
 /// so both start from a cold cache and the reported speedup is honest.
 /// Must not be called while characterizations are in flight.
 pub fn clear() {
     *lock() = None;
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
 }

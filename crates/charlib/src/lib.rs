@@ -39,7 +39,6 @@ pub mod library;
 pub mod measure;
 pub mod sweep;
 
-pub use cache::CacheStats;
 pub use harness::Testbench;
 pub use liberty::to_liberty;
 pub use library::{

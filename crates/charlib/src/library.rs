@@ -162,10 +162,10 @@ pub fn characterize_cell_uncached(
 ) -> Result<CellTiming> {
     let _span = mcml_obs::span(mcml_obs::Stage::Characterize);
     mcml_obs::incr(mcml_obs::Counter::CellsCharacterized);
-    // A combinational cell's FO1 delay transient is also the testbench
-    // `measure_dynamic_energy` would build, so the CMOS toggle energy is
-    // read from it here, and the run freed, before the next transient;
-    // an error in it surfaces where the energy is used below.
+    // A combinational cell's FO1 delay transient is also the CMOS
+    // toggle-energy testbench, so the energy is read from it here, and
+    // the run freed, before the next transient; an error in it surfaces
+    // where the energy is used below.
     let (d1, fo1_energy) = if kind.is_sequential() {
         (measure_delay(kind, style, params, 1)?, None)
     } else {
@@ -186,8 +186,8 @@ pub fn characterize_cell_uncached(
         // Sequential: approximate with the buffer's toggle energy scaled
         // by area; the event-driven power model only needs an order of
         // magnitude for sequential CMOS cells. The buffer's energy comes
-        // from its cached characterisation, whose FO1 run is the
-        // transient `measure_dynamic_energy` would repeat. The cache
+        // from its cached characterisation, whose FO1 run already
+        // measured it, so no toggle transient repeats here. The cache
         // computes outside its lock and waits on a buffer already in
         // flight, and a buffer never looks up a sequential cell, so the
         // nested lookup cannot deadlock.
@@ -312,11 +312,11 @@ mod tests {
     fn input_cap_scales_with_drive() {
         let params = CellParams::default();
         let c1 = input_capacitance(CellKind::Buffer, LogicStyle::PgMcml, &params);
-        let c4 = input_capacitance(
-            CellKind::Buffer,
-            LogicStyle::PgMcml,
-            &params.with_drive(DriveStrength::X4),
-        );
+        let x4 = CellParams {
+            drive: DriveStrength::X4,
+            ..params
+        };
+        let c4 = input_capacitance(CellKind::Buffer, LogicStyle::PgMcml, &x4);
         assert!(c4 > 2.0 * c1, "X4 input cap {c4} vs X1 {c1}");
     }
 }

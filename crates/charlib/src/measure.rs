@@ -288,21 +288,6 @@ pub fn measure_sleep_leakage(
     Ok(i * params.tech.vdd)
 }
 
-/// CMOS dynamic energy per output toggle (J): supply charge of one
-/// switching event times Vdd, with the leakage baseline subtracted.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_dynamic_energy(
-    kind: CellKind,
-    style: LogicStyle,
-    params: &CellParams,
-    fanout: usize,
-) -> Result<f64> {
-    ToggleRun::new(kind, style, params, fanout)?.dynamic_energy(params)
-}
-
 /// Wake-up time of a power-gated cell (s): sleep asserted at t=0, the
 /// sleep pin rises at `t_wake`, and we measure until the output
 /// differential reaches 90 % of its final value.
@@ -427,7 +412,8 @@ mod tests {
     #[test]
     fn cmos_dynamic_energy_positive() {
         let params = CellParams::default();
-        let e = measure_dynamic_energy(CellKind::Buffer, LogicStyle::Cmos, &params, 1).unwrap();
+        let run = ToggleRun::new(CellKind::Buffer, LogicStyle::Cmos, &params, 1).unwrap();
+        let e = run.dynamic_energy(&params).unwrap();
         assert!(e > 1e-18 && e < 1e-12, "toggle energy {e} J");
     }
 }

@@ -9,7 +9,7 @@ use mcml_aes::{ReducedAes, SBOX};
 use mcml_cells::{
     cell_area_um2, mcml_to_cmos_ratio, CellKind, CellParams, DriveStrength, LogicStyle,
 };
-use mcml_char::{bias_sweep_par, BiasSweepPoint};
+use mcml_char::{bias_sweep_par, BiasSweepPoint, TimingLibrary};
 use mcml_dpa::{
     cpa_attack_par, distinguishability_margin, key_rank, CpaAccumulator, CpaResult, HammingWeight,
     TraceSet,
@@ -454,36 +454,59 @@ pub fn acquire_template_traces(
     let _span = mcml_obs::span(mcml_obs::Stage::TraceAcquisition);
     let lib = flow.library();
     let sim = EventSim::new(&nl, lib);
-    let t_edge = 2.2e-9;
-    let n_samples = 60;
     let inputs: Vec<u8> = (0..=255u8).collect();
     // Per-plaintext acquisitions are independent (the library is fully
     // characterised above, and each trace derives its own noise stream),
     // so they fan across the worker pool; `collect_par` pushes rows in
     // plaintext order, byte-identical to the serial loop.
     Ok(TraceSet::collect_par(
-        n_samples,
+        FIG6_N_SAMPLES,
         &inputs,
         flow.parallelism,
         |i, p| {
             let mut rng = trace_rng(seed, i as u64);
-            let mut st = Stimulus::new();
-            st.at(0.0, "clk", false);
-            st.at(t_edge, "clk", true);
-            for b in 0..8 {
-                st.at(0.0, &format!("k{b}"), (key >> b) & 1 == 1);
-                st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
-            }
-            let trace = sim.run(&st, 3.6e-9);
-            let iw = circuit_current(&nl, &trace, lib, None);
-            let mean = iw.mean().abs().max(1e-12);
-            let w = iw.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);
-            w.values()
-                .iter()
-                .map(|&v| v + gauss(&mut rng) * noise_rel * mean)
-                .collect()
+            template_trace(&sim, &nl, lib, key, p, noise_rel, &mut rng)
         },
     ))
+}
+
+/// The template tier's one rising clock edge.
+const TEMPLATE_T_EDGE: f64 = 2.2e-9;
+
+/// One noisy template-tier trace of the registered 8-bit reduced AES
+/// `nl`, simulated by `sim` on the characterised `lib`: `clk` low and
+/// `(p, key)` applied at reset, the clock rising at [`TEMPLATE_T_EDGE`],
+/// 3.6 ns of event simulation folded into the supply current, and the
+/// window from 0.1 ns before the edge to 1 ns after it resampled onto
+/// [`FIG6_N_SAMPLES`] points, each with Gaussian noise of `noise_rel` ×
+/// the trace's mean |current| drawn from `rng`.
+fn template_trace(
+    sim: &EventSim<'_>,
+    nl: &Netlist,
+    lib: &TimingLibrary,
+    key: u8,
+    p: u8,
+    noise_rel: f64,
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    let mut st = Stimulus::new();
+    st.at(0.0, "clk", false);
+    st.at(TEMPLATE_T_EDGE, "clk", true);
+    for b in 0..8 {
+        st.at(0.0, &format!("k{b}"), (key >> b) & 1 == 1);
+        st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
+    }
+    let iw = circuit_current(nl, &sim.run(&st, 3.6e-9), lib, None);
+    let mean = iw.mean().abs().max(1e-12);
+    let w = iw.resample(
+        TEMPLATE_T_EDGE - 0.1e-9,
+        TEMPLATE_T_EDGE + 1.0e-9,
+        FIG6_N_SAMPLES,
+    );
+    w.values()
+        .iter()
+        .map(|&v| v + gauss(rng) * noise_rel * mean)
+        .collect()
 }
 
 /// Measurements-to-disclosure for one style: the smallest trace count at
@@ -536,17 +559,12 @@ pub fn fig6_transistor_par(
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
     let bench = fig6_bench(params, key, style, plaintexts, true)?;
-    // Every plaintext gets its own clone of the elaborated circuit and a
-    // full transistor-level transient — the expensive, perfectly
-    // independent work items of this tier.
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options();
-    let rows = mcml_exec::parallel_map_items(par, plaintexts, |&p| {
-        fig6_plaintext_trace(&bench, key, p, &tran_opts)
-    });
     let mut ts = TraceSet::new(FIG6_N_SAMPLES);
-    for (&p, row) in plaintexts.iter().zip(rows) {
-        ts.push(p, &row?);
+    for (&p, row) in plaintexts
+        .iter()
+        .zip(fig6_traces(&bench, key, plaintexts, par)?)
+    {
+        ts.push(p, &row);
     }
     let reduced = ReducedAes::new(4);
     let model = HammingWeight::new(|x| reduced.sbox(x), 4);
@@ -554,9 +572,10 @@ pub fn fig6_transistor_par(
     Ok((verdict(style, usize::from(key), &r, ts.n_traces()), r))
 }
 
-/// Acquisition window and sampling of the fig. 6 transistor tier.
+/// Acquisition window of the fig. 6 transistor tier.
 const FIG6_T_EDGE: f64 = 2.0e-9;
 const FIG6_T_STOP: f64 = 3.6e-9;
+/// Samples per trace at both fig. 6 tiers.
 const FIG6_N_SAMPLES: usize = 60;
 
 /// The transient options the fig. 6 transistor tier runs with: the
@@ -578,19 +597,49 @@ pub fn fig6_tran_options() -> TranOptions {
     TranOptions::new(FIG6_T_STOP, 10e-12).adaptive().bypass()
 }
 
-/// The elaborated fig. 6 testbench and the levels its input rails
-/// swing between.
+/// An elaborated 4-bit reduced-AES testbench and the levels its input
+/// rails swing between.
 struct Fig6Bench {
     el: crate::elaborate::Elaborated,
     v_lo: f64,
     v_hi: f64,
 }
 
-/// Low and high input rail levels of `style`.
-fn rail_levels(params: &CellParams, style: LogicStyle) -> (f64, f64) {
-    match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
+impl Fig6Bench {
+    /// Elaborate `nl` behind the default lint gate, with `style`'s rail
+    /// levels.
+    fn new(nl: &Netlist, params: &CellParams, style: LogicStyle) -> Result<Self> {
+        let el = checked_elaborate(nl, params, &mcml_lint::LintEngine::with_default_rules())?;
+        let v_lo = match style {
+            LogicStyle::Cmos => 0.0,
+            _ => params.v_low(),
+        };
+        Ok(Self {
+            el,
+            v_lo,
+            v_hi: params.tech.vdd,
+        })
+    }
+
+    /// Drive input `name` through source `V{name}` on its true rail and,
+    /// for a differential input, `V{name}n` on its complement: held at
+    /// logic `bit` from t = 0 or, when `rises` and `bit` are both set,
+    /// low until a 50 ps edge up at [`FIG6_T_EDGE`].
+    fn drive(&self, ckt: &mut Circuit, name: &str, bit: bool, rises: bool) {
+        let (lo, hi) = (self.v_lo, self.v_hi);
+        let edge = |a: f64, b: f64| {
+            SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
+        };
+        let (wp, wn) = match (bit, rises) {
+            (true, true) => (edge(lo, hi), edge(hi, lo)),
+            (true, false) => (SourceWave::dc(hi), SourceWave::dc(lo)),
+            (false, _) => (SourceWave::dc(lo), SourceWave::dc(hi)),
+        };
+        let (np, nn) = self.el.inputs[name];
+        ckt.vsource(&format!("V{name}"), np, Circuit::GND, wp);
+        if let Some(nn) = nn {
+            ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, wn);
+        }
     }
 }
 
@@ -633,38 +682,23 @@ fn fig6_bench(
             reason,
         });
     }
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = rail_levels(params, style);
-    Ok(Fig6Bench { el, v_lo, v_hi })
+    Fig6Bench::new(
+        &ReducedAes::new(4).build_registered_netlist(style),
+        params,
+        style,
+    )
 }
 
 /// The driven fig. 6 circuit for one plaintext: constant plaintext/key
 /// rails plus the single clock edge, ready for a transient run.
 fn fig6_plaintext_circuit(bench: &Fig6Bench, key: u8, p: u8) -> Circuit {
-    let &Fig6Bench { ref el, v_lo, v_hi } = bench;
-    let mut ckt: Circuit = el.circuit.clone();
-    let drive_const = |ckt: &mut Circuit, name: &str, v: bool| {
-        let (np, nn) = el.inputs[name];
-        let (lp, ln) = if v { (v_hi, v_lo) } else { (v_lo, v_hi) };
-        ckt.vsource(&format!("V{name}"), np, Circuit::GND, SourceWave::dc(lp));
-        if let Some(nn) = nn {
-            ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, SourceWave::dc(ln));
-        }
-    };
+    let mut ckt: Circuit = bench.el.circuit.clone();
     for b in 0..4u8 {
-        drive_const(&mut ckt, &format!("k{b}"), (key >> b) & 1 == 1);
-        drive_const(&mut ckt, &format!("p{b}"), (p >> b) & 1 == 1);
+        bench.drive(&mut ckt, &format!("k{b}"), (key >> b) & 1 == 1, false);
+        bench.drive(&mut ckt, &format!("p{b}"), (p >> b) & 1 == 1, false);
     }
     // Clock: one rising edge after the combinational logic settles.
-    let (cp, cn) = el.inputs["clk"];
-    let edge = |a: f64, b: f64| {
-        SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
-    };
-    ckt.vsource("VCLK", cp, Circuit::GND, edge(v_lo, v_hi));
-    if let Some(cn) = cn {
-        ckt.vsource("VCLKn", cn, Circuit::GND, edge(v_hi, v_lo));
-    }
+    bench.drive(&mut ckt, "clk", true, true);
     ckt
 }
 
@@ -696,6 +730,25 @@ fn fig6_plaintext_trace(
     let ckt = fig6_plaintext_circuit(bench, key, p);
     let res = ckt.transient(tran_opts)?;
     fig6_extract_supply(&res, &bench.el)
+}
+
+/// Every plaintext's fig. 6 transistor-tier trace, in plaintext order.
+/// Each plaintext gets its own clone of the elaborated circuit and a full
+/// transient with [`fig6_tran_options`]: independent work items on
+/// `par`'s worker pool.
+fn fig6_traces(
+    bench: &Fig6Bench,
+    key: u8,
+    plaintexts: &[u8],
+    par: Parallelism,
+) -> Result<Vec<Vec<f64>>> {
+    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
+    let tran_opts = fig6_tran_options();
+    mcml_exec::parallel_map_items(par, plaintexts, |&p| {
+        fig6_plaintext_trace(bench, key, p, &tran_opts)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The raw supply-current trace of a single fig. 6 plaintext — the
@@ -781,40 +834,21 @@ pub fn aes_tran_tier(
     plaintexts: &[u8],
     tran_opts: &TranOptions,
 ) -> Result<Vec<Vec<f64>>> {
-    let nl: Netlist = ReducedAes::new(4).build_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = rail_levels(params, style);
-    let edge = |a: f64, b: f64| {
-        SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
-    };
+    let bench = Fig6Bench::new(&ReducedAes::new(4).build_netlist(style), params, style)?;
     plaintexts
         .iter()
         .map(|&plaintext| {
-            let mut ckt: Circuit = el.circuit.clone();
-            let mut drive = |name: &str, bit: bool, switches: bool| {
-                let (np, nn) = el.inputs[name];
-                let (lp, ln) = if bit { (v_hi, v_lo) } else { (v_lo, v_hi) };
-                let (wp, wn) = if switches && bit {
-                    // This bit rises at the edge; its complement falls.
-                    (edge(v_lo, v_hi), edge(v_hi, v_lo))
-                } else {
-                    (SourceWave::dc(lp), SourceWave::dc(ln))
-                };
-                ckt.vsource(&format!("V{name}"), np, Circuit::GND, wp);
-                if let Some(nn) = nn {
-                    ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, wn);
-                }
-            };
+            let mut ckt: Circuit = bench.el.circuit.clone();
             for b in 0..4u8 {
-                drive(&format!("k{b}"), (key >> b) & 1 == 1, false);
+                bench.drive(&mut ckt, &format!("k{b}"), (key >> b) & 1 == 1, false);
                 // Plaintext bits launch from all-zeros at the edge, so
                 // the data-dependent switching activity lands inside the
                 // capture window exactly like the registered fig. 6
                 // tier's clock edge.
-                drive(&format!("p{b}"), (plaintext >> b) & 1 == 1, true);
+                bench.drive(&mut ckt, &format!("p{b}"), (plaintext >> b) & 1 == 1, true);
             }
             let res = ckt.transient(tran_opts)?;
-            fig6_extract_supply(&res, &el)
+            fig6_extract_supply(&res, &bench.el)
         })
         .collect()
 }
@@ -844,13 +878,7 @@ pub fn fig6_base_waveforms(
 ) -> Result<Vec<Vec<f64>>> {
     let plaintexts: Vec<u8> = (0..16u8).collect();
     let bench = fig6_bench(params, key, style, &plaintexts, false)?;
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options();
-    mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
-        fig6_plaintext_trace(&bench, key, p, &tran_opts)
-    })
-    .into_iter()
-    .collect()
+    fig6_traces(&bench, key, &plaintexts, par)
 }
 
 /// Outcome of a streaming CPA campaign ([`cpa_campaign`]).
@@ -948,8 +976,6 @@ pub fn tvla_assessment(
     flow.library_for(&nl)?;
     let lib = flow.library();
     let sim = EventSim::new(&nl, lib);
-    let t_edge = 2.2e-9;
-    let n_samples = 60;
     // Worst-case fixed class: the plaintext whose S-box output Hamming
     // weight is furthest from the random-class mean (4), maximising the
     // detectable first-order contrast.
@@ -966,28 +992,14 @@ pub fn tvla_assessment(
     let rows: Vec<(u8, Vec<f64>)> =
         mcml_exec::parallel_map(flow.parallelism, 2 * n_per_population, |i| {
             let mut rng = trace_rng(seed, i as u64);
-            let is_fixed = i % 2 == 0;
-            let p = if is_fixed { fixed_p } else { rng.gen::<u8>() };
-            let mut st = Stimulus::new();
-            st.at(0.0, "clk", false);
-            st.at(t_edge, "clk", true);
-            for b in 0..8 {
-                st.at(0.0, &format!("k{b}"), (key >> b) & 1 == 1);
-                st.at(0.0, &format!("p{b}"), (p >> b) & 1 == 1);
-            }
-            let trace = sim.run(&st, 3.6e-9);
-            let i_wave = circuit_current(&nl, &trace, lib, None);
-            let mean = i_wave.mean().abs().max(1e-12);
-            let w = i_wave.resample(t_edge - 0.1e-9, t_edge + 1.0e-9, n_samples);
-            let noisy: Vec<f64> = w
-                .values()
-                .iter()
-                .map(|&v| v + gauss(&mut rng) * noise_rel * mean)
-                .collect();
-            (p, noisy)
+            let p = if i % 2 == 0 { fixed_p } else { rng.gen::<u8>() };
+            (
+                p,
+                template_trace(&sim, &nl, lib, key, p, noise_rel, &mut rng),
+            )
         });
-    let mut fixed = TraceSet::new(n_samples);
-    let mut random = TraceSet::new(n_samples);
+    let mut fixed = TraceSet::new(FIG6_N_SAMPLES);
+    let mut random = TraceSet::new(FIG6_N_SAMPLES);
     for (i, (p, noisy)) in rows.iter().enumerate() {
         if i % 2 == 0 {
             fixed.push(*p, noisy);

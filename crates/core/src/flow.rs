@@ -180,17 +180,17 @@ impl DesignFlow {
     ///
     /// # Errors
     ///
-    /// Propagates characterisation errors (the tree uses the CMOS buffer
+    /// [`mcml_spice::SpiceError::InvalidParameter`] when `nl` is not
+    /// power-gated (checked before anything is characterised); otherwise
+    /// propagates characterisation errors (the tree uses the CMOS buffer
     /// timing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-power-gated netlist.
     pub fn sleep_tree(&mut self, nl: &Netlist) -> Result<SleepTree> {
-        assert!(
-            nl.style.is_power_gated(),
-            "sleep trees only exist for PG-MCML netlists"
-        );
+        if !nl.style.is_power_gated() {
+            return Err(mcml_spice::SpiceError::InvalidParameter {
+                element: "sleep tree".into(),
+                reason: format!("a {} netlist is not power-gated", nl.style),
+            });
+        }
         self.timing(CellKind::Buffer, LogicStyle::Cmos)?;
         let _span = mcml_obs::span(mcml_obs::Stage::SleepTree);
         Ok(build_sleep_tree(
@@ -270,5 +270,21 @@ mod tests {
         // Nothing was characterised for the rejected calls.
         assert!(flow.library().is_empty());
         assert!(flow.simulate(&nl, &fine, 2e-9).is_ok());
+    }
+
+    #[test]
+    fn sleep_tree_rejects_a_netlist_without_power_gating() {
+        let mut flow = DesignFlow::new(CellParams::default());
+        let mut bn = BoolNetwork::new();
+        let a = bn.input("a");
+        bn.set_output("q", a);
+        let nl = flow.map(&bn, LogicStyle::Cmos);
+        match flow.sleep_tree(&nl) {
+            Err(mcml_spice::SpiceError::InvalidParameter { element, .. }) => {
+                assert_eq!(element, "sleep tree");
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+        assert!(flow.library().is_empty(), "nothing was characterised");
     }
 }

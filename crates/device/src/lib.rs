@@ -15,8 +15,8 @@
 //! * PMOS devices biased in the triode region as **active loads**,
 //! * Vt-dependent **subthreshold leakage** (the quantity fine-grain power
 //!   gating attacks),
-//! * the **body effect** (needed to evaluate the discarded power-gating
-//!   topology (c), which relies on body biasing),
+//! * the **body effect**, through the slope factor (`gmb = (n − 1)·gm`;
+//!   the discarded power-gating topology (c) relies on body biasing),
 //! * channel-length modulation and simple temperature scaling.
 //!
 //! # Example

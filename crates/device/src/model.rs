@@ -16,8 +16,8 @@
 //! in weak inversion (subthreshold leakage — the effect power gating
 //! exploits), and to a resistive characteristic in the triode region (the
 //! MCML active loads), with no seams anywhere. The body effect enters
-//! through `VT(vsb)` and a first-order velocity-saturation factor models
-//! the short-channel current limit.
+//! through the slope factor `n`, and a first-order velocity-saturation
+//! factor models the short-channel current limit.
 //!
 //! All equations are NMOS-referenced; PMOS devices are folded in by
 //! mirroring every terminal voltage around the bulk.
@@ -56,18 +56,6 @@ impl MosfetGeometry {
     }
 }
 
-/// Operating region classification (diagnostic only; the model itself is
-/// single-piece).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MosRegion {
-    /// Weak inversion: |Vgs| below threshold; only leakage flows.
-    Subthreshold,
-    /// Strong inversion, |Vds| below the saturation voltage.
-    Triode,
-    /// Strong inversion, |Vds| above the saturation voltage.
-    Saturation,
-}
-
 /// Result of evaluating a MOSFET at one bias point.
 ///
 /// `id` is the current flowing **into the drain terminal** (and out of the
@@ -87,10 +75,6 @@ pub struct MosEval {
     pub gms: f64,
     /// ∂Id/∂Vb (S).
     pub gmb: f64,
-    /// Diagnostic operating region.
-    pub region: MosRegion,
-    /// Effective threshold voltage magnitude (V) including body effect.
-    pub vt_eff: f64,
 }
 
 /// A MOSFET instance: parameter set plus drawn geometry.
@@ -199,8 +183,7 @@ impl Mosfet {
         // The body effect enters through the slope factor: because `vp`
         // couples to the gate with weight 1/n while the channel ends couple
         // with weight 1, the model yields gmb = (n − 1)·gm, the textbook
-        // relation. (`gamma` is kept for explicit Vt-shift analysis, see
-        // [`Mosfet::vt_shift`].)
+        // relation.
         let n = p.n_slope;
         let vp = (vgb - p.vt0) / n;
         let dvp_dvgb = 1.0 / n;
@@ -281,40 +264,13 @@ impl Mosfet {
         // unchanged, pinning the bulk transconductance.
         let gmb = -(gm + gds + gms);
 
-        // Diagnostic region from the normalised inversion levels.
-        let region = if xf < 0.0 {
-            MosRegion::Subthreshold
-        } else if xr > 0.0 {
-            MosRegion::Triode
-        } else {
-            MosRegion::Saturation
-        };
-
         MosEval {
             id,
             gm,
             gds,
             gms,
             gmb,
-            region,
-            vt_eff: p.vt0 + self.vt_shift(vsb),
         }
-    }
-
-    /// Classical body-effect threshold shift `γ(√(φ + Vsb) − √φ)` (V) for a
-    /// source-to-bulk voltage `vsb` (folded, NMOS-referenced).
-    ///
-    /// The dynamic model in [`Mosfet::eval`] carries the body effect through
-    /// the slope factor; this explicit expression is provided for bias-range
-    /// analysis, e.g. computing the well voltage required by the paper's
-    /// discarded power-gating topology (c).
-    #[must_use]
-    pub fn vt_shift(&self, vsb: f64) -> f64 {
-        let p = &self.params;
-        let eps = 0.05_f64;
-        let x = p.phi + vsb;
-        let xe = 0.5 * (x + (x * x + 4.0 * eps * eps).sqrt());
-        p.gamma * (xe.sqrt() - p.phi.sqrt())
     }
 
     /// Gate-to-source capacitance estimate (F): half the channel charge
@@ -468,7 +424,6 @@ mod tests {
             (lin - 2.0).abs() < 0.15,
             "small-Vds current should be linear, got ratio {lin}"
         );
-        assert_eq!(m.eval(1.2, 0.02, 0.0, 0.0).region, MosRegion::Triode);
     }
 
     #[test]
@@ -561,14 +516,6 @@ mod tests {
             i_l > i_s,
             "same W/L but longer channel suffers less velocity saturation: {i_l} vs {i_s}"
         );
-    }
-
-    #[test]
-    fn region_classification() {
-        let m = nmos();
-        assert_eq!(m.eval(0.1, 1.2, 0.0, 0.0).region, MosRegion::Subthreshold);
-        assert_eq!(m.eval(1.2, 1.2, 0.0, 0.0).region, MosRegion::Saturation);
-        assert_eq!(m.eval(1.2, 0.1, 0.0, 0.0).region, MosRegion::Triode);
     }
 
     #[test]

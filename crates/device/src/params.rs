@@ -132,10 +132,6 @@ pub struct MosParams {
     pub n_slope: f64,
     /// Channel-length-modulation coefficient λ (1/V).
     pub lambda: f64,
-    /// Body-effect coefficient γ (√V).
-    pub gamma: f64,
-    /// Surface potential `2φ_F` (V) for the body-effect expression.
-    pub phi: f64,
     /// Velocity-saturation critical field × length voltage `Ecrit·L`
     /// reference (V) at `l = l_ref`; scales linearly with drawn length.
     pub vsat_v: f64,
@@ -159,8 +155,6 @@ impl MosParams {
             mu_cox: 420e-6,
             n_slope: 1.45,
             lambda: 0.25,
-            gamma: 0.30,
-            phi: 0.80,
             vsat_v: 0.9,
             l_ref: 0.10e-6,
             cox: 15.7e-3,
@@ -191,8 +185,6 @@ impl MosParams {
             mu_cox: 110e-6,
             n_slope: 1.50,
             lambda: 0.30,
-            gamma: 0.35,
-            phi: 0.80,
             vsat_v: 1.6,
             l_ref: 0.10e-6,
             cox: 15.7e-3,

@@ -121,12 +121,6 @@ impl DataflowResults {
         self.taint.iter().filter(|&&t| t).count()
     }
 
-    /// Whether no net carries secret taint.
-    #[must_use]
-    pub fn is_taint_clean(&self) -> bool {
-        self.tainted_count() == 0
-    }
-
     /// The score rank threshold of the top quartile: the smallest score
     /// still inside the top 25 % of all nets (ties included). Zero when
     /// every score is zero.
@@ -204,7 +198,6 @@ mod tests {
         assert!(!r.taint[dead.index()], "x ^ x recombination kills taint");
         assert!(r.taint[live.index()], "x ^ b keeps taint");
         assert_eq!(r.tainted_count(), 2);
-        assert!(!r.is_taint_clean());
         // MCML-family cells have zero energy asymmetry: score stays 0.
         assert!(r.score_j.iter().all(|&s| s == 0.0));
     }

@@ -205,15 +205,6 @@ impl LintEngine {
         })
     }
 
-    /// Lint a bare transistor-level circuit (no cell port information).
-    #[must_use]
-    pub fn lint_circuit(&self, circuit: &Circuit) -> LintReport {
-        self.run(&LintTarget::Circuit {
-            circuit,
-            cell: None,
-        })
-    }
-
     /// Run every registered rule against one target.
     #[must_use]
     pub fn run(&self, target: &LintTarget<'_>) -> LintReport {

@@ -8,7 +8,7 @@
 
 use mcml_cells::{build_cell, CellKind, CellNetlist, CellParams, LogicStyle};
 use mcml_device::{MosParams, MosPolarity, Mosfet};
-use mcml_lint::{LintEngine, LintReport, Rule};
+use mcml_lint::{LintEngine, LintReport, LintTarget, Rule};
 use mcml_netlist::sleep_tree::SleepTree;
 use mcml_netlist::{Conn, GateKind, Netlist, PortClass, SleepDomain, SleepPlan};
 use mcml_spice::{Circuit, Element, SourceWave};
@@ -345,8 +345,12 @@ fn every_registered_rule_fires() {
     }
     let (pg, plan) = sleep_faults();
     reports.push(engine.lint_netlist(&pg, Some(&plan)));
-    reports.push(engine.lint_circuit(&broken_circuit()));
-    reports.push(engine.lint_circuit(&collapsed_circuit()));
+    for circuit in [&broken_circuit(), &collapsed_circuit()] {
+        reports.push(engine.run(&LintTarget::Circuit {
+            circuit,
+            cell: None,
+        }));
+    }
     for cell in broken_cells() {
         reports.push(engine.lint_cell(&cell));
     }

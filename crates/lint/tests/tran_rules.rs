@@ -5,11 +5,14 @@
 
 use mcml_cells::{build_cell, CellKind, CellParams, LogicStyle};
 use mcml_device::{MosParams, Mosfet};
-use mcml_lint::{LintEngine, LintReport, Severity};
+use mcml_lint::{LintEngine, LintReport, LintTarget, Severity};
 use mcml_spice::{Circuit, Element, SourceWave};
 
-fn lint(ckt: &Circuit) -> LintReport {
-    LintEngine::with_default_rules().lint_circuit(ckt)
+fn lint(circuit: &Circuit) -> LintReport {
+    LintEngine::with_default_rules().run(&LintTarget::Circuit {
+        circuit,
+        cell: None,
+    })
 }
 
 fn assert_rule(report: &LintReport, rule_id: &str, severity: Severity) {

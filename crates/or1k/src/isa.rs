@@ -364,29 +364,6 @@ impl std::fmt::Display for Instr {
     }
 }
 
-/// Disassemble a program image (sequence of big-endian words) into text,
-/// one instruction per line; undecodable words appear as `.word`.
-#[must_use]
-pub fn disassemble(image: &[u8]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for chunk in image.chunks(4) {
-        if chunk.len() < 4 {
-            break;
-        }
-        let w = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        match Instr::decode(w) {
-            Some(i) => {
-                let _ = writeln!(out, "    {i}");
-            }
-            None => {
-                let _ = writeln!(out, "    .word 0x{w:08x}");
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,10 +125,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Non-branch instructions survive disassemble → assemble → decode.
+    /// Non-branch instructions survive `Display` → assemble → decode.
     #[test]
     fn disassemble_assemble_round_trip(i in instr_strategy()) {
-        // Branch/jump targets disassemble as raw offsets, which the
+        // Branch/jump targets format as raw offsets, which the
         // assembler treats as absolute symbols; skip them here (their
         // encode/decode round-trip is covered separately).
         prop_assume!(!matches!(
@@ -140,14 +140,4 @@ proptest! {
         let w = u32::from_be_bytes(p.image[0..4].try_into().unwrap());
         prop_assert_eq!(Instr::decode(w), Some(i), "text was `{}`", text.trim());
     }
-}
-
-#[test]
-fn disassemble_formats_programs() {
-    use mcml_or1k::isa::disassemble;
-    let p = assemble("l.addi r3, r0, 42\nl.cust1 r4, r3\nl.halt\n").unwrap();
-    let text = disassemble(&p.image);
-    assert!(text.contains("l.addi r3, r0, 42"));
-    assert!(text.contains("l.cust1 r4, r3"));
-    assert!(text.contains("l.halt"));
 }

@@ -278,14 +278,9 @@ struct Controller {
 impl Controller {
     fn new(ckt: &Circuit, opts: &TranOptions, n_steps: usize, x0: &[f64]) -> Self {
         let mut bps: Vec<f64> = Vec::new();
-        let mut hint = f64::INFINITY;
         for (_, _, e) in ckt.elements() {
-            let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-                continue;
-            };
-            wave.breakpoints(opts.t_stop, &mut bps);
-            if let Some(h) = wave.max_step_hint() {
-                hint = hint.min(h);
+            if let Element::Vsource { wave, .. } | Element::Isource { wave, .. } = e {
+                wave.breakpoints(opts.t_stop, &mut bps);
             }
         }
         bps.sort_by(f64::total_cmp);
@@ -305,11 +300,6 @@ impl Controller {
             })
             .collect();
         barriers.dedup();
-        let k_hint = if hint.is_finite() {
-            ((hint / opts.dt).floor() as usize).max(1)
-        } else {
-            usize::MAX
-        };
         let pairs: Vec<(NodeId, NodeId)> = ckt
             .elements()
             .filter_map(|(_, _, e)| match e {
@@ -324,7 +314,7 @@ impl Controller {
             hist,
             barriers,
             bar_idx: 0,
-            k_max: ((LTE_H_MAX / opts.dt).floor() as usize).max(1).min(k_hint),
+            k_max: ((LTE_H_MAX / opts.dt).floor() as usize).max(1),
             k_next: 1,
         }
     }

@@ -12,8 +12,8 @@
 //! * dense LU factorisation, replayed over its structural non-zeros, for
 //!   cell-sized systems and sparse (Gilbert–Peierls left-looking) LU
 //!   above,
-//! * elements: resistors, capacitors, independent V/I sources (DC, pulse,
-//!   PWL, sine), and the smooth MOSFET model from [`mcml_device`],
+//! * elements: resistors, capacitors, independent V/I sources (DC and
+//!   PWL), and the smooth MOSFET model from [`mcml_device`],
 //! * branch-current probing (supply-current measurement comes for free from
 //!   the MNA voltage-source branch unknowns).
 //!

@@ -404,8 +404,8 @@ impl SparseLu {
     }
 
     /// Structural non-zero count of the factors (fill-in included).
-    #[must_use]
-    pub fn factor_nnz(&self) -> usize {
+    #[cfg(test)]
+    fn factor_nnz(&self) -> usize {
         self.n
             + self.l_cols.iter().map(Vec::len).sum::<usize>()
             + self.u_cols.iter().map(Vec::len).sum::<usize>()

@@ -133,7 +133,8 @@ impl Waveform {
     /// # Errors
     ///
     /// [`SpiceError::EmptyWaveform`] when the waveform is empty;
-    /// [`SpiceError::InvalidParameter`] when `n < 2` or `t1 <= t0`.
+    /// [`SpiceError::InvalidParameter`] when `n < 2`, either bound is
+    /// not finite, or `t1 <= t0`.
     pub fn try_resample(&self, t0: f64, t1: f64, n: usize) -> Result<Self, SpiceError> {
         if self.is_empty() {
             return Err(SpiceError::EmptyWaveform {
@@ -141,7 +142,7 @@ impl Waveform {
                 len: 0,
             });
         }
-        if n < 2 || t1 <= t0 {
+        if n < 2 || !(t0.is_finite() && t1.is_finite()) || t1 <= t0 {
             return Err(SpiceError::InvalidParameter {
                 element: "waveform".to_owned(),
                 reason: format!("resample window [{t0:e}, {t1:e}] with {n} points"),
@@ -431,6 +432,21 @@ mod tests {
         // Healthy request round-trips to the panicking API's result.
         let ok = ramp().try_resample(0.0, 2.0, 5).unwrap();
         assert_eq!(ok, ramp().resample(0.0, 2.0, 5));
+    }
+
+    #[test]
+    fn try_resample_rejects_non_finite_windows() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for (t0, t1) in [(nan, 1.0), (0.0, nan), (-inf, 1.0), (0.0, inf)] {
+            assert!(
+                matches!(
+                    ramp().try_resample(t0, t1, 4),
+                    Err(SpiceError::InvalidParameter { .. })
+                ),
+                "window [{t0}, {t1}]"
+            );
+        }
     }
 
     #[test]
