@@ -559,12 +559,10 @@ pub fn fig6_transistor_par(
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
     let bench = fig6_bench(params, key, style, plaintexts, true)?;
+    let rows = fig6_traces(&bench, key, plaintexts, par)?;
     let mut ts = TraceSet::new(FIG6_N_SAMPLES);
-    for (&p, row) in plaintexts
-        .iter()
-        .zip(fig6_traces(&bench, key, plaintexts, par)?)
-    {
-        ts.push(p, &row);
+    for (&p, row) in plaintexts.iter().zip(&rows) {
+        ts.push(p, row);
     }
     let reduced = ReducedAes::new(4);
     let model = HammingWeight::new(|x| reduced.sbox(x), 4);
@@ -993,10 +991,8 @@ pub fn tvla_assessment(
         mcml_exec::parallel_map(flow.parallelism, 2 * n_per_population, |i| {
             let mut rng = trace_rng(seed, i as u64);
             let p = if i % 2 == 0 { fixed_p } else { rng.gen::<u8>() };
-            (
-                p,
-                template_trace(&sim, &nl, lib, key, p, noise_rel, &mut rng),
-            )
+            let trace = template_trace(&sim, &nl, lib, key, p, noise_rel, &mut rng);
+            (p, trace)
         });
     let mut fixed = TraceSet::new(FIG6_N_SAMPLES);
     let mut random = TraceSet::new(FIG6_N_SAMPLES);
