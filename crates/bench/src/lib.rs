@@ -13,8 +13,9 @@
 //! | `fig6`   | Fig. 6 — CPA verdicts (template + transistor tiers)     |
 //!
 //! The `spiceperf` binary times the solver-dominated tiers and appends a
-//! point to the perf trajectory (`BENCH_spice.json`); `perfcheck` gates
-//! a point against a baseline.
+//! point to the perf trajectory (`BENCH_spice.json`, schema
+//! `mcml-bench-perf/3`); `perfcheck` gates a point's [`perf::GATED`]
+//! counters against a baseline (see [`perf`]).
 //!
 //! The library part is the binaries' tiny shared formatting kit:
 //!

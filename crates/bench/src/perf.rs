@@ -1,14 +1,14 @@
 //! Machine-readable SPICE performance trajectory (`BENCH_spice.json`).
 //!
 //! Every timing-mode bench run appends one [`PerfPoint`] — a labelled set
-//! of per-tier measurements (wall-clock, Newton/solver counters,
+//! of per-tier measurements (wall-clock, the [`TIER_COUNTERS`] deltas,
 //! solves/sec) — to a committed trajectory file, so each PR that touches
 //! the solver hot path leaves a recorded before/after pair behind. The
 //! JSON is hand-rolled for byte-stable output (fixed key order, fixed
 //! float formatting) and parsed back by a minimal scanner so the
 //! `perfcheck` regression gate needs no external dependencies.
 //!
-//! # Honest wall-clock numbers (`mcml-bench-perf/2`)
+//! # Honest wall-clock numbers (`mcml-bench-perf/3`)
 //!
 //! Single-shot wall times conflate the workload with cold caches, lazy
 //! page faults, and scheduler noise. Points therefore come from
@@ -23,7 +23,8 @@
 //! single-shot, `reps: 1`) predate.
 //!
 //! ```
-//! use mcml_bench::perf::{PerfPoint, TierPerf, Trajectory};
+//! use mcml_bench::perf::{PerfPoint, TierPerf, Trajectory, TIER_COUNTERS};
+//! use mcml_obs::Counter;
 //!
 //! let mut traj = Trajectory::default();
 //! traj.points.push(PerfPoint {
@@ -35,27 +36,14 @@
 //!         wall_s: 1.5,
 //!         wall_min_s: 1.4,
 //!         wall_max_s: 1.7,
-//!         nr_iterations: 1000,
-//!         matrix_solves: 1000,
-//!         tran_steps: 360,
-//!         symbolic_reuse: 900,
-//!         numeric_refactor: 900,
-//!         linear_stamps_skipped: 50_000,
-//!         lte_rejects: 3,
-//!         adaptive_steps: 120,
-//!         h_growths: 40,
-//!         mos_evals: 80_000,
-//!         mos_bypassed: 20_000,
-//!         ensemble_lanes: 0,
-//!         lane_refactors: 0,
-//!         partition_blocks: 0,
-//!         block_solves: 0,
-//!         block_skips: 0,
+//!         counts: [1000; TIER_COUNTERS.len()],
 //!         solves_per_sec: 666.7,
 //!     }],
 //! });
 //! let json = traj.to_json();
+//! assert!(json.contains("\"mos_evals\": 1000"));
 //! let back = Trajectory::from_json(&json).unwrap();
+//! assert_eq!(back.points[0].tiers[0].count(Counter::MatrixSolves), 1000);
 //! assert_eq!(back.to_json(), json, "round-trips byte-identically");
 //! ```
 
@@ -63,7 +51,51 @@ use mcml_obs::{json_escape, Counter};
 use std::time::Instant;
 
 /// Schema identifier written into every trajectory file.
-pub const SCHEMA: &str = "mcml-bench-perf/2";
+pub const SCHEMA: &str = "mcml-bench-perf/3";
+
+/// The SPICE counters a trajectory tier records, in the order its JSON
+/// keys appear. A key is the counter's report name without its `spice.`
+/// prefix (`Counter::NrIterations` → `nr_iterations`).
+pub const TIER_COUNTERS: [Counter; 12] = [
+    Counter::NrIterations,
+    Counter::MatrixSolves,
+    Counter::TranSteps,
+    Counter::SymbolicReuse,
+    Counter::NumericRefactor,
+    Counter::LinearStampsSkipped,
+    Counter::LteRejects,
+    Counter::AdaptiveSteps,
+    Counter::HGrowths,
+    Counter::MosEvals,
+    Counter::MosBypassed,
+    Counter::LaneRefactors,
+];
+
+/// The work counters [`compare_points`] gates: thread- and
+/// machine-invariant, so a rise beyond the tolerance is a solver-work
+/// regression, not noise.
+pub const GATED: [Counter; 4] = [
+    Counter::NrIterations,
+    Counter::MatrixSolves,
+    Counter::TranSteps,
+    Counter::MosEvals,
+];
+
+/// How far `perfcheck` lets a [`GATED`] counter rise above the baseline
+/// before it fails: +10 %.
+pub const COUNTER_TOLERANCE: f64 = 0.10;
+
+/// How far `perfcheck` lets a tier's median wall time rise above the
+/// baseline before it warns: +50 %. Shared runners are too noisy to fail
+/// on wall time, so the band only warns.
+pub const WALL_BAND: f64 = 0.50;
+
+/// The JSON key of a trajectory counter.
+fn key(c: Counter) -> &'static str {
+    c.name()
+        .strip_prefix("spice.")
+        .expect("trajectory counters are SPICE counters")
+}
 
 /// One measured tier inside a trajectory point.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,49 +111,27 @@ pub struct TierPerf {
     /// Slowest timed repetition (s). Equal to `wall_s` for single-shot
     /// points.
     pub wall_max_s: f64,
-    /// `spice.nr_iterations` delta over the tier (deterministic).
-    pub nr_iterations: u64,
-    /// `spice.matrix_solves` delta over the tier (deterministic).
-    pub matrix_solves: u64,
-    /// `spice.tran_steps` delta over the tier (deterministic).
-    pub tran_steps: u64,
-    /// `spice.symbolic_reuse` delta over the tier (deterministic).
-    pub symbolic_reuse: u64,
-    /// `spice.numeric_refactor` delta over the tier (deterministic).
-    pub numeric_refactor: u64,
-    /// `spice.linear_stamps_skipped` delta over the tier (deterministic).
-    pub linear_stamps_skipped: u64,
-    /// `spice.lte_rejects` delta over the tier (deterministic; 0 on
-    /// fixed-step tiers and on trajectory points predating adaptive
-    /// stepping).
-    pub lte_rejects: u64,
-    /// `spice.adaptive_steps` delta over the tier (deterministic; ditto).
-    pub adaptive_steps: u64,
-    /// `spice.h_growths` delta over the tier (deterministic; ditto).
-    pub h_growths: u64,
-    /// `spice.mos_evals` delta over the tier (deterministic; 0 on
-    /// trajectory points predating the quiescent-device bypass).
-    pub mos_evals: u64,
-    /// `spice.mos_bypassed` delta over the tier (deterministic; ditto).
-    pub mos_bypassed: u64,
-    /// `spice.ensemble_lanes` delta over the tier (deterministic). Only
-    /// the deleted lockstep ensemble engine emitted it, so it is 0 on
-    /// every point since; schema 2 still records it.
-    pub ensemble_lanes: u64,
-    /// `spice.lane_refactors` delta over the tier (deterministic; 0 on
-    /// trajectory points predating the counter).
-    pub lane_refactors: u64,
-    /// `spice.partition_blocks` delta over the tier (deterministic).
-    /// Only the deleted partitioned solve emitted it, so it is 0 on
-    /// every monolithic tier and on every point since; schema 2 still
-    /// records it.
-    pub partition_blocks: u64,
-    /// `spice.block_solves` delta over the tier (deterministic; ditto).
-    pub block_solves: u64,
-    /// `spice.block_skips` delta over the tier (deterministic; ditto).
-    pub block_skips: u64,
+    /// Delta of each [`TIER_COUNTERS`] entry over the tier, in that order
+    /// (deterministic). A counter that postdates a point reads 0 there.
+    pub counts: [u64; TIER_COUNTERS.len()],
     /// Linear solves per wall-clock second (machine-dependent).
     pub solves_per_sec: f64,
+}
+
+impl TierPerf {
+    /// The recorded delta of `c` over the tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not one of the [`TIER_COUNTERS`].
+    #[must_use]
+    pub fn count(&self, c: Counter) -> u64 {
+        let slot = TIER_COUNTERS
+            .iter()
+            .position(|&k| k == c)
+            .unwrap_or_else(|| panic!("{} is not a trajectory counter", c.name()));
+        self.counts[slot]
+    }
 }
 
 /// The measurement environment recorded with a trajectory point. Wall
@@ -181,91 +191,6 @@ pub struct Trajectory {
     pub points: Vec<PerfPoint>,
 }
 
-/// Snapshot of the SPICE solver counters, for delta measurement around a
-/// tier without resetting global observability state.
-#[derive(Debug, Clone, Copy)]
-pub struct CounterSnap {
-    nr_iterations: u64,
-    matrix_solves: u64,
-    tran_steps: u64,
-    symbolic_reuse: u64,
-    numeric_refactor: u64,
-    linear_stamps_skipped: u64,
-    lte_rejects: u64,
-    adaptive_steps: u64,
-    h_growths: u64,
-    mos_evals: u64,
-    mos_bypassed: u64,
-    ensemble_lanes: u64,
-    lane_refactors: u64,
-    partition_blocks: u64,
-    block_solves: u64,
-    block_skips: u64,
-}
-
-impl CounterSnap {
-    /// Capture the current solver counter totals.
-    #[must_use]
-    pub fn now() -> Self {
-        Self {
-            nr_iterations: mcml_obs::total(Counter::NrIterations),
-            matrix_solves: mcml_obs::total(Counter::MatrixSolves),
-            tran_steps: mcml_obs::total(Counter::TranSteps),
-            symbolic_reuse: mcml_obs::total(Counter::SymbolicReuse),
-            numeric_refactor: mcml_obs::total(Counter::NumericRefactor),
-            linear_stamps_skipped: mcml_obs::total(Counter::LinearStampsSkipped),
-            lte_rejects: mcml_obs::total(Counter::LteRejects),
-            adaptive_steps: mcml_obs::total(Counter::AdaptiveSteps),
-            h_growths: mcml_obs::total(Counter::HGrowths),
-            mos_evals: mcml_obs::total(Counter::MosEvals),
-            mos_bypassed: mcml_obs::total(Counter::MosBypassed),
-            ensemble_lanes: mcml_obs::total(Counter::EnsembleLanes),
-            lane_refactors: mcml_obs::total(Counter::LaneRefactors),
-            partition_blocks: mcml_obs::total(Counter::PartitionBlocks),
-            block_solves: mcml_obs::total(Counter::BlockSolves),
-            block_skips: mcml_obs::total(Counter::BlockSkips),
-        }
-    }
-}
-
-/// Run `f` as one single-shot timed tier and package the counter deltas.
-/// `wall_min_s`/`wall_max_s` equal `wall_s`. Prefer [`measure_tier_reps`]
-/// for numbers that get committed to the trajectory.
-pub fn measure_tier<T>(tier: &str, f: impl FnOnce() -> T) -> (TierPerf, T) {
-    let before = CounterSnap::now();
-    let start = Instant::now();
-    let out = f();
-    let wall_s = start.elapsed().as_secs_f64();
-    let after = CounterSnap::now();
-    let solves = after.matrix_solves - before.matrix_solves;
-    (
-        TierPerf {
-            tier: tier.to_owned(),
-            wall_s,
-            wall_min_s: wall_s,
-            wall_max_s: wall_s,
-            nr_iterations: after.nr_iterations - before.nr_iterations,
-            matrix_solves: solves,
-            tran_steps: after.tran_steps - before.tran_steps,
-            symbolic_reuse: after.symbolic_reuse - before.symbolic_reuse,
-            numeric_refactor: after.numeric_refactor - before.numeric_refactor,
-            linear_stamps_skipped: after.linear_stamps_skipped - before.linear_stamps_skipped,
-            lte_rejects: after.lte_rejects - before.lte_rejects,
-            adaptive_steps: after.adaptive_steps - before.adaptive_steps,
-            h_growths: after.h_growths - before.h_growths,
-            mos_evals: after.mos_evals - before.mos_evals,
-            mos_bypassed: after.mos_bypassed - before.mos_bypassed,
-            ensemble_lanes: after.ensemble_lanes - before.ensemble_lanes,
-            lane_refactors: after.lane_refactors - before.lane_refactors,
-            partition_blocks: after.partition_blocks - before.partition_blocks,
-            block_solves: after.block_solves - before.block_solves,
-            block_skips: after.block_skips - before.block_skips,
-            solves_per_sec: solves as f64 / wall_s.max(1e-9),
-        },
-        out,
-    )
-}
-
 /// Median of a sorted slice: the middle element, or the mean of the two
 /// middle elements for even lengths.
 fn median_sorted(sorted: &[f64]) -> f64 {
@@ -278,10 +203,10 @@ fn median_sorted(sorted: &[f64]) -> f64 {
 }
 
 /// Run `f` as one tier with honest repetition statistics: one untimed
-/// warmup, then `reps` (min 1) timed repetitions. `prepare` runs before
-/// the warmup and before every timed repetition, *outside* the timed
-/// window — the place to reset caches so every repetition starts from the
-/// same declared state.
+/// warmup, then `reps` (min 1) timed repetitions. The characterisation
+/// cache is cleared before the warmup and before every timed repetition,
+/// *outside* the timed window, so every repetition starts cold and a tier
+/// measures the same work whatever order the tiers run in.
 ///
 /// `wall_s` is the median of the timed walls; `wall_min_s`/`wall_max_s`
 /// bound the spread. Counters come from the first timed repetition; the
@@ -289,44 +214,41 @@ fn median_sorted(sorted: &[f64]) -> f64 {
 /// disagrees trips a stderr warning (it means the workload itself is not
 /// repetition-invariant, so the whole tier measurement is suspect).
 /// Returns the last repetition's output.
-pub fn measure_tier_reps<T>(
-    tier: &str,
-    reps: u32,
-    mut prepare: impl FnMut(),
-    mut f: impl FnMut() -> T,
-) -> (TierPerf, T) {
+pub fn measure_tier_reps<T>(tier: &str, reps: u32, mut f: impl FnMut() -> T) -> (TierPerf, T) {
     let reps = reps.max(1);
     // Untimed warmup: faults in code pages, fills model caches, and warms
     // the allocator so the timed repetitions measure steady state.
-    prepare();
+    mcml_char::cache::clear();
     let mut out = f();
     let mut walls = Vec::with_capacity(reps as usize);
-    let mut first: Option<TierPerf> = None;
+    let mut first: Option<[u64; TIER_COUNTERS.len()]> = None;
     for rep in 0..reps {
-        prepare();
-        let (t, o) = measure_tier(tier, &mut f);
-        out = o;
-        walls.push(t.wall_s);
-        match &first {
-            Some(f0)
-                if (f0.nr_iterations, f0.matrix_solves, f0.tran_steps)
-                    != (t.nr_iterations, t.matrix_solves, t.tran_steps) =>
-            {
-                eprintln!(
-                    "warning: tier `{tier}` repetition {rep} solver counters diverge from \
-                     repetition 0 — the workload is not repetition-invariant"
-                );
-            }
+        mcml_char::cache::clear();
+        let before = TIER_COUNTERS.map(mcml_obs::total);
+        let start = Instant::now();
+        out = f();
+        walls.push(start.elapsed().as_secs_f64());
+        let after = TIER_COUNTERS.map(mcml_obs::total);
+        let counts = std::array::from_fn(|i| after[i] - before[i]);
+        match first {
+            Some(c0) if c0 != counts => eprintln!(
+                "warning: tier `{tier}` repetition {rep} solver counters diverge from \
+                 repetition 0 — the workload is not repetition-invariant"
+            ),
             Some(_) => {}
-            None => first = Some(t),
+            None => first = Some(counts),
         }
     }
     walls.sort_by(f64::total_cmp);
-    let mut tp = first.expect("reps >= 1");
-    tp.wall_s = median_sorted(&walls);
-    tp.wall_min_s = walls[0];
-    tp.wall_max_s = walls[walls.len() - 1];
-    tp.solves_per_sec = tp.matrix_solves as f64 / tp.wall_s.max(1e-9);
+    let mut tp = TierPerf {
+        tier: tier.to_owned(),
+        wall_s: median_sorted(&walls),
+        wall_min_s: walls[0],
+        wall_max_s: walls[walls.len() - 1],
+        counts: first.expect("reps >= 1"),
+        solves_per_sec: 0.0,
+    };
+    tp.solves_per_sec = tp.count(Counter::MatrixSolves) as f64 / tp.wall_s.max(1e-9);
     (tp, out)
 }
 
@@ -372,55 +294,9 @@ impl Trajectory {
                 s.push_str(&format!("          \"wall_s\": {:.6},\n", t.wall_s));
                 s.push_str(&format!("          \"wall_min_s\": {:.6},\n", t.wall_min_s));
                 s.push_str(&format!("          \"wall_max_s\": {:.6},\n", t.wall_max_s));
-                s.push_str(&format!(
-                    "          \"nr_iterations\": {},\n",
-                    t.nr_iterations
-                ));
-                s.push_str(&format!(
-                    "          \"matrix_solves\": {},\n",
-                    t.matrix_solves
-                ));
-                s.push_str(&format!("          \"tran_steps\": {},\n", t.tran_steps));
-                s.push_str(&format!(
-                    "          \"symbolic_reuse\": {},\n",
-                    t.symbolic_reuse
-                ));
-                s.push_str(&format!(
-                    "          \"numeric_refactor\": {},\n",
-                    t.numeric_refactor
-                ));
-                s.push_str(&format!(
-                    "          \"linear_stamps_skipped\": {},\n",
-                    t.linear_stamps_skipped
-                ));
-                s.push_str(&format!("          \"lte_rejects\": {},\n", t.lte_rejects));
-                s.push_str(&format!(
-                    "          \"adaptive_steps\": {},\n",
-                    t.adaptive_steps
-                ));
-                s.push_str(&format!("          \"h_growths\": {},\n", t.h_growths));
-                s.push_str(&format!("          \"mos_evals\": {},\n", t.mos_evals));
-                s.push_str(&format!(
-                    "          \"mos_bypassed\": {},\n",
-                    t.mos_bypassed
-                ));
-                s.push_str(&format!(
-                    "          \"ensemble_lanes\": {},\n",
-                    t.ensemble_lanes
-                ));
-                s.push_str(&format!(
-                    "          \"lane_refactors\": {},\n",
-                    t.lane_refactors
-                ));
-                s.push_str(&format!(
-                    "          \"partition_blocks\": {},\n",
-                    t.partition_blocks
-                ));
-                s.push_str(&format!(
-                    "          \"block_solves\": {},\n",
-                    t.block_solves
-                ));
-                s.push_str(&format!("          \"block_skips\": {},\n", t.block_skips));
+                for (&c, n) in TIER_COUNTERS.iter().zip(&t.counts) {
+                    s.push_str(&format!("          \"{}\": {n},\n", key(c)));
+                }
                 s.push_str(&format!(
                     "          \"solves_per_sec\": {:.1}\n",
                     t.solves_per_sec
@@ -469,6 +345,10 @@ impl Trajectory {
                 .ok_or("`tiers` must be an array")?
             {
                 let tobj = t.as_object().ok_or("tier must be an object")?;
+                let mut counts = [0; TIER_COUNTERS.len()];
+                for (n, &c) in counts.iter_mut().zip(&TIER_COUNTERS) {
+                    *n = int(tobj, key(c))?;
+                }
                 tiers.push(TierPerf {
                     tier: get(tobj, "tier")?
                         .as_str()
@@ -477,22 +357,7 @@ impl Trajectory {
                     wall_s: num(tobj, "wall_s")?,
                     wall_min_s: num(tobj, "wall_min_s")?,
                     wall_max_s: num(tobj, "wall_max_s")?,
-                    nr_iterations: int(tobj, "nr_iterations")?,
-                    matrix_solves: int(tobj, "matrix_solves")?,
-                    tran_steps: int(tobj, "tran_steps")?,
-                    symbolic_reuse: int(tobj, "symbolic_reuse")?,
-                    numeric_refactor: int(tobj, "numeric_refactor")?,
-                    linear_stamps_skipped: int(tobj, "linear_stamps_skipped")?,
-                    lte_rejects: int(tobj, "lte_rejects")?,
-                    adaptive_steps: int(tobj, "adaptive_steps")?,
-                    h_growths: int(tobj, "h_growths")?,
-                    mos_evals: int(tobj, "mos_evals")?,
-                    mos_bypassed: int(tobj, "mos_bypassed")?,
-                    ensemble_lanes: int(tobj, "ensemble_lanes")?,
-                    lane_refactors: int(tobj, "lane_refactors")?,
-                    partition_blocks: int(tobj, "partition_blocks")?,
-                    block_solves: int(tobj, "block_solves")?,
-                    block_skips: int(tobj, "block_skips")?,
+                    counts,
                     solves_per_sec: num(tobj, "solves_per_sec")?,
                 });
             }
@@ -594,24 +459,11 @@ impl Trajectory {
     }
 }
 
-/// Counters introduced after the first recorded baselines. A trajectory
-/// point measured before such a counter existed records it as 0 (the
-/// committed `pr3`–`pr5` points read `mos_evals` and `block_solves` as
-/// 0), and a zero baseline would turn *any* candidate value into a
-/// violation — so these checks only arm once a baseline with a real
-/// (nonzero) measurement exists. Every gated counter added to
-/// [`TierPerf`] after the first points belongs in this list; the
-/// always-armed trio (`nr_iterations`, `matrix_solves`, `tran_steps`)
-/// has been measured since the first point and stays out.
-pub const ZERO_BASELINE_ARMED: &[&str] = &["mos_evals", "block_solves"];
-
-/// Compare a candidate point against a baseline point: every gated
-/// deterministic work counter (`nr_iterations`, `matrix_solves`,
-/// `tran_steps`, `mos_evals`, `block_solves`) of every tier present in
-/// both must not exceed the baseline by more than `tolerance` (e.g.
-/// `0.10` for +10 %). Returns the list of violations, empty when the
-/// candidate passes. Counters listed in [`ZERO_BASELINE_ARMED`] are
-/// skipped while their baseline reads 0.
+/// Compare a candidate point against a baseline point: every [`GATED`]
+/// counter of every tier present in both must not exceed the baseline by
+/// more than `tolerance` (e.g. `0.10` for +10 %). A baseline that reads 0
+/// is gated like any other value. Returns the list of violations, empty
+/// when the candidate passes.
 #[must_use]
 pub fn compare_points(baseline: &PerfPoint, candidate: &PerfPoint, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
@@ -620,38 +472,14 @@ pub fn compare_points(baseline: &PerfPoint, candidate: &PerfPoint, tolerance: f6
             violations.push(format!("tier `{}` missing from candidate", base_tier.tier));
             continue;
         };
-        let checks = [
-            (
-                "nr_iterations",
-                base_tier.nr_iterations,
-                cand_tier.nr_iterations,
-            ),
-            (
-                "matrix_solves",
-                base_tier.matrix_solves,
-                cand_tier.matrix_solves,
-            ),
-            ("tran_steps", base_tier.tran_steps, cand_tier.tran_steps),
-            ("mos_evals", base_tier.mos_evals, cand_tier.mos_evals),
-            // `block_skips` needs no check of its own: the scheduler's
-            // conservation identity (solves + skips = blocks × sub-steps)
-            // turns any lost skip into an extra solve, which the
-            // `block_solves` check catches.
-            (
-                "block_solves",
-                base_tier.block_solves,
-                cand_tier.block_solves,
-            ),
-        ];
-        for (name, base, cand) in checks {
-            if base == 0 && ZERO_BASELINE_ARMED.contains(&name) {
-                continue;
-            }
+        for c in GATED {
+            let (base, cand) = (base_tier.count(c), cand_tier.count(c));
             let limit = (base as f64 * (1.0 + tolerance)).ceil() as u64;
             if cand > limit {
                 violations.push(format!(
-                    "tier `{}`: {name} regressed {base} -> {cand} (limit {limit})",
-                    base_tier.tier
+                    "tier `{}`: {} regressed {base} -> {cand} (limit {limit})",
+                    base_tier.tier,
+                    key(c)
                 ));
             }
         }
@@ -662,8 +490,7 @@ pub fn compare_points(baseline: &PerfPoint, candidate: &PerfPoint, tolerance: f6
 /// Compare wall-clock medians against a noise band: every tier present in
 /// both points must not exceed the baseline's `wall_s` by more than
 /// `band` (e.g. `0.30` for +30 %). Wall time is machine- and load-
-/// dependent, so callers should treat these as warnings by default and
-/// only fail on them when explicitly asked (`perfcheck --wall-strict`).
+/// dependent, so `perfcheck` reports these as warnings only.
 #[must_use]
 pub fn compare_wall(baseline: &PerfPoint, candidate: &PerfPoint, band: f64) -> Vec<String> {
     let mut notes = Vec::new();
@@ -913,22 +740,9 @@ mod tests {
             wall_s: 0.5,
             wall_min_s: 0.4,
             wall_max_s: 0.7,
-            nr_iterations: nr,
-            matrix_solves: nr,
-            tran_steps: nr / 2,
-            symbolic_reuse: 0,
-            numeric_refactor: 0,
-            linear_stamps_skipped: 0,
-            lte_rejects: 0,
-            adaptive_steps: nr / 4,
-            h_growths: 0,
-            mos_evals: nr * 8,
-            mos_bypassed: nr * 2,
-            ensemble_lanes: 0,
-            lane_refactors: nr / 8,
-            partition_blocks: nr / 10,
-            block_solves: nr * 3,
-            block_skips: nr,
+            // A distinct multiple of `nr` per counter, so a value written
+            // under the wrong key shows.
+            counts: std::array::from_fn(|i| nr * (i as u64 + 1)),
             solves_per_sec: nr as f64 / 0.5,
         }
     }
@@ -987,13 +801,17 @@ mod tests {
             points: vec![point("pr6", vec![tier("fig6_tran", 100)])],
         };
         let json = traj.to_json();
-        assert!(json.contains("\"mos_evals\": 800"));
-        assert!(json.contains("\"mos_bypassed\": 200"));
-        assert!(json.contains("\"ensemble_lanes\": 0"));
-        assert!(json.contains("\"lane_refactors\": 12"));
-        assert!(json.contains("\"partition_blocks\": 10"));
-        assert!(json.contains("\"block_solves\": 300"));
-        assert!(json.contains("\"block_skips\": 100"));
+        assert!(json.contains("\"mos_evals\": 1000"));
+        assert!(json.contains("\"mos_bypassed\": 1100"));
+        assert!(json.contains("\"lane_refactors\": 1200"));
+        for dead in [
+            "ensemble_lanes",
+            "partition_blocks",
+            "block_solves",
+            "block_skips",
+        ] {
+            assert!(!json.contains(dead), "schema 3 records no `{dead}`");
+        }
         assert!(json.contains("\"wall_min_s\": 0.400000"));
         assert!(json.contains("\"wall_max_s\": 0.700000"));
         assert!(json.contains("\"reps\": 5"));
@@ -1014,17 +832,12 @@ mod tests {
     #[test]
     fn measure_tier_reps_reports_median_and_spread() {
         let mut calls = 0u32;
-        let (t, _) = measure_tier_reps(
-            "toy",
-            4,
-            || {},
-            || {
-                calls += 1;
-                // Make later repetitions measurably slower so min/median/max
-                // separate without relying on scheduler noise.
-                std::thread::sleep(std::time::Duration::from_millis(u64::from(calls) * 2));
-            },
-        );
+        let (t, _) = measure_tier_reps("toy", 4, || {
+            calls += 1;
+            // Make later repetitions measurably slower so min/median/max
+            // separate without relying on scheduler noise.
+            std::thread::sleep(std::time::Duration::from_millis(u64::from(calls) * 2));
+        });
         assert_eq!(calls, 5, "one warmup plus four timed repetitions");
         assert!(t.wall_min_s <= t.wall_s && t.wall_s <= t.wall_max_s);
         assert!(
@@ -1053,67 +866,6 @@ mod tests {
         assert!(compare_points(&base, &good, 0.10).is_empty());
         let v = compare_points(&base, &bad, 0.10);
         assert!(!v.is_empty() && v[0].contains("nr_iterations"));
-    }
-
-    #[test]
-    fn zero_baseline_arms_post_schema_counters_uniformly() {
-        // A mixed trajectory: the baseline is shaped like the committed
-        // pr3–pr5 points, measured before the bypass and partition
-        // counters existed, so it records `mos_evals`/`block_solves` as
-        // 0; the candidate is a fresh measurement with real values.
-        // Every counter in ZERO_BASELINE_ARMED must stay quiet against
-        // the old point — none may spuriously flag "0 -> n".
-        let old = Trajectory {
-            points: vec![PerfPoint {
-                label: "pr5-old-baseline".to_owned(),
-                reps: 1,
-                host: None,
-                tiers: vec![TierPerf {
-                    mos_evals: 0,
-                    mos_bypassed: 0,
-                    block_solves: 0,
-                    block_skips: 0,
-                    ..tier("fig6_tran", 1000)
-                }],
-            }],
-        };
-        let old = Trajectory::from_json(&old.to_json()).unwrap();
-        let baseline = &old.points[0];
-        for name in ZERO_BASELINE_ARMED {
-            let t = &baseline.tiers[0];
-            let read = match *name {
-                "mos_evals" => t.mos_evals,
-                "block_solves" => t.block_solves,
-                other => panic!("unknown armed counter `{other}` — extend this test"),
-            };
-            assert_eq!(read, 0, "{name}: the old point must read the counter as 0");
-        }
-        // Candidate: same always-armed work, huge post-schema counters.
-        let candidate = PerfPoint {
-            label: "pr10-candidate".to_owned(),
-            tiers: vec![tier("fig6_tran", 1000)], // mos_evals 8000, block_solves 3000
-            ..PerfPoint::default()
-        };
-        assert!(
-            compare_points(baseline, &candidate, 0.10).is_empty(),
-            "zero-baseline counters must not fire against an old point"
-        );
-        // And once a real (nonzero) baseline exists, the same counters arm:
-        // regressing mos_evals/block_solves 8x against it must fail.
-        let armed_base = PerfPoint {
-            label: "pr9-baseline".to_owned(),
-            tiers: vec![tier("fig6_tran", 125)],
-            ..PerfPoint::default()
-        };
-        let v = compare_points(&armed_base, &candidate, 0.10);
-        assert!(
-            v.iter().any(|m| m.contains("mos_evals")),
-            "armed mos_evals must fire: {v:?}"
-        );
-        assert!(
-            v.iter().any(|m| m.contains("block_solves")),
-            "armed block_solves must fire: {v:?}"
-        );
     }
 
     #[test]
@@ -1152,7 +904,7 @@ mod tests {
             .unwrap();
         let t = Trajectory::load(&path).unwrap();
         assert_eq!(t.points.len(), 1);
-        assert_eq!(t.points[0].tiers[0].nr_iterations, 2);
+        assert_eq!(t.points[0].tiers[0].count(Counter::NrIterations), 2);
         let _ = std::fs::remove_file(&path);
     }
 

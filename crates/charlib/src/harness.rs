@@ -214,23 +214,9 @@ impl Testbench {
         }
     }
 
-    /// Construct the simulation circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on parameters that cannot be built or biased; use
-    /// [`Testbench::try_build`] for machine-generated candidates.
-    #[must_use]
-    pub fn build(&self) -> BuiltTestbench {
-        match self.try_build() {
-            Ok(tb) => tb,
-            Err(e) => panic!("testbench build failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Testbench::build`]: degenerate parameters (non-positive
-    /// geometry, swing outside the supply, a tail current the sized
-    /// devices cannot deliver) surface as
+    /// Construct the simulation circuit. Degenerate parameters
+    /// (non-positive geometry, swing outside the supply, a tail current
+    /// the sized devices cannot deliver) surface as
     /// [`SpiceError::InvalidParameter`] instead of a panic, so one
     /// infeasible candidate cannot kill a whole population evaluation.
     ///
@@ -238,7 +224,7 @@ impl Testbench {
     ///
     /// Returns [`SpiceError::InvalidParameter`] when validation or the
     /// bias solve rejects the parameters.
-    pub fn try_build(&self) -> Result<BuiltTestbench> {
+    pub fn build(&self) -> Result<BuiltTestbench> {
         self.params
             .validate()
             .map_err(|reason| SpiceError::InvalidParameter {
@@ -396,9 +382,9 @@ impl Testbench {
     /// # Errors
     ///
     /// Propagates simulator convergence errors and
-    /// [`SpiceError::InvalidParameter`] from [`Testbench::try_build`].
+    /// [`SpiceError::InvalidParameter`] from [`Testbench::build`].
     pub fn run(&self, t_stop: f64, dt: f64) -> Result<(BuiltTestbench, TranResult)> {
-        let tb = self.try_build()?;
+        let tb = self.build()?;
         let res = tb.ckt.transient(&TranOptions::new(t_stop, dt))?;
         Ok((tb, res))
     }
@@ -532,7 +518,7 @@ mod tests {
     fn build_cmos_buffer_tb() {
         let params = CellParams::default();
         let tb = Testbench::new(CellKind::Buffer, LogicStyle::Cmos, &params);
-        let built = tb.build();
+        let built = tb.build().unwrap();
         let op = built.ckt.dc_op().expect("tb converges");
         // Input low -> output low (non-inverting buffer).
         assert!(op.voltage(built.port("q")) < 0.1);
@@ -543,7 +529,7 @@ mod tests {
         let params = CellParams::default();
         let mut tb = Testbench::new(CellKind::Buffer, LogicStyle::PgMcml, &params);
         tb.set_input(0, true).set_fanout(4);
-        let built = tb.build();
+        let built = tb.build().unwrap();
         assert!(built.bias.is_some());
         let op = built.ckt.dc_op().expect("tb converges");
         let q = op.voltage(built.port("q_p")) - op.voltage(built.port("q_n"));

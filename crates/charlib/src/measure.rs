@@ -258,7 +258,7 @@ pub fn measure_static_power(
             .try_mean_between(3.0e-9, 4.0e-9)?;
         return Ok(i * params.tech.vdd);
     }
-    let built = tb.try_build()?;
+    let built = tb.build()?;
     let op = built.ckt.dc_op()?;
     let i = op
         .supply_current(built.vdd_src)
@@ -280,7 +280,7 @@ pub fn measure_sleep_leakage(
 ) -> Result<f64> {
     let mut tb = Testbench::new(kind, style, params);
     tb.set_sleep(LogicWave::constant(false));
-    let built = tb.try_build()?;
+    let built = tb.build()?;
     let op = built.ckt.dc_op()?;
     let i = op
         .supply_current(built.vdd_src)

@@ -124,45 +124,20 @@ impl LintEngine {
     /// An engine with all three built-in rule packs at the given config.
     #[must_use]
     pub fn new(config: LintConfig) -> Self {
-        let mut engine = Self {
-            rules: Vec::new(),
+        Self {
+            rules: rules::gate::all()
+                .into_iter()
+                .chain(rules::tran::all())
+                .chain(rules::dataflow::all())
+                .collect(),
             config,
-        };
-        for r in rules::gate::all() {
-            engine.register(r);
         }
-        for r in rules::tran::all() {
-            engine.register(r);
-        }
-        for r in rules::dataflow::all() {
-            engine.register(r);
-        }
-        engine
     }
 
     /// An engine with the default rules and default configuration.
     #[must_use]
     pub fn with_default_rules() -> Self {
         Self::new(LintConfig::default())
-    }
-
-    /// An engine with no rules (register your own).
-    #[must_use]
-    pub fn empty(config: LintConfig) -> Self {
-        Self {
-            rules: Vec::new(),
-            config,
-        }
-    }
-
-    /// Add a rule to the registry.
-    pub fn register(&mut self, rule: Box<dyn Rule>) {
-        debug_assert!(
-            !self.rules.iter().any(|r| r.id() == rule.id()),
-            "duplicate rule id {}",
-            rule.id()
-        );
-        self.rules.push(rule);
     }
 
     /// The registered rules, in registration order.

@@ -43,8 +43,9 @@ pub enum Counter {
     MosBypassed,
     /// Lockstep ensemble lanes launched. Nothing emits it since every
     /// transient marches one circuit, so it always reads 0; it stays
-    /// because every `mcml-bench-perf/2` trajectory tier records it
-    /// (`mcml-spice`).
+    /// because the `mcml-obs/1` report's key set is part of its schema,
+    /// so it goes with the other three dead SPICE counters in one
+    /// report-schema bump (`mcml-spice`).
     EnsembleLanes,
     /// LU factorisations, dense or sparse, actually performed inside
     /// transient solves; the gap to `MatrixSolves` is the solves that reused
@@ -66,15 +67,15 @@ pub enum Counter {
     LinearStampsSkipped,
     /// Solve blocks of the deleted partitioned transient solve. Nothing
     /// emits it since every transient runs one monolithic system, so it
-    /// always reads 0; it stays because every `mcml-bench-perf/2`
-    /// trajectory tier records it (`mcml-spice`).
+    /// always reads 0; it stays for the same reason as `EnsembleLanes`
+    /// (`mcml-spice`).
     PartitionBlocks,
     /// Per-block solves of the deleted partitioned transient solve;
-    /// always 0, kept for the same reason as `PartitionBlocks`
-    /// (`mcml-spice`).
+    /// always 0. It stays for the same reason as `EnsembleLanes`, and
+    /// perfbench's per-layer metrics still read it (`mcml-spice`).
     BlockSolves,
     /// Per-block skips of the deleted partitioned transient solve;
-    /// always 0, kept for the same reason as `PartitionBlocks`
+    /// always 0, kept for the same reasons as `BlockSolves`
     /// (`mcml-spice`).
     BlockSkips,
     /// Characterisation-cache lookups (`mcml-char`).

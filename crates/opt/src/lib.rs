@@ -38,13 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
+#[cfg(test)]
+mod analytic;
 pub mod cmaes;
 pub mod pso;
 pub mod sizing;
 pub mod solver;
 
-pub use analytic::{Rastrigin, Sphere};
 pub use cmaes::CmaEs;
 pub use pso::ParticleSwarm;
 pub use sizing::{CellSizing, SizingMetric, SizingObjective, INFEASIBLE_PENALTY};

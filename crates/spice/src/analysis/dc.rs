@@ -59,87 +59,78 @@ pub(crate) fn branch_map(ckt: &Circuit) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// Solve the DC operating point.
-///
-/// Tries plain Newton first, then gmin stepping, then source stepping —
-/// the same continuation ladder real SPICE implementations use. The
-/// Newton tolerances and budget are fixed for every analysis; sources
-/// are evaluated at `t = 0`.
-///
-/// # Errors
-///
-/// Returns [`crate::SpiceError::NoConvergence`] if all strategies fail, or
-/// [`crate::SpiceError::InvalidCircuit`] for an empty circuit.
-pub fn dc_op(ckt: &Circuit) -> Result<OpPoint> {
-    ckt.validate()?;
-    let _span = mcml_obs::span(mcml_obs::Stage::DcOp);
-    mcml_obs::incr(mcml_obs::Counter::DcSolves);
-    // The dense LU up to `DENSE_LIMIT` unknowns, the sparse LU in natural
-    // column order above it: bit for bit the factors the DC has always
-    // used, because on bistable netlists the rounding picks the basin
-    // (SOLVER.md §2).
-    let mut engine = Engine::new_natural_order(ckt);
-    // DC continuation sweeps voltages deliberately; the quiescent-device
-    // bypass is a transient-only optimisation, so every solve passes a
-    // zero bypass tolerance.
-    // Sources at the transient's start time.
-    let t = 0.0;
-
-    let n_node_unk = engine.n_node_unk;
-    let finish = |x: Vec<f64>| OpPoint {
-        x,
-        n_node_unk,
-        branch_of_elem: branch_map(ckt),
-    };
-
-    // 1. Plain Newton from zero.
-    let mut x = vec![0.0; engine.n_unk];
-    if engine
-        .solve_nr(&mut x, t, None, ckt.gmin, 1.0, 0.0, "dc")
-        .is_ok()
-    {
-        return Ok(finish(x));
-    }
-
-    // 2. gmin stepping: sweep a large shunt conductance down to gmin.
-    let mut x = vec![0.0; engine.n_unk];
-    let mut ladder_ok = true;
-    let mut g = 1e-3;
-    while g > ckt.gmin {
-        if engine.solve_nr(&mut x, t, None, g, 1.0, 0.0, "dc").is_err() {
-            ladder_ok = false;
-            break;
-        }
-        g /= 10.0;
-    }
-    if ladder_ok
-        && engine
-            .solve_nr(&mut x, t, None, ckt.gmin, 1.0, 0.0, "dc")
-            .is_ok()
-    {
-        return Ok(finish(x));
-    }
-
-    // 3. Source stepping: ramp all independent sources from 0 to 100 %.
-    let mut x = vec![0.0; engine.n_unk];
-    let steps = 20;
-    for k in 1..=steps {
-        let scale = f64::from(k) / f64::from(steps);
-        // Keep a mild gmin during the ramp for robustness.
-        let g = if k < steps { 1e-9 } else { ckt.gmin };
-        engine.solve_nr(&mut x, t, None, g, scale, 0.0, "dc")?;
-    }
-    Ok(finish(x))
-}
-
 impl Circuit {
     /// Solve the DC operating point.
     ///
+    /// Tries plain Newton first, then gmin stepping, then source stepping —
+    /// the same continuation ladder real SPICE implementations use. The
+    /// Newton tolerances and budget are fixed for every analysis; sources
+    /// are evaluated at `t = 0`.
+    ///
     /// # Errors
     ///
-    /// See [`dc_op`].
+    /// Returns [`crate::SpiceError::NoConvergence`] if all strategies fail, or
+    /// [`crate::SpiceError::InvalidCircuit`] for an empty circuit.
     pub fn dc_op(&self) -> Result<OpPoint> {
-        dc_op(self)
+        self.validate()?;
+        let _span = mcml_obs::span(mcml_obs::Stage::DcOp);
+        mcml_obs::incr(mcml_obs::Counter::DcSolves);
+        // The dense LU up to `DENSE_LIMIT` unknowns, the sparse LU in natural
+        // column order above it: bit for bit the factors the DC has always
+        // used, because on bistable netlists the rounding picks the basin
+        // (SOLVER.md §2).
+        let mut engine = Engine::new_natural_order(self);
+        // DC continuation sweeps voltages deliberately; the quiescent-device
+        // bypass is a transient-only optimisation, so every solve passes a
+        // zero bypass tolerance.
+        // Sources at the transient's start time.
+        let t = 0.0;
+
+        let n_node_unk = engine.n_node_unk;
+        let finish = |x: Vec<f64>| OpPoint {
+            x,
+            n_node_unk,
+            branch_of_elem: branch_map(self),
+        };
+
+        // 1. Plain Newton from zero.
+        let mut x = vec![0.0; engine.n_unk];
+        if engine
+            .solve_nr(&mut x, t, None, self.gmin, 1.0, 0.0, "dc")
+            .is_ok()
+        {
+            return Ok(finish(x));
+        }
+
+        // 2. gmin stepping: sweep a large shunt conductance down to gmin.
+        let mut x = vec![0.0; engine.n_unk];
+        let mut ladder_ok = true;
+        let mut g = 1e-3;
+        while g > self.gmin {
+            if engine.solve_nr(&mut x, t, None, g, 1.0, 0.0, "dc").is_err() {
+                ladder_ok = false;
+                break;
+            }
+            g /= 10.0;
+        }
+        if ladder_ok
+            && engine
+                .solve_nr(&mut x, t, None, self.gmin, 1.0, 0.0, "dc")
+                .is_ok()
+        {
+            return Ok(finish(x));
+        }
+
+        // 3. Source stepping: ramp all independent sources from 0 to 100 %.
+        let mut x = vec![0.0; engine.n_unk];
+        let steps = 20;
+        for k in 1..=steps {
+            let scale = f64::from(k) / f64::from(steps);
+            // Keep a mild gmin during the ramp for robustness.
+            let g = if k < steps { 1e-9 } else { self.gmin };
+            engine.solve_nr(&mut x, t, None, g, scale, 0.0, "dc")?;
+        }
+        Ok(finish(x))
     }
 }
 

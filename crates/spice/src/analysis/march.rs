@@ -1,9 +1,9 @@
 //! The transient march: the one time loop every transient runs.
 //!
-//! [`transient`](super::tran::transient) runs it over one [`MonoLane`]:
-//! one damped-Newton [`Engine`] over the whole circuit, with a trial
-//! solve that touches nothing committed, and a commit. The march owns
-//! everything else:
+//! [`Circuit::transient`](crate::Circuit::transient) runs it over one
+//! [`MonoLane`]: one damped-Newton [`Engine`] over the whole circuit,
+//! with a trial solve that touches nothing committed, and a commit. The
+//! march owns everything else:
 //!
 //! * **the grid**: the caller's uniform `dt` grid, whose last cell is
 //!   clamped to `t_stop`;

@@ -1,8 +1,8 @@
 //! Transient analysis with backward-Euler companion models.
 //!
 //! This module holds the options and the result; the time loop itself is
-//! the march in `analysis::march`, which [`transient`] runs over one
-//! circuit as one monolithic Newton system. Backward Euler is the only
+//! the march in `analysis::march`, which [`Circuit::transient`] runs over
+//! one circuit as one monolithic Newton system. Backward Euler is the only
 //! integrator: every capacitor becomes a conductance
 //! `C/h` in parallel with a history current. Two stepping policies share
 //! the caller's uniform `dt` grid:
@@ -59,7 +59,7 @@ pub const BYPASS_VTOL: f64 = 10e-6;
 /// [`bypass`](TranOptions::bypass).
 ///
 /// The end time and the base step are fixed by [`TranOptions::new`] and
-/// cannot be changed afterwards; [`transient`] checks them:
+/// cannot be changed afterwards; [`Circuit::transient`] checks them:
 ///
 /// ```compile_fail,E0616
 /// use mcml_spice::TranOptions;
@@ -85,8 +85,8 @@ pub struct TranOptions {
 
 impl TranOptions {
     /// Options with the given end time and base step, both switches off.
-    /// [`transient`] checks the grid: it needs `0 < dt <= t_stop` and a
-    /// countable number of cells.
+    /// [`Circuit::transient`] checks the grid: it needs `0 < dt <= t_stop`
+    /// and a countable number of cells.
     ///
     /// # Examples
     ///
@@ -118,8 +118,8 @@ impl TranOptions {
         }
     }
 
-    /// Enable grid-aligned adaptive stepping (see [`transient`]): every
-    /// internal step is a whole number of `dt` grid cells, at most
+    /// Enable grid-aligned adaptive stepping (see [`Circuit::transient`]):
+    /// every internal step is a whole number of `dt` grid cells, at most
     /// [`LTE_H_MAX`] long, and each step's LTE stays below
     /// `LTE_RELTOL·|v| + LTE_ABSTOL` on every capacitor. Wherever the
     /// controller drops back to single-cell steps the solution is
@@ -285,52 +285,43 @@ impl TranResult {
     }
 }
 
-/// Run a transient analysis.
-///
-/// The initial condition is the DC operating point with sources evaluated
-/// at `t = 0`. Every step integrates the capacitors by backward Euler
-/// (first order, L-stable). The march steps the caller's `dt` grid; when
-/// a step fails to converge it is halved, up to 8 times.
-///
-/// With [`TranOptions::adaptive`] set, a macro step may leap several
-/// grid cells: after each converged step the per-capacitor LTE is
-/// estimated from the second divided difference of the capacitor
-/// history, `h²·|f[t_{n-1},t_n,t_{n+1}]|`, and a leap is rejected and
-/// halved when the worst ratio against `LTE_RELTOL·|v| + LTE_ABSTOL`
-/// exceeds 1. The leap doubles (up to [`LTE_H_MAX`]) while the ratio is
-/// small and drops to one cell when it exceeds 1. A leap never jumps
-/// past the first grid point at-or-after a source breakpoint (a PWL
-/// knot), where the history is reset. Grid points the march lands on
-/// record the solved state; points inside a leap are linearly
-/// interpolated.
-///
-/// # Errors
-///
-/// Returns [`SpiceError::InvalidParameter`] for element `"transient
-/// options"` before the DC when the grid cannot be marched (see
-/// [`TranOptions::new`]); [`SpiceError::NoConvergence`] when a step
-/// fails at the smallest subdivision; or the DC errors for the initial
-/// point.
-pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
-    if let Some(reason) = opts.grid_fault() {
-        return Err(SpiceError::InvalidParameter {
-            element: "transient options".to_owned(),
-            reason,
-        });
-    }
-    let _span = mcml_obs::span(mcml_obs::Stage::Transient);
-    mcml_obs::incr(mcml_obs::Counter::Transients);
-    crate::analysis::march::run(ckt, opts)
-}
-
 impl Circuit {
-    /// Run a transient analysis (see [`transient`]).
+    /// Run a transient analysis.
+    ///
+    /// The initial condition is the DC operating point with sources evaluated
+    /// at `t = 0`. Every step integrates the capacitors by backward Euler
+    /// (first order, L-stable). The march steps the caller's `dt` grid; when
+    /// a step fails to converge it is halved, up to 8 times.
+    ///
+    /// With [`TranOptions::adaptive`] set, a macro step may leap several
+    /// grid cells: after each converged step the per-capacitor LTE is
+    /// estimated from the second divided difference of the capacitor
+    /// history, `h²·|f[t_{n-1},t_n,t_{n+1}]|`, and a leap is rejected and
+    /// halved when the worst ratio against `LTE_RELTOL·|v| + LTE_ABSTOL`
+    /// exceeds 1. The leap doubles (up to [`LTE_H_MAX`]) while the ratio is
+    /// small and drops to one cell when it exceeds 1. A leap never jumps
+    /// past the first grid point at-or-after a source breakpoint (a PWL
+    /// knot), where the history is reset. Grid points the march lands on
+    /// record the solved state; points inside a leap are linearly
+    /// interpolated.
     ///
     /// # Errors
     ///
-    /// See [`transient`].
+    /// Returns [`SpiceError::InvalidParameter`] for element `"transient
+    /// options"` before the DC when the grid cannot be marched (see
+    /// [`TranOptions::new`]); [`SpiceError::NoConvergence`] when a step
+    /// fails at the smallest subdivision; or the DC errors for the initial
+    /// point.
     pub fn transient(&self, opts: &TranOptions) -> Result<TranResult> {
-        transient(self, opts)
+        if let Some(reason) = opts.grid_fault() {
+            return Err(SpiceError::InvalidParameter {
+                element: "transient options".to_owned(),
+                reason,
+            });
+        }
+        let _span = mcml_obs::span(mcml_obs::Stage::Transient);
+        mcml_obs::incr(mcml_obs::Counter::Transients);
+        crate::analysis::march::run(self, opts)
     }
 }
 

@@ -202,26 +202,11 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics on a duplicate element name or a non-positive resistance —
-    /// these are construction bugs in generator code. Use
-    /// [`Circuit::try_resistor`] for fallible insertion.
+    /// these are construction bugs in generator code.
     pub fn resistor(&mut self, name: &str, a: NodeId, b: NodeId, ohms: f64) -> ElementId {
-        self.try_resistor(name, a, b, ohms).expect("valid resistor")
-    }
-
-    /// Fallible [`Circuit::resistor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on duplicate names or invalid values.
-    pub fn try_resistor(
-        &mut self,
-        name: &str,
-        a: NodeId,
-        b: NodeId,
-        ohms: f64,
-    ) -> Result<ElementId> {
-        Self::check_positive(name, "resistance", ohms)?;
-        self.insert(name, Element::Resistor { a, b, ohms })
+        Self::check_positive(name, "resistance", ohms)
+            .and_then(|()| self.insert(name, Element::Resistor { a, b, ohms }))
+            .expect("valid resistor")
     }
 
     /// Add a capacitor.
@@ -230,24 +215,9 @@ impl Circuit {
     ///
     /// Panics on a duplicate name or non-positive capacitance.
     pub fn capacitor(&mut self, name: &str, a: NodeId, b: NodeId, farads: f64) -> ElementId {
-        self.try_capacitor(name, a, b, farads)
+        Self::check_positive(name, "capacitance", farads)
+            .and_then(|()| self.insert(name, Element::Capacitor { a, b, farads }))
             .expect("valid capacitor")
-    }
-
-    /// Fallible [`Circuit::capacitor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on duplicate names or invalid values.
-    pub fn try_capacitor(
-        &mut self,
-        name: &str,
-        a: NodeId,
-        b: NodeId,
-        farads: f64,
-    ) -> Result<ElementId> {
-        Self::check_positive(name, "capacitance", farads)?;
-        self.insert(name, Element::Capacitor { a, b, farads })
     }
 
     /// Add an independent voltage source (positive terminal `p`).
@@ -439,20 +409,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "valid resistor")]
     fn duplicate_element_name_rejected() {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.resistor("R1", a, Circuit::GND, 1e3);
-        assert!(c.try_resistor("R1", a, Circuit::GND, 1e3).is_err());
+        c.resistor("R1", a, Circuit::GND, 1e3);
     }
 
     #[test]
     fn invalid_resistance_rejected() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        assert!(c.try_resistor("R", a, Circuit::GND, 0.0).is_err());
-        assert!(c.try_resistor("R", a, Circuit::GND, -5.0).is_err());
-        assert!(c.try_resistor("R", a, Circuit::GND, f64::NAN).is_err());
+        for ohms in [0.0, -5.0, f64::NAN] {
+            let added = std::panic::catch_unwind(|| {
+                let mut c = Circuit::new();
+                let a = c.node("a");
+                c.resistor("R", a, Circuit::GND, ohms);
+            });
+            assert!(added.is_err(), "{ohms} Ω accepted");
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl Waveform {
     }
 
     /// Linear interpolation at time `t`; clamps to the end values outside
-    /// the recorded span.
+    /// the recorded span. A NaN time samples as NaN.
     #[must_use]
     pub fn sample(&self, t: f64) -> f64 {
         let (Some(&t_last), Some(&v_last)) = (self.t.last(), self.v.last()) else {
@@ -95,6 +95,10 @@ impl Waveform {
         }
         if t >= t_last {
             return v_last;
+        }
+        // A NaN time fails both clamps; the search below needs an ordered one.
+        if t.is_nan() {
+            return f64::NAN;
         }
         let idx = match self
             .t
@@ -112,11 +116,16 @@ impl Waveform {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or `t1 <= t0`. See [`Waveform::try_resample`]
-    /// for a fallible variant that also rejects empty waveforms.
+    /// Panics if `n < 2`, either bound is not finite, or `t1 <= t0`. See
+    /// [`Waveform::try_resample`] for a fallible variant that also
+    /// rejects empty waveforms.
     #[must_use]
     pub fn resample(&self, t0: f64, t1: f64, n: usize) -> Self {
         assert!(n >= 2, "need at least two samples");
+        assert!(
+            t0.is_finite() && t1.is_finite(),
+            "non-finite resample window"
+        );
         assert!(t1 > t0, "empty resample window");
         let dt = (t1 - t0) / (n - 1) as f64;
         let t: Vec<f64> = (0..n).map(|i| t0 + dt * i as f64).collect();
@@ -373,6 +382,11 @@ mod tests {
         let s = a.add(&b);
         assert_eq!(s.len(), 3);
         assert_eq!(s.sample(1.0), 2.0);
+    }
+
+    #[test]
+    fn nan_time_samples_as_nan() {
+        assert!(ramp().sample(f64::NAN).is_nan());
     }
 
     #[test]
