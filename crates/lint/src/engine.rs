@@ -140,7 +140,7 @@ impl LintEngine {
         Self::new(LintConfig::default())
     }
 
-    /// The registered rules, in registration order.
+    /// The rules, in pack order: gate, transistor, dataflow.
     pub fn rules(&self) -> impl Iterator<Item = &dyn Rule> {
         self.rules.iter().map(AsRef::as_ref)
     }
