@@ -14,7 +14,10 @@
 //! (`_x3`) several copies with staggered input edges, each marched by
 //! its own transient. The circuits are an RC ladder, a MOS inverter and
 //! two inverters coupled only through a gate, which factor on the dense
-//! LU, and a 96-inverter chain, which factors on the sparse LU.
+//! LU, and two 96-inverter chains, which factor on the sparse LU. The
+//! second chain adds a gate–drain capacitor per stage, so its DC matrix
+//! holds 96 slots that only a capacitor stamps: the (gate row, drain
+//! column) entry of each stage, which no MOS stamp shares.
 
 use mcml_device::{MosParams, Mosfet};
 use mcml_spice::{Circuit, ElementId, NodeId, SourceWave, TranOptions, TranResult};
@@ -135,6 +138,17 @@ fn long_chain(edge: f64) -> Probe {
     }
 }
 
+/// The 96-inverter chain with a gate–drain (Miller) capacitor per
+/// stage, as the fig. 6 cells' gate-overlap parasitics couple them.
+fn miller_chain(edge: f64) -> Probe {
+    let mut p = long_chain(edge);
+    for k in 0..96 {
+        let (gate, drain) = (p.nodes[k + 1], p.nodes[k + 2]);
+        p.ckt.capacitor(&format!("CGD{k}"), gate, drain, 2e-15);
+    }
+    p
+}
+
 /// FNV-1a over the recorded grid, every node voltage and source branch
 /// current at every recorded point, the step count and the end time.
 fn fingerprint(p: &Probe, res: &TranResult, h: &mut u64) {
@@ -211,15 +225,22 @@ const EXPECTED: &[(&str, u64)] = &[
     ("long_chain/bypass_x3", 0xd9b6_93be_b9f7_9521),
     ("long_chain/adaptive", 0xea72_bc2c_744c_edc9),
     ("long_chain/adaptive_bypass_x3", 0x0872_acfe_32c2_0b40),
+    ("miller_chain/be", 0x6ed5_5770_52fc_068a),
+    ("miller_chain/bypass", 0xbd2a_e04e_dd9f_23ec),
+    ("miller_chain/ensemble_x3", 0x8a71_51d7_a266_ec16),
+    ("miller_chain/bypass_x3", 0xea67_b25d_51e9_420f),
+    ("miller_chain/adaptive", 0x0e97_05d8_cd9b_b8ea),
+    ("miller_chain/adaptive_bypass_x3", 0x3dac_f869_d15b_0059),
 ];
 
 #[test]
 fn fixed_grid_transients_match_committed_fingerprints() {
-    let circuits: [(&str, Build); 4] = [
+    let circuits: [(&str, Build); 5] = [
         ("rc_ladder", rc_ladder),
         ("mos_inverter", mos_inverter),
         ("two_islands", two_islands),
         ("long_chain", long_chain),
+        ("miller_chain", miller_chain),
     ];
     let mut got = Vec::new();
     for (cname, build) in circuits {
