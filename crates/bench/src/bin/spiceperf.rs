@@ -23,6 +23,12 @@
 //! Every tier starts each repetition, warmup included, from a cleared
 //! characterisation cache (see `perf::measure_tier_reps`), so a tier
 //! measures the same work whatever order the tiers run in.
+//!
+//! # Counting must be on
+//!
+//! With `MCML_OBS=off` every counter reads 0, which no gate can catch.
+//! `spiceperf` then exits non-zero before measuring, and it writes no
+//! point in which a tier counted no Newton iteration.
 
 use mcml_bench::perf::{measure_tier_reps, HostInfo, PerfPoint, TierPerf, Trajectory, SCHEMA};
 use mcml_cells::{CellParams, LogicStyle};
@@ -66,6 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             other => return Err(format!("unknown argument `{other}`").into()),
         }
+    }
+
+    if mcml_obs::mode() == mcml_obs::Mode::Off {
+        return Err(
+            "mcml-obs counting is off (MCML_OBS=off), so every counter would read 0; \
+                    record a trajectory point with MCML_OBS=summary"
+                .into(),
+        );
     }
 
     let params = CellParams::default();
@@ -176,6 +190,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         host: Some(host),
         tiers: vec![fig6_tier, ens_tier, aes_mono_tier, char_tier, fig3_tier],
     };
+    point.check_counted()?;
     let path = std::path::PathBuf::from(&out);
     Trajectory::load(&path)?.append_and_save(point, &path)?;
     println!("\ntrajectory point recorded in {out} (schema {SCHEMA})");

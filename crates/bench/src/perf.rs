@@ -184,6 +184,30 @@ pub struct PerfPoint {
     pub tiers: Vec<TierPerf>,
 }
 
+impl PerfPoint {
+    /// Check that every tier counted Newton iterations. Every tier runs
+    /// SPICE, so a tier that reads 0 was measured with `mcml-obs`
+    /// counting off, and its counters would pass any gate.
+    ///
+    /// # Errors
+    ///
+    /// Names the first tier that counted no Newton iteration.
+    pub fn check_counted(&self) -> Result<(), String> {
+        match self
+            .tiers
+            .iter()
+            .find(|t| t.count(Counter::NrIterations) == 0)
+        {
+            Some(t) => Err(format!(
+                "tier `{}` counted no Newton iterations: mcml-obs counting is off \
+                 (MCML_OBS=off?); record a point with MCML_OBS=summary",
+                t.tier
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The whole perf trajectory: an append-only series of [`PerfPoint`]s.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {

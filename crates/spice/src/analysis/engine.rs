@@ -14,7 +14,10 @@
 //! a transient, in raw MNA order for the DC operating point (the engine
 //! `dc_op` builds with [`Engine::new_natural_order`]). Every DC keeps the
 //! factors its goldens were taken with because on a bistable netlist its
-//! basin follows the LU rounding (SOLVER.md §2).
+//! basin follows the LU rounding (SOLVER.md §2). The DC's sparse factors
+//! store only the entries that a slot other than the plan's DC-dead
+//! ones reaches; every value they keep is the full factors' bit for bit
+//! (SOLVER.md §3).
 
 use crate::analysis::plan::{MosBypassState, StampPlan};
 use crate::circuit::{Circuit, NodeId};
@@ -134,8 +137,9 @@ pub(crate) struct Engine<'c> {
     /// Sparse factors; `Some` once factored, reused numerically while the
     /// fixed pivot order stays healthy.
     lu: Option<SparseLu>,
-    /// Eliminate columns in raw MNA order instead of the plan's
-    /// fill-reducing order (`dc_op` only).
+    /// The DC operating point's engine (`dc_op` only): eliminate columns
+    /// in raw MNA order instead of the plan's fill-reducing order, and
+    /// keep only the factor entries that the plan's DC-live slots reach.
     natural_order: bool,
     /// Per-MOS cached linearizations for the quiescent-device bypass,
     /// parallel to the plan's MOS indices. Persists across Newton
@@ -194,7 +198,9 @@ impl<'c> Engine<'c> {
 
     /// An engine whose sparse factorisations keep the raw MNA column
     /// order — the DC operating point's, whose basin on bistable
-    /// netlists follows the LU rounding (SOLVER.md §2).
+    /// netlists follows the LU rounding (SOLVER.md §2). It assembles
+    /// without capacitor companions only, so its sparse factors drop
+    /// what only the plan's DC-dead slots reach.
     pub fn new_natural_order(ckt: &'c Circuit) -> Self {
         Self {
             natural_order: true,
@@ -406,10 +412,15 @@ impl<'c> Engine<'c> {
                             tally.symbolic_reuse += 1;
                         } else {
                             lu.repivot(pattern, &self.vals)?;
+                            if self.natural_order {
+                                lu.retain_reached(pattern, self.plan.dc_dead());
+                            }
                         }
                     }
                     None if self.natural_order => {
-                        self.lu = Some(SparseLu::factor_csc(pattern, &self.vals)?);
+                        let mut lu = SparseLu::factor_csc(pattern, &self.vals)?;
+                        lu.retain_reached(pattern, self.plan.dc_dead());
+                        self.lu = Some(lu);
                     }
                     None => {
                         let order = self.plan.fill_order();
@@ -451,8 +462,17 @@ impl<'c> Engine<'c> {
         bypass_tol: f64,
         analysis: &'static str,
     ) -> Result<()> {
+        debug_assert!(
+            companion.is_none() || !self.natural_order,
+            "the DC engine's factors assume no capacitor companion"
+        );
         let mut tally = NrTally::default();
         let key = JacKey::new(companion, gmin);
+        // The DC's pruned sparse factors are exact only for finite stamps
+        // (SOLVER.md §3), so there a non-finite stamp fails before it
+        // reaches them.
+        let check_finite =
+            self.natural_order && self.n_unk > DENSE_LIMIT && !self.plan.dc_dead().is_empty();
         for iter in 0..MAX_ITER {
             tally.iters += 1;
             let evals;
@@ -475,6 +495,14 @@ impl<'c> Engine<'c> {
                 evals = mos.evals;
             }
             tally.stamps_skipped += self.plan.linear_stamps;
+            if check_finite && !self.vals.iter().all(|v| v.is_finite()) {
+                tally.flush();
+                return Err(SpiceError::NoConvergence {
+                    analysis,
+                    time: t,
+                    iterations: iter,
+                });
+            }
             // Exact reuse: an assembly with zero MOS evaluations under
             // the same (h, gmin) as the last factorisation reproduced
             // the factored values bit for bit (bypassed devices stamp
@@ -713,6 +741,39 @@ mod tests {
                 engine.audit.mismatches, engine.audit.reuses
             );
         }
+    }
+
+    /// A DC whose sparse factors drop what only capacitor slots reach
+    /// needs finite stamps: a non-finite one ends the DC in
+    /// `NoConvergence` before it reaches the factors.
+    #[test]
+    fn non_finite_stamp_fails_the_pruned_dc() {
+        let mut ckt = inverter_chain(DENSE_LIMIT);
+        let nodes: Vec<NodeId> = std::iter::once("in".to_owned())
+            .chain((0..DENSE_LIMIT).map(|k| format!("o{k}")))
+            .map(|name| ckt.find_node(&name).expect("chain node"))
+            .collect();
+        for (k, w) in nodes.windows(2).enumerate() {
+            ckt.capacitor(&format!("CGD{k}"), w[0], w[1], 2e-15);
+        }
+        let engine = Engine::new_natural_order(&ckt);
+        assert!(engine.n_unk > DENSE_LIMIT);
+        assert_eq!(engine.plan.dc_dead().len(), DENSE_LIMIT, "one per stage");
+        ckt.dc_op().expect("finite stamps converge");
+
+        let id = ckt.find_element("MN40").expect("stage 40");
+        let Element::Mos { dev, .. } = ckt.element_mut(id) else {
+            unreachable!("MN40 is a MOSFET")
+        };
+        dev.params.vt0 = f64::NAN;
+        assert!(
+            matches!(
+                ckt.dc_op(),
+                Err(SpiceError::NoConvergence { analysis: "dc", .. })
+            ),
+            "{:?}",
+            ckt.dc_op()
+        );
     }
 
     /// The backend dispatch rule: a system of at most `DENSE_LIMIT`

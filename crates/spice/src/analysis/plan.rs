@@ -61,6 +61,16 @@
 //! plan: a degraded-pivot re-factorisation reuses the order it already
 //! has.
 //! Dense-sized systems and the natural-order DC engine never ask for it.
+//!
+//! # DC-dead slots
+//!
+//! A DC assembly stamps no capacitor companion, so a slot that only
+//! capacitor sites map to holds `+0.0` in every DC matrix. The plan
+//! records those slots ([`StampPlan::dc_dead`]); the DC engine's sparse
+//! factors drop every entry that only they reach (SOLVER.md §3). The
+//! fig. 6 matrix has 570 of them among 2,084 slots: the gate-overlap
+//! capacitors' (gate row, drain column) entries, which no MOS stamp
+//! shares because a MOS stamps only its drain and source rows.
 
 use std::sync::{Arc, OnceLock};
 
@@ -168,6 +178,9 @@ pub(crate) struct StampPlan {
     /// Minimum-degree column order of `pattern`, computed on first use
     /// (see the module docs).
     fill_order: OnceLock<Arc<[usize]>>,
+    /// Slots that only capacitor companion sites map to, ascending
+    /// (see the module docs); empty when every slot is live in a DC.
+    dc_dead: Vec<usize>,
 }
 
 #[inline]
@@ -340,6 +353,20 @@ impl StampPlan {
         }
 
         let (pattern, slots) = CscPattern::from_sites(n_unk, &col.sites);
+        // A slot is DC-dead when every site mapped to it is a capacitor's.
+        let mut cap_site = vec![false; col.sites.len()];
+        for p in &pending {
+            if let Pending::Cap { g, .. } = p {
+                for &pos in g.iter().filter(|&&pos| pos != SLOT_NONE) {
+                    cap_site[pos] = true;
+                }
+            }
+        }
+        let mut dc_live = vec![false; pattern.nnz()];
+        for (&slot, cap) in slots.iter().zip(cap_site) {
+            dc_live[slot] |= !cap;
+        }
+        let dc_dead = (0..pattern.nnz()).filter(|&s| !dc_live[s]).collect();
         let mut base_vals = vec![0.0f64; pattern.nnz()];
         for (pos, val) in base {
             base_vals[slots[pos]] += val;
@@ -380,7 +407,14 @@ impl StampPlan {
             linear_stamps,
             n_mos,
             fill_order: OnceLock::new(),
+            dc_dead,
         }
+    }
+
+    /// The slots that hold `+0.0` in every DC matrix because only
+    /// capacitor companion sites map to them, ascending.
+    pub fn dc_dead(&self) -> &[usize] {
+        &self.dc_dead
     }
 
     /// The sparse LU's fill-reducing column order for this plan's

@@ -23,13 +23,20 @@
 //! The expensive part of every factorisation — the per-column DFS that
 //! discovers the fill-in pattern, plus the pivot search — depends only on
 //! the sparsity pattern, which the Newton loop keeps fixed. A first
-//! factorisation therefore records the column order, the per-step reach
-//! sets and the row permutation; subsequent [`SparseLu::refactor`] calls
+//! factorisation therefore records the column order, the per-step update
+//! order and the row permutation; subsequent [`SparseLu::refactor`] calls
 //! on the same [`CscPattern`] replay the recorded structure and recompute
 //! numbers only, and [`SparseLu::solve_into`] back-substitutes without
 //! allocating. A refactorisation whose fixed pivot degrades numerically
 //! (threshold pivot test) fails over to [`SparseLu::repivot`]: a fresh
 //! pivot search in the same column order.
+//!
+//! The DC operating point stores less: the slots that only capacitors
+//! stamp hold `+0.0` in every DC matrix, so after each fresh
+//! factorisation it drops every entry that no other slot reaches
+//! (`SparseLu::retain_reached`). On the fig. 6 matrix that keeps 2,870
+//! of the raw order's 16,644 entries, and every kept value is the one the
+//! full factors hold (SOLVER.md §3).
 
 use std::sync::Arc;
 
@@ -54,27 +61,26 @@ const UNPIVOTED: usize = usize::MAX;
 /// pivot.
 ///
 /// The struct also carries the reusable symbolic state: the column
-/// order, the per-step reach sets discovered by the DFS and the row
-/// permutation, which [`SparseLu::refactor`] replays for numeric-only
+/// order, the row permutation and, in `u_cols[k]`'s order, the
+/// topological order in which step `k` applies the earlier columns of L.
+/// [`SparseLu::refactor`] replays them for numeric-only
 /// refactorisation.
 pub struct SparseLu {
     n: usize,
     /// `col_order[k]` = column of A eliminated at step `k`.
     col_order: Arc<[usize]>,
     l_cols: Vec<Vec<(usize, f64)>>,
+    /// Also the replay order: the symbolic DFS of the first
+    /// factorisation lists every row before all the rows it updates,
+    /// and `u_cols[k]` keeps that order.
     u_cols: Vec<Vec<(usize, f64)>>,
     u_diag: Vec<f64>,
-    /// `pinv[original_row] = pivot position`.
-    pinv: Vec<usize>,
-    /// `perm_row[pivot position] = original_row` (inverse of `pinv`).
+    /// `perm_row[pivot position] = original_row`.
     perm_row: Vec<usize>,
-    /// `row_target[original_row] = col_order[pinv[original_row]]`: the
-    /// unknown whose slot carries that row's value during the solve.
+    /// `row_target[original_row]` = the column eliminated at the step
+    /// that pivots on that row: the unknown whose slot carries that row's
+    /// value during the solve.
     row_target: Vec<usize>,
-    /// Per-step reach set (rows touched by step `k`) in elimination
-    /// order, as discovered by the symbolic DFS of the first
-    /// factorisation.
-    reach: Vec<Vec<usize>>,
     /// Dense workspace reused by refactor (cleared between columns).
     work: Vec<f64>,
 }
@@ -108,12 +114,9 @@ impl SparseLu {
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::SingularMatrix`] if a column has no usable
-    /// pivot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col_order` is not a permutation of `0..pattern.dim()`.
+    /// Returns [`SpiceError::InvalidParameter`] if `col_order` is not a
+    /// permutation of `0..pattern.dim()`, and
+    /// [`SpiceError::SingularMatrix`] if a column has no usable pivot.
     pub fn factor_ordered(
         pattern: &CscPattern,
         vals: &[f64],
@@ -121,19 +124,22 @@ impl SparseLu {
     ) -> Result<Self, SpiceError> {
         let n = pattern.dim();
         let mut seen = vec![false; n];
-        assert!(
-            col_order.len() == n
-                && col_order
-                    .iter()
-                    .all(|&c| c < n && !std::mem::replace(&mut seen[c], true)),
-            "column order is not a permutation of 0..{n}"
-        );
+        if col_order.len() != n
+            || !col_order
+                .iter()
+                .all(|&c| c < n && !std::mem::replace(&mut seen[c], true))
+        {
+            return Err(SpiceError::InvalidParameter {
+                element: "sparse LU".into(),
+                reason: format!("column order is not a permutation of 0..{n}"),
+            });
+        }
 
         let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
         let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
         let mut u_diag = vec![0.0f64; n];
         let mut pinv = vec![UNPIVOTED; n];
-        let mut reaches: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut reach: Vec<usize> = Vec::with_capacity(n);
 
         // Dense workspace for the current column and DFS bookkeeping.
         let mut x = vec![0.0f64; n];
@@ -150,7 +156,7 @@ impl SparseLu {
             // a pivoted row to each row its L column updates, so the
             // reversed post-order lists every row before all the rows it
             // updates — the order the numeric elimination must follow.
-            let mut reach: Vec<usize> = Vec::new();
+            reach.clear();
             for (r, _) in pattern.col(col, vals) {
                 if mark[r] == k {
                     continue;
@@ -238,7 +244,6 @@ impl SparseLu {
             pinv[ipiv] = k;
             l_cols.push(lcol);
             u_cols.push(ucol);
-            reaches.push(reach);
         }
 
         let mut perm_row = vec![0usize; n];
@@ -252,10 +257,8 @@ impl SparseLu {
             l_cols,
             u_cols,
             u_diag,
-            pinv,
             perm_row,
             row_target,
-            reach: reaches,
             work: x,
         })
     }
@@ -274,9 +277,54 @@ impl SparseLu {
         Ok(())
     }
 
+    /// Drop every L and U entry that no slot outside `dead_slots` can
+    /// reach, keeping the pivots, the column order and the order of the
+    /// entries that stay.
+    ///
+    /// For callers whose `dead_slots` hold `+0.0` in every matrix they
+    /// factor (the DC operating point, where only capacitors stamp
+    /// them). With finite values every dropped entry then holds an exact
+    /// ±0 in the full factors, for any values on the other slots, so
+    /// [`SparseLu::refactor`] and [`SparseLu::solve_into`] over the kept
+    /// entries compute every kept entry and every non-zero of a solution
+    /// bit for bit as the full factors would (SOLVER.md §3). Run it
+    /// after every fresh factorisation; an empty `dead_slots` keeps
+    /// every entry.
+    pub(crate) fn retain_reached(&mut self, pattern: &CscPattern, dead_slots: &[usize]) {
+        if dead_slots.is_empty() {
+            return;
+        }
+        let mut live = vec![true; pattern.nnz()];
+        for &s in dead_slots {
+            live[s] = false;
+        }
+        // `reached[r] == k`: row `r` can hold a non-zero at step `k`.
+        let mut reached = vec![usize::MAX; self.n];
+        for k in 0..self.n {
+            for p in pattern.col_range(self.col_order[k]) {
+                if live[p] {
+                    reached[pattern.row_indices()[p]] = k;
+                }
+            }
+            // `u_cols[k]` lists every row before the rows its L column
+            // updates, so a row's mark is final when its turn comes.
+            let (l_done, perm_row) = (&self.l_cols, &self.perm_row);
+            self.u_cols[k].retain(|&(pos, _)| {
+                let keep = reached[perm_row[pos]] == k;
+                if keep {
+                    for &(r, _) in &l_done[pos] {
+                        reached[r] = k;
+                    }
+                }
+                keep
+            });
+            self.l_cols[k].retain(|&(r, _)| reached[r] == k);
+        }
+    }
+
     /// Numeric-only refactorisation: recompute L/U values for new matrix
     /// values on the *same* sparsity pattern, replaying the recorded
-    /// column order, reach sets and row permutation. No allocation, no
+    /// column order, update order and row permutation. No allocation, no
     /// DFS, no pivot search.
     ///
     /// # Errors
@@ -284,34 +332,34 @@ impl SparseLu {
     /// Returns [`SpiceError::SingularMatrix`] when a fixed pivot fails the
     /// threshold test (degraded below `REFACTOR_PIVOT_TAU` of its
     /// column's largest candidate, or below `PIVOT_EPS` absolutely) —
-    /// the caller should fall back to [`SparseLu::repivot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` has a different dimension than the factored
-    /// matrix (refactor against a foreign pattern is a logic error).
+    /// the caller should fall back to [`SparseLu::repivot`] — and
+    /// [`SpiceError::InvalidParameter`] when `pattern` has a different
+    /// dimension than the factored matrix.
     pub fn refactor(&mut self, pattern: &CscPattern, vals: &[f64]) -> Result<(), SpiceError> {
-        assert_eq!(pattern.dim(), self.n, "pattern dimension mismatch");
+        if pattern.dim() != self.n {
+            return Err(SpiceError::InvalidParameter {
+                element: "sparse LU".into(),
+                reason: format!(
+                    "pattern of dimension {} refactored against factors of dimension {}",
+                    pattern.dim(),
+                    self.n
+                ),
+            });
+        }
         let x = &mut self.work;
         for k in 0..self.n {
-            // Scatter A[:,col] and eliminate in the recorded order; steps
-            // 0..k of L already hold their refactored values
-            // (left-looking).
+            // Scatter A[:,col] and apply the rows pivoted at earlier
+            // steps, in the recorded order; steps 0..k of L already hold
+            // their refactored values (left-looking).
             let col = self.col_order[k];
             for (r, v) in pattern.col(col, vals) {
                 x[r] = v;
             }
-            for &r in &self.reach[k] {
-                let step = self.pinv[r];
-                // Rows pivoted in an *earlier* step trigger updates; the
-                // rest belong to this step's L part. After the initial
-                // factorisation `pinv` is total, so "earlier" is `< k`.
-                if step < k {
-                    let xv = x[r];
-                    if xv != 0.0 {
-                        for &(rr, lv) in &self.l_cols[step] {
-                            x[rr] -= lv * xv;
-                        }
+            for &(pos, _) in &self.u_cols[k] {
+                let xv = x[self.perm_row[pos]];
+                if xv != 0.0 {
+                    for &(rr, lv) in &self.l_cols[pos] {
+                        x[rr] -= lv * xv;
                     }
                 }
             }
@@ -326,7 +374,10 @@ impl SparseLu {
             if pivot_val.abs() < PIVOT_EPS || pivot_val.abs() < REFACTOR_PIVOT_TAU * cand_max {
                 // Clear the workspace before bailing so a later call
                 // starts clean.
-                for &r in &self.reach[k] {
+                for &(pos, _) in &self.u_cols[k] {
+                    x[self.perm_row[pos]] = 0.0;
+                }
+                for &(r, _) in &self.l_cols[k] {
                     x[r] = 0.0;
                 }
                 x[ipiv] = 0.0;
@@ -335,13 +386,10 @@ impl SparseLu {
 
             self.u_diag[k] = pivot_val;
             for entry in &mut self.u_cols[k] {
-                entry.1 = x[self.perm_row[entry.0]];
+                entry.1 = std::mem::take(&mut x[self.perm_row[entry.0]]);
             }
             for entry in &mut self.l_cols[k] {
-                entry.1 = x[entry.0] / pivot_val;
-            }
-            for &r in &self.reach[k] {
-                x[r] = 0.0;
+                entry.1 = std::mem::take(&mut x[entry.0]) / pivot_val;
             }
             x[ipiv] = 0.0;
         }
@@ -478,11 +526,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a permutation")]
     fn non_permutation_order_rejected() {
         let m = mat(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
         let (pattern, vals) = CscPattern::from_system(&m);
-        let _ = SparseLu::factor_ordered(&pattern, &vals, Arc::from([0, 0]));
+        for order in [&[0, 0][..], &[0], &[0, 2], &[1, 0, 2]] {
+            let err = SparseLu::factor_ordered(&pattern, &vals, Arc::from(order))
+                .err()
+                .expect("rejected");
+            assert!(
+                matches!(&err, SpiceError::InvalidParameter { reason, .. } if reason.contains("not a permutation")),
+                "{order:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn refactor_against_another_dimension_rejected() {
+        let m = mat(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        let (pattern, vals) = CscPattern::from_system(&m);
+        let mut lu = SparseLu::factor_csc(&pattern, &vals).unwrap();
+        let (big, big_vals) =
+            CscPattern::from_system(&mat(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]));
+        let err = lu.refactor(&big, &big_vals).expect_err("rejected");
+        assert!(
+            matches!(&err, SpiceError::InvalidParameter { reason, .. } if reason.contains("dimension 3")),
+            "{err}"
+        );
+        // The factors are untouched and still solve the 2×2 system.
+        lu.refactor(&pattern, &vals).unwrap();
+        assert_eq!(lu.solve(&[2.0, 3.0]), vec![2.0, 3.0]);
     }
 
     #[test]
@@ -610,12 +682,17 @@ mod tests {
         CscPattern::from_system(&mat(nodes + branches, &entries))
     }
 
-    /// FNV-1a over the pivot permutation, every factor entry and one
-    /// solve, bit for bit.
+    /// FNV-1a over the pivot permutation (each original row's pivot
+    /// position, in row order), every factor entry and one solve, bit
+    /// for bit.
     fn fingerprint(lu: &SparseLu, b: &[f64]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
         let mut eat = |w: u64| h = (h ^ w).wrapping_mul(0x0100_0000_01b3);
-        for &p in &lu.pinv {
+        let mut pinv = vec![0; lu.n];
+        for (pos, &row) in lu.perm_row.iter().enumerate() {
+            pinv[row] = pos;
+        }
+        for p in pinv {
             eat(p as u64);
         }
         for &d in &lu.u_diag {
@@ -655,6 +732,120 @@ mod tests {
         assert_eq!(fingerprint(&lu, &b), FACTOR_FINGERPRINT);
         lu.refactor(&pattern, &vals2).unwrap();
         assert_eq!(fingerprint(&lu, &b), REFACTOR_FINGERPRINT);
+    }
+
+    /// An MNA-shaped pattern with DC-dead slots: node conductances
+    /// (each node's diagonal plus a coupling to a random node) and
+    /// voltage-source incidence rows are live; `caps` capacitors between
+    /// random node pairs add sites that hold `+0.0` in every matrix.
+    /// Returns the pattern, each live site's slot (flagged when it is a
+    /// node diagonal) and the dead slots.
+    fn dc_system(
+        nodes: usize,
+        branches: usize,
+        caps: usize,
+        rnd: &mut impl FnMut() -> f64,
+    ) -> (CscPattern, Vec<(usize, bool)>, Vec<usize>) {
+        let mut node = || ((rnd().abs() * nodes as f64) as usize).min(nodes - 1);
+        let mut sites = Vec::new();
+        for i in 0..nodes {
+            let j = node();
+            sites.extend([(i, i), (i, j), (j, i)]);
+        }
+        for b in 0..branches {
+            let (v, row) = (b * nodes / branches, nodes + b);
+            sites.extend([(v, row), (row, v)]);
+        }
+        let n_live = sites.len();
+        for _ in 0..caps {
+            let (i, j) = (node(), node());
+            sites.extend([(i, i), (i, j), (j, i), (j, j)]);
+        }
+        let (pattern, slots) = CscPattern::from_sites(nodes + branches, &sites);
+        let mut live = vec![false; pattern.nnz()];
+        for &s in &slots[..n_live] {
+            live[s] = true;
+        }
+        let dead = (0..pattern.nnz()).filter(|&s| !live[s]).collect();
+        let live_sites = sites[..n_live]
+            .iter()
+            .zip(&slots)
+            .map(|(&(r, c), &slot)| (slot, r == c))
+            .collect();
+        (pattern, live_sites, dead)
+    }
+
+    /// The pruned factors against the full ones: the same pivots, every
+    /// kept entry bit for bit at its position, every dropped one ±0, and
+    /// solves equal by `to_bits`.
+    fn assert_prune_exact(full: &SparseLu, pruned: &SparseLu, b: &[f64]) {
+        assert_eq!(full.perm_row, pruned.perm_row, "pivot sequence");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&full.u_diag), bits(&pruned.u_diag), "pivots");
+        let cols = |lu: &'_ SparseLu| {
+            lu.l_cols
+                .iter()
+                .chain(&lu.u_cols)
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        for (f, p) in cols(full).iter().zip(cols(pruned)) {
+            let mut kept = p.iter().peekable();
+            for &(i, v) in f {
+                match kept.next_if(|&&(j, _)| j == i) {
+                    Some(&(_, w)) => assert_eq!(v.to_bits(), w.to_bits(), "kept entry {i}"),
+                    None => assert_eq!(v, 0.0, "dropped entry {i} holds {v:e}"),
+                }
+            }
+            assert!(
+                kept.next().is_none(),
+                "kept entries are the full factors' in order"
+            );
+        }
+        assert_eq!(bits(&full.solve(b)), bits(&pruned.solve(b)), "solve");
+    }
+
+    /// Dropping what only DC-dead slots reach changes no bit, after a
+    /// first factorisation, a numeric refactor and a repivot alike.
+    #[test]
+    fn pruned_factors_match_full_factors_bitwise() {
+        let mut state = 0xdc_u64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        for _ in 0..20 {
+            let (pattern, live, dead) = dc_system(60, 8, 40, &mut rnd);
+            assert!(!dead.is_empty());
+            let mut fill = |boost: f64| {
+                let mut vals = vec![0.0f64; pattern.nnz()];
+                for &(slot, diag) in &live {
+                    vals[slot] += rnd() + if diag { boost } else { 0.0 };
+                }
+                vals
+            };
+            let n = pattern.dim();
+            let b: Vec<f64> = (0..n).map(|i| (0.3 * i as f64).cos() + 0.1).collect();
+
+            let vals = fill(4.0);
+            let mut full = SparseLu::factor_csc(&pattern, &vals).unwrap();
+            let mut pruned = SparseLu::factor_csc(&pattern, &vals).unwrap();
+            pruned.retain_reached(&pattern, &dead);
+            assert!(pruned.factor_nnz() < full.factor_nnz());
+            assert_prune_exact(&full, &pruned, &b);
+
+            let vals = fill(4.0);
+            full.refactor(&pattern, &vals).unwrap();
+            pruned.refactor(&pattern, &vals).unwrap();
+            assert_prune_exact(&full, &pruned, &b);
+
+            // Weak diagonals make the fresh pivot search pick other rows.
+            let vals = fill(0.0);
+            full.repivot(&pattern, &vals).unwrap();
+            pruned.repivot(&pattern, &vals).unwrap();
+            pruned.retain_reached(&pattern, &dead);
+            assert_prune_exact(&full, &pruned, &b);
+        }
     }
 
     #[test]
