@@ -11,6 +11,7 @@ use mcml_obs::Counter;
 #[test]
 fn spiceperf_exits_non_zero_and_writes_nothing_with_counting_off() {
     let out = std::env::temp_dir().join(format!("spiceperf-off-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&out);
     let run = Command::new(env!("CARGO_BIN_EXE_spiceperf"))
         .args(["--reps", "1", "--out"])
         .arg(&out)
